@@ -73,13 +73,6 @@ class _Opt:
 _SOLVER_OPTS = (
     _Opt("tol", float, 1e-9, "descent residual tolerance"),
     _Opt("max_iters", int, 500, "descent iteration budget per step"),
-    _Opt(
-        "line_mode",
-        str,
-        "exact",
-        "line search variant",
-        choices=("exact", "quadratic", "unit"),
-    ),
 )
 
 
@@ -146,7 +139,7 @@ def _opts_step():
 
 
 def _solver_config(v) -> SolverConfig:
-    return SolverConfig(tol=v.tol, max_iters=v.max_iters, line_mode=v.line_mode)
+    return SolverConfig(tol=v.tol, max_iters=v.max_iters)
 
 
 def _write_convergence(outdir: Path, label: str, table) -> None:

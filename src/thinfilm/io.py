@@ -13,7 +13,6 @@ exactly.  All writers go through a temp file plus atomic rename.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -181,7 +180,3 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def nan_to_none(x: float):
-    return None if math.isnan(x) else x

@@ -15,7 +15,9 @@ strictly positive and keeps its mean.
 
 g is strictly increasing with g(0) = -<L d, d> < 0, and blows up to +inf at
 the barrier when the barrier is finite, so a sign change is bracketed by
-geometric expansion and then resolved by bisection with secant acceleration.
+geometric expansion and then resolved by Illinois-damped false position
+(regula falsi that halves the stored value of an endpoint kept twice in a
+row, with a midpoint fallback when the interpolant leaves the bracket).
 If the safety cap itself is still downhill the capped step is taken as is;
 the iteration remains a descent step.
 """
@@ -32,35 +34,28 @@ from .errors import (
     MaxItersExceededError,
     NonPositiveFieldError,
 )
-from .grid import Grid, inner, norm_2
+from .grid import Grid, inner
 
-_LINE_MODES = ("exact", "quadratic", "unit")
+# Fraction of the distance to the positivity barrier a step may consume.
+_ALPHA_SAFETY = 0.99
+# Relative stopping tolerance of the line search, on g and on the bracket.
+_LINE_TOL = 1e-12
+# Factor by which the line search widens its trial step while g < 0.
+_GROWTH = 2.0
 
 
 @dataclass
 class SolverConfig:
-    """Knobs of the descent loop and its line search."""
+    """Stopping rule of the descent loop."""
 
     tol: float = 1e-9
     max_iters: int = 500
-    alpha_safety: float = 0.99
-    line_tol: float = 1e-12
-    growth: float = 2.0
-    line_mode: str = "exact"
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (0.0 < self.alpha_safety < 1.0):
-            raise ValueError(f"alpha_safety must be in (0, 1), got {self.alpha_safety}")
-        if not (self.line_tol > 0.0):
-            raise ValueError(f"line_tol must be positive, got {self.line_tol}")
-        if not (self.growth > 1.0):
-            raise ValueError(f"growth must exceed 1, got {self.growth}")
-        if self.line_mode not in _LINE_MODES:
-            raise ValueError(f"line_mode must be one of {_LINE_MODES}")
 
 
 @dataclass
@@ -73,7 +68,6 @@ class PsdTrace:
     """
 
     residual_norms: list = field(default_factory=list)
-    l2_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     line_evals: list = field(default_factory=list)
     functional_values: list | None = None
@@ -114,16 +108,14 @@ def _eval_g(g, alpha: float) -> float:
     return math.inf if math.isnan(value) else value
 
 
-def line_search(g, alpha_barrier: float, cfg: SolverConfig | None = None,
-                g0: float | None = None) -> float:
+def line_search(g, alpha_barrier: float, g0: float | None = None) -> float:
     """Locate the positive root of an increasing scalar derivative g.
 
     Accepts alpha_barrier = +inf for barrier-free directions.  Stops when
-    |g(alpha)| <= line_tol |g(0)| or the bracket width drops below
-    line_tol * alpha.  When even the capped step stays downhill the cap is
+    |g(alpha)| <= _LINE_TOL |g(0)| or the bracket width drops below
+    _LINE_TOL * alpha.  When even the capped step stays downhill the cap is
     returned (a barrier-limited descent step).
     """
-    cfg = cfg or SolverConfig()
     if g0 is None:
         g0 = _eval_g(g, 0.0)
     if not g0 < 0.0:
@@ -146,7 +138,7 @@ def line_search(g, alpha_barrier: float, cfg: SolverConfig | None = None,
             raise BarrierCollapseError(
                 "directional derivative never changed sign during expansion"
             )
-        a = min(a * cfg.growth, cap)
+        a = min(a * _GROWTH, cap)
         ga = _eval_g(g, a)
     if ga == 0.0:
         return a
@@ -155,11 +147,11 @@ def line_search(g, alpha_barrier: float, cfg: SolverConfig | None = None,
     # Illinois-damped false position: interpolate through the bracket, and
     # when the same endpoint survives twice in a row halve its stored value,
     # which unsticks the stalled side and keeps the contraction superlinear.
-    gtol = cfg.line_tol * abs(g0)
+    gtol = _LINE_TOL * abs(g0)
     side = 0
     for _ in range(256):
         width = hi - lo
-        if width <= cfg.line_tol * hi:
+        if width <= _LINE_TOL * hi:
             return 0.5 * (lo + hi)
         if math.isfinite(ghi):
             x = (lo * ghi - hi * glo) / (ghi - glo)
@@ -185,39 +177,6 @@ def line_search(g, alpha_barrier: float, cfg: SolverConfig | None = None,
     )
 
 
-def _quadratic_step(g, alpha_barrier: float, cfg: SolverConfig, g0: float) -> float:
-    """One-shot quadratic model of the step functional, cheap but inexact.
-
-    Brackets like the exact search, then places the vertex of the parabola
-    interpolating the directional derivative, with a single bisection
-    fallback if the vertex lands outside the sign change.
-    """
-    cap = alpha_barrier * (1.0 - 1e-12) if math.isfinite(alpha_barrier) else math.inf
-    if not cap > 0.0:
-        raise BarrierCollapseError("positivity barrier leaves no admissible step")
-    lo = 0.0
-    a = min(1.0, alpha_barrier / 2.0, cap)
-    ga = _eval_g(g, a)
-    expansions = 0
-    while ga < 0.0:
-        if a >= cap:
-            return cap
-        lo = a
-        expansions += 1
-        if expansions > 200 or not math.isfinite(a):
-            raise BarrierCollapseError(
-                "directional derivative never changed sign during expansion"
-            )
-        a = min(a * cfg.growth, cap)
-        ga = _eval_g(g, a)
-    if ga == 0.0 or not math.isfinite(ga):
-        return a if ga == 0.0 else 0.5 * (lo + a)
-    x = a * g0 / (g0 - ga)
-    if not (lo < x < a):
-        x = 0.5 * (lo + a)
-    return x
-
-
 def psd_solve(
     grid: Grid,
     residual_fn,
@@ -235,11 +194,11 @@ def psd_solve(
     out.  When ``functional`` is given its value is recorded at phi_init and
     after every update.
 
-    ``directional``, when given, is a factory (phi, d, r) -> g or
-    (g, residual_at) with g(alpha) = -<residual_fn(phi + alpha d), d>, used
-    for the line search in place of assembling the residual at every trial
-    point, and residual_at(alpha) = residual_fn(phi + alpha d), used to
-    carry the residual to the next iteration.  Schemes supply factories
+    ``directional``, when given, is a factory (phi, d, r) -> (g, residual_at)
+    with g(alpha) = -<residual_fn(phi + alpha d), d>, used for the line
+    search in place of assembling the residual at every trial point, and
+    residual_at(alpha) = residual_fn(phi + alpha d), used to carry the
+    residual to the next iteration.  Schemes supply factories
     that exploit the affine structure of their residuals; both closures
     must agree with the naive evaluations to rounding error.
     """
@@ -267,18 +226,13 @@ def psd_solve(
         d -= np.mean(d)
         res = math.sqrt(max(inner(grid, d, rp), 0.0))
         trace.residual_norms.append(res)
-        trace.l2_norms.append(norm_2(grid, rp))
         if res <= cfg.tol:
             return phi, trace
 
         evals = 0
         residual_at = None
         if directional is not None:
-            made = directional(phi, d, r)
-            if isinstance(made, tuple):
-                g_inner, residual_at = made
-            else:
-                g_inner = made
+            g_inner, residual_at = directional(phi, d, r)
         else:
 
             def g_inner(alpha: float, _phi=phi, _d=d) -> float:
@@ -289,14 +243,7 @@ def psd_solve(
             evals += 1
             return g_inner(alpha)
 
-        ab = barrier_alpha(phi, d, cfg.alpha_safety)
-        g0 = -(res * res)
-        if cfg.line_mode == "unit":
-            alpha = min(1.0, ab * (1.0 - 1e-12))
-        elif cfg.line_mode == "quadratic":
-            alpha = _quadratic_step(g, ab, cfg, g0)
-        else:
-            alpha = line_search(g, ab, cfg, g0=g0)
+        alpha = line_search(g, barrier_alpha(phi, d, _ALPHA_SAFETY), g0=-(res * res))
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
         phi = phi + alpha * d

@@ -66,6 +66,11 @@ def _deflate(u: np.ndarray) -> np.ndarray:
     return u - np.mean(u)
 
 
+def _check_dt(dt: float) -> None:
+    if not (dt > 0.0):
+        raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
+
+
 @dataclass
 class StepState:
     """Trajectory point: current field, optional history, time bookkeeping.
@@ -108,7 +113,7 @@ class StepSystem:
     functional: Callable
     precondition: Callable
     phi_init: np.ndarray
-    directional: Optional[Callable] = None
+    directional: Callable
 
 
 def initial_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
@@ -240,14 +245,132 @@ class _SchemeBase:
         theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
         return state.phi + theta * delta
 
+    def _step_system(
+        self,
+        phi_old: np.ndarray,
+        dt: float,
+        *,
+        concave: bool,
+        linear: float,
+        stiffness: float,
+        weight: float,
+        history: np.ndarray,
+        constant: np.ndarray,
+    ) -> StepSystem:
+        """Closures of one step whose residual has the common form
+
+            r(phi) = (8/3)(phi^-9 [- phi^-3]) - linear phi + stiffness lap(phi)
+                     - (-lap)^{-1}(weight phi - history) / dt + constant,
+
+        the bracketed term present when ``concave`` (the phi^-3 term taken
+        implicitly).  r is the negative gradient of a strictly convex
+        functional on the fixed-mean slice.
+        """
+        grid, solver = self.grid, self.solver
+        ones = np.ones(grid.shape)
+
+        def residual(phi: np.ndarray) -> np.ndarray:
+            check_positive(phi, "iterate")
+            inv = 1.0 / phi
+            inv3 = inv * inv * inv
+            inv9 = inv3 * inv3 * inv3
+            r = (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
+            if linear:
+                r -= linear * phi
+            r += stiffness * lap(grid, phi)
+            r -= solver.inv_neg_lap(_deflate(weight * phi - history)) / dt
+            r += constant
+            return r
+
+        def functional(phi: np.ndarray) -> float:
+            check_positive(phi, "iterate")
+            inv = 1.0 / phi
+            inv2 = inv * inv
+            inv8 = (inv2 * inv2) * (inv2 * inv2)
+            value = solver.hminus1_norm(_deflate(weight * phi - history)) ** 2 / (
+                2.0 * weight * dt
+            )
+            bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if concave else inv8 / 3.0
+            value += inner(grid, bulk, ones)
+            if linear:
+                value += 0.5 * linear * inner(grid, phi, phi)
+            value += 0.5 * stiffness * grad_norm_2(grid, phi) ** 2
+            value -= inner(grid, phi, constant)
+            return value
+
+        a0c, a1c, a2c = self.preconditioner_coefficients(dt)
+        # precondition caches the Poisson companion of its last result so
+        # the directional factory can reuse the shared forward transform.
+        poisson_cache = {}
+
+        def precondition(rp: np.ndarray) -> np.ndarray:
+            d, ild = solver.solve_preconditioner_with_poisson(rp, a0c, a1c, a2c)
+            poisson_cache["d"] = d
+            poisson_cache["ild"] = ild
+            return d
+
+        def directional(phi: np.ndarray, d: np.ndarray, r_phi: np.ndarray):
+            inv = 1.0 / phi
+            inv3 = inv * inv * inv
+            inv9 = inv3 * inv3 * inv3
+            bulk_phi = (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
+            affine = r_phi - bulk_phi
+            if poisson_cache.get("d") is d:
+                ild = poisson_cache["ild"]
+            else:
+                ild = solver.inv_neg_lap(_deflate(d))
+            kd = stiffness * lap(grid, d)
+            if linear:
+                kd -= linear * d
+            kd -= weight * ild / dt
+            s0 = inner(grid, affine, d)
+            s1 = inner(grid, kd, d)
+            psi = np.empty_like(phi)
+            work = np.empty_like(phi)
+            bulk = np.empty_like(phi)
+            dflat = d.ravel()
+            scale = grid.cell_volume
+
+            def bulk_at(alpha: float) -> np.ndarray:
+                np.multiply(d, alpha, out=psi)
+                np.add(psi, phi, out=psi)
+                if not np.all(psi > 0.0):
+                    raise NonPositiveFieldError(
+                        "line trial point is not strictly positive"
+                    )
+                np.divide(1.0, psi, out=work)
+                np.multiply(work, work, out=bulk)
+                np.multiply(bulk, work, out=bulk)
+                np.multiply(bulk, bulk, out=work)
+                np.multiply(work, bulk, out=work)
+                if concave:
+                    np.subtract(work, bulk, out=bulk)
+                    np.multiply(bulk, 8.0 / 3.0, out=bulk)
+                else:
+                    np.multiply(work, 8.0 / 3.0, out=bulk)
+                return bulk
+
+            def g(alpha: float) -> float:
+                b = bulk_at(alpha)
+                return -(scale * float(np.dot(b.ravel(), dflat)) + s0 + alpha * s1)
+
+            def residual_at(alpha: float) -> np.ndarray:
+                out = bulk_at(alpha) + affine
+                np.multiply(kd, alpha, out=psi)
+                np.add(out, psi, out=out)
+                return out
+
+            return g, residual_at
+
+        return StepSystem(residual, functional, precondition, phi_old, directional)
+
 
 class FirstOrderScheme(_SchemeBase):
     """Unconditionally energy-stable convex-splitting stepper."""
 
     def preconditioner_coefficients(self, dt: float) -> tuple:
         """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap)."""
-        if not (dt > 0.0):
-            raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
+        _check_dt(dt)
         return (1.0 / dt, 1.0, self.params.eps**2)
 
     def residual(
@@ -275,98 +398,17 @@ class FirstOrderScheme(_SchemeBase):
     def step_system_from(
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepSystem:
-        if not (dt > 0.0):
-            raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
-        grid, solver = self.grid, self.solver
-        eps2 = self.params.eps**2
+        _check_dt(dt)
         check_positive(phi_old, "previous state")
         inv_old = 1.0 / phi_old
-        inv3_old = inv_old * inv_old * inv_old
-        explicit = (8.0 / 3.0) * inv3_old
+        constant = -(8.0 / 3.0) * (inv_old * inv_old * inv_old)
         lift = self._lift_forcing(forcing)
-        ones = np.ones(grid.shape)
-
-        def residual(phi: np.ndarray) -> np.ndarray:
-            check_positive(phi, "iterate")
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            r = (8.0 / 3.0) * (inv3 * inv3 * inv3) - explicit
-            r += eps2 * lap(grid, phi)
-            r -= solver.inv_neg_lap(_deflate(phi - phi_old)) / dt
-            if lift is not None:
-                r += lift
-            return r
-
-        def functional(phi: np.ndarray) -> float:
-            check_positive(phi, "iterate")
-            inv = 1.0 / phi
-            inv2 = inv * inv
-            inv8 = (inv2 * inv2) * (inv2 * inv2)
-            value = solver.hminus1_norm(_deflate(phi - phi_old)) ** 2 / (2.0 * dt)
-            value += inner(grid, inv8, ones) / 3.0
-            value += 0.5 * eps2 * grad_norm_2(grid, phi) ** 2
-            value += inner(grid, phi, explicit)
-            if lift is not None:
-                value -= inner(grid, phi, lift)
-            return value
-
-        a0c, a1c, a2c = self.preconditioner_coefficients(dt)
-        # precondition caches the Poisson companion of its last result so
-        # the directional factory can reuse the shared forward transform.
-        poisson_cache = {}
-
-        def precondition(rp: np.ndarray) -> np.ndarray:
-            d, ild = solver.solve_preconditioner_with_poisson(rp, a0c, a1c, a2c)
-            poisson_cache["d"] = d
-            poisson_cache["ild"] = ild
-            return d
-
-        def directional(phi: np.ndarray, d: np.ndarray, r_phi: np.ndarray):
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            bulk_phi = (8.0 / 3.0) * (inv3 * inv3 * inv3)
-            affine = r_phi - bulk_phi
-            if poisson_cache.get("d") is d:
-                ild = poisson_cache["ild"]
-            else:
-                ild = solver.inv_neg_lap(_deflate(d))
-            kd = eps2 * lap(grid, d) - ild / dt
-            s0 = inner(grid, affine, d)
-            s1 = inner(grid, kd, d)
-            psi = np.empty_like(phi)
-            work = np.empty_like(phi)
-            bulk = np.empty_like(phi)
-            dflat = d.ravel()
-            scale = grid.cell_volume
-
-            def bulk_at(alpha: float) -> np.ndarray:
-                np.multiply(d, alpha, out=psi)
-                np.add(psi, phi, out=psi)
-                if not np.all(psi > 0.0):
-                    raise NonPositiveFieldError(
-                        "line trial point is not strictly positive"
-                    )
-                np.divide(1.0, psi, out=work)
-                np.multiply(work, work, out=bulk)
-                np.multiply(bulk, work, out=bulk)
-                np.multiply(bulk, bulk, out=work)
-                np.multiply(work, bulk, out=work)
-                np.multiply(work, 8.0 / 3.0, out=bulk)
-                return bulk
-
-            def g(alpha: float) -> float:
-                b = bulk_at(alpha)
-                return -(scale * float(np.dot(b.ravel(), dflat)) + s0 + alpha * s1)
-
-            def residual_at(alpha: float) -> np.ndarray:
-                out = bulk_at(alpha) + affine
-                np.multiply(kd, alpha, out=psi)
-                np.add(out, psi, out=out)
-                return out
-
-            return g, residual_at
-
-        return StepSystem(residual, functional, precondition, phi_old, directional)
+        if lift is not None:
+            constant += lift
+        return self._step_system(
+            phi_old, dt, concave=False, linear=0.0, stiffness=self.params.eps**2,
+            weight=1.0, history=phi_old, constant=constant,
+        )
 
     def step(
         self, state: StepState, dt: float, forcing: Optional[np.ndarray] = None
@@ -398,8 +440,7 @@ class Bdf2Scheme(_SchemeBase):
 
     def preconditioner_coefficients(self, dt: float) -> tuple:
         """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap)."""
-        if not (dt > 0.0):
-            raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
+        _check_dt(dt)
         p = self.params
         return (1.5 / dt, (8.0 / 3.0) * p.a0 + 1.0, p.eps**2 + p.a_stab * dt)
 
@@ -432,105 +473,22 @@ class Bdf2Scheme(_SchemeBase):
         dt: float,
         forcing: Optional[np.ndarray] = None,
     ) -> StepSystem:
-        if not (dt > 0.0):
-            raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
-        grid, solver = self.grid, self.solver
+        _check_dt(dt)
         p = self.params
-        eps2_eff = p.eps**2 + p.a_stab * dt
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
-        history = 2.0 * phi_old - 0.5 * phi_older
+        linear = (8.0 / 3.0) * p.a0
         phi_hat = 2.0 * phi_old - phi_older
-        lap_old = lap(grid, phi_old)
-        lift = self._lift_forcing(forcing)
         # Terms independent of the iterate, assembled once per step.
-        constant = (8.0 / 3.0) * p.a0 * phi_hat - p.a_stab * dt * lap_old
+        constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
+        lift = self._lift_forcing(forcing)
         if lift is not None:
             constant = constant + lift
-        linear_coeff = (8.0 / 3.0) * p.a0
-        ones = np.ones(grid.shape)
-
-        def residual(phi: np.ndarray) -> np.ndarray:
-            check_positive(phi, "iterate")
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            inv9 = inv3 * inv3 * inv3
-            r = (8.0 / 3.0) * (inv9 - inv3) - linear_coeff * phi
-            r += eps2_eff * lap(grid, phi)
-            r -= solver.inv_neg_lap(_deflate(1.5 * phi - history)) / dt
-            r += constant
-            return r
-
-        def functional(phi: np.ndarray) -> float:
-            check_positive(phi, "iterate")
-            inv = 1.0 / phi
-            inv2 = inv * inv
-            inv8 = (inv2 * inv2) * (inv2 * inv2)
-            value = solver.hminus1_norm(_deflate(1.5 * phi - history)) ** 2 / (3.0 * dt)
-            value += inner(grid, inv8 / 3.0 - (4.0 / 3.0) * inv2, ones)
-            value += (4.0 / 3.0) * p.a0 * inner(grid, phi, phi)
-            value += 0.5 * eps2_eff * grad_norm_2(grid, phi) ** 2
-            value -= inner(grid, phi, constant)
-            return value
-
-        a0c, a1c, a2c = self.preconditioner_coefficients(dt)
-        # precondition caches the Poisson companion of its last result so
-        # the directional factory can reuse the shared forward transform.
-        poisson_cache = {}
-
-        def precondition(rp: np.ndarray) -> np.ndarray:
-            d, ild = solver.solve_preconditioner_with_poisson(rp, a0c, a1c, a2c)
-            poisson_cache["d"] = d
-            poisson_cache["ild"] = ild
-            return d
-
-        def directional(phi: np.ndarray, d: np.ndarray, r_phi: np.ndarray):
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            bulk_phi = (8.0 / 3.0) * (inv3 * inv3 * inv3 - inv3)
-            affine = r_phi - bulk_phi
-            if poisson_cache.get("d") is d:
-                ild = poisson_cache["ild"]
-            else:
-                ild = solver.inv_neg_lap(_deflate(d))
-            kd = eps2_eff * lap(grid, d) - linear_coeff * d - 1.5 * ild / dt
-            s0 = inner(grid, affine, d)
-            s1 = inner(grid, kd, d)
-            psi = np.empty_like(phi)
-            work = np.empty_like(phi)
-            bulk = np.empty_like(phi)
-            dflat = d.ravel()
-            scale = grid.cell_volume
-
-            def bulk_at(alpha: float) -> np.ndarray:
-                np.multiply(d, alpha, out=psi)
-                np.add(psi, phi, out=psi)
-                if not np.all(psi > 0.0):
-                    raise NonPositiveFieldError(
-                        "line trial point is not strictly positive"
-                    )
-                np.divide(1.0, psi, out=work)
-                np.multiply(work, work, out=bulk)
-                np.multiply(bulk, work, out=bulk)
-                np.multiply(bulk, bulk, out=work)
-                np.multiply(work, bulk, out=work)
-                np.subtract(work, bulk, out=bulk)
-                np.multiply(bulk, 8.0 / 3.0, out=bulk)
-                return bulk
-
-            def g(alpha: float) -> float:
-                b = bulk_at(alpha)
-                return -(scale * float(np.dot(b.ravel(), dflat)) + s0 + alpha * s1)
-
-            def residual_at(alpha: float) -> np.ndarray:
-                out = bulk_at(alpha) + affine
-                np.multiply(kd, alpha, out=psi)
-                np.add(out, psi, out=out)
-                return out
-
-            return g, residual_at
-
-        return StepSystem(residual, functional, precondition, phi_old, directional)
+        return self._step_system(
+            phi_old, dt, concave=True, linear=linear,
+            stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
+            history=2.0 * phi_old - 0.5 * phi_older, constant=constant,
+        )
 
     def cold_start(
         self,

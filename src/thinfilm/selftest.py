@@ -26,7 +26,7 @@ from .energy import (
 )
 from .experiments import random_initial_data
 from .grid import Grid, div, grad, grad_norm_2, inner, inner_face, lap, mean, norm_2
-from .psd import SolverConfig, line_search, psd_solve
+from .psd import line_search, psd_solve
 from .schemes import Bdf2Scheme, FirstOrderScheme, initial_state, restart_state
 from .spectral import SpectralSolver, dense_neg_lap_matrix
 
@@ -125,13 +125,12 @@ def check_bulk_derivative() -> None:
 
 
 def check_line_search_roots() -> None:
-    cfg = SolverConfig()
-    a = line_search(lambda t: t - 1.0, math.inf, cfg)
+    a = line_search(lambda t: t - 1.0, math.inf)
     assert abs(a - 1.0) <= 1e-10, f"root of t-1: {a}"
-    a = line_search(lambda t: t**3 - 8.0, math.inf, cfg)
+    a = line_search(lambda t: t**3 - 8.0, math.inf)
     assert abs(a - 2.0) <= 1e-10, f"root of t^3-8: {a}"
     s = 0.37
-    a = line_search(lambda t: (1.0 - t) ** -9.0 - 1.0 - s, 1.0, cfg)
+    a = line_search(lambda t: (1.0 - t) ** -9.0 - 1.0 - s, 1.0)
     exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
     assert abs(a - exact) <= 1e-10, f"barrier root: {a} vs {exact}"
 

@@ -79,15 +79,10 @@ class SpectralSolver:
     def hminus1_norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.hminus1_inner(f, f), 0.0)))
 
-    def solve_preconditioner(
+    def _preconditioned_hat(
         self, r: np.ndarray, a0: float, a1: float, a2: float
     ) -> np.ndarray:
-        """Solve L d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
-
-        Requires a0 > 0 and a1, a2 >= 0 so L is positive definite on the
-        mean-zero subspace; ``r`` must be mean-zero within tolerance.
-        Returns the mean-zero solution.
-        """
+        """Transform of the mean-zero solution of L d = r, checks included."""
         if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0):
             raise InvalidCoefficientsError(
                 f"need a0 > 0, a1 >= 0, a2 >= 0, got ({a0}, {a1}, {a2})"
@@ -97,6 +92,18 @@ class SpectralSolver:
         rhat = np.fft.rfftn(r - m, axes=self._axes)
         rhat /= a0 / self._eig_safe + a1 + a2 * self._eig_safe
         rhat.flat[0] = 0.0
+        return rhat
+
+    def solve_preconditioner(
+        self, r: np.ndarray, a0: float, a1: float, a2: float
+    ) -> np.ndarray:
+        """Solve L d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
+
+        Requires a0 > 0 and a1, a2 >= 0 so L is positive definite on the
+        mean-zero subspace; ``r`` must be mean-zero within tolerance.
+        Returns the mean-zero solution.
+        """
+        rhat = self._preconditioned_hat(r, a0, a1, a2)
         return np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
 
     def solve_preconditioner_with_poisson(
@@ -110,15 +117,7 @@ class SpectralSolver:
         loop needs both fields per iteration, so fusing them saves a
         transform in the hottest path.
         """
-        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0):
-            raise InvalidCoefficientsError(
-                f"need a0 > 0, a1 >= 0, a2 >= 0, got ({a0}, {a1}, {a2})"
-            )
-        self.grid.validate_field(r)
-        m = self._check_mean(r)
-        rhat = np.fft.rfftn(r - m, axes=self._axes)
-        rhat /= a0 / self._eig_safe + a1 + a2 * self._eig_safe
-        rhat.flat[0] = 0.0
+        rhat = self._preconditioned_hat(r, a0, a1, a2)
         d = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
         rhat /= self._eig_safe
         rhat.flat[0] = 0.0

@@ -280,9 +280,9 @@ class TestCliConfigMerge:
 
     def test_config_choices_validated(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("line_mode=golden\n")
+        cfg.write_text("scheme=golden\n")
         assert main(["step", "--config", str(cfg)]) == 1
-        assert "line_mode" in capsys.readouterr().err
+        assert "scheme" in capsys.readouterr().err
 
 
 class TestCliErrors:

@@ -42,8 +42,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.tol == 1e-9
         assert cfg.max_iters == 500
-        assert cfg.alpha_safety == 0.99
-        assert cfg.line_mode == "exact"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,11 +49,6 @@ class TestSolverConfig:
             {"tol": 0.0},
             {"tol": -1.0},
             {"max_iters": 0},
-            {"alpha_safety": 0.0},
-            {"alpha_safety": 1.0},
-            {"line_tol": 0.0},
-            {"growth": 1.0},
-            {"line_mode": "golden"},
         ],
     )
     def test_validation(self, kwargs):
@@ -178,17 +171,6 @@ class TestPsdSolveQuadratic:
         assert trace.residual_norms[-1] <= 1e-9
         assert len(trace.residual_norms) == trace.iterations + 1
 
-    def test_unit_mode_also_exact_here(self):
-        grid = Grid(2, 8, 1.0)
-        solver = SpectralSolver(grid)
-        residual, precondition, phi_star, phi0 = quadratic_problem(
-            grid, solver, (5.0, 1.0, 0.04), seed=2
-        )
-        cfg = SolverConfig(line_mode="unit")
-        phi, trace = psd_solve(grid, residual, precondition, phi0, cfg)
-        assert trace.iterations == 1
-        assert norm_inf(phi - phi_star) <= 1e-10
-
     def test_tail_contraction_none_for_short_trace(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
@@ -276,36 +258,6 @@ class TestPsdSolveBarrier:
         )
         assert trace_fast.iterations == trace_plain.iterations
         assert norm_inf(phi_fast - phi_plain) <= 1e-12
-
-    def test_directional_bare_g_form_accepted(self):
-        residual, _ = barrier_problem(self.grid)
-
-        def directional(phi, d, r_phi):
-            return lambda alpha: -inner(self.grid, residual(phi + alpha * d), d)
-
-        phi_fast, _ = psd_solve(
-            self.grid, residual, self.precondition, self.phi0, directional=directional
-        )
-        phi_plain, _ = psd_solve(self.grid, residual, self.precondition, self.phi0)
-        assert norm_inf(phi_fast - phi_plain) <= 1e-12
-
-    def test_quadratic_line_mode_converges(self):
-        residual, functional = barrier_problem(self.grid)
-        cfg = SolverConfig(line_mode="quadratic", max_iters=2000)
-        phi, trace = psd_solve(
-            self.grid, residual, self.precondition, self.phi0, cfg
-        )
-        assert trace.residual_norms[-1] <= 1e-9
-        assert np.all(phi > 0.0)
-
-    def test_unit_line_mode_converges(self):
-        residual, _ = barrier_problem(self.grid)
-        cfg = SolverConfig(line_mode="unit", max_iters=2000)
-        phi, trace = psd_solve(
-            self.grid, residual, self.precondition, self.phi0, cfg
-        )
-        assert trace.residual_norms[-1] <= 1e-9
-        assert np.all(phi > 0.0)
 
     def test_budget_exhaustion_carries_best_iterate(self):
         residual, _ = barrier_problem(self.grid)

@@ -209,12 +209,20 @@ class TestDirectionalFactory:
                 1.0, norm_inf(r_trial)
             )
 
-    def test_uncached_direction_recomputes_poisson_part(self, setup):
-        grid, _, fo, _ = setup
+    @staticmethod
+    def make_system(setup, which, phi_old, dt):
+        _, _, fo, bdf2 = setup
+        if which == "fo":
+            return fo.step_system_from(phi_old, dt)
+        return bdf2.step_system_from(phi_old, phi_old, dt)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_uncached_direction_recomputes_poisson_part(self, setup, which):
+        grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 32)
         phi = positive_field(grid, 33)
-        system = fo.step_system_from(phi_old, dt)
+        system = self.make_system(setup, which, phi_old, dt)
         r = system.residual(phi)
         d = np.random.default_rng(34).standard_normal(grid.shape)
         d -= np.mean(d)
@@ -223,10 +231,11 @@ class TestDirectionalFactory:
         naive = -inner(grid, system.residual(phi + 0.1 * d), d)
         assert abs(g(0.1) - naive) <= 1e-10 * max(1.0, abs(naive))
 
-    def test_line_trial_guards_positivity(self, setup):
-        grid, _, fo, _ = setup
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_line_trial_guards_positivity(self, setup, which):
+        grid = setup[0]
         phi_old = positive_field(grid, 35)
-        system = fo.step_system_from(phi_old, 0.1)
+        system = self.make_system(setup, which, phi_old, 0.1)
         phi = positive_field(grid, 36)
         r = system.residual(phi)
         d = -np.ones(grid.shape) + mean_zero_forcing(grid, 37) * 1e-3
