@@ -71,8 +71,8 @@ class _Opt:
 
 
 _SOLVER_OPTS = (
-    _Opt("tol", float, 1e-9, "descent residual tolerance"),
-    _Opt("max_iters", int, 500, "descent iteration budget per step"),
+    _Opt("tol", float, 1e-9, "CG residual tolerance"),
+    _Opt("max_iters", int, 500, "CG iteration budget per step"),
 )
 
 
@@ -275,7 +275,8 @@ def _run_step(v) -> int:
     print(
         f"t={format_float(state.t)} energy={format_float(report.energy)} "
         f"modified_energy={modified} min_phi={format_float(report.min_phi)} "
-        f"psd_iters={report.psd_iters} residual={format_float(report.final_residual)} "
+        f"psd_iters={report.psd_iters} line_evals={report.line_evals} "
+        f"restarts={report.restarts} residual={format_float(report.final_residual)} "
         f"mass_drift={format_float(report.mass_drift)}"
     )
     return 0

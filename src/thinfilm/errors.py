@@ -34,7 +34,14 @@ class PositivityLostError(ThinFilmError):
 
 
 class SolverDivergedError(ThinFilmError):
-    """A time step failed because the nonlinear solve did not converge."""
+    """A time step failed because the nonlinear solve did not converge.
+
+    Carries the failed solve's trace when the iteration budget ran out.
+    """
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class MaxItersExceededError(ThinFilmError):

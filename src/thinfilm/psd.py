@@ -1,19 +1,26 @@
-"""Preconditioned steepest descent for the per-step nonlinear systems.
+"""Preconditioned nonlinear CG (PR+) for the per-step nonlinear systems.
 
 Each implicit time step is the Euler-Lagrange equation of a strictly convex
 functional over the affine slice of fields with fixed mean, minimized here
-by preconditioned steepest descent.  One iteration:
+by preconditioned nonlinear conjugate gradients with the Polak-Ribiere+
+update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
 
     residual   r   = residual_fn(phi)          (zero at the solution)
-    direction  d   = L^{-1} (r - mean r)       (L from the preconditioner)
+    gradient   p   = L^{-1} (r - mean r)       (L from the preconditioner)
+    direction  d   = p + beta d_prev,  beta = max(0, <p, rp - rp_prev> / res_prev^2)
     step       phi <- phi + alpha d
 
-with alpha the root of the scalar derivative g(alpha) along d, located by a
+with rp = r - mean r and res^2 = <p, rp>.  The direction falls back to p
+(a restart) whenever it is not a descent direction, <d, rp> <= 0.  Its
+preconditioner image L d = rp + beta L d_prev is carried along at no
+transform cost, for step systems that can use it.
+
+alpha is the root of the scalar derivative g(alpha) along d, located by a
 positivity-aware line search: the update may consume at most a fixed
 fraction of the distance to the positivity barrier, so every iterate stays
 strictly positive and keeps its mean.
 
-g is strictly increasing with g(0) = -<L d, d> < 0, and blows up to +inf at
+g is strictly increasing with g(0) = -<d, rp> < 0, and blows up to +inf at
 the barrier when the barrier is finite, so a sign change is bracketed by
 geometric expansion and then resolved by Illinois-damped false position
 (regula falsi that halves the stored value of an endpoint kept twice in a
@@ -46,7 +53,7 @@ _GROWTH = 2.0
 
 @dataclass
 class SolverConfig:
-    """Stopping rule of the descent loop."""
+    """Stopping rule of the CG loop."""
 
     tol: float = 1e-9
     max_iters: int = 500
@@ -62,15 +69,17 @@ class SolverConfig:
 class PsdTrace:
     """Per-iteration history of one nonlinear solve.
 
-    residual_norms holds the preconditioned metric norm sqrt(<d, r - mean r>)
+    residual_norms holds the preconditioned metric norm sqrt(<p, r - mean r>)
     measured at the top of each iteration, including the accepting one, so
-    it has one more entry than alphas.
+    it has one more entry than alphas.  restarts counts the iterations whose
+    conjugate direction was not downhill and was reset to p.
     """
 
     residual_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     line_evals: list = field(default_factory=list)
     functional_values: list | None = None
+    restarts: int = 0
 
     @property
     def iterations(self) -> int:
@@ -93,12 +102,10 @@ def barrier_alpha(phi: np.ndarray, d: np.ndarray, safety: float = 0.99) -> float
     """Largest safe step keeping phi + alpha d strictly positive.
 
     Returns safety * min(-phi_i / d_i) over entries with d_i < 0, or +inf
-    when no entry decreases.
+    when no entry decreases, computed in one pass as -1 / min(d / phi).
     """
-    neg = d < 0.0
-    if not np.any(neg):
-        return math.inf
-    return safety * float(np.min(-phi[neg] / d[neg]))
+    m = float(np.min(d / phi))
+    return safety * (-1.0 / m) if m < 0.0 else math.inf
 
 
 def _eval_g(g, alpha: float) -> float:
@@ -186,7 +193,7 @@ def psd_solve(
     functional=None,
     directional=None,
 ):
-    """Drive the preconditioned descent until the metric residual meets tol.
+    """Drive preconditioned nonlinear CG until the metric residual meets tol.
 
     residual_fn(phi) returns the full residual field; precondition(r)
     applies L^{-1} to a mean-zero field.  Returns (phi, trace); raises
@@ -194,13 +201,14 @@ def psd_solve(
     out.  When ``functional`` is given its value is recorded at phi_init and
     after every update.
 
-    ``directional``, when given, is a factory (phi, d, r) -> (g, residual_at)
-    with g(alpha) = -<residual_fn(phi + alpha d), d>, used for the line
-    search in place of assembling the residual at every trial point, and
-    residual_at(alpha) = residual_fn(phi + alpha d), used to carry the
-    residual to the next iteration.  Schemes supply factories
-    that exploit the affine structure of their residuals; both closures
-    must agree with the naive evaluations to rounding error.
+    ``directional``, when given, is a factory (phi, (d, s), r) ->
+    (g, residual_at) for the direction d and its preconditioner image
+    s = L d, with g(alpha) = -<residual_fn(phi + alpha d), d>, used for the
+    line search in place of assembling the residual at every trial point,
+    and residual_at(alpha) = residual_fn(phi + alpha d), used to carry the
+    residual to the next iteration.  Schemes supply factories that exploit
+    the affine structure of their residuals; both closures must agree with
+    the naive evaluations to rounding error.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)
@@ -211,6 +219,8 @@ def psd_solve(
         trace.functional_values = [float(functional(phi))]
 
     r = None
+    d = s = rp_prev = None
+    res2_prev = 0.0
     for _ in range(cfg.max_iters):
         if r is None:
             r = residual_fn(phi)
@@ -219,20 +229,36 @@ def psd_solve(
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
         rp -= np.mean(rp)
-        d = precondition(rp)
-        # Pin the direction to the fixed-mean tangent space exactly: the
+        p = precondition(rp)
+        # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
         # would otherwise accumulate over very long runs.
-        d -= np.mean(d)
-        res = math.sqrt(max(inner(grid, d, rp), 0.0))
+        p -= np.mean(p)
+        res2 = max(inner(grid, p, rp), 0.0)
+        res = math.sqrt(res2)
         trace.residual_norms.append(res)
         if res <= cfg.tol:
             return phi, trace
 
+        # Polak-Ribiere+: beta is clipped at zero, and a direction that is
+        # not downhill is replaced by p.  The image s = L d follows d
+        # through the same combination, since L p = rp.
+        beta = 0.0 if d is None else (res2 - inner(grid, p, rp_prev)) / res2_prev
+        slope = 0.0
+        if beta > 0.0:
+            d = p + beta * d
+            s = rp + beta * s
+            slope = inner(grid, d, rp)
+            if not slope > 0.0:
+                trace.restarts += 1
+        if not slope > 0.0:
+            d, s, slope = p, rp, res2
+        rp_prev, res2_prev = rp, res2
+
         evals = 0
         residual_at = None
         if directional is not None:
-            g_inner, residual_at = directional(phi, d, r)
+            g_inner, residual_at = directional(phi, (d, s), r)
         else:
 
             def g_inner(alpha: float, _phi=phi, _d=d) -> float:
@@ -243,7 +269,7 @@ def psd_solve(
             evals += 1
             return g_inner(alpha)
 
-        alpha = line_search(g, barrier_alpha(phi, d, _ALPHA_SAFETY), g0=-(res * res))
+        alpha = line_search(g, barrier_alpha(phi, d, _ALPHA_SAFETY), g0=-slope)
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
         phi = phi + alpha * d
@@ -254,7 +280,7 @@ def psd_solve(
             trace.functional_values.append(float(functional(phi)))
 
     raise MaxItersExceededError(
-        f"descent residual {trace.residual_norms[-1]:.3e} above tol {cfg.tol:.1e} "
+        f"CG residual {trace.residual_norms[-1]:.3e} above tol {cfg.tol:.1e} "
         f"after {cfg.max_iters} iterations",
         phi=phi,
         trace=trace,

@@ -21,8 +21,8 @@ with phi_hat = 2 phi - phi_prev, a0 at least the convexity constant
 a0_star() and a_stab >= (4/9) a0^2.
 
 Every step is posed as the Euler-Lagrange equation of a strictly convex
-functional on the fixed-mean slice and solved by preconditioned steepest
-descent; iterates stay strictly positive through the line-search barrier,
+functional on the fixed-mean slice and solved by preconditioned nonlinear
+CG (PR+); iterates stay strictly positive through the line-search barrier,
 so the singular potential is never evaluated at a non-positive height.  An
 optional source field S (mean-zero) turns the mass balance into
 d phi / dt = lap(mu) + S; its lifted contribution (-lap)^{-1}(S - mean S)
@@ -66,6 +66,12 @@ def _deflate(u: np.ndarray) -> np.ndarray:
     return u - np.mean(u)
 
 
+def _coefficients(dt: float, linear: float, stiffness: float, weight: float) -> tuple:
+    """(a0, a1, a2) of the preconditioner L = I - K of a step residual with
+    linear part K = stiffness lap - linear I - (weight / dt) (-lap)^{-1}."""
+    return (weight / dt, linear + 1.0, stiffness)
+
+
 def _check_dt(dt: float) -> None:
     if not (dt > 0.0):
         raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
@@ -88,7 +94,11 @@ class StepState:
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics returned alongside the new state."""
+    """Per-step diagnostics returned alongside the new state.
+
+    line_evals sums the line-search evaluations of the solve and restarts
+    counts its CG directions reset to the preconditioned gradient.
+    """
 
     psd_iters: int
     final_residual: float
@@ -96,17 +106,22 @@ class StepReport:
     modified_energy: Optional[float]
     min_phi: float
     mass_drift: float
+    line_evals: int = 0
+    restarts: int = 0
 
 
 @dataclass
 class StepSystem:
     """Closures defining one implicit step, exposed for solver diagnostics.
 
-    ``directional`` factors the line-search derivative: the residual is
-    affine in the iterate apart from the pointwise inverse-power term, so
-    g(alpha) = -<r(phi + alpha d), d> splits into one precomputed spectral
-    solve plus a cheap pointwise part per trial alpha.  It agrees with the
-    naive evaluation through ``residual`` to rounding error.
+    The residual is r(phi) = B(phi) + K phi + c with B the pointwise
+    inverse-power term and K linear, and ``precondition`` solves L d = rp
+    with L = I - K exactly.  ``directional(phi, (d, s), r)`` takes a
+    direction d together with its image s = L d, so K d = d - s costs no
+    transform, and g(alpha) = -<r(phi + alpha d), d> reduces to two inner
+    products plus a pointwise part per trial alpha.  It agrees with the
+    naive evaluation through ``residual`` to rounding error whenever s = L d
+    to rounding error.
     """
 
     residual: Callable
@@ -206,6 +221,8 @@ class _SchemeBase:
             modified_energy=modified,
             min_phi=min_phi,
             mass_drift=drift,
+            line_evals=sum(trace.line_evals),
+            restarts=trace.restarts,
         )
         new_state = StepState(
             phi=phi_new,
@@ -227,13 +244,27 @@ class _SchemeBase:
                 directional=system.directional,
             )
         except MaxItersExceededError as exc:
-            raise SolverDivergedError(str(exc)) from exc
+            tail = exc.trace.tail_contraction()
+            raise SolverDivergedError(
+                f"{exc}; tail contraction "
+                f"{'n/a' if tail is None else format(tail, '.4f')}, "
+                f"best iterate min phi {float(np.min(exc.phi)):.3e}",
+                trace=exc.trace,
+            ) from exc
+
+    def preconditioner_coefficients(self, dt: float) -> tuple:
+        """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
+
+        L = I - K for the linear part K of the step residual.
+        """
+        _check_dt(dt)
+        return _coefficients(dt, **self._linear_terms(dt))
 
     def _warm_start(self, state: StepState) -> Optional[np.ndarray]:
         """Extrapolated initial iterate, or None without usable history.
 
         Starting from phi + theta (phi - phi_prev) with theta capped at half
-        the positivity barrier cuts the descent iteration count on smooth
+        the positivity barrier cuts the CG iteration count on smooth
         trajectories; the increment is mean-free, so the conserved mean is
         untouched, and the solution of the convex step problem is the same.
         """
@@ -264,22 +295,34 @@ class _SchemeBase:
 
         the bracketed term present when ``concave`` (the phi^-3 term taken
         implicitly).  r is the negative gradient of a strictly convex
-        functional on the fixed-mean slice.
+        functional on the fixed-mean slice.  Its linear part is
+        K = stiffness lap - linear I - (weight / dt) (-lap)^{-1} = I - L for
+        the preconditioner L with the coefficients of :func:`_coefficients`.
         """
         grid, solver = self.grid, self.solver
         ones = np.ones(grid.shape)
+        # The affine part K phi + c of the last residual handed out, with
+        # that residual.  When it comes back as the residual at phi, the
+        # line closures reuse it instead of re-deriving it as r - B(phi):
+        # the rounding of that difference is on the scale of B (about 1e12
+        # at phi = 0.05) and would stay in every carried residual after it.
+        carried = {}
 
-        def residual(phi: np.ndarray) -> np.ndarray:
-            check_positive(phi, "iterate")
+        def bulk_of(phi: np.ndarray) -> np.ndarray:
             inv = 1.0 / phi
             inv3 = inv * inv * inv
             inv9 = inv3 * inv3 * inv3
-            r = (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
+            return (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
+
+        def residual(phi: np.ndarray) -> np.ndarray:
+            check_positive(phi, "iterate")
+            affine = stiffness * lap(grid, phi)
             if linear:
-                r -= linear * phi
-            r += stiffness * lap(grid, phi)
-            r -= solver.inv_neg_lap(_deflate(weight * phi - history)) / dt
-            r += constant
+                affine -= linear * phi
+            affine -= solver.inv_neg_lap(_deflate(weight * phi - history)) / dt
+            affine += constant
+            r = bulk_of(phi) + affine
+            carried.update(r=r, affine=affine)
             return r
 
         def functional(phi: np.ndarray) -> float:
@@ -298,31 +341,18 @@ class _SchemeBase:
             value -= inner(grid, phi, constant)
             return value
 
-        a0c, a1c, a2c = self.preconditioner_coefficients(dt)
-        # precondition caches the Poisson companion of its last result so
-        # the directional factory can reuse the shared forward transform.
-        poisson_cache = {}
+        a0c, a1c, a2c = _coefficients(dt, linear, stiffness, weight)
 
         def precondition(rp: np.ndarray) -> np.ndarray:
-            d, ild = solver.solve_preconditioner_with_poisson(rp, a0c, a1c, a2c)
-            poisson_cache["d"] = d
-            poisson_cache["ild"] = ild
-            return d
+            return solver.solve_preconditioner(rp, a0c, a1c, a2c)
 
-        def directional(phi: np.ndarray, d: np.ndarray, r_phi: np.ndarray):
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            inv9 = inv3 * inv3 * inv3
-            bulk_phi = (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
-            affine = r_phi - bulk_phi
-            if poisson_cache.get("d") is d:
-                ild = poisson_cache["ild"]
+        def directional(phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
+            d, image = direction
+            if carried.get("r") is r_phi:
+                affine = carried["affine"]
             else:
-                ild = solver.inv_neg_lap(_deflate(d))
-            kd = stiffness * lap(grid, d)
-            if linear:
-                kd -= linear * d
-            kd -= weight * ild / dt
+                affine = r_phi - bulk_of(phi)
+            kd = d - image
             s0 = inner(grid, affine, d)
             s1 = inner(grid, kd, d)
             psi = np.empty_like(phi)
@@ -355,9 +385,9 @@ class _SchemeBase:
                 return -(scale * float(np.dot(b.ravel(), dflat)) + s0 + alpha * s1)
 
             def residual_at(alpha: float) -> np.ndarray:
-                out = bulk_at(alpha) + affine
-                np.multiply(kd, alpha, out=psi)
-                np.add(out, psi, out=out)
+                moved = affine + alpha * kd
+                out = bulk_at(alpha) + moved
+                carried.update(r=out, affine=moved)
                 return out
 
             return g, residual_at
@@ -368,10 +398,8 @@ class _SchemeBase:
 class FirstOrderScheme(_SchemeBase):
     """Unconditionally energy-stable convex-splitting stepper."""
 
-    def preconditioner_coefficients(self, dt: float) -> tuple:
-        """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap)."""
-        _check_dt(dt)
-        return (1.0 / dt, 1.0, self.params.eps**2)
+    def _linear_terms(self, dt: float) -> dict:
+        return dict(linear=0.0, stiffness=self.params.eps**2, weight=1.0)
 
     def residual(
         self,
@@ -406,8 +434,8 @@ class FirstOrderScheme(_SchemeBase):
         if lift is not None:
             constant += lift
         return self._step_system(
-            phi_old, dt, concave=False, linear=0.0, stiffness=self.params.eps**2,
-            weight=1.0, history=phi_old, constant=constant,
+            phi_old, dt, concave=False, history=phi_old, constant=constant,
+            **self._linear_terms(dt),
         )
 
     def step(
@@ -438,11 +466,11 @@ class Bdf2Scheme(_SchemeBase):
                 f"a_stab = {params.a_stab} below the floor {(4.0 / 9.0) * params.a0 ** 2}"
             )
 
-    def preconditioner_coefficients(self, dt: float) -> tuple:
-        """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap)."""
-        _check_dt(dt)
+    def _linear_terms(self, dt: float) -> dict:
         p = self.params
-        return (1.5 / dt, (8.0 / 3.0) * p.a0 + 1.0, p.eps**2 + p.a_stab * dt)
+        return dict(
+            linear=(8.0 / 3.0) * p.a0, stiffness=p.eps**2 + p.a_stab * dt, weight=1.5
+        )
 
     def residual(
         self,
@@ -477,17 +505,16 @@ class Bdf2Scheme(_SchemeBase):
         p = self.params
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
-        linear = (8.0 / 3.0) * p.a0
+        terms = self._linear_terms(dt)
         phi_hat = 2.0 * phi_old - phi_older
         # Terms independent of the iterate, assembled once per step.
-        constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
+        constant = terms["linear"] * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
         lift = self._lift_forcing(forcing)
         if lift is not None:
             constant = constant + lift
         return self._step_system(
-            phi_old, dt, concave=True, linear=linear,
-            stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
-            history=2.0 * phi_old - 0.5 * phi_older, constant=constant,
+            phi_old, dt, concave=True, history=2.0 * phi_old - 0.5 * phi_older,
+            constant=constant, **terms,
         )
 
     def cold_start(

@@ -113,9 +113,8 @@ class SpectralSolver:
 
         Returns (d, psi) with d identical to :meth:`solve_preconditioner`
         and psi equal to inv_neg_lap(d) up to rounding (the composed solve
-        avoids the intermediate round trip through grid space).  The descent
-        loop needs both fields per iteration, so fusing them saves a
-        transform in the hottest path.
+        avoids the intermediate round trip through grid space).  No solver
+        path uses it: the step systems get L d without a transform.
         """
         rhat = self._preconditioned_hat(r, a0, a1, a2)
         d = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)

@@ -220,6 +220,7 @@ class TestCliStep:
         assert np.all(phi > 0.0)
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "energy=" in line and "psd_iters=" in line
+        assert "line_evals=" in line and "restarts=" in line
 
     def test_step_chains_from_snapshot(self, tmp_path):
         first = tmp_path / "first"

@@ -241,7 +241,14 @@ class TestPsdSolveBarrier:
     def test_directional_fast_path_matches_naive(self):
         residual, _ = barrier_problem(self.grid)
 
-        def directional(phi, d, r_phi):
+        image_errors = []
+
+        def directional(phi, direction, r_phi):
+            d, image = direction
+            # the image handed along with d is L d for the preconditioner
+            ld = 0.1 * self.solver.inv_neg_lap(d) + 8.0 * d
+            image_errors.append(norm_inf(image - ld) / norm_inf(ld))
+
             def g(alpha):
                 return -inner(self.grid, residual(phi + alpha * d), d)
 
@@ -258,6 +265,8 @@ class TestPsdSolveBarrier:
         )
         assert trace_fast.iterations == trace_plain.iterations
         assert norm_inf(phi_fast - phi_plain) <= 1e-12
+        assert len(image_errors) == trace_fast.iterations
+        assert max(image_errors) <= 1e-10
 
     def test_budget_exhaustion_carries_best_iterate(self):
         residual, _ = barrier_problem(self.grid)

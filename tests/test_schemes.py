@@ -22,17 +22,22 @@ from thinfilm import (
     PhysParams,
     PositivityLostError,
     SolverConfig,
+    SolverDivergedError,
     SpectralSolver,
     a0_star,
+    barrier_alpha,
+    dense_preconditioner_matrix,
     discrete_energy,
     ghost_init,
     initial_state,
     inner,
     lap,
+    line_search,
     mean,
     modified_energy,
     mu_exact,
     norm_inf,
+    psd_solve,
     restart_state,
 )
 
@@ -182,25 +187,30 @@ class TestGradientIdentity:
 
 
 class TestDirectionalFactory:
-    def make_direction(self, scheme, system, phi):
+    @staticmethod
+    def make_system(setup, which, phi_old, dt):
+        _, _, fo, bdf2 = setup
+        if which == "fo":
+            return fo, fo.step_system_from(phi_old, dt)
+        return bdf2, bdf2.step_system_from(phi_old, phi_old, dt)
+
+    @staticmethod
+    def gradient(system, phi):
+        """Residual, its deflation rp, and the preconditioned gradient p."""
         r = system.residual(phi)
         rp = r - np.mean(r)
         rp -= np.mean(rp)
-        return r, system.precondition(rp)
+        return r, rp, system.precondition(rp)
 
-    @pytest.mark.parametrize("which", ["fo", "bdf2"])
-    def test_matches_naive_evaluations(self, setup, which):
-        grid, _, fo, bdf2 = setup
-        dt = 0.08
-        phi_old = positive_field(grid, 30)
-        phi = positive_field(grid, 31)
-        if which == "fo":
-            scheme, system = fo, fo.step_system_from(phi_old, dt)
-        else:
-            scheme, system = bdf2, bdf2.step_system_from(phi_old, phi_old, dt)
-        r, d = self.make_direction(scheme, system, phi)
-        g, residual_at = system.directional(phi, d, r)
-        for alpha in (0.0, 0.01, 0.2):
+    @staticmethod
+    def dense_image(grid, scheme, dt, d):
+        """L d through the dense preconditioner matrix, no FFT involved."""
+        mat = dense_preconditioner_matrix(grid, *scheme.preconditioner_coefficients(dt))
+        return (mat @ d.ravel()).reshape(grid.shape)
+
+    @staticmethod
+    def assert_matches_naive(grid, system, phi, d, g, residual_at, alphas):
+        for alpha in alphas:
             r_trial = system.residual(phi + alpha * d)
             naive_g = -inner(grid, r_trial, d)
             scale = max(1.0, abs(naive_g))
@@ -209,38 +219,69 @@ class TestDirectionalFactory:
                 1.0, norm_inf(r_trial)
             )
 
-    @staticmethod
-    def make_system(setup, which, phi_old, dt):
-        _, _, fo, bdf2 = setup
-        if which == "fo":
-            return fo.step_system_from(phi_old, dt)
-        return bdf2.step_system_from(phi_old, phi_old, dt)
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_matches_naive_evaluations(self, setup, which):
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 30)
+        phi = positive_field(grid, 31)
+        _, system = self.make_system(setup, which, phi_old, dt)
+        r, rp, d = self.gradient(system, phi)
+        # r as assembled, and a copy that the system has not seen, whose
+        # affine part the line closures must derive from r itself
+        for r_in in (r, r.copy()):
+            g, residual_at = system.directional(phi, (d, rp), r_in)  # L p = rp
+            self.assert_matches_naive(
+                grid, system, phi, d, g, residual_at, (0.0, 0.01, 0.2)
+            )
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
-    def test_uncached_direction_recomputes_poisson_part(self, setup, which):
+    def test_cg_direction_with_carried_image(self, setup, which):
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 38)
+        _, system = self.make_system(setup, which, phi_old, dt)
+        phi0 = positive_field(grid, 39)
+        r0, rp0, p0 = self.gradient(system, phi0)
+        g0, _ = system.directional(phi0, (p0, rp0), r0)
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0))
+        phi1 = phi0 + alpha0 * p0
+        r1, rp1, p1 = self.gradient(system, phi1)
+        beta = inner(grid, p1, rp1 - rp0) / inner(grid, p0, rp0)
+        assert beta > 0.0
+        d = p1 + beta * p0
+        image = rp1 + beta * rp0  # L d carried without a transform
+        g, residual_at = system.directional(phi1, (d, image), r1)
+        self.assert_matches_naive(
+            grid, system, phi1, d, g, residual_at, (0.0, 0.3 * alpha0, alpha0)
+        )
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_arbitrary_direction_with_independent_image(self, setup, which):
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 32)
         phi = positive_field(grid, 33)
-        system = self.make_system(setup, which, phi_old, dt)
+        scheme, system = self.make_system(setup, which, phi_old, dt)
         r = system.residual(phi)
         d = np.random.default_rng(34).standard_normal(grid.shape)
         d -= np.mean(d)
         d *= 0.01
-        g, _ = system.directional(phi, d, r)  # d never went through precondition
-        naive = -inner(grid, system.residual(phi + 0.1 * d), d)
-        assert abs(g(0.1) - naive) <= 1e-10 * max(1.0, abs(naive))
+        # d never went through precondition; its image comes from the dense L
+        image = self.dense_image(grid, scheme, dt, d)
+        g, residual_at = system.directional(phi, (d, image), r)
+        self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.1,))
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_line_trial_guards_positivity(self, setup, which):
         grid = setup[0]
         phi_old = positive_field(grid, 35)
-        system = self.make_system(setup, which, phi_old, 0.1)
+        scheme, system = self.make_system(setup, which, phi_old, 0.1)
         phi = positive_field(grid, 36)
         r = system.residual(phi)
         d = -np.ones(grid.shape) + mean_zero_forcing(grid, 37) * 1e-3
         d -= np.mean(d) + 1.0  # strongly negative direction
-        g, _ = system.directional(phi, d, r)
+        g, _ = system.directional(phi, (d, self.dense_image(grid, scheme, 0.1, d)), r)
         with pytest.raises(NonPositiveFieldError):
             g(1e6)
 
@@ -280,6 +321,84 @@ class TestPreconditionerCoefficients:
         # the sharp constants themselves are admissible
         Bdf2Scheme(grid, PhysParams(eps=0.1))
         Bdf2Scheme(grid, PhysParams(eps=0.1, a0=a0_star()))
+
+
+class TestLinearPart:
+    """The residual's linear part K and the preconditioner L obey K = I - L."""
+
+    @staticmethod
+    def build(which, dim):
+        grid = Grid(dim, 8, 1.0)
+        params = PhysParams(eps=0.5)
+        dt = 0.08
+        if which == "fo":
+            scheme = FirstOrderScheme(grid, params)
+            linear, stiffness, weight = 0.0, params.eps**2, 1.0
+        else:
+            scheme = Bdf2Scheme(grid, params)
+            linear = (8.0 / 3.0) * params.a0
+            stiffness = params.eps**2 + params.a_stab * dt
+            weight = 1.5
+        d = np.random.default_rng(60 + dim).standard_normal(grid.shape)
+        d -= np.mean(d)
+        ild = scheme.solver.inv_neg_lap(d)
+        kd = stiffness * lap(grid, d) - linear * d - weight * ild / dt
+        return grid, scheme, dt, d, ild, kd
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_identity_minus_preconditioner(self, which, dim):
+        grid, scheme, dt, d, ild, kd = self.build(which, dim)
+        a0, a1, a2 = scheme.preconditioner_coefficients(dt)
+        ld = a0 * ild + a1 * d - a2 * lap(grid, d)
+        assert norm_inf((d - ld) - kd) <= 1e-13 * norm_inf(kd)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_residual_is_affine_with_that_part(self, which, dim):
+        grid, scheme, dt, d, _, kd = self.build(which, dim)
+        phi_old = positive_field(grid, 62)
+        if which == "fo":
+            system = scheme.step_system_from(phi_old, dt)
+        else:
+            system = scheme.step_system_from(phi_old, phi_old, dt)
+
+        def bulk(phi):
+            inv3 = phi**-3.0
+            return (8.0 / 3.0) * (inv3**3 - (inv3 if which == "bdf2" else 0.0))
+
+        phi = positive_field(grid, 63)
+        step = 0.05 * d / norm_inf(d)
+        change = system.residual(phi + step) - system.residual(phi)
+        change -= bulk(phi + step) - bulk(phi)
+        k_step = 0.05 * kd / norm_inf(d)
+        assert norm_inf(change - k_step) <= 1e-12 * norm_inf(k_step)
+
+
+class TestNearBarrier:
+    def test_bdf2_step_converges_at_default_budget(self):
+        """A well with min phi = 0.05: the step's solution exists for any dt,
+        and the default SolverConfig reaches it."""
+        grid = Grid(2, 64, 6.4)
+        x, y = grid.coordinates()
+        c = 0.5 * grid.length
+        well = 1.0 - 0.95 * np.exp(-((x - c) ** 2 + (y - c) ** 2) / 0.4096)
+        phi0 = well + 0.01 * np.random.default_rng(0).random(grid.shape)
+        phi0 += 0.05 - np.min(phi0)
+        scheme = Bdf2Scheme(grid, PhysParams(eps=0.02))
+        state = restart_state(grid, phi0)
+        new_state, report = scheme.step(state, 1e-3)
+        assert report.final_residual <= scheme.psd_config.tol
+        assert report.psd_iters < scheme.psd_config.max_iters
+        # the carried residual has not drifted: a fresh assembly agrees
+        system = scheme.step_system_from(phi0, phi0, 1e-3)
+        r = system.residual(new_state.phi)
+        rp = r - np.mean(r)
+        rp -= np.mean(rp)
+        p = system.precondition(rp)
+        assert math.sqrt(inner(grid, p, rp)) <= scheme.psd_config.tol
+        assert np.all(new_state.phi > 0.0)
+        assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), abs=1e-12)
 
 
 class TestStatesAndHistory:
@@ -460,6 +579,31 @@ class TestStepBehavior:
         state2 = restart_state(grid, smooth_field(grid))
         state2, report2 = bdf2.step(state2, 0.01, forcing)
         assert report2.mass_drift <= 1e-11
+
+    def test_exhausted_budget_reports_the_failed_solve(self, setup):
+        grid, params, _, _ = setup
+        short = FirstOrderScheme(grid, params, psd_config=SolverConfig(max_iters=2))
+        state = initial_state(grid, positive_field(grid, 52))
+        with pytest.raises(SolverDivergedError) as excinfo:
+            short.step(state, 0.02)
+        err = excinfo.value
+        assert err.trace.iterations == 2
+        assert err.trace.residual_norms[-1] > 1e-9
+        message = str(err)
+        assert f"{err.trace.residual_norms[-1]:.3e}" in message
+        assert "tail contraction" in message and "min phi" in message
+
+    def test_report_counts_line_evaluations(self, setup):
+        grid, _, fo, _ = setup
+        system = fo.step_system_from(smooth_field(grid, amp=0.4), 0.02)
+        _, trace = psd_solve(
+            grid, system.residual, system.precondition, system.phi_init,
+            directional=system.directional,
+        )
+        _, report = fo.step(initial_state(grid, smooth_field(grid, amp=0.4)), 0.02)
+        assert report.psd_iters == trace.iterations
+        assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
+        assert report.restarts == trace.restarts
 
     def test_custom_solver_config_respected(self, setup):
         grid, params, _, _ = setup
