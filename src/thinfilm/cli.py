@@ -238,7 +238,11 @@ def _run_coarsen(v) -> int:
     try:
         run = run_coarsening(
             config,
-            progress=lambda steps, t: print(f"t={t:.6g} ({steps} steps)", flush=True),
+            progress=lambda steps, t, iters, evals: print(
+                f"t={t:.6g} ({steps} steps; last 1000 steps: {iters} CG iterations, "
+                f"{evals} line evaluations)",
+                flush=True,
+            ),
         )
     except UnfinishedError as exc:
         if exc.partial is not None:

@@ -287,7 +287,9 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     completed step at or before each requested time; requests beyond the
     end of the run are dropped.  Raises UnfinishedError carrying partial
     results if the wall-clock budget runs out; propagates solver failures
-    as-is.
+    as-is.  ``progress(steps, t, iters, line_evals)``, when given, is called
+    every 1000 steps with the CG iterations and line evaluations of those
+    1000 steps.
     """
     grid = Grid(2, config.n, config.length)
     params = PhysParams(config.eps, config.a0, config.a_stab)
@@ -343,6 +345,7 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
 
     clock_start = time.monotonic()
     total_steps = 0
+    window_iters = window_evals = 0
     if segments:
         flush_snapshots(0.0, segments[0][0] + segments[0][1])
     for iseg, (seg_start, dt, nsteps) in enumerate(segments):
@@ -361,6 +364,8 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
             t_now = seg_start + k * dt
             state.t = t_now
             total_steps += 1
+            window_iters += report.psd_iters
+            window_evals += report.line_evals
             last_of_segment = k == nsteps
             if (
                 t_now <= config.record_cutoff + 1e-12
@@ -390,6 +395,7 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
                 upcoming = None
             flush_snapshots(t_now, upcoming)
             if progress is not None and total_steps % 1000 == 0:
-                progress(total_steps, t_now)
+                progress(total_steps, t_now, window_iters, window_evals)
+                window_iters = window_evals = 0
     flush_snapshots(state.t, None)
     return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)

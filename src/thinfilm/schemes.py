@@ -118,10 +118,14 @@ class StepSystem:
     inverse-power term and K linear, and ``precondition`` solves L d = rp
     with L = I - K exactly.  ``directional(phi, (d, s), r)`` takes a
     direction d together with its image s = L d, so K d = d - s costs no
-    transform, and g(alpha) = -<r(phi + alpha d), d> reduces to two inner
-    products plus a pointwise part per trial alpha.  It agrees with the
-    naive evaluation through ``residual`` to rounding error whenever s = L d
-    to rounding error.
+    transform, and returns (g, residual_at).  g(alpha) returns the pair
+    (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
+    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
+    two dots per trial alpha.  g(0) costs two dots and no pass while the
+    pass that produced r is still held: its slope comes from the curvature
+    -B' carried from that pass.  residual_at(alpha) = r(phi + alpha d).
+    Both agree with the naive evaluation through ``residual`` to rounding
+    error whenever s = L d to rounding error.
     """
 
     residual: Callable
@@ -244,10 +248,10 @@ class _SchemeBase:
                 directional=system.directional,
             )
         except MaxItersExceededError as exc:
-            tail = exc.trace.tail_contraction()
+            rate = exc.trace.mean_tail_contraction()
             raise SolverDivergedError(
-                f"{exc}; tail contraction "
-                f"{'n/a' if tail is None else format(tail, '.4f')}, "
+                f"{exc}; mean tail contraction "
+                f"{'n/a' if rate is None else format(rate, '.4f')} per iteration, "
                 f"best iterate min phi {float(np.min(exc.phi)):.3e}",
                 trace=exc.trace,
             ) from exc
@@ -301,18 +305,40 @@ class _SchemeBase:
         """
         grid, solver = self.grid, self.solver
         ones = np.ones(grid.shape)
+        scale = grid.cell_volume
+        # Scratch fields of the pointwise pass, shared by every residual and
+        # line trial of the step.  After a pass, bulk holds B(x) and curv
+        # holds the curvature -B'(x) / curv_scale, both at the point x of
+        # that pass; work is free.
+        work, bulk, curv = (np.empty(grid.shape) for _ in range(3))
+        curv_scale = 8.0 if concave else 24.0
         # The affine part K phi + c of the last residual handed out, with
         # that residual.  When it comes back as the residual at phi, the
         # line closures reuse it instead of re-deriving it as r - B(phi):
         # the rounding of that difference is on the scale of B (about 1e12
         # at phi = 0.05) and would stay in every carried residual after it.
-        carried = {}
+        # "held" is the affine part of the point whose pass the scratch
+        # fields hold, or None after a line trial.
+        carried = {"held": None}
 
-        def bulk_of(phi: np.ndarray) -> np.ndarray:
-            inv = 1.0 / phi
-            inv3 = inv * inv * inv
-            inv9 = inv3 * inv3 * inv3
-            return (8.0 / 3.0) * (inv9 - inv3) if concave else (8.0 / 3.0) * inv9
+        def bulk_pass(x: np.ndarray) -> None:
+            """Fill bulk and curv at x; x may be work itself."""
+            np.divide(1.0, x, out=work)
+            np.multiply(work, work, out=bulk)
+            np.multiply(bulk, work, out=bulk)  # x^-3
+            np.multiply(bulk, bulk, out=curv)
+            np.multiply(curv, bulk, out=curv)  # x^-9
+            if concave:
+                # B = (8/3)(x^-9 - x^-3) and
+                # -B' = (8/3)(9 x^-10 - 3 x^-4) = 8 x^-1 (2 x^-9 + (x^-9 - x^-3))
+                np.subtract(curv, bulk, out=bulk)
+                np.multiply(curv, 2.0, out=curv)
+                np.add(curv, bulk, out=curv)
+                np.multiply(bulk, 8.0 / 3.0, out=bulk)
+            else:
+                # -B' = 24 x^-10, B = (8/3) x^-9
+                np.multiply(curv, 8.0 / 3.0, out=bulk)
+            np.multiply(curv, work, out=curv)
 
         def residual(phi: np.ndarray) -> np.ndarray:
             check_positive(phi, "iterate")
@@ -321,8 +347,9 @@ class _SchemeBase:
                 affine -= linear * phi
             affine -= solver.inv_neg_lap(_deflate(weight * phi - history)) / dt
             affine += constant
-            r = bulk_of(phi) + affine
-            carried.update(r=r, affine=affine)
+            bulk_pass(phi)
+            r = bulk + affine
+            carried.update(r=r, affine=affine, held=affine)
             return r
 
         def functional(phi: np.ndarray) -> float:
@@ -351,43 +378,39 @@ class _SchemeBase:
             if carried.get("r") is r_phi:
                 affine = carried["affine"]
             else:
-                affine = r_phi - bulk_of(phi)
+                bulk_pass(phi)
+                affine = r_phi - bulk
+                carried["held"] = affine
             kd = d - image
+            dflat = d.ravel()
             s0 = inner(grid, affine, d)
             s1 = inner(grid, kd, d)
-            psi = np.empty_like(phi)
-            work = np.empty_like(phi)
-            bulk = np.empty_like(phi)
-            dflat = d.ravel()
-            scale = grid.cell_volume
 
-            def bulk_at(alpha: float) -> np.ndarray:
-                np.multiply(d, alpha, out=psi)
-                np.add(psi, phi, out=psi)
-                if not np.all(psi > 0.0):
+            def trial(alpha: float) -> None:
+                np.multiply(d, alpha, out=work)
+                np.add(work, phi, out=work)
+                if not work.min() > 0.0:
                     raise NonPositiveFieldError(
                         "line trial point is not strictly positive"
                     )
-                np.divide(1.0, psi, out=work)
-                np.multiply(work, work, out=bulk)
-                np.multiply(bulk, work, out=bulk)
-                np.multiply(bulk, bulk, out=work)
-                np.multiply(work, bulk, out=work)
-                if concave:
-                    np.subtract(work, bulk, out=bulk)
-                    np.multiply(bulk, 8.0 / 3.0, out=bulk)
-                else:
-                    np.multiply(work, 8.0 / 3.0, out=bulk)
-                return bulk
+                bulk_pass(work)
+                carried["held"] = None
 
-            def g(alpha: float) -> float:
-                b = bulk_at(alpha)
-                return -(scale * float(np.dot(b.ravel(), dflat)) + s0 + alpha * s1)
+            def g(alpha: float) -> tuple:
+                # At alpha = 0 the pass of the residual at phi, when still
+                # held, serves: g(0) then costs two dots and no pass.
+                if not (alpha == 0.0 and carried["held"] is affine):
+                    trial(alpha)
+                value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
+                # g' = <-B' d, d> - <K d, d>, with d^2 never stored
+                np.multiply(curv, d, out=work)
+                return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
             def residual_at(alpha: float) -> np.ndarray:
+                trial(alpha)
                 moved = affine + alpha * kd
-                out = bulk_at(alpha) + moved
-                carried.update(r=out, affine=moved)
+                out = bulk + moved
+                carried.update(r=out, affine=moved, held=moved)
                 return out
 
             return g, residual_at

@@ -125,14 +125,24 @@ def check_bulk_derivative() -> None:
 
 
 def check_line_search_roots() -> None:
-    a = line_search(lambda t: t - 1.0, math.inf)
-    assert abs(a - 1.0) <= 1e-10, f"root of t-1: {a}"
-    a = line_search(lambda t: t**3 - 8.0, math.inf)
-    assert abs(a - 2.0) <= 1e-10, f"root of t^3-8: {a}"
+    # Each root through the Newton path and through the slope-free path.
     s = 0.37
-    a = line_search(lambda t: (1.0 - t) ** -9.0 - 1.0 - s, 1.0)
     exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
-    assert abs(a - exact) <= 1e-10, f"barrier root: {a} vs {exact}"
+    cases = (
+        (lambda t: t - 1.0, lambda t: 1.0, math.inf, 1.0, "t-1"),
+        (lambda t: t**3 - 8.0, lambda t: 3.0 * t**2, math.inf, 2.0, "t^3-8"),
+        (
+            lambda t: (1.0 - t) ** -9.0 - 1.0 - s,
+            lambda t: 9.0 * (1.0 - t) ** -10.0,
+            1.0,
+            exact,
+            "barrier",
+        ),
+    )
+    for f, df, barrier, root, name in cases:
+        for slope in (df, lambda t: math.nan):
+            a = line_search(lambda t: (f(t), slope(t)), barrier)
+            assert abs(a - root) <= 1e-10, f"root of {name}: {a} vs {root}"
 
 
 def check_descent_on_standard_step() -> None:

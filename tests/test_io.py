@@ -7,6 +7,7 @@ main() in process.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -337,6 +338,25 @@ class TestCliCoarsen:
         assert (out_a / "energy.csv").read_bytes() == (out_b / "energy.csv").read_bytes()
         for name in ("snapshot_00_t0.005.tfgf", "snapshot_01_t0.01.tfgf"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_progress_line_reports_the_window_counts(self, tmp_path, capsys):
+        out = tmp_path / "long"
+        args = self.coarsen_args(out)
+        args[args.index("--t-end") + 1] = "1.0"  # 1000 steps of 0.001
+        assert main(args) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if "last 1000" in l]
+        assert len(lines) == 1
+        found = re.fullmatch(
+            r"t=1 \(1000 steps; last 1000 steps: (\d+) CG iterations, "
+            r"(\d+) line evaluations\)",
+            lines[0],
+        )
+        assert found is not None, lines[0]
+        iters, evals = int(found.group(1)), int(found.group(2))
+        records = read_energy_log(out / "energy.csv")
+        assert len(records) == 1001  # every step is recorded up to t = 100
+        assert iters == sum(r.psd_iters for r in records)
+        assert evals >= iters  # every CG iteration evaluates g at least once
 
     def test_budget_exhaustion_writes_partial_and_exits_2(self, tmp_path, capsys):
         out = tmp_path / "partial"

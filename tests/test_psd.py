@@ -73,67 +73,114 @@ class TestBarrierAlpha:
         assert barrier_alpha(phi, d, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
+def both_paths(f, df):
+    """g -> (f, f') through the Newton path, and g -> (f, nan) through the
+    false-position path a residual function without a slope gets."""
+    return (lambda a: (f(a), df(a)), lambda a: (f(a), math.nan))
+
+
 class TestLineSearch:
     def test_linear_root(self):
-        assert line_search(lambda a: a - 1.0, math.inf) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
+            assert line_search(g, math.inf) == pytest.approx(1.0, abs=1e-9)
 
     def test_cubic_root(self):
-        assert line_search(lambda a: a**3 - 8.0, math.inf) == pytest.approx(
-            2.0, abs=1e-9
-        )
+        for g in both_paths(lambda a: a**3 - 8.0, lambda a: 3.0 * a**2):
+            assert line_search(g, math.inf) == pytest.approx(2.0, abs=1e-9)
 
     def test_barrier_blowup_root_matches_bisection_oracle(self):
         s = 10.0
 
-        def g(a):
+        def f(a):
             return (1.0 - a) ** -9 - 1.0 - s if a < 1.0 else math.inf
 
+        def df(a):
+            return 9.0 * (1.0 - a) ** -10 if a < 1.0 else math.nan
+
         exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
-        oracle = bisect_root(g, 0.0, 1.0 - 1e-16)
-        got = line_search(g, 1.0)
-        assert got == pytest.approx(exact, abs=1e-11)
-        assert got == pytest.approx(oracle, abs=1e-11)
+        oracle = bisect_root(f, 0.0, 1.0 - 1e-16)
+        for g in both_paths(f, df):
+            got = line_search(g, 1.0)
+            assert got == pytest.approx(exact, abs=1e-11)
+            assert got == pytest.approx(oracle, abs=1e-11)
+
+    def test_steep_pole_root(self):
+        """g = (1 - a)^-9 - 1 - 1e6: the doubling trials reach the cap next
+        to the pole, where the Newton correction is tiny but the Newton
+        model is off by the whole distance to the root."""
+        s = 1e6
+
+        def f(a):
+            return (1.0 - a) ** -9 - 1.0 - s if a < 1.0 else math.inf
+
+        def df(a):
+            return 9.0 * (1.0 - a) ** -10 if a < 1.0 else math.nan
+
+        exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
+        for g in both_paths(f, df):
+            assert line_search(g, 1.0) == pytest.approx(exact, abs=1e-11)
 
     def test_capped_step_returned_when_still_downhill(self):
-        got = line_search(lambda a: a - 10.0, 2.0)
-        assert got == pytest.approx(2.0, rel=1e-11)
-        assert got < 2.0  # strictly inside the barrier
+        for g in both_paths(lambda a: a - 10.0, lambda a: 1.0):
+            got = line_search(g, 2.0)
+            assert got == pytest.approx(2.0, rel=1e-11)
+            assert got < 2.0  # strictly inside the barrier
 
     def test_root_beyond_unit_start_found_by_expansion(self):
-        assert line_search(lambda a: a - 300.0, math.inf) == pytest.approx(
-            300.0, rel=1e-9
-        )
+        for g in both_paths(lambda a: a - 300.0, lambda a: 1.0):
+            assert line_search(g, math.inf) == pytest.approx(300.0, rel=1e-9)
 
     def test_tiny_root_found(self):
-        assert line_search(lambda a: a - 1e-7, math.inf) == pytest.approx(
-            1e-7, rel=1e-6
-        )
+        for g in both_paths(lambda a: a - 1e-7, lambda a: 1.0):
+            assert line_search(g, math.inf) == pytest.approx(1e-7, rel=1e-6)
 
     def test_nan_treated_as_past_barrier(self):
-        def g(a):
+        def f(a):
             return math.nan if a > 1.0 else a - 2.0
 
-        assert line_search(g, math.inf) == pytest.approx(1.0, abs=1e-6)
+        def df(a):
+            return math.nan if a > 1.0 else 1.0
+
+        for g in both_paths(f, df):
+            assert line_search(g, math.inf) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_uphill_start(self):
-        with pytest.raises(ValueError):
-            line_search(lambda a: a + 1.0, math.inf)
+        for g in both_paths(lambda a: a + 1.0, lambda a: 1.0):
+            with pytest.raises(ValueError):
+                line_search(g, math.inf)
 
     def test_collapsed_barrier(self):
-        with pytest.raises(BarrierCollapseError):
-            line_search(lambda a: a - 1.0, 0.0)
+        for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
+            with pytest.raises(BarrierCollapseError):
+                line_search(g, 0.0)
 
     def test_respects_precomputed_g0(self):
+        for slope0 in (1.0, math.nan):
+            calls = []
+
+            def g(a):
+                calls.append(a)
+                return a - 1.0, slope0
+
+            line_search(g, math.inf, g0=(-1.0, slope0))
+            assert 0.0 not in calls  # g(0) was supplied, never evaluated
+
+    def test_newton_stop_below_the_noise_floor_of_g(self):
+        """g linear with root 0.57 plus relative noise of 1e-10 of |g(0)|,
+        far above the 1e-12 |g(0)| stop: the Newton-correction stop ends the
+        search within 4 evaluations, at the root to 1e-9."""
+        root = 0.57
+        rng = np.random.default_rng(3)
         calls = []
 
         def g(a):
             calls.append(a)
-            return a - 1.0
+            noise = 1e-10 * root * rng.uniform(-1.0, 1.0)
+            return a - root + noise, 1.0 + 1e-3 * rng.standard_normal()
 
-        line_search(g, math.inf, g0=-1.0)
-        assert 0.0 not in calls  # g(0) was supplied, never evaluated
+        got = line_search(g, math.inf, g0=(-root, 1.0))
+        assert len(calls) <= 4
+        assert got == pytest.approx(root, abs=1e-9)
 
 
 def quadratic_problem(grid, solver, coeffs, seed):
@@ -250,7 +297,7 @@ class TestPsdSolveBarrier:
             image_errors.append(norm_inf(image - ld) / norm_inf(ld))
 
             def g(alpha):
-                return -inner(self.grid, residual(phi + alpha * d), d)
+                return -inner(self.grid, residual(phi + alpha * d), d), math.nan
 
             def residual_at(alpha):
                 return residual(phi + alpha * d)

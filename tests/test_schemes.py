@@ -7,6 +7,7 @@ and dissipation guarantees are asserted over multi-step runs.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ class TestDirectionalFactory:
             r_trial = system.residual(phi + alpha * d)
             naive_g = -inner(grid, r_trial, d)
             scale = max(1.0, abs(naive_g))
-            assert abs(g(alpha) - naive_g) <= 1e-10 * scale
+            assert abs(g(alpha)[0] - naive_g) <= 1e-10 * scale
             assert norm_inf(residual_at(alpha) - r_trial) <= 1e-10 * max(
                 1.0, norm_inf(r_trial)
             )
@@ -271,6 +272,85 @@ class TestDirectionalFactory:
         image = self.dense_image(grid, scheme, dt, d)
         g, residual_at = system.directional(phi, (d, image), r)
         self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.1,))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_slope_matches_centred_difference(self, which, dim):
+        grid = Grid(dim, 8, 1.0)
+        params = PhysParams(eps=0.5)
+        scheme = FirstOrderScheme(grid, params) if which == "fo" else Bdf2Scheme(grid, params)
+        dt = 0.08
+        phi_old = positive_field(grid, 70 + dim)
+        system = (
+            scheme.step_system_from(phi_old, dt)
+            if which == "fo"
+            else scheme.step_system_from(phi_old, phi_old, dt)
+        )
+        phi = positive_field(grid, 72 + dim)
+        r = system.residual(phi)
+        d = np.random.default_rng(74 + dim).standard_normal(grid.shape)
+        d -= np.mean(d)
+        d *= 0.05
+        g, _ = system.directional(phi, (d, self.dense_image(grid, scheme, dt, d)), r)
+
+        def naive_g(alpha):
+            return -inner(grid, system.residual(phi + alpha * d), d)
+
+        h = 1e-5
+        for alpha in (0.0, 0.5, 1.0):
+            slope = g(alpha)[1]
+            fd = (naive_g(alpha + h) - naive_g(alpha - h)) / (2.0 * h)
+            assert slope > 0.0
+            assert slope == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_seeded_slope_equals_fresh_evaluation(self, setup, which):
+        """After residual_at carries the residual to phi1, the next direction's
+        g(0) slope comes from the carried curvature; a step system that never
+        saw phi1 computes it from a fresh pass."""
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 80)
+        scheme, system = self.make_system(setup, which, phi_old, dt)
+        phi0 = positive_field(grid, 81)
+        r0, rp0, p0 = self.gradient(system, phi0)
+        g0, residual_at = system.directional(phi0, (p0, rp0), r0)
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0))
+        phi1 = phi0 + alpha0 * p0
+        r1 = residual_at(alpha0)
+        d = np.random.default_rng(82).standard_normal(grid.shape)
+        d -= np.mean(d)
+        image = self.dense_image(grid, scheme, dt, d)
+        seeded = system.directional(phi1, (d, image), r1)[0](0.0)[1]
+
+        _, fresh_system = self.make_system(setup, which, phi_old, dt)
+        r_fresh = fresh_system.residual(phi1)
+        fresh = fresh_system.directional(phi1, (d, image), r_fresh)[0](0.0)[1]
+        assert seeded == pytest.approx(fresh, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_g0_after_a_trial_matches_fresh_evaluation(self, setup, which):
+        """g(0) skips its pass only while the pass at phi is held; after a
+        trial has overwritten it, g(0) evaluates phi afresh."""
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 84)
+        phi = positive_field(grid, 85)
+        _, system = self.make_system(setup, which, phi_old, dt)
+        r, rp, d = self.gradient(system, phi)
+        g, _ = system.directional(phi, (d, rp), r)
+        held = g(0.0)
+        g(0.3 * barrier_alpha(phi, d))
+        again = g(0.0)
+
+        _, other = self.make_system(setup, which, phi_old, dt)
+        r_other = other.residual(phi)
+        other.residual(positive_field(grid, 86))  # the pass at phi is gone
+        fresh = other.directional(phi, (d, rp), r_other)[0](0.0)
+        for got in (held, again):
+            assert got[0] == pytest.approx(fresh[0], rel=1e-12)
+            assert got[1] == pytest.approx(fresh[1], rel=1e-12)
+        assert held[0] == pytest.approx(-inner(grid, r, d), rel=1e-10)
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_line_trial_guards_positivity(self, setup, which):
@@ -376,15 +456,21 @@ class TestLinearPart:
 
 
 class TestNearBarrier:
-    def test_bdf2_step_converges_at_default_budget(self):
-        """A well with min phi = 0.05: the step's solution exists for any dt,
-        and the default SolverConfig reaches it."""
+    @staticmethod
+    def well_data():
+        """64^2 film with a well down to min phi = 0.05."""
         grid = Grid(2, 64, 6.4)
         x, y = grid.coordinates()
         c = 0.5 * grid.length
         well = 1.0 - 0.95 * np.exp(-((x - c) ** 2 + (y - c) ** 2) / 0.4096)
         phi0 = well + 0.01 * np.random.default_rng(0).random(grid.shape)
         phi0 += 0.05 - np.min(phi0)
+        return grid, phi0
+
+    def test_bdf2_step_converges_at_default_budget(self):
+        """A well with min phi = 0.05: the step's solution exists for any dt,
+        and the default SolverConfig reaches it."""
+        grid, phi0 = self.well_data()
         scheme = Bdf2Scheme(grid, PhysParams(eps=0.02))
         state = restart_state(grid, phi0)
         new_state, report = scheme.step(state, 1e-3)
@@ -399,6 +485,27 @@ class TestNearBarrier:
         assert math.sqrt(inner(grid, p, rp)) <= scheme.psd_config.tol
         assert np.all(new_state.phi > 0.0)
         assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), abs=1e-12)
+
+    def test_failed_solve_reports_its_mean_contraction(self):
+        """The first-order solve from the well converges slowly and is not
+        monotone: its largest one-step ratio over the last half exceeds 1,
+        while the residual contracts on average, and the message says so."""
+        grid, phi0 = self.well_data()
+        scheme = FirstOrderScheme(
+            grid, PhysParams(eps=0.02), psd_config=SolverConfig(max_iters=100)
+        )
+        with pytest.raises(SolverDivergedError) as excinfo:
+            scheme.step(initial_state(grid, phi0), 1e-3)
+        err = excinfo.value
+        found = re.search(r"mean tail contraction (\S+) per iteration", str(err))
+        rate = float(found.group(1))
+        rn = err.trace.residual_norms
+        start = len(rn) // 2
+        assert rate == pytest.approx(
+            (rn[-1] / rn[start]) ** (1.0 / (len(rn) - 1 - start)), abs=1e-4
+        )
+        assert rate < 1.0
+        assert err.trace.tail_contraction() > 1.0
 
 
 class TestStatesAndHistory:
