@@ -32,7 +32,6 @@ from .errors import (
     GridTooLargeError,
     InsufficientDataError,
     InvalidCoefficientsError,
-    MaxItersExceededError,
     MissingHistoryError,
     NonPositiveFieldError,
     NonPositiveValueError,
@@ -50,7 +49,6 @@ from .experiments import (
     ConvergenceTable,
     ManufacturedSolution,
     fit_power_law,
-    forcing_term,
     random_initial_data,
     run_coarsening,
     run_convergence_bdf2,
@@ -58,18 +56,14 @@ from .experiments import (
 )
 from .grid import (
     Grid,
-    cell_average,
     div,
-    face_average,
     grad,
     grad_norm_2,
     inner,
     inner_face,
     lap,
     mean,
-    norm_h1,
     norm_inf,
-    norm_p,
     norm_2,
 )
 from .io import (
@@ -91,7 +85,6 @@ from .schemes import (
     initial_state,
     restart_state,
 )
-from .selftest import run_selftest
 from .spectral import SpectralSolver, dense_neg_lap_matrix, dense_preconditioner_matrix
 
 __version__ = "0.1.0"
@@ -101,15 +94,11 @@ __all__ = [
     "grad",
     "div",
     "lap",
-    "face_average",
-    "cell_average",
     "inner",
     "inner_face",
     "mean",
-    "norm_p",
     "norm_2",
     "norm_inf",
-    "norm_h1",
     "grad_norm_2",
     "SpectralSolver",
     "dense_neg_lap_matrix",
@@ -138,7 +127,6 @@ __all__ = [
     "restart_state",
     "ghost_init",
     "ManufacturedSolution",
-    "forcing_term",
     "ConvergenceTable",
     "run_convergence_first_order",
     "run_convergence_bdf2",
@@ -156,7 +144,6 @@ __all__ = [
     "write_energy_log",
     "read_energy_log",
     "load_config",
-    "run_selftest",
     "ThinFilmError",
     "NonZeroMeanError",
     "InvalidCoefficientsError",
@@ -165,7 +152,6 @@ __all__ = [
     "MissingHistoryError",
     "PositivityLostError",
     "SolverDivergedError",
-    "MaxItersExceededError",
     "BarrierCollapseError",
     "InsufficientDataError",
     "NonPositiveValueError",

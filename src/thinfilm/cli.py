@@ -6,13 +6,12 @@ Subcommands:
     converge2   space-time accuracy study of the two-step scheme
     coarsen     droplet coarsening run: energy log, snapshots, power-law fit
     step        advance a single implicit step (debugging aid)
-    selftest    run the built-in invariant checks
 
 Options may also be supplied through ``--config FILE`` holding key=value
 lines keyed by the option names (underscores, no leading dashes).  Explicit
 flags beat config values, config values beat built-in defaults; keys a
 command does not know are rejected.  Exit codes: 0 success, 1 usage or
-config error, 2 runtime failure, 3 selftest failures.
+config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .io import (
 )
 from .psd import SolverConfig
 from .schemes import Bdf2Scheme, FirstOrderScheme, initial_state, restart_state
-from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,10 +284,6 @@ def _run_step(v) -> int:
     return 0
 
 
-def _run_selftest(_v) -> int:
-    return 0 if run_selftest() else 3
-
-
 @dataclass(frozen=True)
 class _Command:
     opts: tuple
@@ -314,7 +308,6 @@ _COMMANDS = {
         _opts_step(), _run_step,
         "advance a single implicit step from a seed or snapshot",
     ),
-    "selftest": _Command((), _run_selftest, "run the built-in invariant checks"),
 }
 
 

@@ -36,16 +36,9 @@ class PositivityLostError(ThinFilmError):
 class SolverDivergedError(ThinFilmError):
     """A time step failed because the nonlinear solve did not converge.
 
-    Carries the failed solve's trace when the iteration budget ran out.
+    When the iteration budget ran out it carries the last iterate ``phi``
+    and the failed solve's ``trace``.
     """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
-class MaxItersExceededError(ThinFilmError):
-    """Iteration budget exhausted.  Carries the best iterate found so far."""
 
     def __init__(self, message, phi=None, trace=None):
         super().__init__(message)

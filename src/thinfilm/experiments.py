@@ -82,11 +82,6 @@ class ManufacturedSolution:
         return s
 
 
-def forcing_term(t: float, grid: Grid, eps: float) -> np.ndarray:
-    """Source of the default manufactured profile at time t."""
-    return ManufacturedSolution().forcing(grid, eps, t)
-
-
 @dataclass
 class ConvergenceTable:
     """Errors at a ladder of resolutions with log-log least-squares fits."""

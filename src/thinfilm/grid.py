@@ -10,12 +10,10 @@ Array convention: a cell field is an ndarray of shape (n,)*dim in C order
 with the x index varying fastest, i.e. physical axis d corresponds to array
 axis dim-1-d.  A face field is a tuple of dim such arrays ordered (x, y, z).
 
-The difference and average operators come in center-to-face and
-face-to-center pairs:
+The difference operators are a center-to-face and face-to-center pair:
 
     grad      : (D u)_{i+1/2} = (u_{i+1} - u_i) / h          (per axis)
     div       : (d f)_i       = (f_{i+1/2} - f_{i-1/2}) / h  (summed)
-    face_average / cell_average : arithmetic two-point means
 
 ``div(grad(u))`` collapses to the standard 2*dim+1 point Laplacian, exposed
 directly as :func:`lap`.  Inner products carry the uniform quadrature weight
@@ -117,20 +115,6 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     return out / h2
 
 
-def face_average(grid: Grid, u: np.ndarray) -> tuple:
-    """Center-to-face two-point average along every direction."""
-    return tuple(
-        0.5 * (np.roll(u, -1, axis=grid.axis_of(d)) + u) for d in range(grid.dim)
-    )
-
-
-def cell_average(grid: Grid, f: tuple) -> tuple:
-    """Face-to-center two-point average, componentwise."""
-    return tuple(
-        0.5 * (f[d] + np.roll(f[d], 1, axis=grid.axis_of(d))) for d in range(grid.dim)
-    )
-
-
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Cell inner product <u, v> = h^dim * sum(u v)."""
     return grid.cell_volume * float(np.sum(u * v))
@@ -155,13 +139,6 @@ def mean(grid: Grid, u: np.ndarray) -> float:
     return float(np.mean(u))
 
 
-def norm_p(grid: Grid, u: np.ndarray, p: float) -> float:
-    """Discrete l^p norm (h^dim * sum |u|^p)^(1/p) for finite p >= 1."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float((grid.cell_volume * np.sum(np.abs(u) ** p)) ** (1.0 / p))
-
-
 def norm_inf(u: np.ndarray) -> float:
     return float(np.max(np.abs(u)))
 
@@ -183,8 +160,3 @@ def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
         delta = (np.roll(u, -1, axis=ax) - u) / h
         acc += float(np.sum(delta * delta))
     return float(np.sqrt(grid.cell_volume * acc))
-
-
-def norm_h1(grid: Grid, u: np.ndarray) -> float:
-    """Discrete H^1 norm sqrt(||u||_2^2 + ||grad u||_2^2)."""
-    return float(np.sqrt(inner(grid, u, u) + grad_norm_2(grid, u) ** 2))

@@ -41,11 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BarrierCollapseError,
-    MaxItersExceededError,
-    NonPositiveFieldError,
-)
+from .errors import BarrierCollapseError, NonPositiveFieldError, SolverDivergedError
 from .grid import Grid, inner
 
 # Fraction of the distance to the positivity barrier a step may consume.
@@ -267,9 +263,10 @@ def psd_solve(
 
     residual_fn(phi) returns the full residual field; precondition(r)
     applies L^{-1} to a mean-zero field.  Returns (phi, trace); raises
-    MaxItersExceededError carrying the best iterate when the budget runs
-    out.  When ``functional`` is given its value is recorded at phi_init and
-    after every update.
+    SolverDivergedError carrying the last iterate (every step descends, so
+    it is the best one) and the trace when the budget runs out.  When
+    ``functional`` is given its value is recorded at phi_init and after
+    every update.
 
     ``directional``, when given, is a factory (phi, (d, s), r) ->
     (g, residual_at) for the direction d and its preconditioner image
@@ -281,10 +278,11 @@ def psd_solve(
     and is not counted as a line evaluation; step systems answer it from
     the state they carry at phi.  Its value is replaced by -<d, rp> from
     the deflated residual: the undeflated inner product carries rounding
-    of order mean(r) sum(d), large near the barrier.  Schemes supply factories that exploit
-    the affine structure of their residuals; both closures must agree with
-    the naive evaluations to rounding error.  Without a factory the slope
-    is unknown (nan) and the line search falls back to false position.
+    of order mean(r) sum(d), large near the barrier.  Schemes supply
+    factories that exploit the affine structure of their residuals; both
+    closures must agree with the naive evaluations to rounding error.
+    Without a factory the slope is unknown (nan) and the line search falls
+    back to false position.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)
@@ -360,9 +358,12 @@ def psd_solve(
         if functional is not None:
             trace.functional_values.append(float(functional(phi)))
 
-    raise MaxItersExceededError(
+    rate = trace.mean_tail_contraction()
+    raise SolverDivergedError(
         f"CG residual {trace.residual_norms[-1]:.3e} above tol {cfg.tol:.1e} "
-        f"after {cfg.max_iters} iterations",
+        f"after {cfg.max_iters} iterations; mean tail contraction "
+        f"{'n/a' if rate is None else format(rate, '.4f')} per iteration, "
+        f"best iterate min phi {float(np.min(phi)):.3e}",
         phi=phi,
         trace=trace,
     )

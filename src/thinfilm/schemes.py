@@ -40,7 +40,6 @@ from . import energy as _energy
 from .energy import PhysParams, a0_star, check_positive
 from .errors import (
     InvalidCoefficientsError,
-    MaxItersExceededError,
     MissingHistoryError,
     NonPositiveFieldError,
     NonZeroMeanError,
@@ -238,23 +237,14 @@ class _SchemeBase:
         return new_state, report
 
     def _solve(self, system: StepSystem, phi_init: Optional[np.ndarray] = None):
-        try:
-            return psd_solve(
-                self.grid,
-                system.residual,
-                system.precondition,
-                system.phi_init if phi_init is None else phi_init,
-                self.psd_config,
-                directional=system.directional,
-            )
-        except MaxItersExceededError as exc:
-            rate = exc.trace.mean_tail_contraction()
-            raise SolverDivergedError(
-                f"{exc}; mean tail contraction "
-                f"{'n/a' if rate is None else format(rate, '.4f')} per iteration, "
-                f"best iterate min phi {float(np.min(exc.phi)):.3e}",
-                trace=exc.trace,
-            ) from exc
+        return psd_solve(
+            self.grid,
+            system.residual,
+            system.precondition,
+            system.phi_init if phi_init is None else phi_init,
+            self.psd_config,
+            directional=system.directional,
+        )
 
     def preconditioner_coefficients(self, dt: float) -> tuple:
         """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
@@ -424,28 +414,6 @@ class FirstOrderScheme(_SchemeBase):
     def _linear_terms(self, dt: float) -> dict:
         return dict(linear=0.0, stiffness=self.params.eps**2, weight=1.0)
 
-    def residual(
-        self,
-        phi: np.ndarray,
-        phi_old: np.ndarray,
-        dt: float,
-        forcing: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Residual field whose mean-zero projection vanishes at the step."""
-        system = self.step_system_from(phi_old, dt, forcing)
-        return system.residual(phi)
-
-    def functional(
-        self,
-        phi: np.ndarray,
-        phi_old: np.ndarray,
-        dt: float,
-        forcing: Optional[np.ndarray] = None,
-    ) -> float:
-        """Strictly convex per-step functional minimized by the solve."""
-        system = self.step_system_from(phi_old, dt, forcing)
-        return system.functional(phi)
-
     def step_system_from(
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepSystem:
@@ -494,28 +462,6 @@ class Bdf2Scheme(_SchemeBase):
         return dict(
             linear=(8.0 / 3.0) * p.a0, stiffness=p.eps**2 + p.a_stab * dt, weight=1.5
         )
-
-    def residual(
-        self,
-        phi: np.ndarray,
-        phi_old: np.ndarray,
-        phi_older: np.ndarray,
-        dt: float,
-        forcing: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        system = self.step_system_from(phi_old, phi_older, dt, forcing)
-        return system.residual(phi)
-
-    def functional(
-        self,
-        phi: np.ndarray,
-        phi_old: np.ndarray,
-        phi_older: np.ndarray,
-        dt: float,
-        forcing: Optional[np.ndarray] = None,
-    ) -> float:
-        system = self.step_system_from(phi_old, phi_older, dt, forcing)
-        return system.functional(phi)
 
     def step_system_from(
         self,

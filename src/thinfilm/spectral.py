@@ -23,6 +23,8 @@ from .errors import GridTooLargeError, InvalidCoefficientsError, NonZeroMeanErro
 from .grid import Grid, inner, norm_inf
 
 _DENSE_CELL_CAP = 12**3
+# Admissible mean of a solver input, relative to max|f| times the box volume.
+_MEAN_TOL = 1e-10
 
 
 class SpectralSolver:
@@ -32,9 +34,8 @@ class SpectralSolver:
     created once and reused across time steps.
     """
 
-    def __init__(self, grid: Grid, mean_tol: float = 1e-10):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.mean_tol = mean_tol
         lam_line = (4.0 / grid.h**2) * np.sin(np.pi * np.arange(grid.n) / grid.n) ** 2
         lam_half = lam_line[: grid.n // 2 + 1]
         # Broadcast per-axis eigenvalue lines to the rfftn output shape;
@@ -53,7 +54,7 @@ class SpectralSolver:
 
     def _check_mean(self, f: np.ndarray) -> float:
         m = float(np.mean(f))
-        tol = self.mean_tol * norm_inf(f) * self.grid.volume
+        tol = _MEAN_TOL * norm_inf(f) * self.grid.volume
         if abs(m) > tol:
             raise NonZeroMeanError(
                 f"field mean {m:.3e} exceeds tolerance {tol:.3e}; subtract it first"
@@ -136,7 +137,7 @@ def dense_neg_lap_matrix(grid: Grid) -> np.ndarray:
     """Explicit matrix of -lap on tiny grids, assembled by index arithmetic.
 
     Deliberately shares no code with the stencil or FFT paths so it can act
-    as an independent oracle in tests and self-checks.
+    as an independent oracle in tests.
     """
     _check_dense_cap(grid)
     n, dim = grid.n, grid.dim

@@ -209,7 +209,10 @@ class TestCriterion4StructurePreservation:
 
 
 class TestCriterion5DescentSolver:
-    def test_standard_step_solve_quality(self):
+    """Both solver paths on a real film step: the step system's directional
+    factory, and the generic one that assembles the residual per trial."""
+
+    def check_solve_quality(self, with_directional: bool):
         with criterion(
             5, "descent meets 1e-9 within 100 iterations, monotone, contracting"
         ):
@@ -226,7 +229,7 @@ class TestCriterion5DescentSolver:
                 system.phi_init,
                 cfg,
                 functional=system.functional,
-                directional=system.directional,
+                directional=system.directional if with_directional else None,
             )
             assert trace.residual_norms[-1] < 1e-9
             assert trace.iterations <= 100
@@ -235,6 +238,12 @@ class TestCriterion5DescentSolver:
             tail = trace.tail_contraction()
             assert tail is not None and tail <= 0.95
             assert np.all(phi > 0.0)
+
+    def test_standard_step_solve_quality(self):
+        self.check_solve_quality(with_directional=True)
+
+    def test_standard_step_solve_quality_without_directional(self):
+        self.check_solve_quality(with_directional=False)
 
 
 class TestCriterion6ConvexitySplit:

@@ -1,0 +1,87 @@
+"""The package's public names, pinned.
+
+Adding or removing a public name has to change the list below, so every
+change to the API surface shows up in review.
+"""
+
+import thinfilm
+
+PUBLIC_NAMES = [
+    "BarrierCollapseError",
+    "Bdf2Scheme",
+    "CoarseningConfig",
+    "CoarseningRun",
+    "ConfigError",
+    "ConvergenceTable",
+    "DEFAULT_SCHEDULE",
+    "DEFAULT_SNAPSHOT_TIMES",
+    "EnergyRecord",
+    "FirstOrderScheme",
+    "FormatError",
+    "Grid",
+    "GridTooLargeError",
+    "InsufficientDataError",
+    "InvalidCoefficientsError",
+    "ManufacturedSolution",
+    "MissingHistoryError",
+    "NonPositiveFieldError",
+    "NonPositiveValueError",
+    "NonZeroMeanError",
+    "PhysParams",
+    "PositivityLostError",
+    "PsdTrace",
+    "SolverConfig",
+    "SolverDivergedError",
+    "SpectralSolver",
+    "StepReport",
+    "StepState",
+    "ThinFilmError",
+    "UnfinishedError",
+    "__version__",
+    "a0_star",
+    "barrier_alpha",
+    "check_positive",
+    "dense_neg_lap_matrix",
+    "dense_preconditioner_matrix",
+    "discrete_energy",
+    "div",
+    "fit_power_law",
+    "format_float",
+    "ghost_init",
+    "grad",
+    "grad_norm_2",
+    "initial_state",
+    "inner",
+    "inner_face",
+    "lap",
+    "line_search",
+    "load_config",
+    "mean",
+    "modified_energy",
+    "mu_bdf2",
+    "mu_exact",
+    "mu_first_order",
+    "norm_2",
+    "norm_inf",
+    "potential_curvature",
+    "psd_solve",
+    "random_initial_data",
+    "read_energy_log",
+    "read_field_snapshot",
+    "restart_state",
+    "run_coarsening",
+    "run_convergence_bdf2",
+    "run_convergence_first_order",
+    "splitting_first_order",
+    "splitting_stabilized",
+    "write_energy_log",
+    "write_field_snapshot",
+]
+
+
+def test_public_names_are_pinned_unique_and_resolve():
+    names = thinfilm.__all__
+    assert sorted(names) == PUBLIC_NAMES
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(thinfilm, name)]
+    assert missing == []

@@ -20,7 +20,6 @@ from thinfilm import (
     NonPositiveValueError,
     UnfinishedError,
     fit_power_law,
-    forcing_term,
     lap,
     mean,
     norm_inf,
@@ -101,13 +100,6 @@ class TestManufacturedSolution:
         grid = Grid(2, 8, 1.0)
         flat = ManufacturedSolution(amplitude=0.0)
         assert norm_inf(flat.forcing(grid, 0.5, 0.4)) <= 1e-12
-
-    def test_forcing_term_is_default_profile(self):
-        grid = Grid(2, 8, 1.0)
-        assert np.array_equal(
-            forcing_term(0.25, grid, 0.5),
-            ManufacturedSolution().forcing(grid, 0.5, 0.25),
-        )
 
     def test_rejects_wrong_dimension(self):
         profile = ManufacturedSolution()

@@ -13,18 +13,14 @@ import pytest
 
 from thinfilm import (
     Grid,
-    cell_average,
     div,
-    face_average,
     grad,
     grad_norm_2,
     inner,
     inner_face,
     lap,
     mean,
-    norm_h1,
     norm_inf,
-    norm_p,
     norm_2,
 )
 
@@ -212,22 +208,6 @@ class TestDifferenceOperators:
         assert abs(mean(grid, lap(grid, u))) <= 1e-12 * norm_inf(u) / grid.h**2
 
 
-class TestAverages:
-    def test_face_average_hand_example(self):
-        grid = Grid(1, 4, 1.0)
-        u = np.array([1.0, 3.0, 5.0, 7.0])
-        (ax,) = face_average(grid, u)
-        assert np.allclose(ax, [2.0, 4.0, 6.0, 4.0])
-
-    def test_cell_average_inverts_shift(self):
-        grid = Grid(2, 8, 1.0)
-        f = tuple(random_field(grid, 61 + d) for d in range(2))
-        back = cell_average(grid, f)
-        for d in range(2):
-            expected = 0.5 * (f[d] + np.roll(f[d], 1, axis=grid.axis_of(d)))
-            assert np.allclose(back[d], expected)
-
-
 class TestInnerProductsAndNorms:
     def test_inner_matches_fsum_oracle(self):
         grid = Grid(2, 12, 1.9)
@@ -277,13 +257,9 @@ class TestInnerProductsAndNorms:
     def test_norm_p_hand_values(self):
         grid = Grid(1, 4, 2.0)
         u = np.array([1.0, -2.0, 2.0, -1.0])
-        # h = 1/2: ||u||_1 = 3, ||u||_2 = sqrt(5), ||u||_inf = 2
-        assert norm_p(grid, u, 1) == pytest.approx(3.0, rel=1e-15)
+        # h = 1/2: ||u||_2 = sqrt(5), ||u||_inf = 2
         assert norm_2(grid, u) == pytest.approx(math.sqrt(5.0), rel=1e-15)
-        assert norm_p(grid, u, 2) == pytest.approx(norm_2(grid, u), rel=1e-14)
         assert norm_inf(u) == 2.0
-        with pytest.raises(ValueError):
-            norm_p(grid, u, 0.5)
 
     def test_grad_norm_agrees_with_face_inner(self):
         grid = Grid(2, 9, 1.4)
@@ -291,12 +267,6 @@ class TestInnerProductsAndNorms:
         g = grad(grid, u)
         expected = math.sqrt(inner_face(grid, g, g))
         assert grad_norm_2(grid, u) == pytest.approx(expected, rel=1e-13)
-
-    def test_norm_h1_combines_value_and_slope(self):
-        grid = Grid(2, 9, 1.4)
-        u = random_field(grid, 92)
-        expected = math.sqrt(norm_2(grid, u) ** 2 + grad_norm_2(grid, u) ** 2)
-        assert norm_h1(grid, u) == pytest.approx(expected, rel=1e-13)
 
     def test_norms_scale_with_volume(self):
         # Doubling the box at fixed n scales ||1||_2 by 2^(dim/2).

@@ -300,10 +300,9 @@ class TestCliErrors:
         assert main(["step", "--scheme", "rk4"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[ ok ]" in out and "[FAIL]" not in out
+    def test_unknown_command_is_usage_error(self, capsys):
+        assert main(["selftest"]) == 1
+        assert "ConfigError" in capsys.readouterr().err
 
 
 class TestCliCoarsen:

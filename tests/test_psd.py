@@ -14,9 +14,9 @@ import pytest
 from thinfilm import (
     BarrierCollapseError,
     Grid,
-    MaxItersExceededError,
     NonPositiveFieldError,
     SolverConfig,
+    SolverDivergedError,
     SpectralSolver,
     barrier_alpha,
     inner,
@@ -318,7 +318,7 @@ class TestPsdSolveBarrier:
     def test_budget_exhaustion_carries_best_iterate(self):
         residual, _ = barrier_problem(self.grid)
         cfg = SolverConfig(tol=1e-15, max_iters=3)
-        with pytest.raises(MaxItersExceededError) as excinfo:
+        with pytest.raises(SolverDivergedError) as excinfo:
             psd_solve(self.grid, residual, self.precondition, self.phi0, cfg)
         err = excinfo.value
         assert err.phi is not None and np.all(err.phi > 0.0)

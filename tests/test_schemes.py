@@ -99,7 +99,7 @@ class TestResidualOracles:
             - apply_pinv(grid, pinv, phi - phi_old) / dt
             + apply_pinv(grid, pinv, forcing)
         )
-        got = fo.residual(phi, phi_old, dt, forcing)
+        got = fo.step_system_from(phi_old, dt, forcing).residual(phi)
         assert norm_inf(got - expected) <= 1e-11 * max(1.0, norm_inf(got))
 
     def test_bdf2_term_by_term(self, setup):
@@ -119,7 +119,7 @@ class TestResidualOracles:
             - apply_pinv(grid, pinv, 1.5 * phi - 2.0 * phi_old + 0.5 * phi_older) / dt
             + apply_pinv(grid, pinv, forcing)
         )
-        got = bdf2.residual(phi, phi_old, phi_older, dt, forcing)
+        got = bdf2.step_system_from(phi_old, phi_older, dt, forcing).residual(phi)
         assert norm_inf(got - expected) <= 1e-11 * max(1.0, norm_inf(got))
 
     def test_forcing_enters_as_additive_lift(self, setup):
@@ -130,20 +130,20 @@ class TestResidualOracles:
         phi = positive_field(grid, 9)
         forcing = mean_zero_forcing(grid, 10)
         lift = solver.inv_neg_lap(forcing)
-        diff_fo = fo.residual(phi, phi_old, dt, forcing) - fo.residual(
-            phi, phi_old, dt
-        )
+        diff_fo = fo.step_system_from(phi_old, dt, forcing).residual(
+            phi
+        ) - fo.step_system_from(phi_old, dt).residual(phi)
         assert norm_inf(diff_fo - lift) <= 1e-13 * max(1.0, norm_inf(lift))
-        diff_b = bdf2.residual(phi, phi_old, phi_old, dt, forcing) - bdf2.residual(
-            phi, phi_old, phi_old, dt
-        )
+        diff_b = bdf2.step_system_from(phi_old, phi_old, dt, forcing).residual(
+            phi
+        ) - bdf2.step_system_from(phi_old, phi_old, dt).residual(phi)
         assert norm_inf(diff_b - lift) <= 1e-13 * max(1.0, norm_inf(lift))
 
     def test_forcing_must_be_mean_zero(self, setup):
         grid, _, fo, _ = setup
         phi = positive_field(grid, 11)
         with pytest.raises(NonZeroMeanError):
-            fo.residual(phi, phi, 0.1, np.ones(grid.shape))
+            fo.step_system_from(phi, 0.1, np.ones(grid.shape)).residual(phi)
 
     def test_residual_rejects_nonpositive_iterate(self, setup):
         grid, _, fo, bdf2 = setup
@@ -151,9 +151,9 @@ class TestResidualOracles:
         bad = phi_old.copy()
         bad.flat[3] = -0.1
         with pytest.raises(NonPositiveFieldError):
-            fo.residual(bad, phi_old, 0.1)
+            fo.step_system_from(phi_old, 0.1).residual(bad)
         with pytest.raises(NonPositiveFieldError):
-            bdf2.residual(bad, phi_old, phi_old, 0.1)
+            bdf2.step_system_from(phi_old, phi_old, 0.1).residual(bad)
 
 
 class TestGradientIdentity:

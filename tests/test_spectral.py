@@ -236,16 +236,6 @@ class TestZeroModeHandling:
         psi = solver.inv_neg_lap(f)
         assert abs(float(np.mean(psi))) <= 1e-14
 
-    def test_mean_tolerance_is_configurable(self):
-        grid = Grid(1, 8, 1.0)
-        strict = SpectralSolver(grid, mean_tol=1e-16)
-        loose = SpectralSolver(grid, mean_tol=1e-2)
-        f = random_mean_zero(grid, 8)
-        f += 1e-6 * norm_inf(f)
-        with pytest.raises(NonZeroMeanError):
-            strict.inv_neg_lap(f)
-        loose.inv_neg_lap(f)
-
 
 class TestDenseOracles:
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 6), (3, 4)])
