@@ -20,7 +20,6 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 from .energy import PhysParams
 from .errors import ConfigError, ThinFilmError, UnfinishedError
@@ -140,7 +139,27 @@ def _solver_config(v) -> SolverConfig:
     return SolverConfig(tol=v.tol, max_iters=v.max_iters)
 
 
-def _write_convergence(outdir: Path, label: str, table) -> None:
+def _run_converge(v) -> int:
+    """converge1/converge2: print each rung, write convergence.csv and fit.txt."""
+    if v.command == "converge1":
+        label, study = "nt", run_convergence_first_order
+        ladder = dict(n=v.n, nt_values=v.nt)
+    else:
+        label, study = "n", run_convergence_bdf2
+        ladder = dict(
+            n_values=v.n_list, dt_factor=v.dt_factor, a0=v.a0, a_stab=v.a_stab
+        )
+    table = study(
+        eps=v.eps,
+        t_final=v.tf,
+        length=v.length,
+        psd_config=_solver_config(v),
+        on_resolution=lambda r, e2, ei: print(
+            f"{label}={r} err_l2={e2:.6e} err_linf={ei:.6e}", flush=True
+        ),
+        **ladder,
+    )
+    outdir = Path(v.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [f"{label},err_l2,err_linf"]
     for res, e2, einf in zip(table.resolutions, table.errors_l2, table.errors_linf):
@@ -153,40 +172,6 @@ def _write_convergence(outdir: Path, label: str, table) -> None:
         f"intercept_linf={format_float(table.intercept_linf)}\n"
     )
     write_text_atomic(outdir / "fit.txt", fit)
-
-
-def _run_converge1(v) -> int:
-    table = run_convergence_first_order(
-        n=v.n,
-        nt_values=v.nt,
-        eps=v.eps,
-        t_final=v.tf,
-        length=v.length,
-        psd_config=_solver_config(v),
-        on_resolution=lambda r, e2, ei: print(
-            f"nt={r} err_l2={e2:.6e} err_linf={ei:.6e}", flush=True
-        ),
-    )
-    _write_convergence(Path(v.outdir), "nt", table)
-    print(f"slope_l2={table.slope_l2:.6f} slope_linf={table.slope_linf:.6f}")
-    return 0
-
-
-def _run_converge2(v) -> int:
-    table = run_convergence_bdf2(
-        n_values=v.n_list,
-        eps=v.eps,
-        t_final=v.tf,
-        dt_factor=v.dt_factor,
-        length=v.length,
-        a0=v.a0,
-        a_stab=v.a_stab,
-        psd_config=_solver_config(v),
-        on_resolution=lambda r, e2, ei: print(
-            f"n={r} err_l2={e2:.6e} err_linf={ei:.6e}", flush=True
-        ),
-    )
-    _write_convergence(Path(v.outdir), "n", table)
     print(f"slope_l2={table.slope_l2:.6f} slope_linf={table.slope_linf:.6f}")
     return 0
 
@@ -293,11 +278,11 @@ class _Command:
 
 _COMMANDS = {
     "converge1": _Command(
-        _opts_converge1(), _run_converge1,
+        _opts_converge1(), _run_converge,
         "temporal accuracy study of the one-step scheme",
     ),
     "converge2": _Command(
-        _opts_converge2(), _run_converge2,
+        _opts_converge2(), _run_converge,
         "space-time accuracy study of the two-step scheme (dt = factor * h)",
     ),
     "coarsen": _Command(
@@ -311,7 +296,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The parser and its subparsers by command name."""
     parser = _Parser(prog="thinfilm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, cmd in _COMMANDS.items():
@@ -321,7 +307,7 @@ def _build_parser() -> _Parser:
         for opt in cmd.opts:
             kwargs = {
                 "dest": opt.name,
-                "default": None,
+                "default": opt.default,
                 "help": f"{opt.help} (default: {opt.default})",
                 "metavar": opt.name.upper(),
             }
@@ -330,47 +316,43 @@ def _build_parser() -> _Parser:
             else:
                 kwargs["type"] = opt.parse
             p.add_argument("--" + opt.name.replace("_", "-"), **kwargs)
-    return parser
+    return parser, sub.choices
 
 
-def _merge_options(cmd: _Command, args) -> SimpleNamespace:
-    from_file = {}
-    if args.config is not None:
-        raw = load_config(args.config)
-        known = {opt.name: opt for opt in cmd.opts}
-        for key, text in raw.items():
-            opt = known.get(key)
-            if opt is None:
-                raise ConfigError(f"unknown config key {key!r} for this command")
-            try:
-                value = opt.parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-            if opt.choices is not None and value not in opt.choices:
-                raise ConfigError(
-                    f"config key {key!r} must be one of {opt.choices}, got {value!r}"
-                )
-            from_file[key] = value
-    merged = {}
-    for opt in cmd.opts:
-        flag = getattr(args, opt.name)
-        merged[opt.name] = (
-            flag if flag is not None else from_file.get(opt.name, opt.default)
-        )
-    return SimpleNamespace(**merged)
+def _config_defaults(cmd: _Command, path) -> dict:
+    """Parsed values of a config file, checked against the command's options."""
+    known = {opt.name: opt for opt in cmd.opts}
+    values = {}
+    for key, text in load_config(path).items():
+        opt = known.get(key)
+        if opt is None:
+            raise ConfigError(f"unknown config key {key!r} for this command")
+        try:
+            value = opt.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if opt.choices is not None and value not in opt.choices:
+            raise ConfigError(
+                f"config key {key!r} must be one of {opt.choices}, got {value!r}"
+            )
+        values[key] = value
+    return values
 
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
+        parser, commands = _build_parser()
         args = parser.parse_args(argv)
         cmd = _COMMANDS[args.command]
-        values = _merge_options(cmd, args)
+        if args.config is not None:
+            # File values become the defaults, so explicit flags still win.
+            commands[args.command].set_defaults(**_config_defaults(cmd, args.config))
+            args = parser.parse_args(argv)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 1
     try:
-        return cmd.run(values)
+        return cmd.run(args)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 1

@@ -116,6 +116,27 @@ class ConvergenceTable:
         )
 
 
+def _convergence_table(runs, profile, eps, t_final, on_resolution):
+    """March each (label, scheme, state, dt, steps) run under the forcing.
+
+    The error is measured against the profile sampled at t_final, not at
+    the accumulated state time.
+    """
+    labels, errors_l2, errors_linf = [], [], []
+    for label, scheme, state, dt, steps in runs:
+        grid = scheme.grid
+        for k in range(1, steps + 1):
+            source = profile.forcing(grid, eps, k * dt)
+            state, _ = scheme.step(state, dt, forcing=source)
+        diff = state.phi - profile.sample(grid, t_final)
+        labels.append(label)
+        errors_l2.append(norm_2(grid, diff))
+        errors_linf.append(norm_inf(diff))
+        if on_resolution is not None:
+            on_resolution(label, errors_l2[-1], errors_linf[-1])
+    return ConvergenceTable.from_errors(labels, errors_l2, errors_linf)
+
+
 def run_convergence_first_order(
     n: int = 128,
     nt_values=(100, 200, 400, 800),
@@ -131,23 +152,13 @@ def run_convergence_first_order(
     t_final; the expected l2 slope against the step count is -1.
     """
     grid = Grid(2, n, length)
-    solver = SpectralSolver(grid)
     profile = ManufacturedSolution()
-    scheme = FirstOrderScheme(grid, PhysParams(eps), solver, psd_config)
-    exact = profile.sample(grid, t_final)
-    errors_l2, errors_linf = [], []
-    for nt in nt_values:
-        dt = t_final / nt
-        state = initial_state(grid, profile.sample(grid, 0.0))
-        for k in range(1, nt + 1):
-            source = profile.forcing(grid, eps, k * dt)
-            state, _ = scheme.step(state, dt, forcing=source)
-        diff = state.phi - exact
-        errors_l2.append(norm_2(grid, diff))
-        errors_linf.append(norm_inf(diff))
-        if on_resolution is not None:
-            on_resolution(nt, errors_l2[-1], errors_linf[-1])
-    return ConvergenceTable.from_errors(list(nt_values), errors_l2, errors_linf)
+    scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
+    runs = (
+        (nt, scheme, initial_state(grid, profile.sample(grid, 0.0)), t_final / nt, nt)
+        for nt in nt_values
+    )
+    return _convergence_table(runs, profile, eps, t_final, on_resolution)
 
 
 def run_convergence_bdf2(
@@ -167,27 +178,22 @@ def run_convergence_bdf2(
     order and both error norms fit slope -2 against n.
     """
     profile = ManufacturedSolution()
-    errors_l2, errors_linf = [], []
-    for n in n_values:
-        grid = Grid(2, n, length)
-        dt = dt_factor * grid.h
-        steps = int(round(t_final / dt))
-        if abs(steps * dt - t_final) > 1e-9 * t_final:
-            raise ValueError(
-                f"dt = {dt} does not divide t_final = {t_final} (n = {n})"
-            )
-        scheme = Bdf2Scheme(grid, PhysParams(eps, a0, a_stab), psd_config=psd_config)
-        phi0 = profile.sample(grid, 0.0)
-        state = scheme.cold_start(phi0, dt, forcing=profile.forcing(grid, eps, 0.0))
-        for k in range(1, steps + 1):
-            source = profile.forcing(grid, eps, k * dt)
-            state, _ = scheme.step(state, dt, forcing=source)
-        diff = state.phi - profile.sample(grid, t_final)
-        errors_l2.append(norm_2(grid, diff))
-        errors_linf.append(norm_inf(diff))
-        if on_resolution is not None:
-            on_resolution(n, errors_l2[-1], errors_linf[-1])
-    return ConvergenceTable.from_errors(list(n_values), errors_l2, errors_linf)
+
+    def runs():
+        for n in n_values:
+            grid = Grid(2, n, length)
+            dt = dt_factor * grid.h
+            steps = int(round(t_final / dt))
+            if abs(steps * dt - t_final) > 1e-9 * t_final:
+                raise ValueError(
+                    f"dt = {dt} does not divide t_final = {t_final} (n = {n})"
+                )
+            scheme = Bdf2Scheme(grid, PhysParams(eps, a0, a_stab), psd_config=psd_config)
+            phi0 = profile.sample(grid, 0.0)
+            state = scheme.cold_start(phi0, dt, forcing=profile.forcing(grid, eps, 0.0))
+            yield n, scheme, state, dt, steps
+
+    return _convergence_table(runs(), profile, eps, t_final, on_resolution)
 
 
 def random_initial_data(grid: Grid, seed: int) -> np.ndarray:
@@ -244,8 +250,6 @@ class CoarseningConfig:
     t_end: float = 6000.0
     schedule: tuple = DEFAULT_SCHEDULE
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
-    a0: Optional[float] = None
-    a_stab: Optional[float] = None
     record_cutoff: float = 100.0
     record_every_late: int = 10
     psd: SolverConfig = field(default_factory=SolverConfig)
@@ -274,35 +278,47 @@ class CoarseningRun:
     final_t: float
 
 
+def _step_plan(config: CoarseningConfig):
+    """Yield (t, dt, restart, last_of_rung) for each step of the clipped ladder.
+
+    A rung runs whole steps from its nominal start to min(rung end, t_end);
+    a rung that fits no step is skipped.  Every rung after the first one
+    that takes a step restarts the two-step scheme.
+    """
+    start, fresh = 0.0, True
+    for end, dt in config.schedule:
+        if start >= config.t_end - 1e-12:
+            return
+        stop = min(end, config.t_end)
+        nsteps = int(math.floor((stop - start) / dt + 1e-9))
+        for k in range(1, nsteps + 1):
+            yield start + k * dt, dt, k == 1 and not fresh, k == nsteps
+        fresh = fresh and nsteps == 0
+        start = stop
+
+
 def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     """Evolve seeded random data through the step-size ladder.
 
     Records every step up to record_cutoff, then every record_every_late-th
-    step (and each rung's last step).  Snapshots are taken at the last
-    completed step at or before each requested time; requests beyond the
-    end of the run are dropped.  Raises UnfinishedError carrying partial
-    results if the wall-clock budget runs out; propagates solver failures
-    as-is.  ``progress(steps, t, iters, line_evals)``, when given, is called
-    every 1000 steps with the CG iterations and line evaluations of those
-    1000 steps.
+    step (and each rung's last step).  A snapshot request is served by the
+    state (the initial one included) just before the first step that passes
+    it by more than 1e-9, or by the final state; requests beyond the end of
+    the run are dropped.  Raises UnfinishedError carrying partial results
+    if the wall-clock budget runs out; propagates solver failures as-is.
+    ``progress(steps, t, iters, line_evals)``, when given, is called every
+    1000 steps with the CG iterations and line evaluations of those 1000
+    steps.
     """
     grid = Grid(2, config.n, config.length)
-    params = PhysParams(config.eps, config.a0, config.a_stab)
-    solver = SpectralSolver(grid)
-    scheme = Bdf2Scheme(grid, params, solver, config.psd)
+    scheme = Bdf2Scheme(grid, PhysParams(config.eps), SpectralSolver(grid), config.psd)
     phi0 = random_initial_data(grid, config.seed)
-
-    records: list = []
-    snapshots: list = []
-    pending = sorted(config.snapshot_times)
-    nan = float("nan")
-
-    first_dt = config.schedule[0][1]
     try:
-        state = scheme.cold_start(phi0, first_dt)
+        state = scheme.cold_start(phi0, config.schedule[0][1])
     except PositivityLostError:
         state = restart_state(grid, phi0)
-    records.append(
+    nan = float("nan")
+    records = [
         EnergyRecord(
             t=0.0,
             energy=discrete_energy(grid, phi0, config.eps),
@@ -312,85 +328,56 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
             psd_iters=0,
             residual=nan,
         )
-    )
+    ]
+    snapshots: list = []
+    pending = sorted(config.snapshot_times, reverse=True)
 
-    def flush_snapshots(current_t: float, upcoming_t: Optional[float]) -> None:
-        # upcoming_t None means no further steps: satisfy requests up to the
-        # achieved time and silently drop the ones beyond it.
-        threshold = current_t + 1e-9 if upcoming_t is None else upcoming_t - 1e-9
-        while pending and pending[0] < threshold:
-            pending.pop(0)
-            snapshots.append((current_t, state.phi.copy()))
-
-    def partial() -> CoarseningRun:
-        return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
-
-    # Clip the ladder to t_end up front so every segment knows its successor
-    # (needed to align snapshots with the true next step time).
-    segments = []
-    seg_start = 0.0
-    for seg_end, dt in config.schedule:
-        if seg_start >= config.t_end - 1e-12:
-            break
-        seg_stop = min(seg_end, config.t_end)
-        nsteps = int(math.floor((seg_stop - seg_start) / dt + 1e-9))
-        if nsteps >= 1:
-            segments.append((seg_start, dt, nsteps))
-        seg_start = seg_stop
-
+    plan = _step_plan(config)
+    upcoming = next(plan, None)
     clock_start = time.monotonic()
-    total_steps = 0
-    window_iters = window_evals = 0
-    if segments:
-        flush_snapshots(0.0, segments[0][0] + segments[0][1])
-    for iseg, (seg_start, dt, nsteps) in enumerate(segments):
-        if iseg > 0:
+    steps = window_iters = window_evals = 0
+    while True:
+        horizon = state.t + 1e-9 if upcoming is None else upcoming[0] - 1e-9
+        while pending and pending[-1] < horizon:
+            pending.pop()
+            snapshots.append((state.t, state.phi.copy()))
+        if upcoming is None:
+            return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
+        t, dt, restart, last_of_rung = upcoming
+        upcoming = next(plan, None)
+        if (
+            config.wall_clock_budget is not None
+            and time.monotonic() - clock_start > config.wall_clock_budget
+        ):
+            raise UnfinishedError(
+                f"wall clock budget exceeded at t = {state.t:.6g}",
+                partial=CoarseningRun(
+                    grid, records, snapshots, state.phi.copy(), state.t
+                ),
+            )
+        if restart:
             state = restart_state(grid, state.phi, state.t)
-        for k in range(1, nsteps + 1):
-            if (
-                config.wall_clock_budget is not None
-                and time.monotonic() - clock_start > config.wall_clock_budget
-            ):
-                raise UnfinishedError(
-                    f"wall clock budget exceeded at t = {state.t:.6g}",
-                    partial=partial(),
+        state, report = scheme.step(state, dt)
+        state.t = t
+        steps += 1
+        window_iters += report.psd_iters
+        window_evals += report.line_evals
+        if (
+            t <= config.record_cutoff + 1e-12
+            or steps % config.record_every_late == 0
+            or last_of_rung
+        ):
+            records.append(
+                EnergyRecord(
+                    t=t,
+                    energy=report.energy,
+                    modified_energy=report.modified_energy,
+                    mass=mean(grid, state.phi),
+                    min_phi=report.min_phi,
+                    psd_iters=report.psd_iters,
+                    residual=report.final_residual,
                 )
-            state, report = scheme.step(state, dt)
-            t_now = seg_start + k * dt
-            state.t = t_now
-            total_steps += 1
-            window_iters += report.psd_iters
-            window_evals += report.line_evals
-            last_of_segment = k == nsteps
-            if (
-                t_now <= config.record_cutoff + 1e-12
-                or total_steps % config.record_every_late == 0
-                or last_of_segment
-            ):
-                records.append(
-                    EnergyRecord(
-                        t=t_now,
-                        energy=report.energy,
-                        modified_energy=(
-                            nan
-                            if report.modified_energy is None
-                            else report.modified_energy
-                        ),
-                        mass=mean(grid, state.phi),
-                        min_phi=report.min_phi,
-                        psd_iters=report.psd_iters,
-                        residual=report.final_residual,
-                    )
-                )
-            if not last_of_segment:
-                upcoming = seg_start + (k + 1) * dt
-            elif iseg + 1 < len(segments):
-                upcoming = segments[iseg + 1][0] + segments[iseg + 1][1]
-            else:
-                upcoming = None
-            flush_snapshots(t_now, upcoming)
-            if progress is not None and total_steps % 1000 == 0:
-                progress(total_steps, t_now, window_iters, window_evals)
-                window_iters = window_evals = 0
-    flush_snapshots(state.t, None)
-    return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
+            )
+        if progress is not None and steps % 1000 == 0:
+            progress(steps, t, window_iters, window_evals)
+            window_iters = window_evals = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,8 +28,6 @@ from .grid import Grid
 SNAPSHOT_MAGIC = b"TFGF"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIdd")
-
-ENERGY_HEADER = "t,energy,modified_energy,mass,min_phi,psd_iters,residual"
 
 
 @dataclass
@@ -45,8 +43,15 @@ class EnergyRecord:
     residual: float
 
 
+# (column name, parser) in file order; the record's fields define both.
+_ENERGY_COLUMNS = tuple(
+    (f.name, int if f.type in ("int", int) else float) for f in fields(EnergyRecord)
+)
+ENERGY_HEADER = ",".join(name for name, _ in _ENERGY_COLUMNS)
+
+
 def format_float(x: float) -> str:
-    """Shortest-faithful decimal: 17 significant digits, round-trip exact."""
+    """17 significant digits: round-trip exact, though not the shortest form."""
     return f"{float(x):.17g}"
 
 
@@ -120,15 +125,9 @@ def write_energy_log(path, records) -> None:
     for rec in records:
         lines.append(
             ",".join(
-                (
-                    format_float(rec.t),
-                    format_float(rec.energy),
-                    format_float(rec.modified_energy),
-                    format_float(rec.mass),
-                    format_float(rec.min_phi),
-                    str(int(rec.psd_iters)),
-                    format_float(rec.residual),
-                )
+                str(int(getattr(rec, name))) if kind is int
+                else format_float(getattr(rec, name))
+                for name, kind in _ENERGY_COLUMNS
             )
         )
     _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
@@ -144,19 +143,11 @@ def read_energy_log(path):
     records = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(_ENERGY_COLUMNS):
             raise FormatError(f"{path}: bad row {ln!r}")
         try:
             records.append(
-                EnergyRecord(
-                    t=float(parts[0]),
-                    energy=float(parts[1]),
-                    modified_energy=float(parts[2]),
-                    mass=float(parts[3]),
-                    min_phi=float(parts[4]),
-                    psd_iters=int(parts[5]),
-                    residual=float(parts[6]),
-                )
+                EnergyRecord(*(kind(p) for (_, kind), p in zip(_ENERGY_COLUMNS, parts)))
             )
         except ValueError as exc:
             raise FormatError(f"{path}: bad row {ln!r}: {exc}") from exc

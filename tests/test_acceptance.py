@@ -6,7 +6,6 @@ coarsening study and takes roughly an hour: it is skipped unless pytest is
 invoked with ``--runslow``.
 """
 
-import math
 import time
 from contextlib import contextmanager
 

@@ -7,6 +7,7 @@ snapshot alignment rules, and bitwise determinism.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from thinfilm import (
     NonPositiveValueError,
     UnfinishedError,
     fit_power_law,
-    lap,
     mean,
     norm_inf,
     random_initial_data,
@@ -28,6 +28,7 @@ from thinfilm import (
     run_convergence_bdf2,
     run_convergence_first_order,
 )
+from thinfilm.experiments import _step_plan
 
 
 def dense_lap_matrix(grid):
@@ -296,6 +297,79 @@ class TestCoarseningRun:
         assert [r.t for r in run.records] == pytest.approx(
             [0.0, 0.002, 0.004, 0.006], abs=1e-12
         )
+
+    def test_three_rungs_serve_boundary_and_duplicate_requests(self):
+        run = run_coarsening(
+            tiny_config(
+                t_end=0.024,
+                schedule=((0.006, 0.001), (0.012, 0.002), (0.03, 0.003)),
+                snapshot_times=(
+                    0.024, 0.0, 0.006, 0.0125, 0.0, 0.012, 0.006, 999.0, 0.024, 0.03,
+                ),
+            )
+        )
+        assert len(run.records) == 1 + 6 + 3 + 4
+        snap_times = [t for t, _ in run.snapshots]
+        # 0.0125 waits for the step to 0.015; 0.03 and 999 lie past the end
+        assert snap_times == pytest.approx(
+            [0.0, 0.0, 0.006, 0.006, 0.012, 0.012, 0.024, 0.024], abs=1e-12
+        )
+        fields = [f for _, f in run.snapshots]
+        for i in (0, 2, 4, 6):
+            assert np.array_equal(fields[i], fields[i + 1])
+        assert np.array_equal(fields[0], random_initial_data(run.grid, 0))
+        assert np.array_equal(fields[-1], run.final_phi)
+
+    def test_first_rung_without_a_step_is_skipped(self):
+        cfg = tiny_config(
+            schedule=((0.001, 0.002), (0.01, 0.003), (0.02, 0.004)),
+            snapshot_times=(0.0, 0.001, 0.0035, 0.004, 0.01, 0.012, 0.02),
+        )
+        plan = list(_step_plan(cfg))
+        # the second rung starts at the first rung's nominal end, 0.001
+        assert [t for t, _, _, _ in plan] == pytest.approx(
+            [0.004, 0.007, 0.01, 0.014, 0.018], abs=1e-12
+        )
+        assert [dt for _, dt, _, _ in plan] == [0.003] * 3 + [0.004] * 2
+        assert [r for _, _, r, _ in plan] == [False, False, False, True, False]
+        assert [e for _, _, _, e in plan] == [False, False, True, False, True]
+        run = run_coarsening(cfg)
+        assert [r.t for r in run.records] == pytest.approx(
+            [0.0] + [t for t, _, _, _ in plan], abs=1e-12
+        )
+        assert [t for t, _ in run.snapshots] == pytest.approx(
+            [0.0, 0.0, 0.0, 0.004, 0.01, 0.01], abs=1e-12
+        )
+
+    def test_run_without_steps_serves_requests_at_zero(self):
+        cfg = tiny_config(
+            t_end=0.001, schedule=((0.01, 0.002),),
+            snapshot_times=(0.0, 0.0005, 0.001, 0.0),
+        )
+        assert list(_step_plan(cfg)) == []
+        run = run_coarsening(cfg)
+        assert run.final_t == 0.0
+        assert len(run.records) == 1
+        phi0 = random_initial_data(run.grid, 0)
+        assert [t for t, _ in run.snapshots] == [0.0, 0.0]
+        assert all(np.array_equal(f, phi0) for _, f in run.snapshots)
+        assert np.array_equal(run.final_phi, phi0)
+
+    def test_default_plan_is_lazy(self):
+        # 587,500 steps to t = 6000; a list of them would take tens of MB
+        tracemalloc.start()
+        try:
+            steps = restarts = rung_ends = 0
+            for t, _, restart, last_of_rung in _step_plan(CoarseningConfig()):
+                steps += 1
+                restarts += restart
+                rung_ends += last_of_rung
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps, restarts, rung_ends) == (587_500, 3, 4)
+        assert t == pytest.approx(6000.0, rel=1e-12)
+        assert peak < 64 * 1024
 
     def test_default_config_matches_published_setup(self):
         cfg = CoarseningConfig()

@@ -18,10 +18,13 @@ from thinfilm import (
     EnergyRecord,
     FormatError,
     Grid,
+    SolverConfig,
     format_float,
     load_config,
     read_energy_log,
     read_field_snapshot,
+    run_convergence_bdf2,
+    run_convergence_first_order,
     write_energy_log,
     write_field_snapshot,
 )
@@ -254,6 +257,70 @@ class TestCliStep:
                      "--outdir", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCliConverge:
+    """converge1/converge2 end to end: printed lines and written tables."""
+
+    @staticmethod
+    def expected_files(label, table):
+        rows = [f"{label},err_l2,err_linf"] + [
+            f"{res},{format_float(e2)},{format_float(einf)}"
+            for res, e2, einf in zip(
+                table.resolutions, table.errors_l2, table.errors_linf
+            )
+        ]
+        fit = "".join(
+            f"{key}={format_float(getattr(table, key))}\n"
+            for key in ("slope_l2", "intercept_l2", "slope_linf", "intercept_linf")
+        )
+        return "\n".join(rows) + "\n", fit
+
+    def check_run(self, out, capsys, label, table):
+        csv, fit = self.expected_files(label, table)
+        assert (out / "convergence.csv").read_text() == csv
+        assert (out / "fit.txt").read_text() == fit
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"{label}={res} err_l2={e2:.6e} err_linf={einf:.6e}"
+            for res, e2, einf in zip(
+                table.resolutions, table.errors_l2, table.errors_linf
+            )
+        ] + [f"slope_l2={table.slope_l2:.6f} slope_linf={table.slope_linf:.6f}"]
+
+    def test_converge1_writes_the_library_table(self, tmp_path, capsys):
+        out = tmp_path / "c1"
+        args = ["converge1", "--n", "16", "--nt", "4,8,16", "--tf", "0.5",
+                "--tol", "1e-10", "--outdir", str(out)]
+        assert main(args) == 0
+        table = run_convergence_first_order(
+            n=16, nt_values=(4, 8, 16), eps=0.5, t_final=0.5,
+            psd_config=SolverConfig(tol=1e-10),
+        )
+        self.check_run(out, capsys, "nt", table)
+        assert -1.3 <= table.slope_l2 <= -0.7
+
+    def test_converge2_takes_file_values_and_flags(self, tmp_path, capsys):
+        out = tmp_path / "c2"
+        cfg = tmp_path / "c2.cfg"
+        cfg.write_text(
+            f"n_list=8,12,16\na0=3.5\na_stab=6.0\noutdir={tmp_path / 'unused'}\n"
+        )
+        args = ["converge2", "--config", str(cfg), "--eps", "0.4",
+                "--outdir", str(out)]
+        assert main(args) == 0
+        assert not (tmp_path / "unused").exists()
+        table = run_convergence_bdf2(
+            n_values=(8, 12, 16), eps=0.4, a0=3.5, a_stab=6.0
+        )
+        self.check_run(out, capsys, "n", table)
+        assert -2.4 <= table.slope_l2 <= -1.6
+
+    def test_config_keys_are_per_command(self, tmp_path, capsys):
+        cfg = tmp_path / "c1.cfg"
+        cfg.write_text("n_list=8,12,16\n")
+        assert main(["converge1", "--config", str(cfg)]) == 1
+        assert "unknown config key 'n_list'" in capsys.readouterr().err
 
 
 class TestCliConfigMerge:

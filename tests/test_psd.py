@@ -315,6 +315,36 @@ class TestPsdSolveBarrier:
         assert len(image_errors) == trace_fast.iterations
         assert max(image_errors) <= 1e-10
 
+    def test_overshooting_line_search_restarts_cg(self):
+        """A search landing 1.5x past the line minimum makes PR+ restart.
+
+        g reports the true directional derivative at alpha / 1.5, so every
+        accepted step overshoots; the next conjugate direction then points
+        uphill and must be replaced by the preconditioned gradient.
+        """
+        residual, _ = barrier_problem(self.grid)
+
+        def directional(phi, direction, r_phi):
+            d, _ = direction
+
+            def g(alpha):
+                return -inner(self.grid, residual(phi + alpha / 1.5 * d), d), math.nan
+
+            def residual_at(alpha):
+                return residual(phi + alpha * d)
+
+            return g, residual_at
+
+        phi, trace = psd_solve(
+            self.grid, residual, self.precondition, self.phi0, directional=directional
+        )
+        assert trace.restarts >= trace.iterations // 2
+        assert trace.residual_norms[-1] <= 1e-9
+        assert np.all(phi > 0.0)
+        assert float(np.mean(phi)) == pytest.approx(
+            float(np.mean(self.phi0)), abs=1e-12
+        )
+
     def test_budget_exhaustion_carries_best_iterate(self):
         residual, _ = barrier_problem(self.grid)
         cfg = SolverConfig(tol=1e-15, max_iters=3)

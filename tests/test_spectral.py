@@ -19,9 +19,7 @@ from thinfilm import (
     SpectralSolver,
     dense_neg_lap_matrix,
     dense_preconditioner_matrix,
-    inner,
     lap,
-    norm_2,
     norm_inf,
 )
 
