@@ -281,9 +281,11 @@ class CoarseningRun:
 def _step_plan(config: CoarseningConfig):
     """Yield (t, dt, restart, last_of_rung) for each step of the clipped ladder.
 
-    A rung runs whole steps from its nominal start to min(rung end, t_end);
-    a rung that fits no step is skipped.  Every rung after the first one
-    that takes a step restarts the two-step scheme.
+    A rung runs whole steps from the time reached so far to
+    min(rung end, t_end); a rung that fits no step is skipped and leaves
+    the time where it was.  A rung whose steps land on its end (to 1e-9 of
+    a step) hands the next rung its end exactly.  Every rung after the
+    first one that takes a step restarts the two-step scheme.
     """
     start, fresh = 0.0, True
     for end, dt in config.schedule:
@@ -294,7 +296,8 @@ def _step_plan(config: CoarseningConfig):
         for k in range(1, nsteps + 1):
             yield start + k * dt, dt, k == 1 and not fresh, k == nsteps
         fresh = fresh and nsteps == 0
-        start = stop
+        reached = start + nsteps * dt
+        start = stop if abs(stop - reached) <= 1e-9 * dt else reached
 
 
 def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
@@ -313,8 +316,12 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     grid = Grid(2, config.n, config.length)
     scheme = Bdf2Scheme(grid, PhysParams(config.eps), SpectralSolver(grid), config.psd)
     phi0 = random_initial_data(grid, config.seed)
+    plan = _step_plan(config)
+    upcoming = next(plan, None)
+    # History is synthesized with the dt of the first step taken.
+    dt0 = config.schedule[0][1] if upcoming is None else upcoming[1]
     try:
-        state = scheme.cold_start(phi0, config.schedule[0][1])
+        state = scheme.cold_start(phi0, dt0)
     except PositivityLostError:
         state = restart_state(grid, phi0)
     nan = float("nan")
@@ -332,8 +339,6 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     snapshots: list = []
     pending = sorted(config.snapshot_times, reverse=True)
 
-    plan = _step_plan(config)
-    upcoming = next(plan, None)
     clock_start = time.monotonic()
     steps = window_iters = window_evals = 0
     while True:

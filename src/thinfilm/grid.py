@@ -116,8 +116,12 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Cell inner product <u, v> = h^dim * sum(u v)."""
-    return grid.cell_volume * float(np.sum(u * v))
+    """Cell inner product <u, v> = h^dim * sum(u v).
+
+    One dot of the flattened fields: no product temporary is formed (a
+    non-contiguous view is copied by ``ravel``).
+    """
+    return grid.cell_volume * float(np.dot(u.ravel(), v.ravel()))
 
 
 def inner_face(grid: Grid, f: tuple, g: tuple) -> float:
@@ -140,7 +144,8 @@ def mean(grid: Grid, u: np.ndarray) -> float:
 
 
 def norm_inf(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u)))
+    """max |u|, taken as max(max u, -min u) without an abs temporary."""
+    return float(max(u.max(), -u.min()))
 
 
 def norm_2(grid: Grid, u: np.ndarray) -> float:

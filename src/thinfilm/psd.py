@@ -298,16 +298,17 @@ def psd_solve(
     for _ in range(cfg.max_iters):
         if r is None:
             r = residual_fn(phi)
-        rp = r - np.mean(r)
+        # Means as sum / size: the same bits as np.mean without its wrapper.
+        rp = r - r.sum() / r.size
         # Deflate once more: the first subtraction leaves a rounding-level
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
-        rp -= np.mean(rp)
+        rp -= rp.sum() / rp.size
         p = precondition(rp)
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
         # would otherwise accumulate over very long runs.
-        p -= np.mean(p)
+        p -= p.sum() / p.size
         res2 = max(inner(grid, p, rp), 0.0)
         res = math.sqrt(res2)
         trace.residual_norms.append(res)
@@ -320,13 +321,19 @@ def psd_solve(
         beta = 0.0 if d is None else (res2 - inner(grid, p, rp_prev)) / res2_prev
         slope = 0.0
         if beta > 0.0:
-            d = p + beta * d
-            s = rp + beta * s
+            d *= beta
+            d += p
+            s *= beta
+            s += rp
             slope = inner(grid, d, rp)
             if not slope > 0.0:
                 trace.restarts += 1
         if not slope > 0.0:
-            d, s, slope = p, rp, res2
+            # d is combined in place from here on, and p may be the
+            # preconditioner's input rp or an array it shares; rp itself is
+            # this iteration's own array and is done with once beta is
+            # taken from it as rp_prev.
+            d, s, slope = p.copy(), rp, res2
         rp_prev, res2_prev = rp, res2
 
         evals = 0

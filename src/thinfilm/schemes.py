@@ -203,8 +203,8 @@ class _SchemeBase:
             )
         return self.solver.inv_neg_lap(forcing - m)
 
-    def _finish_step(self, state: StepState, phi_new: np.ndarray, trace, dt: float,
-                     modified: Optional[float]) -> tuple:
+    def _finish_step(self, state: StepState, phi_new: np.ndarray, trace,
+                     dt: float) -> tuple:
         min_phi = float(np.min(phi_new))
         if not min_phi > 0.0:
             raise PositivityLostError(f"step produced min phi = {min_phi}")
@@ -221,7 +221,7 @@ class _SchemeBase:
             psd_iters=trace.iterations,
             final_residual=trace.residual_norms[-1],
             energy=_energy.discrete_energy(self.grid, phi_new, self.params.eps),
-            modified_energy=modified,
+            modified_energy=None,
             min_phi=min_phi,
             mass_drift=drift,
             line_evals=sum(trace.line_evals),
@@ -435,7 +435,7 @@ class FirstOrderScheme(_SchemeBase):
         """Advance one step; returns (new_state, report)."""
         system = self.step_system_from(state.phi, dt, forcing)
         phi_new, trace = self._solve(system, self._warm_start(state))
-        return self._finish_step(state, phi_new, trace, dt, None)
+        return self._finish_step(state, phi_new, trace, dt)
 
 
 class Bdf2Scheme(_SchemeBase):
@@ -509,8 +509,10 @@ class Bdf2Scheme(_SchemeBase):
             )
         system = self.step_system_from(state.phi, state.phi_prev, dt, forcing)
         phi_new, trace = self._solve(system, self._warm_start(state))
-        modified = _energy.modified_energy(
+        new_state, report = self._finish_step(state, phi_new, trace, dt)
+        # Reuse the report's F(phi_new) rather than evaluating it again.
+        report.modified_energy = _energy.modified_energy(
             self.grid, self.solver, phi_new, state.phi,
-            self.params.eps, self.params.a0, dt,
+            self.params.eps, self.params.a0, dt, report.energy,
         )
-        return self._finish_step(state, phi_new, trace, dt, modified)
+        return new_state, report

@@ -10,9 +10,9 @@ makes the transform-space division the exact inverse of the grid operator,
 so inverting and re-applying the stencil round-trips to rounding error.
 
 The zero mode is handled by explicit projection: inputs must be mean-zero
-(within tolerance), the actual mean is subtracted before the transform, and
-the mode-0 output coefficient is pinned to zero, which fixes the additive
-constant of every solve.
+(within tolerance), and the mode-0 output coefficient is pinned to zero,
+which drops the actual mean and fixes the additive constant of every solve.
+The inverse Laplacian also subtracts the mean before its transform.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ class SpectralSolver:
         self._eig_safe = eig.copy()
         self._eig_safe.flat[0] = 1.0
         self._axes = tuple(range(grid.dim))
+        # 1 / (a0 / lambda + a1 + a2 lambda) with mode 0 pinned to zero, for
+        # the coefficients _symbol_key; built by the first solve that needs
+        # it, since a step's solves all share one triple.
+        self._symbol_key = None
+        self._inv_symbol = None
 
     def _check_mean(self, f: np.ndarray) -> float:
         m = float(np.mean(f))
@@ -89,10 +94,15 @@ class SpectralSolver:
                 f"need a0 > 0, a1 >= 0, a2 >= 0, got ({a0}, {a1}, {a2})"
             )
         self.grid.validate_field(r)
-        m = self._check_mean(r)
-        rhat = np.fft.rfftn(r - m, axes=self._axes)
-        rhat /= a0 / self._eig_safe + a1 + a2 * self._eig_safe
-        rhat.flat[0] = 0.0
+        self._check_mean(r)
+        key = (a0, a1, a2)
+        if self._symbol_key != key:
+            inv = 1.0 / (a0 / self._eig_safe + a1 + a2 * self._eig_safe)
+            inv.flat[0] = 0.0
+            self._symbol_key, self._inv_symbol = key, inv
+        # The mean of r only reaches mode 0, which the symbol zeroes.
+        rhat = np.fft.rfftn(r, axes=self._axes)
+        rhat *= self._inv_symbol
         return rhat
 
     def solve_preconditioner(

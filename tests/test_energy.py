@@ -320,6 +320,15 @@ class TestModifiedEnergy:
         got = modified_energy(grid, solver, new, old, params.eps, params.a0, dt)
         assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_given_energy_gives_the_same_bits(self):
+        grid = Grid(2, 8, 1.0)
+        solver = SpectralSolver(grid)
+        new = positive_field(grid, 44)
+        old = new + 0.05 * np.sin(2 * np.pi * grid.coordinates()[0])
+        energy = discrete_energy(grid, new, 0.3)
+        args = (grid, solver, new, old, 0.3, a0_star(), 0.01)
+        assert modified_energy(*args, energy) == modified_energy(*args)
+
     def test_reduces_to_energy_for_stationary_pair(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from thinfilm import (
+    Bdf2Scheme,
     CoarseningConfig,
     ConvergenceTable,
     Grid,
     InsufficientDataError,
     ManufacturedSolution,
     NonPositiveValueError,
+    PhysParams,
+    SpectralSolver,
     UnfinishedError,
     fit_power_law,
     mean,
@@ -326,9 +329,10 @@ class TestCoarseningRun:
             snapshot_times=(0.0, 0.001, 0.0035, 0.004, 0.01, 0.012, 0.02),
         )
         plan = list(_step_plan(cfg))
-        # the second rung starts at the first rung's nominal end, 0.001
+        # the skipped first rung leaves t at 0, and the third rung starts
+        # at 0.009, the time the second one reached
         assert [t for t, _, _, _ in plan] == pytest.approx(
-            [0.004, 0.007, 0.01, 0.014, 0.018], abs=1e-12
+            [0.003, 0.006, 0.009, 0.013, 0.017], abs=1e-12
         )
         assert [dt for _, dt, _, _ in plan] == [0.003] * 3 + [0.004] * 2
         assert [r for _, _, r, _ in plan] == [False, False, False, True, False]
@@ -338,8 +342,31 @@ class TestCoarseningRun:
             [0.0] + [t for t, _, _, _ in plan], abs=1e-12
         )
         assert [t for t, _ in run.snapshots] == pytest.approx(
-            [0.0, 0.0, 0.0, 0.004, 0.01, 0.01], abs=1e-12
+            [0.0, 0.0, 0.003, 0.003, 0.009, 0.009], abs=1e-12
         )
+
+    def test_cold_start_uses_the_first_stepping_rung(self):
+        cfg = tiny_config(
+            t_end=0.003, schedule=((0.001, 0.002), (0.01, 0.003)), snapshot_times=()
+        )
+        run = run_coarsening(cfg)
+        grid = run.grid
+        scheme = Bdf2Scheme(grid, PhysParams(cfg.eps), SpectralSolver(grid), cfg.psd)
+        state = scheme.cold_start(random_initial_data(grid, cfg.seed), 0.003)
+        _, report = scheme.step(state, 0.003)
+        assert [r.t for r in run.records] == [0.0, 0.003]
+        assert run.records[1].energy == report.energy
+
+    def test_evenly_dividing_rungs_start_at_their_ends(self):
+        cfg = tiny_config(
+            t_end=0.024, schedule=((0.006, 0.001), (0.012, 0.002), (0.03, 0.003))
+        )
+        expected = (
+            [0.0 + k * 0.001 for k in range(1, 7)]
+            + [0.006 + k * 0.002 for k in range(1, 4)]
+            + [0.012 + k * 0.003 for k in range(1, 5)]
+        )
+        assert [t for t, _, _, _ in _step_plan(cfg)] == expected
 
     def test_run_without_steps_serves_requests_at_zero(self):
         cfg = tiny_config(

@@ -218,6 +218,25 @@ class TestInnerProductsAndNorms:
         )
         assert inner(grid, u, v) == pytest.approx(expected, abs=1e-13, rel=1e-13)
 
+    @pytest.mark.parametrize("dim, n", [(1, 13), (2, 9), (3, 5)])
+    def test_inner_and_norm_inf_on_fields_and_views(self, dim, n):
+        grid = Grid(dim, n, 1.7)
+        rng = np.random.default_rng(300 + dim)
+        big = rng.standard_normal((2 * n,) * dim)
+        fields = [
+            rng.standard_normal(grid.shape),
+            big[(slice(None, None, 2),) * dim],  # strided view
+            big[(slice(1, None, 2),) * dim].T,  # strided, reversed axes
+            -np.abs(rng.standard_normal(grid.shape)),  # max |u| at a negative entry
+        ]
+        for u in fields:
+            assert norm_inf(u) == float(np.max(np.abs(u)))
+            for v in fields:
+                expected = grid.cell_volume * math.fsum(
+                    float(a) * float(b) for a, b in zip(u.ravel(), v.ravel())
+                )
+                assert inner(grid, u, v) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
     def test_inner_face_reduces_to_plain_sum(self):
         grid = Grid(2, 10, 1.0)
         f = tuple(random_field(grid, 71 + d) for d in range(2))

@@ -345,6 +345,20 @@ class TestPsdSolveBarrier:
             float(np.mean(self.phi0)), abs=1e-12
         )
 
+    def test_preconditioner_may_return_its_input(self):
+        # The CG direction must not be combined in place while it is still
+        # the preconditioner's output, which here is the solver's own rp.
+        residual, _ = barrier_problem(self.grid)
+        phi_same, trace_same = psd_solve(self.grid, residual, lambda r: r, self.phi0)
+        phi_copy, trace_copy = psd_solve(
+            self.grid, residual, lambda r: r.copy(), self.phi0
+        )
+        assert trace_same.iterations >= 3
+        assert trace_same.residual_norms == trace_copy.residual_norms
+        assert trace_same.alphas == trace_copy.alphas
+        assert trace_same.line_evals == trace_copy.line_evals
+        assert np.array_equal(phi_same, phi_copy)
+
     def test_budget_exhaustion_carries_best_iterate(self):
         residual, _ = barrier_problem(self.grid)
         cfg = SolverConfig(tol=1e-15, max_iters=3)

@@ -629,7 +629,9 @@ class TestStepBehavior:
         expected = modified_energy(
             grid, solver, new_state.phi, state.phi, params.eps, params.a0, 0.01
         )
-        assert report.modified_energy == pytest.approx(expected, rel=1e-12)
+        # F(phi_new) is evaluated once per step, to the same bits
+        assert report.modified_energy == expected
+        assert report.energy == discrete_energy(grid, new_state.phi, params.eps)
 
     def test_warm_start_does_not_change_solution(self, setup):
         grid, _, fo, _ = setup
@@ -711,6 +713,32 @@ class TestStepBehavior:
         assert report.psd_iters == trace.iterations
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
         assert report.restarts == trace.restarts
+
+    @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 4), (Bdf2Scheme, 6)])
+    def test_transforms_per_step(self, monkeypatch, scheme_cls, fixed):
+        """An unforced step pays one rfft/irfft pair per CG iteration.
+
+        On top of them come the pairs of the first residual and of the
+        accepting iteration's preconditioner solve, and for the two-step
+        scheme the H^-1 norm of the modified energy.
+        """
+        transforms = [0]
+        for name in ("rfftn", "irfftn"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                transforms[0] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        for _ in range(3):
+            before = transforms[0]
+            state, report = scheme.step(state, 0.01)
+            assert report.psd_iters >= 2
+            assert transforms[0] - before == 2 * report.psd_iters + fixed
 
     def test_custom_solver_config_respected(self, setup):
         grid, params, _, _ = setup

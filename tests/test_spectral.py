@@ -165,6 +165,21 @@ class TestPreconditionerSolve:
         d = solver.solve_preconditioner(r, a0, a1, a2)
         assert np.max(np.abs(d - expected)) <= 1e-11
 
+    def test_alternating_coefficients_match_fresh_solvers(self):
+        # One solver caches the symbol of the last triple; switching back
+        # and forth must give what a fresh solver and the dense matrix give.
+        grid = Grid(2, 6, 1.3)
+        shared = SpectralSolver(grid)
+        triples = [(10.0, 1.0, 0.04), (0.5, 0.0, 1.0)]
+        for k in range(5):
+            coeffs = triples[k % 2]
+            r = random_mean_zero(grid, 60 + k)
+            d = shared.solve_preconditioner(r, *coeffs)
+            assert np.array_equal(d, SpectralSolver(grid).solve_preconditioner(r, *coeffs))
+            dense = np.linalg.pinv(dense_preconditioner_matrix(grid, *coeffs))
+            expected = (dense @ r.ravel()).reshape(grid.shape)
+            assert np.max(np.abs(d - expected)) <= 1e-11
+
     def test_grid_space_roundtrip(self):
         # Verify a0 (-lap)^{-1} d + a1 d - a2 lap(d) reproduces r.
         grid = Grid(2, 16, 1.0)
