@@ -263,7 +263,8 @@ def _run_step(v) -> int:
         f"t={format_float(state.t)} energy={format_float(report.energy)} "
         f"modified_energy={modified} min_phi={format_float(report.min_phi)} "
         f"psd_iters={report.psd_iters} line_evals={report.line_evals} "
-        f"restarts={report.restarts} residual={format_float(report.final_residual)} "
+        f"restarts={report.restarts} capped={report.capped} "
+        f"residual={format_float(report.final_residual)} "
         f"mass_drift={format_float(report.mass_drift)}"
     )
     return 0

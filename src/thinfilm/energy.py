@@ -104,7 +104,7 @@ def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
     """Total discrete free energy F(phi)."""
     check_positive(phi)
     inv2, inv8 = _recip_powers_2_8(phi)
-    bulk = inner(grid, inv8 / 3.0 - (4.0 / 3.0) * inv2, np.ones(grid.shape))
+    bulk = grid.cell_volume * float(np.sum(inv8 / 3.0 - (4.0 / 3.0) * inv2))
     return bulk + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
 
 
@@ -112,9 +112,11 @@ def splitting_first_order(grid: Grid, phi: np.ndarray, eps: float):
     """Convex/concave halves (Fc, Fe) with F = Fc - Fe, plain splitting."""
     check_positive(phi)
     inv2, inv8 = _recip_powers_2_8(phi)
-    one = np.ones(grid.shape)
-    fc = inner(grid, inv8, one) / 3.0 + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
-    fe = (4.0 / 3.0) * inner(grid, inv2, one)
+    fc = (
+        grid.cell_volume * float(np.sum(inv8)) / 3.0
+        + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
+    )
+    fe = (4.0 / 3.0) * grid.cell_volume * float(np.sum(inv2))
     return fc, fe
 
 

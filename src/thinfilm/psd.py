@@ -26,12 +26,17 @@ is a safeguarded Newton iteration on g, seeded by the slope g'(0) that the
 step system carries from the last residual it assembled; where a Newton
 step would leave the bracket or stall, a sign change is bracketed by
 geometric expansion and resolved by Illinois-damped false position, which
-is the whole method for a residual function without a slope.  Of its three
-stops (|g| small, bracket narrow, Newton correction small; see
-line_search), the last ends most searches: rounding puts a noise floor
-under g that lies above the first stop near the root.  If the safety cap
-itself is still downhill the capped step is taken as is; the iteration
-remains a descent step.
+is the whole method for a residual function without a slope.  If the
+safety cap itself is still downhill the capped step is taken as is; the
+iteration remains a descent step.
+
+The CG loop does not need the root itself, only a step that keeps PR+
+convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): it ends a search at
+the first evaluated trial with |g(alpha)| <= sqrt(_LINE_TOL) |g(0)|, a
+strong-Wolfe curvature condition with sigma = 1e-6, and that stop ends
+most of its searches.  Since the accepted point is then one that g has
+evaluated, a step system can carry that trial's pointwise pass into the
+next residual instead of repeating it.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ class PsdTrace:
     residual_norms holds the preconditioned metric norm sqrt(<p, r - mean r>)
     measured at the top of each iteration, including the accepting one, so
     it has one more entry than alphas.  restarts counts the iterations whose
-    conjugate direction was not downhill and was reset to p.
+    conjugate direction was not downhill and was reset to p, and capped the
+    line searches that returned the step cap just inside the positivity
+    barrier.
     """
 
     residual_norms: list = field(default_factory=list)
@@ -82,6 +89,7 @@ class PsdTrace:
     line_evals: list = field(default_factory=list)
     functional_values: list | None = None
     restarts: int = 0
+    capped: int = 0
 
     @property
     def iterations(self) -> int:
@@ -127,6 +135,11 @@ def barrier_alpha(phi: np.ndarray, d: np.ndarray, safety: float = 0.99) -> float
     return safety * (-1.0 / m) if m < 0.0 else math.inf
 
 
+def _step_cap(alpha_barrier: float) -> float:
+    """Longest step a line search returns: just inside a finite barrier."""
+    return alpha_barrier * (1.0 - 1e-12) if math.isfinite(alpha_barrier) else math.inf
+
+
 def _eval_g(g, alpha: float) -> tuple:
     value, slope = g(alpha)
     # Overflow of the singular terms past the barrier shows up as nan/inf;
@@ -141,14 +154,17 @@ def _newton(alpha: float, value: float, slope: float) -> float:
     return math.nan
 
 
-def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
+def line_search(
+    g, alpha_barrier: float, g0: tuple | None = None, gtol: float = _LINE_TOL
+) -> float:
     """Locate the positive root of an increasing scalar derivative g.
 
     g(alpha) returns the pair (g(alpha), g'(alpha)).  A slope that is not
     finite and positive (nan when unknown) rules out the Newton step from
     that point; with no slope at all the search is the plain bracketing
     method below.  ``g0`` is the pair at alpha = 0 when the caller already
-    has it.  Accepts alpha_barrier = +inf for barrier-free directions.
+    has it.  ``gtol`` is the first stop's bound on |g| relative to |g(0)|.
+    Accepts alpha_barrier = +inf for barrier-free directions.
 
     The first trial is the Newton step from 0 (1 without a slope), at most
     half the barrier.  Each later trial is the Newton step from the last
@@ -158,7 +174,7 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     takes over (a midpoint when the interpolant leaves the bracket).
     Three stops:
 
-    - |g(alpha)| <= _LINE_TOL |g(0)|;
+    - |g(alpha)| <= gtol |g(0)|, returning that evaluated trial;
     - the bracket is narrower than _LINE_TOL * alpha (its midpoint is
       returned);
     - after a Newton move m, the correction c = |g/g'| is at most
@@ -167,11 +183,13 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
       measures K = c / m^2 <= 1 / alpha, so the error is at most
       _LINE_TOL * alpha.
 
-    The third stop is what ends a search on the step systems: g there is
-    a small difference of large inner products whose rounding lies above
-    _LINE_TOL |g(0)| near the root, so the first stop is out of reach and
-    the second only comes after the bracket has been ground down to
-    rounding width.
+    On the step systems g is a small difference of large inner products
+    whose rounding lies above _LINE_TOL |g(0)| near the root.  With the
+    default gtol = _LINE_TOL the first stop is therefore out of reach and
+    the third ends most searches, at a point g never evaluated.  psd_solve
+    passes gtol = sqrt(_LINE_TOL), the bound the third stop applies to its
+    correction; the first stop then ends most searches, at the trial just
+    evaluated.
 
     When even the capped step stays downhill the cap is returned (a
     barrier-limited descent step).
@@ -182,11 +200,11 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     if not value0 < 0.0:
         raise ValueError(f"g(0) must be negative for a descent direction, got {value0}")
 
-    cap = alpha_barrier * (1.0 - 1e-12) if math.isfinite(alpha_barrier) else math.inf
+    cap = _step_cap(alpha_barrier)
     if not cap > 0.0:
         raise BarrierCollapseError("positivity barrier leaves no admissible step")
 
-    gtol = _LINE_TOL * abs(value0)
+    gstop = gtol * abs(value0)
     ntol = math.sqrt(_LINE_TOL)
     # [lo, hi] holds the root once a trial has turned g non-negative
     # (bracketed); until then hi is the cap.
@@ -202,7 +220,7 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     # At most 200 expansions and 256 steps inside the bracket.
     for _ in range(456):
         value, slope = _eval_g(g, a)
-        if abs(value) <= gtol:
+        if abs(value) <= gstop:
             return a
         if value < 0.0:
             if a >= cap:
@@ -274,7 +292,9 @@ def psd_solve(
     g(alpha) = -<residual_fn(phi + alpha d), d> and its derivative, used
     for the line search in place of assembling the residual at every trial
     point; residual_at(alpha) = residual_fn(phi + alpha d) carries the
-    residual to the next iteration.  g(0) seeds the search with its slope
+    residual to the next iteration.  It is called right after the search,
+    with no other g call in between, so it may reuse the work of a trial at
+    the same alpha.  g(0) seeds the search with its slope
     and is not counted as a line evaluation; step systems answer it from
     the state they carry at phi.  Its value is replaced by -<d, rp> from
     the deflated residual: the undeflated inner product carries rounding
@@ -353,8 +373,11 @@ def psd_solve(
             evals += 1
             return g_inner(alpha)
 
+        # |g| <= sqrt(_LINE_TOL) |g(0)| is a strong-Wolfe curvature
+        # condition, all that PR+ needs (see the module docstring).
+        barrier = barrier_alpha(phi, d, _ALPHA_SAFETY)
         alpha = line_search(
-            g, barrier_alpha(phi, d, _ALPHA_SAFETY), g0=(-slope, slope0)
+            g, barrier, g0=(-slope, slope0), gtol=math.sqrt(_LINE_TOL)
         )
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
@@ -362,6 +385,7 @@ def psd_solve(
         r = residual_at(alpha) if residual_at is not None else None
         trace.alphas.append(alpha)
         trace.line_evals.append(evals)
+        trace.capped += alpha == _step_cap(barrier)
         if functional is not None:
             trace.functional_values.append(float(functional(phi)))
 

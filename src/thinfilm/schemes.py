@@ -95,8 +95,9 @@ class StepState:
 class StepReport:
     """Per-step diagnostics returned alongside the new state.
 
-    line_evals sums the line-search evaluations of the solve and restarts
-    counts its CG directions reset to the preconditioned gradient.
+    line_evals sums the line-search evaluations of the solve, restarts
+    counts its CG directions reset to the preconditioned gradient, and
+    capped its line searches that stopped at the positivity barrier's cap.
     """
 
     psd_iters: int
@@ -107,6 +108,7 @@ class StepReport:
     mass_drift: float
     line_evals: int = 0
     restarts: int = 0
+    capped: int = 0
 
 
 @dataclass
@@ -122,9 +124,12 @@ class StepSystem:
     g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
     two dots per trial alpha.  g(0) costs two dots and no pass while the
     pass that produced r is still held: its slope comes from the curvature
-    -B' carried from that pass.  residual_at(alpha) = r(phi + alpha d).
-    Both agree with the naive evaluation through ``residual`` to rounding
-    error whenever s = L d to rounding error.
+    -B' carried from that pass.  residual_at(alpha) = r(phi + alpha d)
+    costs one pass, unless the last pass of the step was this direction's
+    trial at the same alpha: the line search mostly ends at a trial it
+    evaluated, and that pass is then reused, to the same bits.  Both agree
+    with the naive evaluation through ``residual`` to rounding error
+    whenever s = L d to rounding error.
     """
 
     residual: Callable
@@ -226,6 +231,7 @@ class _SchemeBase:
             mass_drift=drift,
             line_evals=sum(trace.line_evals),
             restarts=trace.restarts,
+            capped=trace.capped,
         )
         new_state = StepState(
             phi=phi_new,
@@ -294,7 +300,6 @@ class _SchemeBase:
         the preconditioner L with the coefficients of :func:`_coefficients`.
         """
         grid, solver = self.grid, self.solver
-        ones = np.ones(grid.shape)
         scale = grid.cell_volume
         # Scratch fields of the pointwise pass, shared by every residual and
         # line trial of the step.  After a pass, bulk holds B(x) and curv
@@ -307,8 +312,9 @@ class _SchemeBase:
         # line closures reuse it instead of re-deriving it as r - B(phi):
         # the rounding of that difference is on the scale of B (about 1e12
         # at phi = 0.05) and would stay in every carried residual after it.
-        # "held" is the affine part of the point whose pass the scratch
-        # fields hold, or None after a line trial.
+        # "held" names the point whose pass the scratch fields hold: the
+        # affine part of a residual's point, or after a line trial the
+        # trial record of its direction.  Every pass sets it.
         carried = {"held": None}
 
         def bulk_pass(x: np.ndarray) -> None:
@@ -351,7 +357,7 @@ class _SchemeBase:
                 2.0 * weight * dt
             )
             bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if concave else inv8 / 3.0
-            value += inner(grid, bulk, ones)
+            value += scale * float(bulk.sum())
             if linear:
                 value += 0.5 * linear * inner(grid, phi, phi)
             value += 0.5 * stiffness * grad_norm_2(grid, phi) ** 2
@@ -375,6 +381,10 @@ class _SchemeBase:
             dflat = d.ravel()
             s0 = inner(grid, affine, d)
             s1 = inner(grid, kd, d)
+            # The alpha of this direction's last trial.  The list itself is
+            # the trial record put in carried["held"]: it is new with every
+            # direction, so a pass is never reused along another one.
+            tried = [None]
 
             def trial(alpha: float) -> None:
                 np.multiply(d, alpha, out=work)
@@ -384,7 +394,8 @@ class _SchemeBase:
                         "line trial point is not strictly positive"
                     )
                 bulk_pass(work)
-                carried["held"] = None
+                tried[0] = alpha
+                carried["held"] = tried
 
             def g(alpha: float) -> tuple:
                 # At alpha = 0 the pass of the residual at phi, when still
@@ -397,7 +408,10 @@ class _SchemeBase:
                 return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
             def residual_at(alpha: float) -> np.ndarray:
-                trial(alpha)
+                # The scratch fields still hold the pass at phi + alpha d
+                # when the last pass was this direction's trial at alpha.
+                if not (carried["held"] is tried and tried[0] == alpha):
+                    trial(alpha)
                 moved = affine + alpha * kd
                 out = bulk + moved
                 carried.update(r=out, affine=moved, held=moved)

@@ -83,7 +83,25 @@ class SpectralSolver:
         return inner(self.grid, f, self.inv_neg_lap(g))
 
     def hminus1_norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.hminus1_inner(f, f), 0.0)))
+        """H^-1 norm sqrt(<f, (-lap)^{-1} f>) of a mean-zero field.
+
+        One forward transform: by Parseval the square is
+        h^dim / N * sum_k w_k |f_k|^2 / lambda_k over the half spectrum of
+        rfftn (N cells, mode 0 dropped), where w_k = 2 for the last-axis
+        modes that stand for a conjugate pair and 1 for modes 0 and n/2.
+        """
+        self.grid.validate_field(f)
+        self._check_mean(f)
+        fhat = np.fft.rfftn(f, axes=self._axes)
+        q = np.square(fhat.real)
+        q += np.square(fhat.imag)
+        q /= self._eig_safe
+        q.flat[0] = 0.0
+        total = 2.0 * float(q.sum()) - float(q[..., 0].sum())
+        if self.grid.n % 2 == 0:
+            total -= float(q[..., -1].sum())
+        value = self.grid.cell_volume / self.grid.num_cells * total
+        return float(np.sqrt(max(value, 0.0)))
 
     def _preconditioned_hat(
         self, r: np.ndarray, a0: float, a1: float, a2: float

@@ -329,6 +329,22 @@ class TestModifiedEnergy:
         args = (grid, solver, new, old, 0.3, a0_star(), 0.01)
         assert modified_energy(*args, energy) == modified_energy(*args)
 
+    def test_hminus1_term_matches_hminus1_inner(self):
+        grid = Grid(2, 12, 1.0)
+        solver = SpectralSolver(grid)
+        dt = 0.01
+        new = positive_field(grid, 45)
+        old = new + 0.05 * np.sin(2 * np.pi * grid.coordinates()[1])
+        diff = new - old
+        diff -= np.mean(diff)
+        expected = (
+            discrete_energy(grid, new, 0.3)
+            + solver.hminus1_inner(diff, diff) / (4.0 * dt)
+            + (4.0 / 3.0) * a0_star() * norm_2(grid, new - old) ** 2
+        )
+        got = modified_energy(grid, solver, new, old, 0.3, a0_star(), dt)
+        assert got == pytest.approx(expected, rel=1e-14)
+
     def test_reduces_to_energy_for_stationary_pair(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)

@@ -225,6 +225,7 @@ class TestCliStep:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "energy=" in line and "psd_iters=" in line
         assert "line_evals=" in line and "restarts=" in line
+        assert re.search(r"\bcapped=0\b", line)
 
     def test_step_chains_from_snapshot(self, tmp_path):
         first = tmp_path / "first"

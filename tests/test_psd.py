@@ -24,6 +24,7 @@ from thinfilm import (
     norm_inf,
     psd_solve,
 )
+from thinfilm.psd import _LINE_TOL
 
 
 def bisect_root(g, lo, hi, iters=200):
@@ -181,6 +182,39 @@ class TestLineSearch:
         got = line_search(g, math.inf, g0=(-root, 1.0))
         assert len(calls) <= 4
         assert got == pytest.approx(root, abs=1e-9)
+
+    def test_cg_stop_returns_an_evaluated_trial(self):
+        """With the bound psd_solve passes, sqrt(_LINE_TOL), the search ends
+        at a point g evaluated, where |g| <= sqrt(_LINE_TOL) |g(0)|."""
+        s = 10.0
+        gtol = math.sqrt(_LINE_TOL)
+
+        def f(a):
+            return (1.0 - a) ** -9 - 1.0 - s if a < 1.0 else math.inf
+
+        def df(a):
+            return 9.0 * (1.0 - a) ** -10 if a < 1.0 else math.nan
+
+        def cubic(a):
+            return a**3 + a - 0.327
+
+        def dcubic(a):
+            return 3.0 * a**2 + 1.0
+
+        # (g, g', barrier, |g(0)|)
+        cases = [(f, df, 1.0, s), (cubic, dcubic, math.inf, 0.327)]
+        for value, slope, barrier, g0 in cases:
+            for g in both_paths(value, slope):
+                values = {}
+
+                def recorded(a, _g=g):
+                    out = _g(a)
+                    values[a] = out[0]
+                    return out
+
+                got = line_search(recorded, barrier, gtol=gtol)
+                assert got in values
+                assert abs(values[got]) <= gtol * g0
 
 
 def quadratic_problem(grid, solver, coeffs, seed):

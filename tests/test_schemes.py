@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from thinfilm import psd as psd_module
 from thinfilm import (
     Bdf2Scheme,
     FirstOrderScheme,
@@ -351,6 +352,53 @@ class TestDirectionalFactory:
             assert got[0] == pytest.approx(fresh[0], rel=1e-12)
             assert got[1] == pytest.approx(fresh[1], rel=1e-12)
         assert held[0] == pytest.approx(-inner(grid, r, d), rel=1e-10)
+
+    @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_residual_at_reuses_only_the_last_trial(self, setup, which, between):
+        """residual_at(alpha) right after g(alpha) takes that trial's pass,
+        and gives the same bits as a fresh system that evaluates phi + alpha d;
+        after any other pass it evaluates afresh, to the same bits."""
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 87)
+        phi = positive_field(grid, 88)
+        _, system = self.make_system(setup, which, phi_old, dt)
+        r, rp, d = self.gradient(system, phi)
+        alpha = 0.4 * barrier_alpha(phi, d)
+        g, residual_at = system.directional(phi, (d, rp), r)
+        g(alpha)
+        if between == "other trial":
+            g(0.5 * alpha)
+        elif between == "residual":
+            system.residual(positive_field(grid, 89))
+        got = residual_at(alpha)
+
+        _, fresh_system = self.make_system(setup, which, phi_old, dt)
+        r_fresh = fresh_system.residual(phi)
+        fresh = fresh_system.directional(phi, (d, rp), r_fresh)[1](alpha)
+        assert np.array_equal(got, fresh)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_pass_never_reused_along_another_direction(self, setup, which):
+        """After a trial at alpha along d, a new direction at the same alpha
+        must not take that pass, even when it is the same array changed in
+        place (as the CG update does)."""
+        grid = setup[0]
+        dt = 0.08
+        phi_old = positive_field(grid, 90)
+        phi = positive_field(grid, 91)
+        _, system = self.make_system(setup, which, phi_old, dt)
+        r, rp, d = self.gradient(system, phi)
+        alpha = 0.3 * barrier_alpha(phi, d)
+        g, _ = system.directional(phi, (d, rp), r)
+        g(alpha)
+        d *= 0.5
+        image = 0.5 * rp
+        _, residual_at = system.directional(phi, (d, image), r)
+        got = residual_at(alpha)
+        naive = system.residual(phi + alpha * d)
+        assert norm_inf(got - naive) <= 1e-10 * max(1.0, norm_inf(naive))
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_line_trial_guards_positivity(self, setup, which):
@@ -714,13 +762,13 @@ class TestStepBehavior:
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
         assert report.restarts == trace.restarts
 
-    @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 4), (Bdf2Scheme, 6)])
+    @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 4), (Bdf2Scheme, 5)])
     def test_transforms_per_step(self, monkeypatch, scheme_cls, fixed):
         """An unforced step pays one rfft/irfft pair per CG iteration.
 
         On top of them come the pairs of the first residual and of the
         accepting iteration's preconditioner solve, and for the two-step
-        scheme the H^-1 norm of the modified energy.
+        scheme the one forward transform of the modified energy's H^-1 norm.
         """
         transforms = [0]
         for name in ("rfftn", "irfftn"):
@@ -739,6 +787,59 @@ class TestStepBehavior:
             state, report = scheme.step(state, 0.01)
             assert report.psd_iters >= 2
             assert transforms[0] - before == 2 * report.psd_iters + fixed
+
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_pointwise_passes_per_step(self, monkeypatch, scheme_cls):
+        """An unforced step pays one pointwise pass per line evaluation.
+
+        On top of them comes the pass of the first residual.  Every search
+        of these steps ends at a trial it evaluated, whose pass the next
+        residual reuses; the pass starts with the only np.divide with out=.
+        """
+        passes = [0]
+        original = np.divide
+
+        def counted(*args, **kwargs):
+            passes[0] += "out" in kwargs
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "divide", counted)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        for _ in range(3):
+            before = passes[0]
+            state, report = scheme.step(state, 0.01)
+            assert report.line_evals > report.psd_iters >= 2
+            assert passes[0] - before == report.line_evals + 1
+
+    def test_capped_searches_are_counted(self, monkeypatch):
+        """A BDF2 step system at dt = 10 solved from a start with a spike of
+        1000 in one cell: the first search's root lies past the cap at 1% of
+        the spike.  The trace counts the searches that a rule on the barrier
+        (alpha >= barrier (1 - 1e-9)) calls capped."""
+        by_rule = [0]
+        search = psd_module.line_search
+
+        def ruled(g, barrier, *args, **kwargs):
+            alpha = search(g, barrier, *args, **kwargs)
+            by_rule[0] += math.isfinite(barrier) and alpha >= barrier * (1.0 - 1e-9)
+            return alpha
+
+        monkeypatch.setattr(psd_module, "line_search", ruled)
+        grid = Grid(2, 32, 1.0)
+        scheme = Bdf2Scheme(grid, PhysParams(eps=0.1))
+        phi_old = np.random.default_rng(1).uniform(1.8, 2.2, grid.shape)
+        system = scheme.step_system_from(phi_old, phi_old, 10.0)
+        start = phi_old.copy()
+        start[16, 16] += 1000.0
+        start -= 1000.0 / grid.num_cells
+        phi, trace = psd_solve(
+            grid, system.residual, system.precondition, start,
+            directional=system.directional,
+        )
+        assert trace.residual_norms[-1] <= 1e-9
+        assert trace.capped == by_rule[0] >= 1
 
     def test_custom_solver_config_respected(self, setup):
         grid, params, _, _ = setup

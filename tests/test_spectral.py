@@ -126,6 +126,17 @@ class TestHminus1:
             solver.hminus1_inner(g, f), rel=1e-11
         )
 
+    @pytest.mark.parametrize("dim, n", [(1, 16), (1, 7), (2, 8), (2, 9), (3, 6), (3, 5)])
+    def test_norm_matches_inner_product(self, dim, n):
+        """The one-transform Parseval norm, with its half-spectrum weights,
+        against <f, (-lap)^{-1} f> through the inverse Laplacian."""
+        grid = Grid(dim, n, 1.3)
+        solver = SpectralSolver(grid)
+        f = random_mean_zero(grid, 30 + dim)
+        assert solver.hminus1_norm(f) ** 2 == pytest.approx(
+            solver.hminus1_inner(f, f), rel=1e-13
+        )
+
     def test_norm_positive_definite(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
