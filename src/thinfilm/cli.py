@@ -354,7 +354,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return cmd.run(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # Option values out of range: the configs reject them on construction.
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 1
     except (ThinFilmError, OSError) as exc:

@@ -22,13 +22,14 @@ strictly positive and keeps its mean.
 
 g is strictly increasing with g(0) = -<d, rp> < 0, and blows up to +inf at
 the barrier when the barrier is finite, so its root is unique.  The search
-is a safeguarded Newton iteration on g, seeded by the slope g'(0) that the
-step system carries from the last residual it assembled; where a Newton
-step would leave the bracket or stall, a sign change is bracketed by
-geometric expansion and resolved by Illinois-damped false position, which
-is the whole method for a residual function without a slope.  If the
-safety cap itself is still downhill the capped step is taken as is; the
-iteration remains a descent step.
+is a Newton iteration on g with a bisection safeguard (Numerical Recipes,
+rtsafe), seeded by the slope g'(0) that the step system carries from the
+last residual it assembled; a residual function without a slope gets the
+secant slope through its last two trials instead.  Where a Newton step
+would leave the bracket or stall, the search bisects the bracket, or
+doubles the step while g has not yet changed sign.  If the safety cap
+itself is still downhill the capped step is taken as is; the iteration
+remains a descent step.
 
 The CG loop does not need the root itself, only a step that keeps PR+
 convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): it ends a search at
@@ -159,19 +160,19 @@ def line_search(
 ) -> float:
     """Locate the positive root of an increasing scalar derivative g.
 
-    g(alpha) returns the pair (g(alpha), g'(alpha)).  A slope that is not
-    finite and positive (nan when unknown) rules out the Newton step from
-    that point; with no slope at all the search is the plain bracketing
-    method below.  ``g0`` is the pair at alpha = 0 when the caller already
-    has it.  ``gtol`` is the first stop's bound on |g| relative to |g(0)|.
-    Accepts alpha_barrier = +inf for barrier-free directions.
+    g(alpha) returns the pair (g(alpha), g'(alpha)), with a nan slope when
+    g does not know it; the search then uses the secant slope through the
+    last two distinct trials.  ``g0`` is the pair at alpha = 0 when the
+    caller already has it.  ``gtol`` is the first stop's bound on |g|
+    relative to |g(0)|.  Accepts alpha_barrier = +inf for barrier-free
+    directions.
 
-    The first trial is the Newton step from 0 (1 without a slope), at most
-    half the barrier.  Each later trial is the Newton step from the last
-    one when it stays inside the current bracket and is at most half the
-    move before the last (as fast as bisection); otherwise alpha doubles
-    while g < 0, and inside a sign-change bracket Illinois false position
-    takes over (a midpoint when the interpolant leaves the bracket).
+    One rule picks every trial (Numerical Recipes, rtsafe).  The first is
+    the Newton step from 0 (1 without a slope), at most half the barrier.
+    Each later one is the Newton step from the last trial when it lies
+    inside the current bracket and is at most half the move before the
+    last (as fast as bisection); otherwise the search bisects the bracket
+    once g has changed sign, and doubles the step toward the cap before.
     Three stops:
 
     - |g(alpha)| <= gtol |g(0)|, returning that evaluated trial;
@@ -192,7 +193,9 @@ def line_search(
     evaluated.
 
     When even the capped step stays downhill the cap is returned (a
-    barrier-limited descent step).
+    barrier-limited descent step).  BarrierCollapseError is raised when
+    g stays negative until the doubling overflows or no stop is met in
+    456 trials.
     """
     if g0 is None:
         g0 = _eval_g(g, 0.0)
@@ -208,16 +211,14 @@ def line_search(
     ntol = math.sqrt(_LINE_TOL)
     # [lo, hi] holds the root once a trial has turned g non-negative
     # (bracketed); until then hi is the cap.
-    lo, glo = 0.0, value0
-    hi, ghi = cap, math.nan
+    lo, hi = 0.0, cap
     bracketed = False
-    side = 0
+    # The previous trial, for a secant slope where g reports none.
+    last, glast = 0.0, value0
     newton = _newton(0.0, value0, slope0)
     a = min(newton if 0.0 < newton < math.inf else 1.0, alpha_barrier / 2.0, cap)
     took_newton = a == newton
     move, move_before = a, math.inf
-    expansions = 0
-    # At most 200 expansions and 256 steps inside the bracket.
     for _ in range(456):
         value, slope = _eval_g(g, a)
         if abs(value) <= gstop:
@@ -225,21 +226,14 @@ def line_search(
         if value < 0.0:
             if a >= cap:
                 return cap
-            lo, glo = a, value
-            # Illinois: when the same endpoint survives twice in a row,
-            # halve its stored value so the interpolant moves off it.
-            if bracketed:
-                if side < 0 and math.isfinite(ghi):
-                    ghi *= 0.5
-                side = -1
+            lo = a
         else:
-            if bracketed:
-                if side > 0:
-                    glo *= 0.5
-                side = 1
-            hi, ghi, bracketed = a, value, True
+            hi, bracketed = a, True
         if bracketed and hi - lo <= _LINE_TOL * hi:
             return 0.5 * (lo + hi)
+        if math.isnan(slope) and a != last:
+            slope = (value - glast) / (a - last)
+        last, glast = a, value
 
         x = _newton(a, value, slope)
         step = abs(x - a)
@@ -248,19 +242,11 @@ def line_search(
             return x
         took_newton = inside and step <= 0.5 * move_before
         if not took_newton:
-            if not bracketed:
-                expansions += 1
-                if expansions > 200 or not math.isfinite(a):
-                    raise BarrierCollapseError(
-                        "directional derivative never changed sign during expansion"
-                    )
-                x = min(a * _GROWTH, cap)
-            elif math.isfinite(ghi):
-                x = (lo * ghi - hi * glo) / (ghi - glo)
-                if not (lo < x < hi):
-                    x = 0.5 * (lo + hi)
-            else:
-                x = 0.5 * (lo + hi)
+            x = 0.5 * (lo + hi) if bracketed else min(a * _GROWTH, cap)
+            if not math.isfinite(x):
+                raise BarrierCollapseError(
+                    "directional derivative never changed sign before overflow"
+                )
         move_before, move = move, abs(x - a)
         a = x
     raise BarrierCollapseError(
@@ -301,8 +287,8 @@ def psd_solve(
     of order mean(r) sum(d), large near the barrier.  Schemes supply
     factories that exploit the affine structure of their residuals; both
     closures must agree with the naive evaluations to rounding error.
-    Without a factory the slope is unknown (nan) and the line search falls
-    back to false position.
+    Without a factory the slope is unknown (nan) and the line search takes
+    secant slopes.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)

@@ -46,7 +46,6 @@ class SpectralSolver:
             shape = [1] * grid.dim
             shape[ax] = line.size
             eig = eig + line.reshape(shape)
-        self._eig = eig
         # Safe divisor: mode 0 is never used (pinned to zero after division).
         self._eig_safe = eig.copy()
         self._eig_safe.flat[0] = 1.0

@@ -16,11 +16,13 @@ from thinfilm import (
     Bdf2Scheme,
     CoarseningConfig,
     ConvergenceTable,
+    EnergyRecord,
     Grid,
     InsufficientDataError,
     ManufacturedSolution,
     NonPositiveValueError,
     PhysParams,
+    PositivityLostError,
     SpectralSolver,
     UnfinishedError,
     fit_power_law,
@@ -30,6 +32,7 @@ from thinfilm import (
     run_coarsening,
     run_convergence_bdf2,
     run_convergence_first_order,
+    restart_state,
 )
 from thinfilm.experiments import _step_plan
 
@@ -356,6 +359,37 @@ class TestCoarseningRun:
         _, report = scheme.step(state, 0.003)
         assert [r.t for r in run.records] == [0.0, 0.003]
         assert run.records[1].energy == report.energy
+
+    def test_cold_start_falls_back_to_duplicated_history(self):
+        """At dt = 1 the ghost state of the cold start loses positivity, so
+        the run starts from restart_state and steps on from there."""
+        cfg = CoarseningConfig(
+            n=8, length=0.8, eps=0.02, seed=0, t_end=2.0,
+            schedule=((2.0, 1.0),), snapshot_times=(),
+        )
+        run = run_coarsening(cfg)
+        grid = run.grid
+        scheme = Bdf2Scheme(grid, PhysParams(cfg.eps), SpectralSolver(grid), cfg.psd)
+        phi0 = random_initial_data(grid, cfg.seed)
+        with pytest.raises(PositivityLostError):
+            scheme.cold_start(phi0, 1.0)
+        state = restart_state(grid, phi0)
+        expected = [run.records[0]]
+        for t in (1.0, 2.0):
+            state, report = scheme.step(state, 1.0)
+            expected.append(
+                EnergyRecord(
+                    t=t,
+                    energy=report.energy,
+                    modified_energy=report.modified_energy,
+                    mass=mean(grid, state.phi),
+                    min_phi=report.min_phi,
+                    psd_iters=report.psd_iters,
+                    residual=report.final_residual,
+                )
+            )
+        assert run.records == expected
+        assert np.array_equal(run.final_phi, state.phi)
 
     def test_evenly_dividing_rungs_start_at_their_ends(self):
         cfg = tiny_config(

@@ -372,6 +372,25 @@ class TestCliErrors:
         assert main(["selftest"]) == 1
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["step", "--tol", "0"],
+            ["step", "--n", "1"],
+            ["step", "--eps", "0"],
+            ["coarsen", "--t-end", "-1"],
+            ["converge2", "--dt-factor", "0.3"],
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        """Values that parse but that the configs reject: one error line, exit 1."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestCliCoarsen:
     def coarsen_args(self, outdir):

@@ -75,8 +75,8 @@ class TestBarrierAlpha:
 
 
 def both_paths(f, df):
-    """g -> (f, f') through the Newton path, and g -> (f, nan) through the
-    false-position path a residual function without a slope gets."""
+    """g -> (f, f') with the slope g reports, and g -> (f, nan) with the
+    secant slope the search takes when a residual function has none."""
     return (lambda a: (f(a), df(a)), lambda a: (f(a), math.nan))
 
 
@@ -154,6 +154,22 @@ class TestLineSearch:
         for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
             with pytest.raises(BarrierCollapseError):
                 line_search(g, 0.0)
+
+    @pytest.mark.parametrize("slope", [1e-308, 1.0, math.nan])
+    def test_never_returns_an_infinite_step(self, slope):
+        """g = -1 for every alpha on an infinite barrier: the doubling
+        overflows or the trial budget runs out, and the search raises
+        instead of returning alpha = inf."""
+        calls = []
+
+        def g(a):
+            calls.append(a)
+            return -1.0, slope
+
+        with pytest.raises(BarrierCollapseError):
+            line_search(g, math.inf)
+        assert len(calls) <= 457
+        assert all(math.isfinite(a) for a in calls)
 
     def test_respects_precomputed_g0(self):
         for slope0 in (1.0, math.nan):
