@@ -21,6 +21,7 @@ reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +67,16 @@ class PhysParams:
     a_stab: float = None
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.a0 is None:
             object.__setattr__(self, "a0", a0_star())
         if self.a_stab is None:
             object.__setattr__(self, "a_stab", (4.0 / 9.0) * self.a0**2)
-        if not (self.a0 > 0.0):
-            raise ValueError(f"a0 must be positive, got {self.a0}")
-        if not (self.a_stab >= 0.0):
-            raise ValueError(f"a_stab must be >= 0, got {self.a_stab}")
+        if not (0.0 < self.a0 < math.inf):
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if not (0.0 <= self.a_stab < math.inf):
+            raise ValueError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
 
 
 def check_positive(phi: np.ndarray, what: str = "field") -> None:

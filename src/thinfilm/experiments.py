@@ -151,6 +151,8 @@ def run_convergence_first_order(
     Errors are measured against the sampled manufactured profile at
     t_final; the expected l2 slope against the step count is -1.
     """
+    if any(nt < 1 for nt in nt_values):
+        raise ValueError(f"step counts must be >= 1, got {list(nt_values)}")
     grid = Grid(2, n, length)
     profile = ManufacturedSolution()
     scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
@@ -177,6 +179,8 @@ def run_convergence_bdf2(
     History is synthesized by the ghost start, so the whole run is second
     order and both error norms fit slope -2 against n.
     """
+    if not (0.0 < dt_factor < math.inf):
+        raise ValueError(f"dt_factor must be positive and finite, got {dt_factor}")
     profile = ManufacturedSolution()
 
     def runs():

@@ -24,6 +24,7 @@ grids (the reduction is exercised by the test suite).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class Grid:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 2:
             raise ValueError(f"need at least 2 cells per direction, got {self.n}")
-        if not (self.length > 0.0):
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not (0.0 < self.length < math.inf):
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def h(self) -> float:

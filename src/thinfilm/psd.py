@@ -15,8 +15,8 @@ with rp = r - mean r and res^2 = <p, rp>.  The direction falls back to p
 preconditioner image L d = rp + beta L d_prev is carried along at no
 transform cost, for step systems that can use it.
 
-alpha is the root of the scalar derivative g(alpha) along d, located by a
-positivity-aware line search: the update may consume at most a fixed
+alpha approximates the root of the scalar derivative g(alpha) along d,
+found by a positivity-aware line search: the update may consume at most a fixed
 fraction of the distance to the positivity barrier, so every iterate stays
 strictly positive and keeps its mean.
 
@@ -32,11 +32,10 @@ itself is still downhill the capped step is taken as is; the iteration
 remains a descent step.
 
 The CG loop does not need the root itself, only a step that keeps PR+
-convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): it ends a search at
-the first evaluated trial with |g(alpha)| <= sqrt(_LINE_TOL) |g(0)|, a
-strong-Wolfe curvature condition with sigma = 1e-6, and that stop ends
-most of its searches.  Since the accepted point is then one that g has
-evaluated, a step system can carry that trial's pointwise pass into the
+convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): a search ends at the
+first trial with |g(alpha)| <= _WOLFE_TOL |g(0)|, a strong-Wolfe curvature
+condition with sigma = 1e-6.  Every search ends at a trial that g
+evaluated, so a step system can carry that trial's pointwise pass into the
 next residual instead of repeating it.
 """
 
@@ -52,8 +51,10 @@ from .grid import Grid, inner
 
 # Fraction of the distance to the positivity barrier a step may consume.
 _ALPHA_SAFETY = 0.99
-# Relative stopping tolerance of the line search: on g, on the bracket, and
-# on the error of a final Newton correction.
+# The line search's stop on |g| relative to |g(0)|: a strong-Wolfe
+# curvature condition with sigma = 1e-6.
+_WOLFE_TOL = 1e-6
+# Relative width at which a bracket counts as collapsed.
 _LINE_TOL = 1e-12
 # Factor by which the line search widens its trial step while g < 0.
 _GROWTH = 2.0
@@ -155,16 +156,13 @@ def _newton(alpha: float, value: float, slope: float) -> float:
     return math.nan
 
 
-def line_search(
-    g, alpha_barrier: float, g0: tuple | None = None, gtol: float = _LINE_TOL
-) -> float:
-    """Locate the positive root of an increasing scalar derivative g.
+def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
+    """Step along an increasing scalar derivative g to near its positive root.
 
     g(alpha) returns the pair (g(alpha), g'(alpha)), with a nan slope when
     g does not know it; the search then uses the secant slope through the
     last two distinct trials.  ``g0`` is the pair at alpha = 0 when the
-    caller already has it.  ``gtol`` is the first stop's bound on |g|
-    relative to |g(0)|.  Accepts alpha_barrier = +inf for barrier-free
+    caller already has it.  Accepts alpha_barrier = +inf for barrier-free
     directions.
 
     One rule picks every trial (Numerical Recipes, rtsafe).  The first is
@@ -173,29 +171,16 @@ def line_search(
     inside the current bracket and is at most half the move before the
     last (as fast as bisection); otherwise the search bisects the bracket
     once g has changed sign, and doubles the step toward the cap before.
-    Three stops:
+    Every return is a trial that g evaluated:
 
-    - |g(alpha)| <= gtol |g(0)|, returning that evaluated trial;
-    - the bracket is narrower than _LINE_TOL * alpha (its midpoint is
-      returned);
-    - after a Newton move m, the correction c = |g/g'| is at most
-      sqrt(_LINE_TOL) * alpha and at most m^2 / alpha; the corrected point
-      is returned.  Its error is K c^2 with K = g'' / 2g', and the move
-      measures K = c / m^2 <= 1 / alpha, so the error is at most
-      _LINE_TOL * alpha.
+    - the first with |g(alpha)| <= _WOLFE_TOL |g(0)|;
+    - the downhill end of a bracket narrower than _LINE_TOL * alpha, where
+      g < 0, so still a descent step (rounding of g above the Wolfe bound);
+    - the step cap, when even the capped step stays downhill (a
+      barrier-limited descent step).
 
-    On the step systems g is a small difference of large inner products
-    whose rounding lies above _LINE_TOL |g(0)| near the root.  With the
-    default gtol = _LINE_TOL the first stop is therefore out of reach and
-    the third ends most searches, at a point g never evaluated.  psd_solve
-    passes gtol = sqrt(_LINE_TOL), the bound the third stop applies to its
-    correction; the first stop then ends most searches, at the trial just
-    evaluated.
-
-    When even the capped step stays downhill the cap is returned (a
-    barrier-limited descent step).  BarrierCollapseError is raised when
-    g stays negative until the doubling overflows or no stop is met in
-    456 trials.
+    BarrierCollapseError is raised when g stays negative until the doubling
+    overflows or no stop is met in 456 trials.
     """
     if g0 is None:
         g0 = _eval_g(g, 0.0)
@@ -207,8 +192,7 @@ def line_search(
     if not cap > 0.0:
         raise BarrierCollapseError("positivity barrier leaves no admissible step")
 
-    gstop = gtol * abs(value0)
-    ntol = math.sqrt(_LINE_TOL)
+    gstop = _WOLFE_TOL * abs(value0)
     # [lo, hi] holds the root once a trial has turned g non-negative
     # (bracketed); until then hi is the cap.
     lo, hi = 0.0, cap
@@ -217,7 +201,6 @@ def line_search(
     last, glast = 0.0, value0
     newton = _newton(0.0, value0, slope0)
     a = min(newton if 0.0 < newton < math.inf else 1.0, alpha_barrier / 2.0, cap)
-    took_newton = a == newton
     move, move_before = a, math.inf
     for _ in range(456):
         value, slope = _eval_g(g, a)
@@ -230,18 +213,13 @@ def line_search(
         else:
             hi, bracketed = a, True
         if bracketed and hi - lo <= _LINE_TOL * hi:
-            return 0.5 * (lo + hi)
+            return lo
         if math.isnan(slope) and a != last:
             slope = (value - glast) / (a - last)
         last, glast = a, value
 
         x = _newton(a, value, slope)
-        step = abs(x - a)
-        inside = lo < x < hi
-        if took_newton and inside and step <= ntol * a and step * a <= move * move:
-            return x
-        took_newton = inside and step <= 0.5 * move_before
-        if not took_newton:
+        if not (lo < x < hi and abs(x - a) <= 0.5 * move_before):
             x = 0.5 * (lo + hi) if bracketed else min(a * _GROWTH, cap)
             if not math.isfinite(x):
                 raise BarrierCollapseError(
@@ -279,16 +257,16 @@ def psd_solve(
     for the line search in place of assembling the residual at every trial
     point; residual_at(alpha) = residual_fn(phi + alpha d) carries the
     residual to the next iteration.  It is called right after the search,
-    with no other g call in between, so it may reuse the work of a trial at
-    the same alpha.  g(0) seeds the search with its slope
-    and is not counted as a line evaluation; step systems answer it from
-    the state they carry at phi.  Its value is replaced by -<d, rp> from
-    the deflated residual: the undeflated inner product carries rounding
-    of order mean(r) sum(d), large near the barrier.  Schemes supply
-    factories that exploit the affine structure of their residuals; both
-    closures must agree with the naive evaluations to rounding error.
-    Without a factory the slope is unknown (nan) and the line search takes
-    secant slopes.
+    with no other g call in between, and every search ends at a trial g
+    evaluated, so it may reuse the work of a trial at the same alpha.  g(0)
+    seeds the search with its slope and is not counted as a line
+    evaluation; step systems answer it from the state they carry at phi.
+    Its value is replaced by -<d, rp> from the deflated residual: the
+    undeflated inner product carries rounding of order mean(r) sum(d),
+    large near the barrier.  Schemes supply factories that exploit the
+    affine structure of their residuals; both closures must agree with the
+    naive evaluations to rounding error.  Without a factory the slope is
+    unknown (nan) and the line search takes secant slopes.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)
@@ -359,12 +337,8 @@ def psd_solve(
             evals += 1
             return g_inner(alpha)
 
-        # |g| <= sqrt(_LINE_TOL) |g(0)| is a strong-Wolfe curvature
-        # condition, all that PR+ needs (see the module docstring).
         barrier = barrier_alpha(phi, d, _ALPHA_SAFETY)
-        alpha = line_search(
-            g, barrier, g0=(-slope, slope0), gtol=math.sqrt(_LINE_TOL)
-        )
+        alpha = line_search(g, barrier, g0=(-slope, slope0))
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
         phi = phi + alpha * d

@@ -126,10 +126,10 @@ class StepSystem:
     pass that produced r is still held: its slope comes from the curvature
     -B' carried from that pass.  residual_at(alpha) = r(phi + alpha d)
     costs one pass, unless the last pass of the step was this direction's
-    trial at the same alpha: the line search mostly ends at a trial it
-    evaluated, and that pass is then reused, to the same bits.  Both agree
-    with the naive evaluation through ``residual`` to rounding error
-    whenever s = L d to rounding error.
+    trial at the same alpha: the line search ends at a trial it evaluated,
+    as a rule its last, and that pass is then reused, to the same bits.
+    Both agree with the naive evaluation through ``residual`` to rounding
+    error whenever s = L d to rounding error.
     """
 
     residual: Callable

@@ -1,8 +1,12 @@
-"""The package's public names, pinned.
+"""The package's public names, pinned, and the signatures read by position.
 
 Adding or removing a public name has to change the list below, so every
-change to the API surface shows up in review.
+change to the API surface shows up in review.  The benchmark's tracer reads
+the barrier of ``line_search`` as its second positional argument, so that
+signature is pinned too.
 """
+
+import inspect
 
 import thinfilm
 
@@ -85,3 +89,15 @@ def test_public_names_are_pinned_unique_and_resolve():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(thinfilm, name)]
     assert missing == []
+
+
+def test_line_search_signature_is_pinned():
+    """(g, alpha_barrier, g0=None): no tolerance knob, barrier second."""
+    params = inspect.signature(thinfilm.line_search).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        ("g", empty),
+        ("alpha_barrier", empty),
+        ("g0", None),
+    ]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)

@@ -99,6 +99,9 @@ class TestPhysParams:
             PhysParams(eps=0.1, a0=-1.0)
         with pytest.raises(ValueError):
             PhysParams(eps=0.1, a_stab=-0.1)
+        for kwargs in ({"eps": math.inf}, {"a0": math.inf}, {"a_stab": math.inf}):
+            with pytest.raises(ValueError):
+                PhysParams(**{"eps": 0.1, **kwargs})
 
     def test_frozen(self):
         p = PhysParams(eps=0.1)

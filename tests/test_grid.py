@@ -109,6 +109,8 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             Grid(2, 8, 0.0)
         with pytest.raises(ValueError):
+            Grid(2, 8, math.inf)
+        with pytest.raises(ValueError):
             Grid(2, 8, 1.0).validate_field(np.zeros((8, 4)))
 
     def test_cell_centers_offset_half(self):

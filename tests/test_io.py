@@ -380,6 +380,10 @@ class TestCliErrors:
             ["step", "--eps", "0"],
             ["coarsen", "--t-end", "-1"],
             ["converge2", "--dt-factor", "0.3"],
+            ["converge1", "--nt", "0,1,2"],
+            ["converge2", "--dt-factor", "0"],
+            ["step", "--length", "inf"],
+            ["step", "--eps", "inf"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

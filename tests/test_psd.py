@@ -24,7 +24,7 @@ from thinfilm import (
     norm_inf,
     psd_solve,
 )
-from thinfilm.psd import _LINE_TOL
+from thinfilm.psd import _WOLFE_TOL
 
 
 def bisect_root(g, lo, hi, iters=200):
@@ -80,14 +80,44 @@ def both_paths(f, df):
     return (lambda a: (f(a), df(a)), lambda a: (f(a), math.nan))
 
 
+def evaluated_search(g, barrier, **kwargs):
+    """line_search on g, asserting that the step it returns is a trial g
+    evaluated; returns the step and the value of g there."""
+    values = {}
+
+    def recorded(a):
+        out = g(a)
+        values[a] = out[0]
+        return out
+
+    got = line_search(recorded, barrier, **kwargs)
+    assert got in values
+    return got, values[got]
+
+
+def assert_wolfe_step(f, df, barrier, root):
+    """On both slope paths the search ends at an evaluated trial with
+    |g| <= _WOLFE_TOL |g(0)|, and the root lies within |g| / g' of it.
+
+    For convex increasing g the slope between the step and the root is at
+    least g' at the smaller of the two, which bounds the distance.  |g|
+    carries the rounding of its evaluation, a few ulps of |g(0)| here."""
+    g0 = abs(f(0.0))
+    for g in both_paths(f, df):
+        got, value = evaluated_search(g, barrier)
+        assert abs(value) <= _WOLFE_TOL * g0
+        rounding = 4.0 * np.finfo(float).eps * g0
+        assert abs(got - root) <= (abs(value) + rounding) / df(min(got, root))
+
+
 class TestLineSearch:
     def test_linear_root(self):
         for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
-            assert line_search(g, math.inf) == pytest.approx(1.0, abs=1e-9)
+            got, _ = evaluated_search(g, math.inf)
+            assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_cubic_root(self):
-        for g in both_paths(lambda a: a**3 - 8.0, lambda a: 3.0 * a**2):
-            assert line_search(g, math.inf) == pytest.approx(2.0, abs=1e-9)
+        assert_wolfe_step(lambda a: a**3 - 8.0, lambda a: 3.0 * a**2, math.inf, 2.0)
 
     def test_barrier_blowup_root_matches_bisection_oracle(self):
         s = 10.0
@@ -100,10 +130,8 @@ class TestLineSearch:
 
         exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
         oracle = bisect_root(f, 0.0, 1.0 - 1e-16)
-        for g in both_paths(f, df):
-            got = line_search(g, 1.0)
-            assert got == pytest.approx(exact, abs=1e-11)
-            assert got == pytest.approx(oracle, abs=1e-11)
+        assert oracle == pytest.approx(exact, abs=1e-15)
+        assert_wolfe_step(f, df, 1.0, oracle)
 
     def test_steep_pole_root(self):
         """g = (1 - a)^-9 - 1 - 1e6: the doubling trials reach the cap next
@@ -118,22 +146,23 @@ class TestLineSearch:
             return 9.0 * (1.0 - a) ** -10 if a < 1.0 else math.nan
 
         exact = 1.0 - (1.0 + s) ** (-1.0 / 9.0)
-        for g in both_paths(f, df):
-            assert line_search(g, 1.0) == pytest.approx(exact, abs=1e-11)
+        assert_wolfe_step(f, df, 1.0, exact)
 
     def test_capped_step_returned_when_still_downhill(self):
         for g in both_paths(lambda a: a - 10.0, lambda a: 1.0):
-            got = line_search(g, 2.0)
+            got, _ = evaluated_search(g, 2.0)
             assert got == pytest.approx(2.0, rel=1e-11)
             assert got < 2.0  # strictly inside the barrier
 
     def test_root_beyond_unit_start_found_by_expansion(self):
         for g in both_paths(lambda a: a - 300.0, lambda a: 1.0):
-            assert line_search(g, math.inf) == pytest.approx(300.0, rel=1e-9)
+            got, _ = evaluated_search(g, math.inf)
+            assert got == pytest.approx(300.0, rel=1e-9)
 
     def test_tiny_root_found(self):
         for g in both_paths(lambda a: a - 1e-7, lambda a: 1.0):
-            assert line_search(g, math.inf) == pytest.approx(1e-7, rel=1e-6)
+            got, _ = evaluated_search(g, math.inf)
+            assert got == pytest.approx(1e-7, rel=1e-6)
 
     def test_nan_treated_as_past_barrier(self):
         def f(a):
@@ -143,7 +172,8 @@ class TestLineSearch:
             return math.nan if a > 1.0 else 1.0
 
         for g in both_paths(f, df):
-            assert line_search(g, math.inf) == pytest.approx(1.0, abs=1e-6)
+            got, _ = evaluated_search(g, math.inf)
+            assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_uphill_start(self):
         for g in both_paths(lambda a: a + 1.0, lambda a: 1.0):
@@ -182,10 +212,10 @@ class TestLineSearch:
             line_search(g, math.inf, g0=(-1.0, slope0))
             assert 0.0 not in calls  # g(0) was supplied, never evaluated
 
-    def test_newton_stop_below_the_noise_floor_of_g(self):
+    def test_noise_below_the_wolfe_bound_ends_at_the_first_trial(self):
         """g linear with root 0.57 plus relative noise of 1e-10 of |g(0)|,
-        far above the 1e-12 |g(0)| stop: the Newton-correction stop ends the
-        search within 4 evaluations, at the root to 1e-9."""
+        below the _WOLFE_TOL |g(0)| stop: the Newton step from 0 lands on
+        the root, and the search ends at that first trial."""
         root = 0.57
         rng = np.random.default_rng(3)
         calls = []
@@ -196,14 +226,33 @@ class TestLineSearch:
             return a - root + noise, 1.0 + 1e-3 * rng.standard_normal()
 
         got = line_search(g, math.inf, g0=(-root, 1.0))
-        assert len(calls) <= 4
-        assert got == pytest.approx(root, abs=1e-9)
+        assert calls == [got]
+        assert got == pytest.approx(root, abs=1e-10 * root)
+
+    def test_noise_above_the_wolfe_bound_ends_at_the_downhill_end(self):
+        """g linear with root 0.57 plus noise of up to 1e-5 of |g(0)| that
+        keeps |g| above the _WOLFE_TOL |g(0)| stop everywhere: the bracket
+        collapses onto the root and the search returns its downhill end, an
+        evaluated trial with g < 0, within the noise of the root."""
+        root = 0.57
+        rng = np.random.default_rng(3)
+        values = {}
+
+        def g(a):
+            noise = 1e-5 * root * rng.uniform(0.2, 1.0) * math.copysign(1.0, a - root)
+            values[a] = a - root + noise
+            return values[a], 1.0 + 1e-3 * rng.standard_normal()
+
+        got = line_search(g, math.inf, g0=(-root, 1.0))
+        assert len(values) <= 456
+        assert got in values
+        assert values[got] < 0.0
+        assert 0.0 < root - got <= 1e-5 * root
 
     def test_cg_stop_returns_an_evaluated_trial(self):
-        """With the bound psd_solve passes, sqrt(_LINE_TOL), the search ends
-        at a point g evaluated, where |g| <= sqrt(_LINE_TOL) |g(0)|."""
+        """The search ends at a point g evaluated, where
+        |g| <= _WOLFE_TOL |g(0)|."""
         s = 10.0
-        gtol = math.sqrt(_LINE_TOL)
 
         def f(a):
             return (1.0 - a) ** -9 - 1.0 - s if a < 1.0 else math.inf
@@ -221,16 +270,8 @@ class TestLineSearch:
         cases = [(f, df, 1.0, s), (cubic, dcubic, math.inf, 0.327)]
         for value, slope, barrier, g0 in cases:
             for g in both_paths(value, slope):
-                values = {}
-
-                def recorded(a, _g=g):
-                    out = _g(a)
-                    values[a] = out[0]
-                    return out
-
-                got = line_search(recorded, barrier, gtol=gtol)
-                assert got in values
-                assert abs(values[got]) <= gtol * g0
+                _, gvalue = evaluated_search(g, barrier)
+                assert abs(gvalue) <= _WOLFE_TOL * g0
 
 
 def quadratic_problem(grid, solver, coeffs, seed):
