@@ -11,7 +11,9 @@ Options may also be supplied through ``--config FILE`` holding key=value
 lines keyed by the option names (underscores, no leading dashes).  Explicit
 flags beat config values, config values beat built-in defaults; keys a
 command does not know are rejected.  Exit codes: 0 success, 1 usage or
-config error, 2 runtime failure.
+config error (ConfigError, which the configs raise for values they reject),
+2 runtime failure.  Any other exception is a defect and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -349,13 +351,8 @@ def main(argv=None) -> int:
             # File values become the defaults, so explicit flags still win.
             commands[args.command].set_defaults(**_config_defaults(cmd, args.config))
             args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return 1
-    try:
         return cmd.run(args)
-    except (ConfigError, ValueError) as exc:
-        # Option values out of range: the configs reject them on construction.
+    except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 1
     except (ThinFilmError, OSError) as exc:

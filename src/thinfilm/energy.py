@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveFieldError
+from .errors import ConfigError, NonPositiveFieldError
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -68,15 +68,15 @@ class PhysParams:
 
     def __post_init__(self):
         if not (0.0 < self.eps < math.inf):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.a0 is None:
             object.__setattr__(self, "a0", a0_star())
         if self.a_stab is None:
             object.__setattr__(self, "a_stab", (4.0 / 9.0) * self.a0**2)
         if not (0.0 < self.a0 < math.inf):
-            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+            raise ConfigError(f"a0 must be positive and finite, got {self.a0}")
         if not (0.0 <= self.a_stab < math.inf):
-            raise ValueError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
+            raise ConfigError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
 
 
 def check_positive(phi: np.ndarray, what: str = "field") -> None:

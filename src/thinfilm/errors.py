@@ -58,8 +58,9 @@ class NonPositiveValueError(ThinFilmError):
     """A fit in log coordinates received a non-positive value."""
 
 
-class ConfigError(ThinFilmError):
-    """Bad CLI/config input: unknown key, unparsable value, bad combination."""
+class ConfigError(ThinFilmError, ValueError):
+    """Bad CLI/config input: unknown key, unparsable value, bad combination,
+    or a value a config rejects on construction (hence also a ValueError)."""
 
 
 class FormatError(ThinFilmError):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .energy import PhysParams, discrete_energy, mu_exact
 from .errors import (
+    ConfigError,
     InsufficientDataError,
     NonPositiveValueError,
     PositivityLostError,
@@ -152,7 +153,7 @@ def run_convergence_first_order(
     t_final; the expected l2 slope against the step count is -1.
     """
     if any(nt < 1 for nt in nt_values):
-        raise ValueError(f"step counts must be >= 1, got {list(nt_values)}")
+        raise ConfigError(f"step counts must be >= 1, got {list(nt_values)}")
     grid = Grid(2, n, length)
     profile = ManufacturedSolution()
     scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
@@ -180,7 +181,7 @@ def run_convergence_bdf2(
     order and both error norms fit slope -2 against n.
     """
     if not (0.0 < dt_factor < math.inf):
-        raise ValueError(f"dt_factor must be positive and finite, got {dt_factor}")
+        raise ConfigError(f"dt_factor must be positive and finite, got {dt_factor}")
     profile = ManufacturedSolution()
 
     def runs():
@@ -189,7 +190,7 @@ def run_convergence_bdf2(
             dt = dt_factor * grid.h
             steps = int(round(t_final / dt))
             if abs(steps * dt - t_final) > 1e-9 * t_final:
-                raise ValueError(
+                raise ConfigError(
                     f"dt = {dt} does not divide t_final = {t_final} (n = {n})"
                 )
             scheme = Bdf2Scheme(grid, PhysParams(eps, a0, a_stab), psd_config=psd_config)
@@ -243,8 +244,9 @@ class CoarseningConfig:
     """Inputs of the coarsening study.
 
     The schedule is a ladder of (segment end time, dt) rungs covering
-    (0, t_end]; dt must be non-decreasing along the ladder.  Every rung
-    change restarts the two-step scheme with duplicated history.
+    (0, t_end], so t_end lies within the ladder; dt must be non-decreasing
+    along the ladder.  Every rung change restarts the two-step scheme with
+    duplicated history.
     """
 
     n: int = 128
@@ -260,15 +262,16 @@ class CoarseningConfig:
     wall_clock_budget: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
         prev_end, prev_dt = 0.0, 0.0
         for seg_end, dt in self.schedule:
             if not (seg_end > prev_end and dt > 0.0 and dt >= prev_dt):
-                raise ValueError(f"bad schedule rung ({seg_end}, {dt})")
+                raise ConfigError(f"bad schedule rung ({seg_end}, {dt})")
             prev_end, prev_dt = seg_end, dt
+        # Past the last rung's end the run would stop early, without a word.
+        if not (0.0 < self.t_end <= prev_end and self.t_end < math.inf):
+            raise ConfigError(f"t_end must lie in (0, {prev_end}], got {self.t_end}")
         if self.record_every_late < 1:
-            raise ValueError("record_every_late must be >= 1")
+            raise ConfigError("record_every_late must be >= 1")
 
 
 @dataclass

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -40,11 +42,11 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 2:
-            raise ValueError(f"need at least 2 cells per direction, got {self.n}")
+            raise ConfigError(f"need at least 2 cells per direction, got {self.n}")
         if not (0.0 < self.length < math.inf):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+            raise ConfigError(f"length must be positive and finite, got {self.length}")
 
     @property
     def h(self) -> float:

@@ -5,7 +5,7 @@ functional over the affine slice of fields with fixed mean, minimized here
 by preconditioned nonlinear conjugate gradients with the Polak-Ribiere+
 update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
 
-    residual   r   = residual_fn(phi)          (zero at the solution)
+    residual   r   = residual(phi)             (zero at the solution)
     gradient   p   = L^{-1} (r - mean r)       (L from the preconditioner)
     direction  d   = p + beta d_prev,  beta = max(0, <p, rp - rp_prev> / res_prev^2)
     step       phi <- phi + alpha d
@@ -13,7 +13,7 @@ update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
 with rp = r - mean r and res^2 = <p, rp>.  The direction falls back to p
 (a restart) whenever it is not a descent direction, <d, rp> <= 0.  Its
 preconditioner image L d = rp + beta L d_prev is carried along at no
-transform cost, for step systems that can use it.
+transform cost and handed to the step system with d.
 
 alpha approximates the root of the scalar derivative g(alpha) along d,
 found by a positivity-aware line search: the update may consume at most a fixed
@@ -24,10 +24,9 @@ g is strictly increasing with g(0) = -<d, rp> < 0, and blows up to +inf at
 the barrier when the barrier is finite, so its root is unique.  The search
 is a Newton iteration on g with a bisection safeguard (Numerical Recipes,
 rtsafe), seeded by the slope g'(0) that the step system carries from the
-last residual it assembled; a residual function without a slope gets the
-secant slope through its last two trials instead.  Where a Newton step
-would leave the bracket or stall, the search bisects the bracket, or
-doubles the step while g has not yet changed sign.  If the safety cap
+last residual it assembled.  Where a Newton step would leave the bracket or
+stall, or a trial reports no finite slope, the search bisects the bracket,
+or doubles the step while g has not yet changed sign.  If the safety cap
 itself is still downhill the capped step is taken as is; the iteration
 remains a descent step.
 
@@ -46,7 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BarrierCollapseError, NonPositiveFieldError, SolverDivergedError
+from .errors import (
+    BarrierCollapseError,
+    ConfigError,
+    NonPositiveFieldError,
+    SolverDivergedError,
+)
 from .grid import Grid, inner
 
 # Fraction of the distance to the positivity barrier a step may consume.
@@ -68,10 +72,10 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < math.inf):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -89,7 +93,6 @@ class PsdTrace:
     residual_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     line_evals: list = field(default_factory=list)
-    functional_values: list | None = None
     restarts: int = 0
     capped: int = 0
 
@@ -142,13 +145,6 @@ def _step_cap(alpha_barrier: float) -> float:
     return alpha_barrier * (1.0 - 1e-12) if math.isfinite(alpha_barrier) else math.inf
 
 
-def _eval_g(g, alpha: float) -> tuple:
-    value, slope = g(alpha)
-    # Overflow of the singular terms past the barrier shows up as nan/inf;
-    # either way the trial step was too long.
-    return (math.inf if math.isnan(value) else float(value)), float(slope)
-
-
 def _newton(alpha: float, value: float, slope: float) -> float:
     """Newton point alpha - g/g', or nan when the slope is not finite and positive."""
     if slope > 0.0 and math.isfinite(slope):
@@ -156,14 +152,13 @@ def _newton(alpha: float, value: float, slope: float) -> float:
     return math.nan
 
 
-def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
+def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     """Step along an increasing scalar derivative g to near its positive root.
 
-    g(alpha) returns the pair (g(alpha), g'(alpha)), with a nan slope when
-    g does not know it; the search then uses the secant slope through the
-    last two distinct trials.  ``g0`` is the pair at alpha = 0 when the
-    caller already has it.  Accepts alpha_barrier = +inf for barrier-free
-    directions.
+    g(alpha) returns the pair (g(alpha), g'(alpha)); ``g0`` is that pair at
+    alpha = 0, which the caller already has.  A slope that is not finite and
+    positive gives no Newton step from its trial.  Accepts
+    alpha_barrier = +inf for barrier-free directions.
 
     One rule picks every trial (Numerical Recipes, rtsafe).  The first is
     the Newton step from 0 (1 without a slope), at most half the barrier.
@@ -182,8 +177,6 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     BarrierCollapseError is raised when g stays negative until the doubling
     overflows or no stop is met in 456 trials.
     """
-    if g0 is None:
-        g0 = _eval_g(g, 0.0)
     value0, slope0 = g0
     if not value0 < 0.0:
         raise ValueError(f"g(0) must be negative for a descent direction, got {value0}")
@@ -197,13 +190,14 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     # (bracketed); until then hi is the cap.
     lo, hi = 0.0, cap
     bracketed = False
-    # The previous trial, for a secant slope where g reports none.
-    last, glast = 0.0, value0
     newton = _newton(0.0, value0, slope0)
     a = min(newton if 0.0 < newton < math.inf else 1.0, alpha_barrier / 2.0, cap)
     move, move_before = a, math.inf
     for _ in range(456):
-        value, slope = _eval_g(g, a)
+        value, slope = g(a)
+        # Overflow of the singular terms past the barrier shows up as nan/inf;
+        # either way the trial step was too long.
+        value = math.inf if math.isnan(value) else value
         if abs(value) <= gstop:
             return a
         if value < 0.0:
@@ -214,10 +208,6 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
             hi, bracketed = a, True
         if bracketed and hi - lo <= _LINE_TOL * hi:
             return lo
-        if math.isnan(slope) and a != last:
-            slope = (value - glast) / (a - last)
-        last, glast = a, value
-
         x = _newton(a, value, slope)
         if not (lo < x < hi and abs(x - a) <= 0.5 * move_before):
             x = 0.5 * (lo + hi) if bracketed else min(a * _GROWTH, cap)
@@ -232,63 +222,48 @@ def line_search(g, alpha_barrier: float, g0: tuple | None = None) -> float:
     )
 
 
-def psd_solve(
-    grid: Grid,
-    residual_fn,
-    precondition,
-    phi_init: np.ndarray,
-    cfg: SolverConfig | None = None,
-    functional=None,
-    directional=None,
-):
+def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None = None):
     """Drive preconditioned nonlinear CG until the metric residual meets tol.
 
-    residual_fn(phi) returns the full residual field; precondition(r)
-    applies L^{-1} to a mean-zero field.  Returns (phi, trace); raises
-    SolverDivergedError carrying the last iterate (every step descends, so
-    it is the best one) and the trace when the budget runs out.  When
-    ``functional`` is given its value is recorded at phi_init and after
-    every update.
+    ``system`` is a step system (schemes.StepSystem); the solve looks its
+    closures up as it calls them.  system.residual(phi) returns the full
+    residual field and is called once, at phi_init; system.precondition(rp)
+    applies L^{-1} to a mean-zero field.  system.directional(phi, (d, s), r)
+    takes the iterate, its residual, a direction d and its image s = L d,
+    and returns (g, residual_at): g(alpha) is the pair (g, g') of
+    g(alpha) = -<r(phi + alpha d), d> and its derivative, and
+    residual_at(alpha) = r(phi + alpha d) carries the residual to the next
+    iteration.  residual_at is called right after the search, with no other
+    g call in between, and every search ends at a trial g evaluated, so it
+    may reuse the work of a trial at the same alpha.  g(0) seeds the search
+    with its slope and is not counted as a line evaluation; step systems
+    answer it from the state they carry at phi.  Its value is replaced by
+    -<d, rp> from the deflated residual: the undeflated inner product
+    carries rounding of order mean(r) sum(d), large near the barrier.  Both
+    closures must agree with the naive evaluations through system.residual
+    to rounding error.
 
-    ``directional``, when given, is a factory (phi, (d, s), r) ->
-    (g, residual_at) for the direction d and its preconditioner image
-    s = L d.  g(alpha) returns the pair (g, g') of
-    g(alpha) = -<residual_fn(phi + alpha d), d> and its derivative, used
-    for the line search in place of assembling the residual at every trial
-    point; residual_at(alpha) = residual_fn(phi + alpha d) carries the
-    residual to the next iteration.  It is called right after the search,
-    with no other g call in between, and every search ends at a trial g
-    evaluated, so it may reuse the work of a trial at the same alpha.  g(0)
-    seeds the search with its slope and is not counted as a line
-    evaluation; step systems answer it from the state they carry at phi.
-    Its value is replaced by -<d, rp> from the deflated residual: the
-    undeflated inner product carries rounding of order mean(r) sum(d),
-    large near the barrier.  Schemes supply factories that exploit the
-    affine structure of their residuals; both closures must agree with the
-    naive evaluations to rounding error.  Without a factory the slope is
-    unknown (nan) and the line search takes secant slopes.
+    Returns (phi, trace); raises SolverDivergedError carrying the last
+    iterate (every step descends, so it is the best one) and the trace when
+    the budget runs out.
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)
     if not np.all(phi > 0.0):
         raise NonPositiveFieldError("initial iterate must be strictly positive")
     trace = PsdTrace()
-    if functional is not None:
-        trace.functional_values = [float(functional(phi))]
 
-    r = None
+    r = system.residual(phi)
     d = s = rp_prev = None
     res2_prev = 0.0
     for _ in range(cfg.max_iters):
-        if r is None:
-            r = residual_fn(phi)
         # Means as sum / size: the same bits as np.mean without its wrapper.
         rp = r - r.sum() / r.size
         # Deflate once more: the first subtraction leaves a rounding-level
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
         rp -= rp.sum() / rp.size
-        p = precondition(rp)
+        p = system.precondition(rp)
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
         # would otherwise accumulate over very long runs.
@@ -321,16 +296,8 @@ def psd_solve(
         rp_prev, res2_prev = rp, res2
 
         evals = 0
-        residual_at = None
-        if directional is not None:
-            g_inner, residual_at = directional(phi, (d, s), r)
-            slope0 = g_inner(0.0)[1]
-        else:
-
-            def g_inner(alpha: float, _phi=phi, _d=d) -> tuple:
-                return -inner(grid, residual_fn(_phi + alpha * _d), _d), math.nan
-
-            slope0 = math.nan
+        g_inner, residual_at = system.directional(phi, (d, s), r)
+        slope0 = g_inner(0.0)[1]
 
         def g(alpha: float) -> tuple:
             nonlocal evals
@@ -338,16 +305,14 @@ def psd_solve(
             return g_inner(alpha)
 
         barrier = barrier_alpha(phi, d, _ALPHA_SAFETY)
-        alpha = line_search(g, barrier, g0=(-slope, slope0))
+        alpha = line_search(g, barrier, (-slope, slope0))
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
         phi = phi + alpha * d
-        r = residual_at(alpha) if residual_at is not None else None
+        r = residual_at(alpha)
         trace.alphas.append(alpha)
         trace.line_evals.append(evals)
         trace.capped += alpha == _step_cap(barrier)
-        if functional is not None:
-            trace.functional_values.append(float(functional(phi)))
 
     rate = trace.mean_tail_contraction()
     raise SolverDivergedError(

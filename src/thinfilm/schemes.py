@@ -113,7 +113,9 @@ class StepReport:
 
 @dataclass
 class StepSystem:
-    """Closures defining one implicit step, exposed for solver diagnostics.
+    """Closures defining one implicit step, which psd_solve looks up on the
+    instance as it calls them (so closures wrapped after assembly see every
+    call).  ``functional`` is the step functional, for tests and diagnostics.
 
     The residual is r(phi) = B(phi) + K phi + c with B the pointwise
     inverse-power term and K linear, and ``precondition`` solves L d = rp
@@ -135,7 +137,6 @@ class StepSystem:
     residual: Callable
     functional: Callable
     precondition: Callable
-    phi_init: np.ndarray
     directional: Callable
 
 
@@ -242,16 +243,6 @@ class _SchemeBase:
         )
         return new_state, report
 
-    def _solve(self, system: StepSystem, phi_init: Optional[np.ndarray] = None):
-        return psd_solve(
-            self.grid,
-            system.residual,
-            system.precondition,
-            system.phi_init if phi_init is None else phi_init,
-            self.psd_config,
-            directional=system.directional,
-        )
-
     def preconditioner_coefficients(self, dt: float) -> tuple:
         """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
 
@@ -260,8 +251,8 @@ class _SchemeBase:
         _check_dt(dt)
         return _coefficients(dt, **self._linear_terms(dt))
 
-    def _warm_start(self, state: StepState) -> Optional[np.ndarray]:
-        """Extrapolated initial iterate, or None without usable history.
+    def _warm_start(self, state: StepState) -> np.ndarray:
+        """Extrapolated initial iterate, or state.phi without usable history.
 
         Starting from phi + theta (phi - phi_prev) with theta capped at half
         the positivity barrier cuts the CG iteration count on smooth
@@ -269,16 +260,15 @@ class _SchemeBase:
         untouched, and the solution of the convex step problem is the same.
         """
         if state.phi_prev is None:
-            return None
+            return state.phi
         delta = state.phi - state.phi_prev
         if not np.any(delta):
-            return None
+            return state.phi
         theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
         return state.phi + theta * delta
 
     def _step_system(
         self,
-        phi_old: np.ndarray,
         dt: float,
         *,
         concave: bool,
@@ -419,7 +409,7 @@ class _SchemeBase:
 
             return g, residual_at
 
-        return StepSystem(residual, functional, precondition, phi_old, directional)
+        return StepSystem(residual, functional, precondition, directional)
 
 
 class FirstOrderScheme(_SchemeBase):
@@ -439,7 +429,7 @@ class FirstOrderScheme(_SchemeBase):
         if lift is not None:
             constant += lift
         return self._step_system(
-            phi_old, dt, concave=False, history=phi_old, constant=constant,
+            dt, concave=False, history=phi_old, constant=constant,
             **self._linear_terms(dt),
         )
 
@@ -448,7 +438,9 @@ class FirstOrderScheme(_SchemeBase):
     ) -> tuple:
         """Advance one step; returns (new_state, report)."""
         system = self.step_system_from(state.phi, dt, forcing)
-        phi_new, trace = self._solve(system, self._warm_start(state))
+        phi_new, trace = psd_solve(
+            self.grid, system, self._warm_start(state), self.psd_config
+        )
         return self._finish_step(state, phi_new, trace, dt)
 
 
@@ -496,7 +488,7 @@ class Bdf2Scheme(_SchemeBase):
         if lift is not None:
             constant = constant + lift
         return self._step_system(
-            phi_old, dt, concave=True, history=2.0 * phi_old - 0.5 * phi_older,
+            dt, concave=True, history=2.0 * phi_old - 0.5 * phi_older,
             constant=constant, **terms,
         )
 
@@ -522,7 +514,9 @@ class Bdf2Scheme(_SchemeBase):
                 "two-step scheme needs phi_prev; use cold_start or restart_state"
             )
         system = self.step_system_from(state.phi, state.phi_prev, dt, forcing)
-        phi_new, trace = self._solve(system, self._warm_start(state))
+        phi_new, trace = psd_solve(
+            self.grid, system, self._warm_start(state), self.psd_config
+        )
         new_state, report = self._finish_step(state, phi_new, trace, dt)
         # Reuse the report's F(phi_new) rather than evaluating it again.
         report.modified_energy = _energy.modified_energy(

@@ -208,10 +208,10 @@ class TestCriterion4StructurePreservation:
 
 
 class TestCriterion5DescentSolver:
-    """Both solver paths on a real film step: the step system's directional
-    factory, and the generic one that assembles the residual per trial."""
+    """The solver on a real film step, with the step functional recorded at
+    every iterate through a wrapped residual_at."""
 
-    def check_solve_quality(self, with_directional: bool):
+    def test_standard_step_solve_quality(self):
         with criterion(
             5, "descent meets 1e-9 within 100 iterations, monotone, contracting"
         ):
@@ -220,29 +220,29 @@ class TestCriterion5DescentSolver:
             scheme = FirstOrderScheme(grid, params)
             phi_old = random_initial_data(grid, 0)
             system = scheme.step_system_from(phi_old, 1e-3)
+            fv = [system.functional(phi_old)]
+            directional = system.directional
+
+            def recorded(phi, direction, r):
+                g, residual_at = directional(phi, direction, r)
+
+                def at(alpha):
+                    out = residual_at(alpha)
+                    fv.append(system.functional(phi + alpha * direction[0]))
+                    return out
+
+                return g, at
+
+            system.directional = recorded
             cfg = SolverConfig(tol=1e-9, max_iters=100)
-            phi, trace = psd_solve(
-                grid,
-                system.residual,
-                system.precondition,
-                system.phi_init,
-                cfg,
-                functional=system.functional,
-                directional=system.directional if with_directional else None,
-            )
+            phi, trace = psd_solve(grid, system, phi_old, cfg)
             assert trace.residual_norms[-1] < 1e-9
             assert trace.iterations <= 100
-            fv = trace.functional_values
+            assert len(fv) == trace.iterations + 1
             assert all(b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(fv, fv[1:]))
             tail = trace.tail_contraction()
             assert tail is not None and tail <= 0.95
             assert np.all(phi > 0.0)
-
-    def test_standard_step_solve_quality(self):
-        self.check_solve_quality(with_directional=True)
-
-    def test_standard_step_solve_quality_without_directional(self):
-        self.check_solve_quality(with_directional=False)
 
 
 class TestCriterion6ConvexitySplit:

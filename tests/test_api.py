@@ -92,12 +92,13 @@ def test_public_names_are_pinned_unique_and_resolve():
 
 
 def test_line_search_signature_is_pinned():
-    """(g, alpha_barrier, g0=None): no tolerance knob, barrier second."""
+    """(g, alpha_barrier, g0): no tolerance knob, barrier second, and the
+    pair at alpha = 0 always supplied by the caller."""
     params = inspect.signature(thinfilm.line_search).parameters.values()
     empty = inspect.Parameter.empty
     assert [(p.name, p.default) for p in params] == [
         ("g", empty),
         ("alpha_barrier", empty),
-        ("g0", None),
+        ("g0", empty),
     ]
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)

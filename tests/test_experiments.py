@@ -15,6 +15,7 @@ import pytest
 from thinfilm import (
     Bdf2Scheme,
     CoarseningConfig,
+    ConfigError,
     ConvergenceTable,
     EnergyRecord,
     Grid,
@@ -242,6 +243,14 @@ class TestCoarseningConfig:
             tiny_config(schedule=((0.01, -0.1),))
         with pytest.raises(ValueError):
             tiny_config(record_every_late=0)
+
+    def test_t_end_lies_within_the_ladder(self):
+        """The ladder ends at 0.1: a later or non-finite t_end is refused
+        instead of ending the run early or never."""
+        for t_end in (0.2, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="t_end"):
+                tiny_config(t_end=t_end)
+        assert tiny_config(t_end=0.1).t_end == 0.1
 
 
 class TestCoarseningRun:

@@ -28,6 +28,7 @@ from thinfilm import (
     write_energy_log,
     write_field_snapshot,
 )
+from thinfilm import cli
 from thinfilm.cli import main
 
 
@@ -384,6 +385,9 @@ class TestCliErrors:
             ["converge2", "--dt-factor", "0"],
             ["step", "--length", "inf"],
             ["step", "--eps", "inf"],
+            ["step", "--tol", "inf"],
+            ["coarsen", "--t-end", "7000"],
+            ["coarsen", "--n", "1"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -394,6 +398,22 @@ class TestCliErrors:
         assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    def test_value_error_inside_a_run_is_not_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Only values rejected while building a config are usage errors; a
+        ValueError raised by the run itself is a defect and propagates."""
+
+        def failing(*args, **kwargs):
+            raise ValueError("raised inside the solve")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_coarsening", failing)
+        with pytest.raises(ValueError, match="inside the solve"):
+            main(["coarsen", "--n", "16", "--t-end", "0.01"])
+        assert "ConfigError" not in capsys.readouterr().err
 
 
 class TestCliCoarsen:

@@ -1,12 +1,14 @@
 """Descent driver and line search on synthetic problems with known answers.
 
 The scalar searches get closed-form roots and an independent bisection
-oracle; the full solver gets a quadratic problem it must finish in one
-iteration and a strictly convex barrier problem with verifiable
-stationarity, positivity, and monotonicity.
+oracle; the full solver gets, as test-side step systems with exact line
+slopes, a quadratic problem it must finish in one iteration and a strictly
+convex barrier problem with verifiable stationarity, positivity, and
+monotonicity.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from thinfilm import (
     SpectralSolver,
     barrier_alpha,
     inner,
+    lap,
     line_search,
     norm_inf,
     psd_solve,
@@ -49,6 +52,8 @@ class TestSolverConfig:
         [
             {"tol": 0.0},
             {"tol": -1.0},
+            {"tol": math.inf},
+            {"tol": math.nan},
             {"max_iters": 0},
         ],
     )
@@ -74,15 +79,14 @@ class TestBarrierAlpha:
         assert barrier_alpha(phi, d, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
-def both_paths(f, df):
-    """g -> (f, f') with the slope g reports, and g -> (f, nan) with the
-    secant slope the search takes when a residual function has none."""
-    return (lambda a: (f(a), df(a)), lambda a: (f(a), math.nan))
+def slope_g(f, df):
+    """g -> (f, f'): the pair g reports at each trial."""
+    return lambda a: (f(a), df(a))
 
 
-def evaluated_search(g, barrier, **kwargs):
-    """line_search on g, asserting that the step it returns is a trial g
-    evaluated; returns the step and the value of g there."""
+def evaluated_search(g, barrier):
+    """line_search on g from g(0), asserting that the step it returns is a
+    trial g evaluated; returns the step and the value of g there."""
     values = {}
 
     def recorded(a):
@@ -90,31 +94,29 @@ def evaluated_search(g, barrier, **kwargs):
         values[a] = out[0]
         return out
 
-    got = line_search(recorded, barrier, **kwargs)
+    got = line_search(recorded, barrier, g(0.0))
     assert got in values
     return got, values[got]
 
 
 def assert_wolfe_step(f, df, barrier, root):
-    """On both slope paths the search ends at an evaluated trial with
-    |g| <= _WOLFE_TOL |g(0)|, and the root lies within |g| / g' of it.
+    """The search ends at an evaluated trial with |g| <= _WOLFE_TOL |g(0)|,
+    and the root lies within |g| / g' of it.
 
     For convex increasing g the slope between the step and the root is at
     least g' at the smaller of the two, which bounds the distance.  |g|
     carries the rounding of its evaluation, a few ulps of |g(0)| here."""
     g0 = abs(f(0.0))
-    for g in both_paths(f, df):
-        got, value = evaluated_search(g, barrier)
-        assert abs(value) <= _WOLFE_TOL * g0
-        rounding = 4.0 * np.finfo(float).eps * g0
-        assert abs(got - root) <= (abs(value) + rounding) / df(min(got, root))
+    got, value = evaluated_search(slope_g(f, df), barrier)
+    assert abs(value) <= _WOLFE_TOL * g0
+    rounding = 4.0 * np.finfo(float).eps * g0
+    assert abs(got - root) <= (abs(value) + rounding) / df(min(got, root))
 
 
 class TestLineSearch:
     def test_linear_root(self):
-        for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
-            got, _ = evaluated_search(g, math.inf)
-            assert got == pytest.approx(1.0, abs=1e-9)
+        got, _ = evaluated_search(slope_g(lambda a: a - 1.0, lambda a: 1.0), math.inf)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_cubic_root(self):
         assert_wolfe_step(lambda a: a**3 - 8.0, lambda a: 3.0 * a**2, math.inf, 2.0)
@@ -149,20 +151,17 @@ class TestLineSearch:
         assert_wolfe_step(f, df, 1.0, exact)
 
     def test_capped_step_returned_when_still_downhill(self):
-        for g in both_paths(lambda a: a - 10.0, lambda a: 1.0):
-            got, _ = evaluated_search(g, 2.0)
-            assert got == pytest.approx(2.0, rel=1e-11)
-            assert got < 2.0  # strictly inside the barrier
+        got, _ = evaluated_search(slope_g(lambda a: a - 10.0, lambda a: 1.0), 2.0)
+        assert got == pytest.approx(2.0, rel=1e-11)
+        assert got < 2.0  # strictly inside the barrier
 
     def test_root_beyond_unit_start_found_by_expansion(self):
-        for g in both_paths(lambda a: a - 300.0, lambda a: 1.0):
-            got, _ = evaluated_search(g, math.inf)
-            assert got == pytest.approx(300.0, rel=1e-9)
+        got, _ = evaluated_search(slope_g(lambda a: a - 300.0, lambda a: 1.0), math.inf)
+        assert got == pytest.approx(300.0, rel=1e-9)
 
     def test_tiny_root_found(self):
-        for g in both_paths(lambda a: a - 1e-7, lambda a: 1.0):
-            got, _ = evaluated_search(g, math.inf)
-            assert got == pytest.approx(1e-7, rel=1e-6)
+        got, _ = evaluated_search(slope_g(lambda a: a - 1e-7, lambda a: 1.0), math.inf)
+        assert got == pytest.approx(1e-7, rel=1e-6)
 
     def test_nan_treated_as_past_barrier(self):
         def f(a):
@@ -171,19 +170,35 @@ class TestLineSearch:
         def df(a):
             return math.nan if a > 1.0 else 1.0
 
-        for g in both_paths(f, df):
-            got, _ = evaluated_search(g, math.inf)
-            assert got == pytest.approx(1.0, abs=1e-6)
+        got, _ = evaluated_search(slope_g(f, df), math.inf)
+        assert got == pytest.approx(1.0, abs=1e-6)
+
+    def test_without_a_slope_the_search_doubles_then_bisects(self):
+        """g = a - 300 reporting a nan slope everywhere: no trial gives a
+        Newton step, so the search starts at 1, doubles while g < 0 and then
+        bisects the bracket [256, 512] down to the Wolfe bound."""
+        calls = []
+
+        def g(a):
+            calls.append(a)
+            return a - 300.0, math.nan
+
+        got = line_search(g, math.inf, (-300.0, math.nan))
+        assert calls[:10] == [2.0**k for k in range(10)]
+        lo, hi = 256.0, 512.0
+        for a in calls[10:]:
+            assert a == 0.5 * (lo + hi)
+            lo, hi = (a, hi) if a < 300.0 else (lo, a)
+        assert got == calls[-1]
+        assert abs(got - 300.0) <= _WOLFE_TOL * 300.0
 
     def test_rejects_uphill_start(self):
-        for g in both_paths(lambda a: a + 1.0, lambda a: 1.0):
-            with pytest.raises(ValueError):
-                line_search(g, math.inf)
+        with pytest.raises(ValueError):
+            line_search(slope_g(lambda a: a + 1.0, lambda a: 1.0), math.inf, (1.0, 1.0))
 
     def test_collapsed_barrier(self):
-        for g in both_paths(lambda a: a - 1.0, lambda a: 1.0):
-            with pytest.raises(BarrierCollapseError):
-                line_search(g, 0.0)
+        with pytest.raises(BarrierCollapseError):
+            line_search(slope_g(lambda a: a - 1.0, lambda a: 1.0), 0.0, (-1.0, 1.0))
 
     @pytest.mark.parametrize("slope", [1e-308, 1.0, math.nan])
     def test_never_returns_an_infinite_step(self, slope):
@@ -197,8 +212,8 @@ class TestLineSearch:
             return -1.0, slope
 
         with pytest.raises(BarrierCollapseError):
-            line_search(g, math.inf)
-        assert len(calls) <= 457
+            line_search(g, math.inf, (-1.0, slope))
+        assert len(calls) <= 456
         assert all(math.isfinite(a) for a in calls)
 
     def test_respects_precomputed_g0(self):
@@ -209,7 +224,7 @@ class TestLineSearch:
                 calls.append(a)
                 return a - 1.0, slope0
 
-            line_search(g, math.inf, g0=(-1.0, slope0))
+            line_search(g, math.inf, (-1.0, slope0))
             assert 0.0 not in calls  # g(0) was supplied, never evaluated
 
     def test_noise_below_the_wolfe_bound_ends_at_the_first_trial(self):
@@ -225,7 +240,7 @@ class TestLineSearch:
             noise = 1e-10 * root * rng.uniform(-1.0, 1.0)
             return a - root + noise, 1.0 + 1e-3 * rng.standard_normal()
 
-        got = line_search(g, math.inf, g0=(-root, 1.0))
+        got = line_search(g, math.inf, (-root, 1.0))
         assert calls == [got]
         assert got == pytest.approx(root, abs=1e-10 * root)
 
@@ -243,7 +258,7 @@ class TestLineSearch:
             values[a] = a - root + noise
             return values[a], 1.0 + 1e-3 * rng.standard_normal()
 
-        got = line_search(g, math.inf, g0=(-root, 1.0))
+        got = line_search(g, math.inf, (-root, 1.0))
         assert len(values) <= 456
         assert got in values
         assert values[got] < 0.0
@@ -269,9 +284,64 @@ class TestLineSearch:
         # (g, g', barrier, |g(0)|)
         cases = [(f, df, 1.0, s), (cubic, dcubic, math.inf, 0.327)]
         for value, slope, barrier, g0 in cases:
-            for g in both_paths(value, slope):
-                _, gvalue = evaluated_search(g, barrier)
-                assert abs(gvalue) <= _WOLFE_TOL * g0
+            _, gvalue = evaluated_search(slope_g(value, slope), barrier)
+            assert abs(gvalue) <= _WOLFE_TOL * g0
+
+
+def step_system(grid, residual, hessian, precondition, image_of):
+    """Test-side step system for psd_solve with exact line closures.
+
+    residual(phi) is the negative gradient of a strictly convex functional
+    and hessian(x, d) applies that functional's Hessian at x to d, so
+    g(alpha) = -<residual(phi + alpha d), d> has the exact slope
+    g'(alpha) = <hessian(phi + alpha d, d), d>.  The image s handed along
+    with every direction d is compared with L d, image_of applying the
+    preconditioner's L; the relative errors are collected in the system's
+    image_errors.
+    """
+    image_errors = []
+
+    def directional(phi, direction, r_phi):
+        d, image = direction
+        ld = image_of(d)
+        image_errors.append(norm_inf(image - ld) / norm_inf(ld))
+
+        def g(alpha):
+            x = phi + alpha * d
+            return -inner(grid, residual(x), d), inner(grid, hessian(x, d), d)
+
+        def residual_at(alpha):
+            return residual(phi + alpha * d)
+
+        return g, residual_at
+
+    return SimpleNamespace(
+        residual=residual,
+        precondition=precondition,
+        directional=directional,
+        image_errors=image_errors,
+    )
+
+
+def record_functional(system, functional, phi0):
+    """Wrap system.directional so that every residual_at also records the
+    functional at the new iterate; returns the record, which starts with
+    the value at phi0."""
+    values = [float(functional(phi0))]
+    directional = system.directional
+
+    def recorded(phi, direction, r_phi):
+        g, residual_at = directional(phi, direction, r_phi)
+
+        def at(alpha):
+            r = residual_at(alpha)
+            values.append(float(functional(phi + alpha * direction[0])))
+            return r
+
+        return g, at
+
+    system.directional = recorded
+    return values
 
 
 def quadratic_problem(grid, solver, coeffs, seed):
@@ -282,28 +352,33 @@ def quadratic_problem(grid, solver, coeffs, seed):
     phi0 = phi_star + 0.05 * rng.standard_normal(grid.shape)
     phi0 -= np.mean(phi0) - np.mean(phi_star)  # same mean as the target
 
-    def residual(phi):
-        from thinfilm import lap
-
-        diff = phi_star - phi
-        diff = diff - np.mean(diff)
-        return a0 * solver.inv_neg_lap(diff) + a1 * diff - a2 * lap(grid, diff)
+    def apply_l(u):
+        u = u - np.mean(u)
+        return a0 * solver.inv_neg_lap(u) + a1 * u - a2 * lap(grid, u)
 
     def precondition(r):
         return solver.solve_preconditioner(r, a0, a1, a2)
 
-    return residual, precondition, phi_star, phi0
+    system = step_system(
+        grid,
+        lambda phi: apply_l(phi_star - phi),
+        lambda x, d: apply_l(d),
+        precondition,
+        apply_l,
+    )
+    return system, phi_star, phi0
 
 
 class TestPsdSolveQuadratic:
     def test_one_iteration_exact_convergence(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
-        residual, precondition, phi_star, phi0 = quadratic_problem(
+        system, phi_star, phi0 = quadratic_problem(
             grid, solver, (5.0, 1.0, 0.04), seed=1
         )
-        phi, trace = psd_solve(grid, residual, precondition, phi0)
+        phi, trace = psd_solve(grid, system, phi0)
         assert trace.iterations == 1
+        assert max(system.image_errors) <= 1e-12
         assert trace.alphas[0] == pytest.approx(1.0, abs=1e-12)
         assert norm_inf(phi - phi_star) <= 1e-10
         assert trace.residual_norms[-1] <= 1e-9
@@ -312,30 +387,24 @@ class TestPsdSolveQuadratic:
     def test_tail_contraction_none_for_short_trace(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
-        residual, precondition, _, phi0 = quadratic_problem(
-            grid, solver, (5.0, 1.0, 0.04), seed=3
-        )
-        _, trace = psd_solve(grid, residual, precondition, phi0)
+        system, _, phi0 = quadratic_problem(grid, solver, (5.0, 1.0, 0.04), seed=3)
+        _, trace = psd_solve(grid, system, phi0)
         assert trace.tail_contraction() is None
 
 
-def barrier_problem(grid):
-    """Strictly convex J(phi) = <1/phi + 2 phi^2, 1> minimized on a mean slice.
-
-    The negative gradient is r = phi^-2 - 4 phi; stationarity on the slice
-    means r - mean(r) = 0, and 1/phi blows up at the positivity barrier.
-    """
-
-    def residual(phi):
-        return phi**-2 - 4.0 * phi
-
-    def functional(phi):
-        return inner(grid, 1.0 / phi + 2.0 * phi**2, np.ones(grid.shape))
-
-    return residual, functional
+def barrier_residual(phi):
+    """Negative gradient of J(phi) = <1/phi + 2 phi^2, 1> (see below)."""
+    return phi**-2 - 4.0 * phi
 
 
 class TestPsdSolveBarrier:
+    """Strictly convex J(phi) = <1/phi + 2 phi^2, 1> minimized on a mean slice.
+
+    The negative gradient is r = phi^-2 - 4 phi and the Hessian is the
+    pointwise 2 phi^-3 + 4; stationarity on the slice means
+    r - mean(r) = 0, and 1/phi blows up at the positivity barrier.
+    """
+
     def setup_method(self):
         self.grid = Grid(2, 8, 1.0)
         self.solver = SpectralSolver(self.grid)
@@ -345,17 +414,27 @@ class TestPsdSolveBarrier:
     def precondition(self, r):
         return self.solver.solve_preconditioner(r, 0.1, 8.0, 0.0)
 
-    def test_converges_with_invariants(self):
-        residual, functional = barrier_problem(self.grid)
-        phi, trace = psd_solve(
+    def apply_l(self, d):
+        return 0.1 * self.solver.inv_neg_lap(d) + 8.0 * d
+
+    def functional(self, phi):
+        return inner(self.grid, 1.0 / phi + 2.0 * phi**2, np.ones(self.grid.shape))
+
+    def system(self, precondition=None):
+        return step_system(
             self.grid,
-            residual,
-            self.precondition,
-            self.phi0,
-            functional=functional,
+            barrier_residual,
+            lambda x, d: (2.0 * x**-3 + 4.0) * d,
+            precondition or self.precondition,
+            self.apply_l,
         )
+
+    def test_converges_with_invariants(self):
+        system = self.system()
+        fv = record_functional(system, self.functional, self.phi0)
+        phi, trace = psd_solve(self.grid, system, self.phi0)
         # stationarity on the slice: the deflated residual is flat
-        r = residual(phi)
+        r = barrier_residual(phi)
         assert norm_inf(r - np.mean(r)) <= 1e-7
         assert trace.residual_norms[-1] <= 1e-9
         # mean preserved, positivity kept
@@ -368,8 +447,10 @@ class TestPsdSolveBarrier:
         assert len(trace.line_evals) == trace.iterations
         assert all(e >= 1 for e in trace.line_evals)
         assert all(a > 0.0 for a in trace.alphas)
+        # every direction arrives with its preconditioner image L d
+        assert len(system.image_errors) == trace.iterations
+        assert max(system.image_errors) <= 1e-10
         # exact line search on a convex functional can never go uphill
-        fv = trace.functional_values
         assert len(fv) == trace.iterations + 1
         assert all(b <= a + 1e-12 for a, b in zip(fv, fv[1:]))
         # asymptotic contraction of the metric residual
@@ -377,58 +458,61 @@ class TestPsdSolveBarrier:
         assert tail is not None and tail < 0.95
 
     def test_directional_fast_path_matches_naive(self):
-        residual, _ = barrier_problem(self.grid)
-
-        image_errors = []
+        """Closures that carry the residual they are handed, as the schemes'
+        do, against the naive ones that assemble it at every trial: the
+        residual psd_solve hands over must be the one at phi."""
+        naive = self.system()
 
         def directional(phi, direction, r_phi):
             d, image = direction
-            # the image handed along with d is L d for the preconditioner
-            ld = 0.1 * self.solver.inv_neg_lap(d) + 8.0 * d
-            image_errors.append(norm_inf(image - ld) / norm_inf(ld))
+            inv2 = phi**-2
+
+            def moved(alpha):
+                # r(phi + alpha d) = r(phi) + (phi + alpha d)^-2 - phi^-2 - 4 alpha d
+                x = phi + alpha * d
+                return r_phi + (x**-2 - inv2) - 4.0 * alpha * d, x
 
             def g(alpha):
-                return -inner(self.grid, residual(phi + alpha * d), d), math.nan
+                r, x = moved(alpha)
+                curvature = (2.0 * x**-3 + 4.0) * d
+                return -inner(self.grid, r, d), inner(self.grid, curvature, d)
 
-            def residual_at(alpha):
-                return residual(phi + alpha * d)
+            return g, lambda alpha: moved(alpha)[0]
 
-            return g, residual_at
-
-        phi_plain, trace_plain = psd_solve(
-            self.grid, residual, self.precondition, self.phi0
+        fast = SimpleNamespace(
+            residual=barrier_residual,
+            precondition=self.precondition,
+            directional=directional,
         )
-        phi_fast, trace_fast = psd_solve(
-            self.grid, residual, self.precondition, self.phi0, directional=directional
-        )
+        phi_plain, trace_plain = psd_solve(self.grid, naive, self.phi0)
+        phi_fast, trace_fast = psd_solve(self.grid, fast, self.phi0)
         assert trace_fast.iterations == trace_plain.iterations
         assert norm_inf(phi_fast - phi_plain) <= 1e-12
-        assert len(image_errors) == trace_fast.iterations
-        assert max(image_errors) <= 1e-10
+        assert len(naive.image_errors) == trace_plain.iterations
+        assert max(naive.image_errors) <= 1e-10
 
     def test_overshooting_line_search_restarts_cg(self):
         """A search landing 1.5x past the line minimum makes PR+ restart.
 
-        g reports the true directional derivative at alpha / 1.5, so every
-        accepted step overshoots; the next conjugate direction then points
-        uphill and must be replaced by the preconditioned gradient.
+        g reports the true directional derivative at alpha / 1.5 and its
+        exact slope, so every accepted step overshoots; the next conjugate
+        direction then points uphill and must be replaced by the
+        preconditioned gradient.
         """
-        residual, _ = barrier_problem(self.grid)
+        system = self.system()
+        exact = system.directional
 
         def directional(phi, direction, r_phi):
-            d, _ = direction
+            g, residual_at = exact(phi, direction, r_phi)
 
-            def g(alpha):
-                return -inner(self.grid, residual(phi + alpha / 1.5 * d), d), math.nan
+            def stretched(alpha):
+                value, slope = g(alpha / 1.5)
+                return value, slope / 1.5
 
-            def residual_at(alpha):
-                return residual(phi + alpha * d)
+            return stretched, residual_at
 
-            return g, residual_at
-
-        phi, trace = psd_solve(
-            self.grid, residual, self.precondition, self.phi0, directional=directional
-        )
+        system.directional = directional
+        phi, trace = psd_solve(self.grid, system, self.phi0)
         assert trace.restarts >= trace.iterations // 2
         assert trace.residual_norms[-1] <= 1e-9
         assert np.all(phi > 0.0)
@@ -439,10 +523,11 @@ class TestPsdSolveBarrier:
     def test_preconditioner_may_return_its_input(self):
         # The CG direction must not be combined in place while it is still
         # the preconditioner's output, which here is the solver's own rp.
-        residual, _ = barrier_problem(self.grid)
-        phi_same, trace_same = psd_solve(self.grid, residual, lambda r: r, self.phi0)
+        phi_same, trace_same = psd_solve(
+            self.grid, self.system(lambda r: r), self.phi0
+        )
         phi_copy, trace_copy = psd_solve(
-            self.grid, residual, lambda r: r.copy(), self.phi0
+            self.grid, self.system(lambda r: r.copy()), self.phi0
         )
         assert trace_same.iterations >= 3
         assert trace_same.residual_norms == trace_copy.residual_norms
@@ -451,28 +536,25 @@ class TestPsdSolveBarrier:
         assert np.array_equal(phi_same, phi_copy)
 
     def test_budget_exhaustion_carries_best_iterate(self):
-        residual, _ = barrier_problem(self.grid)
         cfg = SolverConfig(tol=1e-15, max_iters=3)
         with pytest.raises(SolverDivergedError) as excinfo:
-            psd_solve(self.grid, residual, self.precondition, self.phi0, cfg)
+            psd_solve(self.grid, self.system(), self.phi0, cfg)
         err = excinfo.value
         assert err.phi is not None and np.all(err.phi > 0.0)
         assert err.trace.iterations == 3
         assert err.trace.residual_norms[-1] < err.trace.residual_norms[0]
 
     def test_rejects_nonpositive_start(self):
-        residual, _ = barrier_problem(self.grid)
         bad = self.phi0.copy()
         bad.flat[0] = 0.0
         with pytest.raises(NonPositiveFieldError):
-            psd_solve(self.grid, residual, self.precondition, bad)
+            psd_solve(self.grid, self.system(), bad)
 
     def test_solution_independent_of_start(self):
-        residual, _ = barrier_problem(self.grid)
         other = self.phi0 + 0.2 * np.sin(
             2.0 * np.pi * self.grid.coordinates()[0]
         )
         other += np.mean(self.phi0) - np.mean(other)
-        phi_a, _ = psd_solve(self.grid, residual, self.precondition, self.phi0)
-        phi_b, _ = psd_solve(self.grid, residual, self.precondition, other)
+        phi_a, _ = psd_solve(self.grid, self.system(), self.phi0)
+        phi_b, _ = psd_solve(self.grid, self.system(), other)
         assert norm_inf(phi_a - phi_b) <= 1e-7

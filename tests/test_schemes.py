@@ -8,6 +8,7 @@ and dissipation guarantees are asserted over multi-step runs.
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ class TestDirectionalFactory:
         phi0 = positive_field(grid, 39)
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, _ = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0))
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0), g0(0.0))
         phi1 = phi0 + alpha0 * p0
         r1, rp1, p1 = self.gradient(system, phi1)
         beta = inner(grid, p1, rp1 - rp0) / inner(grid, p0, rp0)
@@ -316,7 +317,7 @@ class TestDirectionalFactory:
         phi0 = positive_field(grid, 81)
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, residual_at = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0))
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0), g0(0.0))
         phi1 = phi0 + alpha0 * p0
         r1 = residual_at(alpha0)
         d = np.random.default_rng(82).standard_normal(grid.shape)
@@ -752,11 +753,8 @@ class TestStepBehavior:
 
     def test_report_counts_line_evaluations(self, setup):
         grid, _, fo, _ = setup
-        system = fo.step_system_from(smooth_field(grid, amp=0.4), 0.02)
-        _, trace = psd_solve(
-            grid, system.residual, system.precondition, system.phi_init,
-            directional=system.directional,
-        )
+        phi_old = smooth_field(grid, amp=0.4)
+        _, trace = psd_solve(grid, fo.step_system_from(phi_old, 0.02), phi_old)
         _, report = fo.step(initial_state(grid, smooth_field(grid, amp=0.4)), 0.02)
         assert report.psd_iters == trace.iterations
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
@@ -813,6 +811,57 @@ class TestStepBehavior:
             assert report.line_evals > report.psd_iters >= 2
             assert passes[0] - before == report.line_evals + 1
 
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_closures_wrapped_after_assembly_see_every_call(
+        self, monkeypatch, scheme_cls
+    ):
+        """psd_solve looks the step system's closures up when it calls them,
+        so closures swapped in after step_system_from, as the benchmark's
+        tracer does, see every call.  A step makes one residual call, one
+        directional call per CG iteration, one preconditioner solve per
+        iteration plus the accepting one, and one g call per line
+        evaluation plus the g(0) of each search."""
+        calls = Counter()
+        assemble = scheme_cls.step_system_from
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def directional(fn):
+            def made(*args):
+                g, residual_at = fn(*args)
+                return counted("g", g), counted("residual_at", residual_at)
+
+            return made
+
+        def assembled(self, *args, **kwargs):
+            system = assemble(self, *args, **kwargs)
+            system.residual = counted("residual", system.residual)
+            system.precondition = counted("precondition", system.precondition)
+            system.directional = counted("directional", directional(system.directional))
+            return system
+
+        monkeypatch.setattr(scheme_cls, "step_system_from", assembled)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        for _ in range(3):
+            calls.clear()
+            state, report = scheme.step(state, 0.01)
+            iters = report.psd_iters
+            assert iters >= 2
+            assert calls == {
+                "residual": 1,
+                "directional": iters,
+                "precondition": iters + 1,
+                "g": report.line_evals + iters,
+                "residual_at": iters,
+            }
+
     def test_capped_searches_are_counted(self, monkeypatch):
         """A BDF2 step system at dt = 10 solved from a start with a spike of
         1000 in one cell: the first search's root lies past the cap at 1% of
@@ -834,10 +883,7 @@ class TestStepBehavior:
         start = phi_old.copy()
         start[16, 16] += 1000.0
         start -= 1000.0 / grid.num_cells
-        phi, trace = psd_solve(
-            grid, system.residual, system.precondition, start,
-            directional=system.directional,
-        )
+        phi, trace = psd_solve(grid, system, start)
         assert trace.residual_norms[-1] <= 1e-9
         assert trace.capped == by_rule[0] >= 1
 
