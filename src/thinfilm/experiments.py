@@ -117,6 +117,11 @@ class ConvergenceTable:
         )
 
 
+def _check_t_final(t_final: float) -> None:
+    if not (0.0 < t_final < math.inf):
+        raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+
+
 def _convergence_table(runs, profile, eps, t_final, on_resolution):
     """March each (label, scheme, state, dt, steps) run under the forcing.
 
@@ -152,6 +157,7 @@ def run_convergence_first_order(
     Errors are measured against the sampled manufactured profile at
     t_final; the expected l2 slope against the step count is -1.
     """
+    _check_t_final(t_final)
     if any(nt < 1 for nt in nt_values):
         raise ConfigError(f"step counts must be >= 1, got {list(nt_values)}")
     grid = Grid(2, n, length)
@@ -178,21 +184,24 @@ def run_convergence_bdf2(
     """Joint space-time refinement of the two-step scheme with dt = factor*h.
 
     History is synthesized by the ghost start, so the whole run is second
-    order and both error norms fit slope -2 against n.
+    order and both error norms fit slope -2 against n.  Every rung's dt must
+    divide t_final, which is checked before the first step.
     """
+    _check_t_final(t_final)
     if not (0.0 < dt_factor < math.inf):
         raise ConfigError(f"dt_factor must be positive and finite, got {dt_factor}")
     profile = ManufacturedSolution()
+    rungs = []
+    for n in n_values:
+        grid = Grid(2, n, length)
+        dt = dt_factor * grid.h
+        steps = int(round(t_final / dt))
+        if abs(steps * dt - t_final) > 1e-9 * t_final:
+            raise ConfigError(f"dt = {dt} does not divide t_final = {t_final} (n = {n})")
+        rungs.append((n, grid, dt, steps))
 
     def runs():
-        for n in n_values:
-            grid = Grid(2, n, length)
-            dt = dt_factor * grid.h
-            steps = int(round(t_final / dt))
-            if abs(steps * dt - t_final) > 1e-9 * t_final:
-                raise ConfigError(
-                    f"dt = {dt} does not divide t_final = {t_final} (n = {n})"
-                )
+        for n, grid, dt, steps in rungs:
             scheme = Bdf2Scheme(grid, PhysParams(eps, a0, a_stab), psd_config=psd_config)
             phi0 = profile.sample(grid, 0.0)
             state = scheme.cold_start(phi0, dt, forcing=profile.forcing(grid, eps, 0.0))

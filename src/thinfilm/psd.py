@@ -226,10 +226,11 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
     """Drive preconditioned nonlinear CG until the metric residual meets tol.
 
     ``system`` is a step system (schemes.StepSystem); the solve looks its
-    closures up as it calls them.  system.residual(phi) returns the full
-    residual field and is called once, at phi_init; system.precondition(rp)
-    applies L^{-1} to a mean-zero field.  system.directional(phi, (d, s), r)
-    takes the iterate, its residual, a direction d and its image s = L d,
+    methods up on the instance as it calls them.  system.residual(phi)
+    returns the full residual field and is called once, at phi_init;
+    system.precondition(rp) applies L^{-1} to a mean-zero field.
+    system.directional(phi, (d, s), r) takes the iterate, the residual there
+    that the system handed out last, a direction d and its image s = L d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
     g(alpha) = -<r(phi + alpha d), d> and its derivative, and
     residual_at(alpha) = r(phi + alpha d) carries the residual to the next
@@ -239,9 +240,9 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
     with its slope and is not counted as a line evaluation; step systems
     answer it from the state they carry at phi.  Its value is replaced by
     -<d, rp> from the deflated residual: the undeflated inner product
-    carries rounding of order mean(r) sum(d), large near the barrier.  Both
-    closures must agree with the naive evaluations through system.residual
-    to rounding error.
+    carries rounding of order mean(r) sum(d), large near the barrier.  g and
+    residual_at must agree with the naive evaluations through
+    system.residual to rounding error.
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when

@@ -31,8 +31,9 @@ enters the residual additively and is assembled once per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,15 +66,9 @@ def _deflate(u: np.ndarray) -> np.ndarray:
     return u - np.mean(u)
 
 
-def _coefficients(dt: float, linear: float, stiffness: float, weight: float) -> tuple:
-    """(a0, a1, a2) of the preconditioner L = I - K of a step residual with
-    linear part K = stiffness lap - linear I - (weight / dt) (-lap)^{-1}."""
-    return (weight / dt, linear + 1.0, stiffness)
-
-
 def _check_dt(dt: float) -> None:
-    if not (dt > 0.0):
-        raise InvalidCoefficientsError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < math.inf):
+        raise InvalidCoefficientsError(f"dt must be positive and finite, got {dt}")
 
 
 @dataclass
@@ -109,35 +104,6 @@ class StepReport:
     line_evals: int = 0
     restarts: int = 0
     capped: int = 0
-
-
-@dataclass
-class StepSystem:
-    """Closures defining one implicit step, which psd_solve looks up on the
-    instance as it calls them (so closures wrapped after assembly see every
-    call).  ``functional`` is the step functional, for tests and diagnostics.
-
-    The residual is r(phi) = B(phi) + K phi + c with B the pointwise
-    inverse-power term and K linear, and ``precondition`` solves L d = rp
-    with L = I - K exactly.  ``directional(phi, (d, s), r)`` takes a
-    direction d together with its image s = L d, so K d = d - s costs no
-    transform, and returns (g, residual_at).  g(alpha) returns the pair
-    (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
-    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
-    two dots per trial alpha.  g(0) costs two dots and no pass while the
-    pass that produced r is still held: its slope comes from the curvature
-    -B' carried from that pass.  residual_at(alpha) = r(phi + alpha d)
-    costs one pass, unless the last pass of the step was this direction's
-    trial at the same alpha: the line search ends at a trial it evaluated,
-    as a rule its last, and that pass is then reused, to the same bits.
-    Both agree with the naive evaluation through ``residual`` to rounding
-    error whenever s = L d to rounding error.
-    """
-
-    residual: Callable
-    functional: Callable
-    precondition: Callable
-    directional: Callable
 
 
 def initial_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
@@ -183,6 +149,160 @@ def ghost_init(
             "synthesized history lost positivity; reduce dt or use restart_state"
         )
     return phi_prev
+
+
+class StepSystem:
+    """One implicit step, whose residual has the common form
+
+        r(phi) = (8/3)(phi^-9 [- phi^-3]) - linear phi + stiffness lap(phi)
+                 - (-lap)^{-1}(weight phi - history) / dt + constant,
+
+    the bracketed term present when ``concave`` (the phi^-3 term taken
+    implicitly).  r is the negative gradient of the strictly convex
+    ``functional`` on the fixed-mean slice.  Write r(phi) = B(phi) + K phi + c
+    with B the pointwise inverse-power term and K linear.  Then K = I - L for
+    the preconditioner L = a0 (-lap)^{-1} + a1 I + a2 (-lap) with
+    (a0, a1, a2) = ``coefficients``, and ``precondition`` solves L d = rp.
+
+    psd_solve looks ``residual``, ``precondition`` and ``directional`` up on
+    the instance as it calls them, so methods wrapped on the instance after
+    assembly see every call.  ``directional(phi, (d, s), r)`` takes a
+    direction d together with its image s = L d, so K d = d - s costs no
+    transform, and the residual r at phi, which must be the last one the
+    system handed out.  It returns (g, residual_at).  g(alpha) returns the
+    pair (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
+    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
+    two dots per trial alpha.  g(0) costs two dots and no pass while the
+    pass that produced r is still held: its slope comes from the curvature
+    -B' of that pass.  residual_at(alpha) = r(phi + alpha d) costs one pass,
+    unless the last pass of the step was this direction's trial at the same
+    alpha: the line search ends at a trial it evaluated, as a rule its last,
+    and that pass is then reused, to the same bits.  Both agree with the
+    naive evaluation through ``residual`` to rounding error whenever s = L d
+    to rounding error.
+    """
+
+    def __init__(self, grid: Grid, solver: SpectralSolver, dt: float, *,
+                 concave: bool, linear: float, stiffness: float, weight: float,
+                 history: np.ndarray, constant: np.ndarray):
+        self.grid, self.solver, self.dt, self.concave = grid, solver, dt, concave
+        self.linear, self.stiffness, self.weight = linear, stiffness, weight
+        self.history, self.constant = history, constant
+        self.coefficients = (weight / dt, linear + 1.0, stiffness)
+        # Scratch fields of the pointwise pass, shared by every residual and
+        # line trial of the step.  After a pass, bulk holds B(x) and curv
+        # holds the curvature -B'(x) / curv_scale, both at the point x of
+        # that pass; work is free.
+        self._work, self._bulk, self._curv = (np.empty(grid.shape) for _ in range(3))
+        self._curv_scale = 8.0 if concave else 24.0
+        # The last residual handed out and its affine part K phi + c, which
+        # the line closures take instead of re-deriving it as r - B(phi): the
+        # rounding of that difference is on the scale of B (about 1e12 at
+        # phi = 0.05) and would stay in every carried residual after it.
+        self._r = self._affine = None
+        # What the scratch fields hold the pass of: the affine part of a
+        # residual's point, or a direction's K d after a trial at
+        # _held_alpha along it.  Every pass sets it.
+        self._held = self._held_alpha = None
+
+    def _pass(self, x: np.ndarray) -> None:
+        """Fill bulk and curv at x; x may be work itself."""
+        work, bulk, curv = self._work, self._bulk, self._curv
+        np.divide(1.0, x, out=work)
+        np.multiply(work, work, out=bulk)
+        np.multiply(bulk, work, out=bulk)  # x^-3
+        np.multiply(bulk, bulk, out=curv)
+        np.multiply(curv, bulk, out=curv)  # x^-9
+        if self.concave:
+            # B = (8/3)(x^-9 - x^-3) and
+            # -B' = (8/3)(9 x^-10 - 3 x^-4) = 8 x^-1 (2 x^-9 + (x^-9 - x^-3))
+            np.subtract(curv, bulk, out=bulk)
+            np.multiply(curv, 2.0, out=curv)
+            np.add(curv, bulk, out=curv)
+            np.multiply(bulk, 8.0 / 3.0, out=bulk)
+        else:
+            # -B' = 24 x^-10, B = (8/3) x^-9
+            np.multiply(curv, 8.0 / 3.0, out=bulk)
+        np.multiply(curv, work, out=curv)
+
+    def residual(self, phi: np.ndarray) -> np.ndarray:
+        check_positive(phi, "iterate")
+        affine = self.stiffness * lap(self.grid, phi)
+        if self.linear:
+            affine -= self.linear * phi
+        affine -= self.solver.inv_neg_lap(_deflate(self.weight * phi - self.history)) / self.dt
+        affine += self.constant
+        self._pass(phi)
+        r = self._bulk + affine
+        self._r = r
+        self._affine = self._held = affine
+        return r
+
+    def functional(self, phi: np.ndarray) -> float:
+        """The step functional, for tests and diagnostics."""
+        check_positive(phi, "iterate")
+        grid, weight = self.grid, self.weight
+        inv = 1.0 / phi
+        inv2 = inv * inv
+        inv8 = (inv2 * inv2) * (inv2 * inv2)
+        value = self.solver.hminus1_norm(_deflate(weight * phi - self.history)) ** 2 / (
+            2.0 * weight * self.dt
+        )
+        bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if self.concave else inv8 / 3.0
+        value += grid.cell_volume * float(bulk.sum())
+        if self.linear:
+            value += 0.5 * self.linear * inner(grid, phi, phi)
+        value += 0.5 * self.stiffness * grad_norm_2(grid, phi) ** 2
+        value -= inner(grid, phi, self.constant)
+        return value
+
+    def precondition(self, rp: np.ndarray) -> np.ndarray:
+        return self.solver.solve_preconditioner(rp, *self.coefficients)
+
+    def directional(self, phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
+        if r_phi is not self._r:
+            raise ValueError("directional needs the last residual the step system handed out")
+        d, image = direction
+        grid, affine = self.grid, self._affine
+        work, bulk, curv = self._work, self._bulk, self._curv
+        scale, curv_scale = grid.cell_volume, self._curv_scale
+        kd = d - image
+        dflat = d.ravel()
+        s0 = inner(grid, affine, d)
+        s1 = inner(grid, kd, d)
+
+        def trial(alpha: float) -> None:
+            np.multiply(d, alpha, out=work)
+            np.add(work, phi, out=work)
+            if not work.min() > 0.0:
+                raise NonPositiveFieldError("line trial point is not strictly positive")
+            self._pass(work)
+            # kd is new with every direction, so a pass is never reused
+            # along another one.
+            self._held, self._held_alpha = kd, alpha
+
+        def g(alpha: float) -> tuple:
+            # At alpha = 0 the pass of the residual at phi, when still held,
+            # serves: g(0) then costs two dots and no pass.
+            if not (alpha == 0.0 and self._held is affine):
+                trial(alpha)
+            value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
+            # g' = <-B' d, d> - <K d, d>, with d^2 never stored
+            np.multiply(curv, d, out=work)
+            return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
+
+        def residual_at(alpha: float) -> np.ndarray:
+            # The scratch fields still hold the pass at phi + alpha d when
+            # the last pass was this direction's trial at alpha.
+            if not (self._held is kd and self._held_alpha == alpha):
+                trial(alpha)
+            moved = affine + alpha * kd
+            out = bulk + moved
+            self._r = out
+            self._affine = self._held = moved
+            return out
+
+        return g, residual_at
 
 
 class _SchemeBase:
@@ -243,14 +363,6 @@ class _SchemeBase:
         )
         return new_state, report
 
-    def preconditioner_coefficients(self, dt: float) -> tuple:
-        """(a0, a1, a2) of L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
-
-        L = I - K for the linear part K of the step residual.
-        """
-        _check_dt(dt)
-        return _coefficients(dt, **self._linear_terms(dt))
-
     def _warm_start(self, state: StepState) -> np.ndarray:
         """Extrapolated initial iterate, or state.phi without usable history.
 
@@ -267,156 +379,9 @@ class _SchemeBase:
         theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
         return state.phi + theta * delta
 
-    def _step_system(
-        self,
-        dt: float,
-        *,
-        concave: bool,
-        linear: float,
-        stiffness: float,
-        weight: float,
-        history: np.ndarray,
-        constant: np.ndarray,
-    ) -> StepSystem:
-        """Closures of one step whose residual has the common form
-
-            r(phi) = (8/3)(phi^-9 [- phi^-3]) - linear phi + stiffness lap(phi)
-                     - (-lap)^{-1}(weight phi - history) / dt + constant,
-
-        the bracketed term present when ``concave`` (the phi^-3 term taken
-        implicitly).  r is the negative gradient of a strictly convex
-        functional on the fixed-mean slice.  Its linear part is
-        K = stiffness lap - linear I - (weight / dt) (-lap)^{-1} = I - L for
-        the preconditioner L with the coefficients of :func:`_coefficients`.
-        """
-        grid, solver = self.grid, self.solver
-        scale = grid.cell_volume
-        # Scratch fields of the pointwise pass, shared by every residual and
-        # line trial of the step.  After a pass, bulk holds B(x) and curv
-        # holds the curvature -B'(x) / curv_scale, both at the point x of
-        # that pass; work is free.
-        work, bulk, curv = (np.empty(grid.shape) for _ in range(3))
-        curv_scale = 8.0 if concave else 24.0
-        # The affine part K phi + c of the last residual handed out, with
-        # that residual.  When it comes back as the residual at phi, the
-        # line closures reuse it instead of re-deriving it as r - B(phi):
-        # the rounding of that difference is on the scale of B (about 1e12
-        # at phi = 0.05) and would stay in every carried residual after it.
-        # "held" names the point whose pass the scratch fields hold: the
-        # affine part of a residual's point, or after a line trial the
-        # trial record of its direction.  Every pass sets it.
-        carried = {"held": None}
-
-        def bulk_pass(x: np.ndarray) -> None:
-            """Fill bulk and curv at x; x may be work itself."""
-            np.divide(1.0, x, out=work)
-            np.multiply(work, work, out=bulk)
-            np.multiply(bulk, work, out=bulk)  # x^-3
-            np.multiply(bulk, bulk, out=curv)
-            np.multiply(curv, bulk, out=curv)  # x^-9
-            if concave:
-                # B = (8/3)(x^-9 - x^-3) and
-                # -B' = (8/3)(9 x^-10 - 3 x^-4) = 8 x^-1 (2 x^-9 + (x^-9 - x^-3))
-                np.subtract(curv, bulk, out=bulk)
-                np.multiply(curv, 2.0, out=curv)
-                np.add(curv, bulk, out=curv)
-                np.multiply(bulk, 8.0 / 3.0, out=bulk)
-            else:
-                # -B' = 24 x^-10, B = (8/3) x^-9
-                np.multiply(curv, 8.0 / 3.0, out=bulk)
-            np.multiply(curv, work, out=curv)
-
-        def residual(phi: np.ndarray) -> np.ndarray:
-            check_positive(phi, "iterate")
-            affine = stiffness * lap(grid, phi)
-            if linear:
-                affine -= linear * phi
-            affine -= solver.inv_neg_lap(_deflate(weight * phi - history)) / dt
-            affine += constant
-            bulk_pass(phi)
-            r = bulk + affine
-            carried.update(r=r, affine=affine, held=affine)
-            return r
-
-        def functional(phi: np.ndarray) -> float:
-            check_positive(phi, "iterate")
-            inv = 1.0 / phi
-            inv2 = inv * inv
-            inv8 = (inv2 * inv2) * (inv2 * inv2)
-            value = solver.hminus1_norm(_deflate(weight * phi - history)) ** 2 / (
-                2.0 * weight * dt
-            )
-            bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if concave else inv8 / 3.0
-            value += scale * float(bulk.sum())
-            if linear:
-                value += 0.5 * linear * inner(grid, phi, phi)
-            value += 0.5 * stiffness * grad_norm_2(grid, phi) ** 2
-            value -= inner(grid, phi, constant)
-            return value
-
-        a0c, a1c, a2c = _coefficients(dt, linear, stiffness, weight)
-
-        def precondition(rp: np.ndarray) -> np.ndarray:
-            return solver.solve_preconditioner(rp, a0c, a1c, a2c)
-
-        def directional(phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
-            d, image = direction
-            if carried.get("r") is r_phi:
-                affine = carried["affine"]
-            else:
-                bulk_pass(phi)
-                affine = r_phi - bulk
-                carried["held"] = affine
-            kd = d - image
-            dflat = d.ravel()
-            s0 = inner(grid, affine, d)
-            s1 = inner(grid, kd, d)
-            # The alpha of this direction's last trial.  The list itself is
-            # the trial record put in carried["held"]: it is new with every
-            # direction, so a pass is never reused along another one.
-            tried = [None]
-
-            def trial(alpha: float) -> None:
-                np.multiply(d, alpha, out=work)
-                np.add(work, phi, out=work)
-                if not work.min() > 0.0:
-                    raise NonPositiveFieldError(
-                        "line trial point is not strictly positive"
-                    )
-                bulk_pass(work)
-                tried[0] = alpha
-                carried["held"] = tried
-
-            def g(alpha: float) -> tuple:
-                # At alpha = 0 the pass of the residual at phi, when still
-                # held, serves: g(0) then costs two dots and no pass.
-                if not (alpha == 0.0 and carried["held"] is affine):
-                    trial(alpha)
-                value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
-                # g' = <-B' d, d> - <K d, d>, with d^2 never stored
-                np.multiply(curv, d, out=work)
-                return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
-
-            def residual_at(alpha: float) -> np.ndarray:
-                # The scratch fields still hold the pass at phi + alpha d
-                # when the last pass was this direction's trial at alpha.
-                if not (carried["held"] is tried and tried[0] == alpha):
-                    trial(alpha)
-                moved = affine + alpha * kd
-                out = bulk + moved
-                carried.update(r=out, affine=moved, held=moved)
-                return out
-
-            return g, residual_at
-
-        return StepSystem(residual, functional, precondition, directional)
-
 
 class FirstOrderScheme(_SchemeBase):
     """Unconditionally energy-stable convex-splitting stepper."""
-
-    def _linear_terms(self, dt: float) -> dict:
-        return dict(linear=0.0, stiffness=self.params.eps**2, weight=1.0)
 
     def step_system_from(
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
@@ -428,9 +393,10 @@ class FirstOrderScheme(_SchemeBase):
         lift = self._lift_forcing(forcing)
         if lift is not None:
             constant += lift
-        return self._step_system(
-            dt, concave=False, history=phi_old, constant=constant,
-            **self._linear_terms(dt),
+        return StepSystem(
+            self.grid, self.solver, dt, concave=False, linear=0.0,
+            stiffness=self.params.eps**2, weight=1.0, history=phi_old,
+            constant=constant,
         )
 
     def step(
@@ -463,12 +429,6 @@ class Bdf2Scheme(_SchemeBase):
                 f"a_stab = {params.a_stab} below the floor {(4.0 / 9.0) * params.a0 ** 2}"
             )
 
-    def _linear_terms(self, dt: float) -> dict:
-        p = self.params
-        return dict(
-            linear=(8.0 / 3.0) * p.a0, stiffness=p.eps**2 + p.a_stab * dt, weight=1.5
-        )
-
     def step_system_from(
         self,
         phi_old: np.ndarray,
@@ -480,16 +440,17 @@ class Bdf2Scheme(_SchemeBase):
         p = self.params
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
-        terms = self._linear_terms(dt)
+        linear = (8.0 / 3.0) * p.a0
         phi_hat = 2.0 * phi_old - phi_older
         # Terms independent of the iterate, assembled once per step.
-        constant = terms["linear"] * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
+        constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
         lift = self._lift_forcing(forcing)
         if lift is not None:
             constant = constant + lift
-        return self._step_system(
-            dt, concave=True, history=2.0 * phi_old - 0.5 * phi_older,
-            constant=constant, **terms,
+        return StepSystem(
+            self.grid, self.solver, dt, concave=True, linear=linear,
+            stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
+            history=2.0 * phi_old - 0.5 * phi_older, constant=constant,
         )
 
     def cold_start(

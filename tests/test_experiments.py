@@ -190,6 +190,17 @@ class TestConvergenceSmokes:
         with pytest.raises(ValueError):
             run_convergence_bdf2(n_values=(10, 12, 14), t_final=0.33)
 
+    def test_bdf2_checks_every_rung_before_the_first_step(self):
+        """dt = 0.3 h divides t_final = 1 at n = 3 and 6 but not at n = 32;
+        the ladder is refused before any rung is marched."""
+        seen = []
+        with pytest.raises(ConfigError, match="n = 32"):
+            run_convergence_bdf2(
+                n_values=(3, 6, 32), dt_factor=0.3,
+                on_resolution=lambda *row: seen.append(row),
+            )
+        assert seen == []
+
 
 class TestRandomInitialData:
     def test_golden_values(self):

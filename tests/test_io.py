@@ -388,6 +388,9 @@ class TestCliErrors:
             ["step", "--tol", "inf"],
             ["coarsen", "--t-end", "7000"],
             ["coarsen", "--n", "1"],
+            ["converge2", "--n-list", "8,16,32", "--tf", "inf"],
+            ["converge1", "--n", "8", "--nt", "2,4,8", "--tf", "nan"],
+            ["converge2", "--n-list", "8,16,32", "--tf", "-1"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

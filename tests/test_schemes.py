@@ -206,9 +206,9 @@ class TestDirectionalFactory:
         return r, rp, system.precondition(rp)
 
     @staticmethod
-    def dense_image(grid, scheme, dt, d):
+    def dense_image(grid, system, d):
         """L d through the dense preconditioner matrix, no FFT involved."""
-        mat = dense_preconditioner_matrix(grid, *scheme.preconditioner_coefficients(dt))
+        mat = dense_preconditioner_matrix(grid, *system.coefficients)
         return (mat @ d.ravel()).reshape(grid.shape)
 
     @staticmethod
@@ -230,13 +230,25 @@ class TestDirectionalFactory:
         phi = positive_field(grid, 31)
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
-        # r as assembled, and a copy that the system has not seen, whose
-        # affine part the line closures must derive from r itself
-        for r_in in (r, r.copy()):
-            g, residual_at = system.directional(phi, (d, rp), r_in)  # L p = rp
-            self.assert_matches_naive(
-                grid, system, phi, d, g, residual_at, (0.0, 0.01, 0.2)
-            )
+        g, residual_at = system.directional(phi, (d, rp), r)  # L p = rp
+        self.assert_matches_naive(
+            grid, system, phi, d, g, residual_at, (0.0, 0.01, 0.2)
+        )
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_rejects_a_residual_it_did_not_hand_out(self, setup, which):
+        """The line closures take the affine part of the last residual the
+        system handed out; a copy of it, or an earlier one, is refused."""
+        grid = setup[0]
+        phi_old = positive_field(grid, 40)
+        phi = positive_field(grid, 41)
+        _, system = self.make_system(setup, which, phi_old, 0.08)
+        r, rp, d = self.gradient(system, phi)
+        with pytest.raises(ValueError):
+            system.directional(phi, (d, rp), r.copy())
+        system.residual(positive_field(grid, 42))
+        with pytest.raises(ValueError):
+            system.directional(phi, (d, rp), r)
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_cg_direction_with_carried_image(self, setup, which):
@@ -265,13 +277,13 @@ class TestDirectionalFactory:
         dt = 0.08
         phi_old = positive_field(grid, 32)
         phi = positive_field(grid, 33)
-        scheme, system = self.make_system(setup, which, phi_old, dt)
+        _, system = self.make_system(setup, which, phi_old, dt)
         r = system.residual(phi)
         d = np.random.default_rng(34).standard_normal(grid.shape)
         d -= np.mean(d)
         d *= 0.01
         # d never went through precondition; its image comes from the dense L
-        image = self.dense_image(grid, scheme, dt, d)
+        image = self.dense_image(grid, system, d)
         g, residual_at = system.directional(phi, (d, image), r)
         self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.1,))
 
@@ -293,7 +305,7 @@ class TestDirectionalFactory:
         d = np.random.default_rng(74 + dim).standard_normal(grid.shape)
         d -= np.mean(d)
         d *= 0.05
-        g, _ = system.directional(phi, (d, self.dense_image(grid, scheme, dt, d)), r)
+        g, _ = system.directional(phi, (d, self.dense_image(grid, system, d)), r)
 
         def naive_g(alpha):
             return -inner(grid, system.residual(phi + alpha * d), d)
@@ -313,7 +325,7 @@ class TestDirectionalFactory:
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 80)
-        scheme, system = self.make_system(setup, which, phi_old, dt)
+        _, system = self.make_system(setup, which, phi_old, dt)
         phi0 = positive_field(grid, 81)
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, residual_at = system.directional(phi0, (p0, rp0), r0)
@@ -322,7 +334,7 @@ class TestDirectionalFactory:
         r1 = residual_at(alpha0)
         d = np.random.default_rng(82).standard_normal(grid.shape)
         d -= np.mean(d)
-        image = self.dense_image(grid, scheme, dt, d)
+        image = self.dense_image(grid, system, d)
         seeded = system.directional(phi1, (d, image), r1)[0](0.0)[1]
 
         _, fresh_system = self.make_system(setup, which, phi_old, dt)
@@ -347,7 +359,6 @@ class TestDirectionalFactory:
 
         _, other = self.make_system(setup, which, phi_old, dt)
         r_other = other.residual(phi)
-        other.residual(positive_field(grid, 86))  # the pass at phi is gone
         fresh = other.directional(phi, (d, rp), r_other)[0](0.0)
         for got in (held, again):
             assert got[0] == pytest.approx(fresh[0], rel=1e-12)
@@ -405,41 +416,41 @@ class TestDirectionalFactory:
     def test_line_trial_guards_positivity(self, setup, which):
         grid = setup[0]
         phi_old = positive_field(grid, 35)
-        scheme, system = self.make_system(setup, which, phi_old, 0.1)
+        _, system = self.make_system(setup, which, phi_old, 0.1)
         phi = positive_field(grid, 36)
         r = system.residual(phi)
         d = -np.ones(grid.shape) + mean_zero_forcing(grid, 37) * 1e-3
         d -= np.mean(d) + 1.0  # strongly negative direction
-        g, _ = system.directional(phi, (d, self.dense_image(grid, scheme, 0.1, d)), r)
+        g, _ = system.directional(phi, (d, self.dense_image(grid, system, d)), r)
         with pytest.raises(NonPositiveFieldError):
             g(1e6)
 
 
 class TestPreconditionerCoefficients:
     def test_first_order_values(self, setup):
-        _, params, fo, _ = setup
-        a0, a1, a2 = fo.preconditioner_coefficients(0.25)
+        grid, params, fo, _ = setup
+        a0, a1, a2 = fo.step_system_from(np.ones(grid.shape), 0.25).coefficients
         assert a0 == pytest.approx(4.0, rel=1e-15)
         assert a1 == 1.0
         assert a2 == pytest.approx(params.eps**2, rel=1e-15)
 
     def test_bdf2_values(self, setup):
-        _, params, _, bdf2 = setup
+        grid, params, _, bdf2 = setup
         dt = 0.25
-        a0, a1, a2 = bdf2.preconditioner_coefficients(dt)
+        ones = np.ones(grid.shape)
+        a0, a1, a2 = bdf2.step_system_from(ones, ones, dt).coefficients
         assert a0 == pytest.approx(6.0, rel=1e-15)
         assert a1 == pytest.approx((8.0 / 3.0) * params.a0 + 1.0, rel=1e-15)
         assert a2 == pytest.approx(params.eps**2 + params.a_stab * dt, rel=1e-15)
 
     def test_nonpositive_dt_rejected(self, setup):
-        _, _, fo, bdf2 = setup
-        for bad in (0.0, -0.1):
-            with pytest.raises(InvalidCoefficientsError):
-                fo.preconditioner_coefficients(bad)
-            with pytest.raises(InvalidCoefficientsError):
-                bdf2.preconditioner_coefficients(bad)
-            with pytest.raises(InvalidCoefficientsError):
-                fo.step_system_from(np.ones((8, 8)), bad)
+        grid, _, fo, bdf2 = setup
+        ones = np.ones(grid.shape)
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(InvalidCoefficientsError, match="dt"):
+                fo.step_system_from(ones, bad)
+            with pytest.raises(InvalidCoefficientsError, match="dt"):
+                bdf2.step_system_from(ones, ones, bad)
 
     def test_bdf2_rejects_weak_stabilization(self):
         grid = Grid(2, 8, 1.0)
@@ -478,7 +489,12 @@ class TestLinearPart:
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_identity_minus_preconditioner(self, which, dim):
         grid, scheme, dt, d, ild, kd = self.build(which, dim)
-        a0, a1, a2 = scheme.preconditioner_coefficients(dt)
+        ones = np.ones(grid.shape)
+        if which == "fo":
+            system = scheme.step_system_from(ones, dt)
+        else:
+            system = scheme.step_system_from(ones, ones, dt)
+        a0, a1, a2 = system.coefficients
         ld = a0 * ild + a1 * d - a2 * lap(grid, d)
         assert norm_inf((d - ld) - kd) <= 1e-13 * norm_inf(kd)
 
