@@ -21,7 +21,6 @@ from .energy import (
     mu_bdf2,
     mu_exact,
     mu_first_order,
-    potential_curvature,
     splitting_first_order,
     splitting_stabilized,
 )
@@ -29,7 +28,6 @@ from .errors import (
     BarrierCollapseError,
     ConfigError,
     FormatError,
-    GridTooLargeError,
     InsufficientDataError,
     InvalidCoefficientsError,
     MissingHistoryError,
@@ -85,7 +83,7 @@ from .schemes import (
     initial_state,
     restart_state,
 )
-from .spectral import SpectralSolver, dense_neg_lap_matrix, dense_preconditioner_matrix
+from .spectral import SpectralSolver
 
 __version__ = "0.1.0"
 
@@ -101,12 +99,9 @@ __all__ = [
     "norm_inf",
     "grad_norm_2",
     "SpectralSolver",
-    "dense_neg_lap_matrix",
-    "dense_preconditioner_matrix",
     "PhysParams",
     "a0_star",
     "check_positive",
-    "potential_curvature",
     "discrete_energy",
     "splitting_first_order",
     "splitting_stabilized",
@@ -147,7 +142,6 @@ __all__ = [
     "ThinFilmError",
     "NonZeroMeanError",
     "InvalidCoefficientsError",
-    "GridTooLargeError",
     "NonPositiveFieldError",
     "MissingHistoryError",
     "PositivityLostError",

@@ -40,19 +40,6 @@ def a0_star() -> float:
     return (9.0 / 5.0) * (2.0 / 15.0) ** (2.0 / 3.0)
 
 
-def potential_curvature(x, a0: float):
-    """Second derivative (8/3)(9 x^-10 - 3 x^-4 + a0) of the stabilized core.
-
-    Accepts scalars or arrays of strictly positive x.
-    """
-    x = np.asarray(x, dtype=float)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    inv4 = inv2 * inv2
-    inv10 = inv4 * inv4 * inv2
-    return (8.0 / 3.0) * (9.0 * inv10 - 3.0 * inv4 + a0)
-
-
 @dataclass(frozen=True)
 class PhysParams:
     """Model and stabilization parameters shared by the time steppers.

@@ -17,10 +17,6 @@ class InvalidCoefficientsError(ThinFilmError):
     """Operator or scheme coefficients violate their admissible range."""
 
 
-class GridTooLargeError(ThinFilmError):
-    """A dense-matrix oracle was requested on a grid beyond its size cap."""
-
-
 class NonPositiveFieldError(ThinFilmError):
     """A field that must be strictly positive has a zero/negative entry."""
 

@@ -117,9 +117,12 @@ class ConvergenceTable:
         )
 
 
-def _check_t_final(t_final: float) -> None:
+def _check_study(t_final: float, ladder) -> None:
     if not (0.0 < t_final < math.inf):
         raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+    # The fit needs three rungs: refuse a shorter ladder before the first step.
+    if len(ladder) < 3:
+        raise ConfigError(f"need at least 3 rungs to fit, got {list(ladder)}")
 
 
 def _convergence_table(runs, profile, eps, t_final, on_resolution):
@@ -157,7 +160,7 @@ def run_convergence_first_order(
     Errors are measured against the sampled manufactured profile at
     t_final; the expected l2 slope against the step count is -1.
     """
-    _check_t_final(t_final)
+    _check_study(t_final, nt_values)
     if any(nt < 1 for nt in nt_values):
         raise ConfigError(f"step counts must be >= 1, got {list(nt_values)}")
     grid = Grid(2, n, length)
@@ -187,7 +190,7 @@ def run_convergence_bdf2(
     order and both error norms fit slope -2 against n.  Every rung's dt must
     divide t_final, which is checked before the first step.
     """
-    _check_t_final(t_final)
+    _check_study(t_final, n_values)
     if not (0.0 < dt_factor < math.inf):
         raise ConfigError(f"dt_factor must be positive and finite, got {dt_factor}")
     profile = ManufacturedSolution()
@@ -216,6 +219,8 @@ def random_initial_data(grid: Grid, seed: int) -> np.ndarray:
     The stream is a PCG64 generator filled in C order; golden tests pin the
     exact values, so the generator identity is part of the format.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return 2.0 + 0.1 * (2.0 * rng.random(grid.shape) - 1.0)
 
@@ -281,6 +286,13 @@ class CoarseningConfig:
             raise ConfigError(f"t_end must lie in (0, {prev_end}], got {self.t_end}")
         if self.record_every_late < 1:
             raise ConfigError("record_every_late must be >= 1")
+        # nan fails every comparison: the run would drop records or never
+        # run out of budget.
+        if math.isnan(self.record_cutoff):
+            raise ConfigError("record_cutoff must not be nan")
+        budget = self.wall_clock_budget
+        if budget is not None and not budget >= 0.0:
+            raise ConfigError(f"wall_clock_budget must be >= 0, got {budget}")
 
 
 @dataclass

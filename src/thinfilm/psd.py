@@ -100,18 +100,6 @@ class PsdTrace:
     def iterations(self) -> int:
         return len(self.alphas)
 
-    def tail_contraction(self) -> float | None:
-        """Largest residual ratio over the trailing half of the iteration.
-
-        None when fewer than three residuals were recorded.
-        """
-        rn = self.residual_norms
-        if len(rn) < 3:
-            return None
-        start = len(rn) // 2
-        ratios = [rn[i + 1] / rn[i] for i in range(start, len(rn) - 1) if rn[i] > 0.0]
-        return max(ratios) if ratios else None
-
     def mean_tail_contraction(self) -> float | None:
         """Geometric-mean residual ratio per iteration over the trailing half.
 

@@ -47,23 +47,12 @@ from .errors import (
     PositivityLostError,
     SolverDivergedError,
 )
-from .grid import Grid, grad_norm_2, inner, lap, mean, norm_inf
+from .grid import Grid, inner, lap, mean, norm_inf
 from .psd import SolverConfig, barrier_alpha, psd_solve
 from .spectral import SpectralSolver
 
 _STEP_MASS_TOL = 1e-12
 _FORCING_MEAN_TOL = 1e-12
-
-
-def _deflate(u: np.ndarray) -> np.ndarray:
-    """Project out the mean of a field that is mean-free in exact arithmetic.
-
-    The time-increment combinations fed to the inverse Laplacian cancel to
-    rounding error in the mean (mass conservation), but on the scale of phi
-    rather than of the increment, so the cancellation must be finished
-    explicitly before the spectral solve.
-    """
-    return u - np.mean(u)
 
 
 def _check_dt(dt: float) -> None:
@@ -158,11 +147,17 @@ class StepSystem:
                  - (-lap)^{-1}(weight phi - history) / dt + constant,
 
     the bracketed term present when ``concave`` (the phi^-3 term taken
-    implicitly).  r is the negative gradient of the strictly convex
-    ``functional`` on the fixed-mean slice.  Write r(phi) = B(phi) + K phi + c
-    with B the pointwise inverse-power term and K linear.  Then K = I - L for
-    the preconditioner L = a0 (-lap)^{-1} + a1 I + a2 (-lap) with
-    (a0, a1, a2) = ``coefficients``, and ``precondition`` solves L d = rp.
+    implicitly).  r is the negative gradient, on the fixed-mean slice, of
+    the strictly convex step functional
+
+        J(phi) = ||weight phi - history||_{-1}^2 / (2 weight dt)
+                 + <(1/3) phi^-8 [- (4/3) phi^-2], 1> + (linear/2) ||phi||^2
+                 + (stiffness/2) ||grad phi||^2 - <phi, constant>.
+
+    Write r(phi) = B(phi) + K phi + c with B the pointwise inverse-power
+    term and K linear.  Then K = I - L for the preconditioner
+    L = a0 (-lap)^{-1} + a1 I + a2 (-lap) with (a0, a1, a2) =
+    ``coefficients``, and ``precondition`` solves L d = rp.
 
     psd_solve looks ``residual``, ``precondition`` and ``directional`` up on
     the instance as it calls them, so methods wrapped on the instance after
@@ -230,31 +225,19 @@ class StepSystem:
         affine = self.stiffness * lap(self.grid, phi)
         if self.linear:
             affine -= self.linear * phi
-        affine -= self.solver.inv_neg_lap(_deflate(self.weight * phi - self.history)) / self.dt
+        # weight phi - history, formed in the free scratch field, is mean-free
+        # in exact arithmetic (mass conservation), but its mean cancels to
+        # rounding on the scale of phi, not of the increment: finish the
+        # cancellation before the solve.
+        lifted = np.subtract(self.weight * phi, self.history, out=self._work)
+        lifted -= np.mean(lifted)
+        affine -= self.solver.inv_neg_lap(lifted) / self.dt
         affine += self.constant
         self._pass(phi)
         r = self._bulk + affine
         self._r = r
         self._affine = self._held = affine
         return r
-
-    def functional(self, phi: np.ndarray) -> float:
-        """The step functional, for tests and diagnostics."""
-        check_positive(phi, "iterate")
-        grid, weight = self.grid, self.weight
-        inv = 1.0 / phi
-        inv2 = inv * inv
-        inv8 = (inv2 * inv2) * (inv2 * inv2)
-        value = self.solver.hminus1_norm(_deflate(weight * phi - self.history)) ** 2 / (
-            2.0 * weight * self.dt
-        )
-        bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if self.concave else inv8 / 3.0
-        value += grid.cell_volume * float(bulk.sum())
-        if self.linear:
-            value += 0.5 * self.linear * inner(grid, phi, phi)
-        value += 0.5 * self.stiffness * grad_norm_2(grid, phi) ** 2
-        value -= inner(grid, phi, self.constant)
-        return value
 
     def precondition(self, rp: np.ndarray) -> np.ndarray:
         return self.solver.solve_preconditioner(rp, *self.coefficients)

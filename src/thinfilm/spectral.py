@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridTooLargeError, InvalidCoefficientsError, NonZeroMeanError
+from .errors import InvalidCoefficientsError, NonZeroMeanError
 from .grid import Grid, inner, norm_inf
 
-_DENSE_CELL_CAP = 12**3
 # Admissible mean of a solver input, relative to max|f| times the box volume.
 _MEAN_TOL = 1e-10
 
@@ -151,54 +150,3 @@ class SpectralSolver:
         psi = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
         return d, psi
 
-
-def _check_dense_cap(grid: Grid) -> None:
-    if grid.n > 12 or grid.num_cells > _DENSE_CELL_CAP:
-        raise GridTooLargeError(
-            f"dense oracle capped at n <= 12 and {_DENSE_CELL_CAP} cells, "
-            f"got n={grid.n} ({grid.num_cells} cells)"
-        )
-
-
-def dense_neg_lap_matrix(grid: Grid) -> np.ndarray:
-    """Explicit matrix of -lap on tiny grids, assembled by index arithmetic.
-
-    Deliberately shares no code with the stencil or FFT paths so it can act
-    as an independent oracle in tests.
-    """
-    _check_dense_cap(grid)
-    n, dim = grid.n, grid.dim
-    inv_h2 = 1.0 / grid.h**2
-    size = grid.num_cells
-    mat = np.zeros((size, size))
-    for flat in range(size):
-        coords = []
-        rem = flat
-        for ax in range(dim):
-            stride = n ** (dim - 1 - ax)
-            coords.append(rem // stride)
-            rem %= stride
-        mat[flat, flat] += 2.0 * dim * inv_h2
-        for ax in range(dim):
-            for step in (-1, 1):
-                shifted = list(coords)
-                shifted[ax] = (shifted[ax] + step) % n
-                other = 0
-                for a, c in enumerate(shifted):
-                    other = other * n + c
-                mat[flat, other] -= inv_h2
-    return mat
-
-
-def dense_preconditioner_matrix(
-    grid: Grid, a0: float, a1: float, a2: float
-) -> np.ndarray:
-    """Explicit matrix of a0 (-lap)^{-1} + a1 I + a2 (-lap) on tiny grids.
-
-    The inverse-Laplacian block uses the pseudoinverse, whose action on
-    mean-zero vectors coincides with the mean-zero spectral solve.
-    """
-    _check_dense_cap(grid)
-    neg_lap = dense_neg_lap_matrix(grid)
-    eye = np.eye(grid.num_cells)
-    return a0 * np.linalg.pinv(neg_lap) + a1 * eye + a2 * neg_lap

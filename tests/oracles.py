@@ -1,0 +1,95 @@
+"""Reference implementations that tests compare the package against.
+
+None of these runs on a solver path.  The dense matrices are assembled by
+index arithmetic, sharing no code with the stencil or FFT paths; the
+curvature, the step functional and the largest tail ratio are the
+closed forms that the package's claims are checked against.
+"""
+
+import numpy as np
+
+from thinfilm import check_positive, grad_norm_2, inner
+
+
+def dense_neg_lap_matrix(grid):
+    """Explicit matrix of -lap on tiny grids, assembled by index arithmetic."""
+    assert grid.n <= 12, "dense matrices are for grids of at most 12^3 cells"
+    n, dim = grid.n, grid.dim
+    inv_h2 = 1.0 / grid.h**2
+    size = grid.num_cells
+    mat = np.zeros((size, size))
+    for flat in range(size):
+        coords = []
+        rem = flat
+        for ax in range(dim):
+            stride = n ** (dim - 1 - ax)
+            coords.append(rem // stride)
+            rem %= stride
+        mat[flat, flat] += 2.0 * dim * inv_h2
+        for ax in range(dim):
+            for step in (-1, 1):
+                shifted = list(coords)
+                shifted[ax] = (shifted[ax] + step) % n
+                other = 0
+                for c in shifted:
+                    other = other * n + c
+                mat[flat, other] -= inv_h2
+    return mat
+
+
+def dense_preconditioner_matrix(grid, a0, a1, a2):
+    """Explicit matrix of a0 (-lap)^{-1} + a1 I + a2 (-lap) on tiny grids.
+
+    The inverse-Laplacian block uses the pseudoinverse, whose action on
+    mean-zero vectors coincides with the mean-zero spectral solve.
+    """
+    neg_lap = dense_neg_lap_matrix(grid)
+    eye = np.eye(grid.num_cells)
+    return a0 * np.linalg.pinv(neg_lap) + a1 * eye + a2 * neg_lap
+
+
+def potential_curvature(x, a0):
+    """Second derivative (8/3)(9 x^-10 - 3 x^-4 + a0) of the stabilized core.
+
+    Accepts scalars or arrays of strictly positive x.
+    """
+    x = np.asarray(x, dtype=float)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    inv4 = inv2 * inv2
+    inv10 = inv4 * inv4 * inv2
+    return (8.0 / 3.0) * (9.0 * inv10 - 3.0 * inv4 + a0)
+
+
+def step_functional(system, phi):
+    """The strictly convex functional whose negative gradient is
+    ``system.residual`` on the fixed-mean slice (schemes.StepSystem)."""
+    check_positive(phi, "iterate")
+    grid, weight = system.grid, system.weight
+    inv = 1.0 / phi
+    inv2 = inv * inv
+    inv8 = (inv2 * inv2) * (inv2 * inv2)
+    lifted = weight * phi - system.history
+    value = system.solver.hminus1_norm(lifted - np.mean(lifted)) ** 2 / (
+        2.0 * weight * system.dt
+    )
+    bulk = inv8 / 3.0 - (4.0 / 3.0) * inv2 if system.concave else inv8 / 3.0
+    value += grid.cell_volume * float(bulk.sum())
+    if system.linear:
+        value += 0.5 * system.linear * inner(grid, phi, phi)
+    value += 0.5 * system.stiffness * grad_norm_2(grid, phi) ** 2
+    value -= inner(grid, phi, system.constant)
+    return value
+
+
+def tail_contraction(trace):
+    """Largest residual ratio over the trailing half of a psd_solve trace.
+
+    None when fewer than three residuals were recorded.
+    """
+    rn = trace.residual_norms
+    if len(rn) < 3:
+        return None
+    start = len(rn) // 2
+    ratios = [rn[i + 1] / rn[i] for i in range(start, len(rn) - 1) if rn[i] > 0.0]
+    return max(ratios) if ratios else None

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import potential_curvature, step_functional, tail_contraction
 from thinfilm import (
     Bdf2Scheme,
     CoarseningConfig,
@@ -30,7 +31,6 @@ from thinfilm import (
     inner_face,
     lap,
     mu_first_order,
-    potential_curvature,
     psd_solve,
     random_initial_data,
     read_energy_log,
@@ -220,7 +220,7 @@ class TestCriterion5DescentSolver:
             scheme = FirstOrderScheme(grid, params)
             phi_old = random_initial_data(grid, 0)
             system = scheme.step_system_from(phi_old, 1e-3)
-            fv = [system.functional(phi_old)]
+            fv = [step_functional(system, phi_old)]
             directional = system.directional
 
             def recorded(phi, direction, r):
@@ -228,7 +228,7 @@ class TestCriterion5DescentSolver:
 
                 def at(alpha):
                     out = residual_at(alpha)
-                    fv.append(system.functional(phi + alpha * direction[0]))
+                    fv.append(step_functional(system, phi + alpha * direction[0]))
                     return out
 
                 return g, at
@@ -240,7 +240,7 @@ class TestCriterion5DescentSolver:
             assert trace.iterations <= 100
             assert len(fv) == trace.iterations + 1
             assert all(b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(fv, fv[1:]))
-            tail = trace.tail_contraction()
+            tail = tail_contraction(trace)
             assert tail is not None and tail <= 0.95
             assert np.all(phi > 0.0)
 

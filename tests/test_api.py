@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "FirstOrderScheme",
     "FormatError",
     "Grid",
-    "GridTooLargeError",
     "InsufficientDataError",
     "InvalidCoefficientsError",
     "ManufacturedSolution",
@@ -45,8 +44,6 @@ PUBLIC_NAMES = [
     "a0_star",
     "barrier_alpha",
     "check_positive",
-    "dense_neg_lap_matrix",
-    "dense_preconditioner_matrix",
     "discrete_energy",
     "div",
     "fit_power_law",
@@ -67,7 +64,6 @@ PUBLIC_NAMES = [
     "mu_first_order",
     "norm_2",
     "norm_inf",
-    "potential_curvature",
     "psd_solve",
     "random_initial_data",
     "read_energy_log",

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import potential_curvature
 from thinfilm import (
     Grid,
     NonPositiveFieldError,
@@ -26,7 +27,6 @@ from thinfilm import (
     mu_exact,
     mu_first_order,
     norm_2,
-    potential_curvature,
     splitting_first_order,
     splitting_stabilized,
 )

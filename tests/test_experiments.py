@@ -201,6 +201,19 @@ class TestConvergenceSmokes:
             )
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "study, ladder",
+        [
+            (run_convergence_first_order, dict(n=8, nt_values=(2, 4))),
+            (run_convergence_bdf2, dict(n_values=(8, 16))),
+        ],
+    )
+    def test_refuses_a_ladder_too_short_to_fit_before_the_first_step(self, study, ladder):
+        seen = []
+        with pytest.raises(ConfigError, match="at least 3 rungs"):
+            study(on_resolution=lambda *row: seen.append(row), **ladder)
+        assert seen == []
+
 
 class TestRandomInitialData:
     def test_golden_values(self):
@@ -254,6 +267,12 @@ class TestCoarseningConfig:
             tiny_config(schedule=((0.01, -0.1),))
         with pytest.raises(ValueError):
             tiny_config(record_every_late=0)
+        with pytest.raises(ConfigError, match="record_cutoff"):
+            tiny_config(record_cutoff=math.nan)
+        for budget in (-1.0, math.nan):
+            with pytest.raises(ConfigError, match="wall_clock_budget"):
+                tiny_config(wall_clock_budget=budget)
+        assert tiny_config(wall_clock_budget=0.0).wall_clock_budget == 0.0
 
     def test_t_end_lies_within_the_ladder(self):
         """The ladder ends at 0.1: a later or non-finite t_end is refused

@@ -391,6 +391,13 @@ class TestCliErrors:
             ["converge2", "--n-list", "8,16,32", "--tf", "inf"],
             ["converge1", "--n", "8", "--nt", "2,4,8", "--tf", "nan"],
             ["converge2", "--n-list", "8,16,32", "--tf", "-1"],
+            ["converge2", "--n-list", "8,16"],
+            ["converge1", "--n", "8", "--nt", "2,4"],
+            ["step", "--n", "8", "--seed", "-1"],
+            ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002", "--seed", "-1"],
+            ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002", "--budget", "nan"],
+            ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002",
+             "--record-cutoff", "nan"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

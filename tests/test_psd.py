@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import tail_contraction
 from thinfilm import (
     BarrierCollapseError,
     Grid,
@@ -389,7 +390,7 @@ class TestPsdSolveQuadratic:
         solver = SpectralSolver(grid)
         system, _, phi0 = quadratic_problem(grid, solver, (5.0, 1.0, 0.04), seed=3)
         _, trace = psd_solve(grid, system, phi0)
-        assert trace.tail_contraction() is None
+        assert tail_contraction(trace) is None
 
 
 def barrier_residual(phi):
@@ -454,7 +455,7 @@ class TestPsdSolveBarrier:
         assert len(fv) == trace.iterations + 1
         assert all(b <= a + 1e-12 for a, b in zip(fv, fv[1:]))
         # asymptotic contraction of the metric residual
-        tail = trace.tail_contraction()
+        tail = tail_contraction(trace)
         assert tail is not None and tail < 0.95
 
     def test_directional_fast_path_matches_naive(self):

@@ -11,22 +11,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_neg_lap_matrix, dense_preconditioner_matrix
 from thinfilm import (
     Grid,
-    GridTooLargeError,
     InvalidCoefficientsError,
     NonZeroMeanError,
     SpectralSolver,
-    dense_neg_lap_matrix,
-    dense_preconditioner_matrix,
     lap,
     norm_inf,
 )
 
 
 def reference_neg_lap_matrix(grid):
-    """Dense -lap assembled with roll-based columns, unlike the index walk
-    used by the library's dense oracle."""
+    """Dense -lap assembled column by column through the stencil, unlike
+    the index walk of oracles.dense_neg_lap_matrix."""
     size = grid.num_cells
     mat = np.zeros((size, size))
     basis = np.zeros(grid.shape)
@@ -268,24 +266,6 @@ class TestDenseOracles:
         assert np.max(
             np.abs(dense_neg_lap_matrix(grid) - reference_neg_lap_matrix(grid))
         ) <= 1e-12 / grid.h**2
-
-    def test_dense_preconditioner_assembly(self):
-        grid = Grid(2, 4, 1.0)
-        a0, a1, a2 = 2.0, 3.0, 0.5
-        neg_lap = dense_neg_lap_matrix(grid)
-        expected = (
-            a0 * np.linalg.pinv(neg_lap) + a1 * np.eye(grid.num_cells) + a2 * neg_lap
-        )
-        assert np.allclose(
-            dense_preconditioner_matrix(grid, a0, a1, a2), expected, atol=1e-12
-        )
-
-    def test_dense_cap_enforced(self):
-        with pytest.raises(GridTooLargeError):
-            dense_neg_lap_matrix(Grid(1, 13, 1.0))
-        with pytest.raises(GridTooLargeError):
-            dense_preconditioner_matrix(Grid(1, 16, 1.0), 1.0, 0.0, 0.0)
-        dense_neg_lap_matrix(Grid(1, 12, 1.0))  # boundary case allowed
 
     def test_dense_matrix_is_symmetric_psd(self):
         grid = Grid(2, 5, 1.0)
