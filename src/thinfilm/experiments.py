@@ -97,9 +97,9 @@ class ConvergenceTable:
 
     @classmethod
     def from_errors(cls, resolutions, errors_l2, errors_linf):
-        if len(resolutions) < 3:
+        if len(set(resolutions)) < 3:
             raise InsufficientDataError(
-                f"need at least 3 resolutions to fit, got {len(resolutions)}"
+                f"need at least 3 distinct resolutions to fit, got {list(resolutions)}"
             )
         if any(e <= 0.0 for e in errors_l2) or any(e <= 0.0 for e in errors_linf):
             raise NonPositiveValueError("errors must be positive for a log-log fit")
@@ -120,8 +120,9 @@ class ConvergenceTable:
 def _check_study(t_final: float, ladder) -> None:
     if not (0.0 < t_final < math.inf):
         raise ConfigError(f"t_final must be positive and finite, got {t_final}")
-    # The fit needs three rungs: refuse a shorter ladder before the first step.
-    if len(ladder) < 3:
+    # The fit needs three distinct rungs: refuse a ladder with fewer before
+    # the first step.
+    if len(set(ladder)) < 3:
         raise ConfigError(f"need at least 3 rungs to fit, got {list(ladder)}")
 
 
@@ -290,6 +291,11 @@ class CoarseningConfig:
         # run out of budget.
         if math.isnan(self.record_cutoff):
             raise ConfigError("record_cutoff must not be nan")
+        # A nan scrambles the sorted request list and loses other snapshots.
+        if any(math.isnan(t) for t in self.snapshot_times):
+            raise ConfigError(
+                f"snapshot_times must not hold nan, got {self.snapshot_times}"
+            )
         budget = self.wall_clock_budget
         if budget is not None and not budget >= 0.0:
             raise ConfigError(f"wall_clock_budget must be >= 0, got {budget}")

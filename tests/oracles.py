@@ -3,7 +3,8 @@
 None of these runs on a solver path.  The dense matrices are assembled by
 index arithmetic, sharing no code with the stencil or FFT paths; the
 curvature, the step functional and the largest tail ratio are the
-closed forms that the package's claims are checked against.
+closed forms that the package's claims are checked against; the recorder
+reads a functional at every iterate a solve visits.
 """
 
 import numpy as np
@@ -11,29 +12,43 @@ import numpy as np
 from thinfilm import check_positive, grad_norm_2, inner
 
 
+def _neighbours(grid, axis, step):
+    """Flat index of each cell's periodic neighbour ``step`` cells along an
+    array axis, for the cells in C order."""
+    coords = np.indices(grid.shape).reshape(grid.dim, -1)
+    coords[axis] += step
+    return np.ravel_multi_index(coords, grid.shape, mode="wrap")
+
+
+def _zero_matrix(grid):
+    assert grid.num_cells <= 12**3, "dense matrices are for grids of at most 12^3 cells"
+    return np.zeros((grid.num_cells, grid.num_cells))
+
+
+def dense_grad_matrices(grid):
+    """Explicit matrices of the cell-to-face forward difference, one per
+    physical direction; div is the negated transpose of each."""
+    cells = np.arange(grid.num_cells)
+    inv_h = 1.0 / grid.h
+    mats = []
+    for direction in range(grid.dim):
+        mat = _zero_matrix(grid)
+        axis = grid.dim - 1 - direction  # x varies along the last array axis
+        mat[cells, _neighbours(grid, axis, 1)] += inv_h
+        mat[cells, cells] -= inv_h
+        mats.append(mat)
+    return mats
+
+
 def dense_neg_lap_matrix(grid):
     """Explicit matrix of -lap on tiny grids, assembled by index arithmetic."""
-    assert grid.n <= 12, "dense matrices are for grids of at most 12^3 cells"
-    n, dim = grid.n, grid.dim
+    cells = np.arange(grid.num_cells)
     inv_h2 = 1.0 / grid.h**2
-    size = grid.num_cells
-    mat = np.zeros((size, size))
-    for flat in range(size):
-        coords = []
-        rem = flat
-        for ax in range(dim):
-            stride = n ** (dim - 1 - ax)
-            coords.append(rem // stride)
-            rem %= stride
-        mat[flat, flat] += 2.0 * dim * inv_h2
-        for ax in range(dim):
-            for step in (-1, 1):
-                shifted = list(coords)
-                shifted[ax] = (shifted[ax] + step) % n
-                other = 0
-                for c in shifted:
-                    other = other * n + c
-                mat[flat, other] -= inv_h2
+    mat = _zero_matrix(grid)
+    mat[cells, cells] += 2.0 * grid.dim * inv_h2
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            mat[cells, _neighbours(grid, axis, step)] -= inv_h2
     return mat
 
 
@@ -93,3 +108,24 @@ def tail_contraction(trace):
     start = len(rn) // 2
     ratios = [rn[i + 1] / rn[i] for i in range(start, len(rn) - 1) if rn[i] > 0.0]
     return max(ratios) if ratios else None
+
+
+def record_functional(system, functional, phi0):
+    """Wrap system.directional so that every residual_at also records the
+    functional at the new iterate; returns the record, which starts with
+    the value at phi0."""
+    values = [float(functional(phi0))]
+    directional = system.directional
+
+    def recorded(phi, direction, r_phi):
+        g, residual_at = directional(phi, direction, r_phi)
+
+        def at(alpha):
+            r = residual_at(alpha)
+            values.append(float(functional(phi + alpha * direction[0])))
+            return r
+
+        return g, at
+
+    system.directional = recorded
+    return values

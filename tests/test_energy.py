@@ -1,8 +1,9 @@
 """Energy, chemical potentials, and stabilization constants.
 
 Oracles: closed-form constant-field values, compensated-summation quadrature,
-difference quotients of an independently coded potential, and a dense
-pseudoinverse for the screened norm, all assembled inside the tests.
+difference quotients of an independently coded potential, and the dense
+stencil matrix of tests/oracles.py and its pseudoinverse for the screened
+norm.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import potential_curvature
+from oracles import dense_neg_lap_matrix, potential_curvature
 from thinfilm import (
     Grid,
     NonPositiveFieldError,
@@ -217,16 +218,9 @@ class TestChemicalPotentials:
         grid = Grid(2, 6, 1.3)
         eps = 0.4
         phi = positive_field(grid, 30)
-        size = grid.num_cells
-        lap_mat = np.zeros((size, size))
-        basis = np.zeros(grid.shape)
-        for col in range(size):
-            basis.flat[col] = 1.0
-            lap_mat[:, col] = lap(grid, basis).ravel()
-            basis.flat[col] = 0.0
         expected = (
             -(8.0 / 3.0) * (phi.ravel() ** -9 - phi.ravel() ** -3)
-            - eps**2 * lap_mat @ phi.ravel()
+            + eps**2 * dense_neg_lap_matrix(grid) @ phi.ravel()
         )
         assert np.max(np.abs(mu_exact(grid, phi, eps).ravel() - expected)) <= 1e-11
 
@@ -307,14 +301,8 @@ class TestModifiedEnergy:
         old -= np.mean(old - new)  # make the increment mean-free
         diff = (new - old).ravel()
 
-        size = grid.num_cells
-        neg_lap = np.zeros((size, size))
-        basis = np.zeros(grid.shape)
-        for col in range(size):
-            basis.flat[col] = 1.0
-            neg_lap[:, col] = -lap(grid, basis).ravel()
-            basis.flat[col] = 0.0
-        hm1_sq = grid.cell_volume * float(diff @ np.linalg.pinv(neg_lap) @ diff)
+        pinv = np.linalg.pinv(dense_neg_lap_matrix(grid))
+        hm1_sq = grid.cell_volume * float(diff @ pinv @ diff)
         expected = (
             discrete_energy(grid, new, params.eps)
             + hm1_sq / (4.0 * dt)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import dense_neg_lap_matrix
 from thinfilm import (
     Bdf2Scheme,
     CoarseningConfig,
@@ -36,26 +37,6 @@ from thinfilm import (
     restart_state,
 )
 from thinfilm.experiments import _step_plan
-
-
-def dense_lap_matrix(grid):
-    """Laplacian columns assembled by index arithmetic, no roll calls."""
-    n, dim = grid.n, grid.dim
-    size = grid.num_cells
-    mat = np.zeros((size, size))
-    inv_h2 = 1.0 / grid.h**2
-    for flat in range(size):
-        coords = [(flat // n ** (dim - 1 - ax)) % n for ax in range(dim)]
-        mat[flat, flat] -= 2.0 * dim * inv_h2
-        for ax in range(dim):
-            for step in (-1, 1):
-                other = list(coords)
-                other[ax] = (other[ax] + step) % n
-                col = 0
-                for c in other:
-                    col = col * n + c
-                mat[flat, col] += inv_h2
-    return mat
 
 
 class TestManufacturedSolution:
@@ -86,15 +67,15 @@ class TestManufacturedSolution:
         t, s = 0.6, 1e-6
         profile = ManufacturedSolution()
         phi = profile.sample(grid, t)
-        lap_mat = dense_lap_matrix(grid)
+        neg_lap = dense_neg_lap_matrix(grid)
         mu = (
             -(8.0 / 3.0) * (phi.ravel() ** -9 - phi.ravel() ** -3)
-            - eps**2 * lap_mat @ phi.ravel()
+            + eps**2 * neg_lap @ phi.ravel()
         )
         dphi_dt = (profile.sample(grid, t + s) - profile.sample(grid, t - s)) / (
             2.0 * s
         )
-        oracle = dphi_dt.ravel() - lap_mat @ mu
+        oracle = dphi_dt.ravel() + neg_lap @ mu
         got = profile.forcing(grid, eps, t).ravel()
         assert np.max(np.abs(got - oracle)) <= 1e-7  # difference-quotient floor
         assert np.max(np.abs(got - oracle)) / max(np.max(np.abs(got)), 1.0) <= 1e-10
@@ -157,6 +138,8 @@ class TestFits:
     def test_convergence_table_errors(self):
         with pytest.raises(InsufficientDataError):
             ConvergenceTable.from_errors([10, 20], [1.0, 0.5], [1.0, 0.5])
+        with pytest.raises(InsufficientDataError):  # two distinct abscissae
+            ConvergenceTable.from_errors([10, 10, 20], [1.0, 0.9, 0.5], [1.0, 0.9, 0.5])
         with pytest.raises(NonPositiveValueError):
             ConvergenceTable.from_errors(
                 [10, 20, 40], [1.0, 0.0, 0.25], [1.0, 0.5, 0.25]
@@ -206,6 +189,8 @@ class TestConvergenceSmokes:
         [
             (run_convergence_first_order, dict(n=8, nt_values=(2, 4))),
             (run_convergence_bdf2, dict(n_values=(8, 16))),
+            (run_convergence_first_order, dict(n=8, nt_values=(4, 4, 4))),
+            (run_convergence_bdf2, dict(n_values=(8, 8, 16))),
         ],
     )
     def test_refuses_a_ladder_too_short_to_fit_before_the_first_step(self, study, ladder):
@@ -273,6 +258,10 @@ class TestCoarseningConfig:
             with pytest.raises(ConfigError, match="wall_clock_budget"):
                 tiny_config(wall_clock_budget=budget)
         assert tiny_config(wall_clock_budget=0.0).wall_clock_budget == 0.0
+        with pytest.raises(ConfigError, match="snapshot_times"):
+            tiny_config(snapshot_times=(0.004, math.nan, 0.008))
+        # a request beyond the end stays valid: it is dropped
+        assert math.inf in tiny_config(snapshot_times=(0.004, math.inf)).snapshot_times
 
     def test_t_end_lies_within_the_ladder(self):
         """The ladder ends at 0.1: a later or non-finite t_end is refused

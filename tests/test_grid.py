@@ -1,8 +1,9 @@
 """Stencil calculus checked against independently assembled dense matrices.
 
-The oracles below build explicit matrices for the difference operators with
-nothing but integer index arithmetic, sharing no code with the library, and
-the quadrature oracle uses compensated summation.  Agreement tolerances are
+The dense oracles (tests/oracles.py) build explicit matrices for the
+difference operators with nothing but integer index arithmetic, sharing no
+code with the library, and the quadrature oracle uses compensated
+summation.  Agreement tolerances are
 absolute on unit-scale random fields.
 """
 
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_grad_matrices, dense_neg_lap_matrix
 from thinfilm import (
     Grid,
     div,
@@ -23,67 +25,6 @@ from thinfilm import (
     norm_inf,
     norm_2,
 )
-
-
-def flat_index(coords, n, dim):
-    """C-order flat index of integer cell coordinates (array axis order)."""
-    out = 0
-    for c in coords:
-        out = out * n + c
-    return out
-
-
-def cells(n, dim):
-    return [
-        tuple((flat // n ** (dim - 1 - ax)) % n for ax in range(dim))
-        for flat in range(n**dim)
-    ]
-
-
-def forward_diff_matrix(grid, direction):
-    """Matrix of the center-to-face difference along a physical direction."""
-    n, dim = grid.n, grid.dim
-    ax = grid.dim - 1 - direction
-    size = n**dim
-    mat = np.zeros((size, size))
-    for coords in cells(n, dim):
-        row = flat_index(coords, n, dim)
-        nxt = list(coords)
-        nxt[ax] = (nxt[ax] + 1) % n
-        mat[row, flat_index(nxt, n, dim)] += 1.0 / grid.h
-        mat[row, row] -= 1.0 / grid.h
-    return mat
-
-
-def backward_diff_matrix(grid, direction):
-    """Matrix of the face-to-center difference along a physical direction."""
-    n, dim = grid.n, grid.dim
-    ax = grid.dim - 1 - direction
-    size = n**dim
-    mat = np.zeros((size, size))
-    for coords in cells(n, dim):
-        row = flat_index(coords, n, dim)
-        prv = list(coords)
-        prv[ax] = (prv[ax] - 1) % n
-        mat[row, row] += 1.0 / grid.h
-        mat[row, flat_index(prv, n, dim)] -= 1.0 / grid.h
-    return mat
-
-
-def laplacian_matrix(grid):
-    n, dim = grid.n, grid.dim
-    size = n**dim
-    mat = np.zeros((size, size))
-    inv_h2 = 1.0 / grid.h**2
-    for coords in cells(n, dim):
-        row = flat_index(coords, n, dim)
-        mat[row, row] -= 2.0 * dim * inv_h2
-        for ax in range(dim):
-            for step in (1, -1):
-                other = list(coords)
-                other[ax] = (other[ax] + step) % n
-                mat[row, flat_index(other, n, dim)] += inv_h2
-    return mat
 
 
 def random_field(grid, seed):
@@ -160,8 +101,9 @@ class TestDifferenceOperators:
         grid = Grid(dim, n, 1.7)
         u = random_field(grid, 11 + dim)
         g = grad(grid, u)
+        grads = dense_grad_matrices(grid)
         for d in range(dim):
-            expected = forward_diff_matrix(grid, d) @ u.ravel()
+            expected = grads[d] @ u.ravel()
             assert np.max(np.abs(g[d].ravel() - expected)) <= 1e-11
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 5)])
@@ -169,15 +111,15 @@ class TestDifferenceOperators:
         grid = Grid(dim, n, 0.9)
         f = tuple(random_field(grid, 23 + d) for d in range(dim))
         expected = np.zeros(grid.num_cells)
-        for d in range(dim):
-            expected += backward_diff_matrix(grid, d) @ f[d].ravel()
+        for d, grad_mat in enumerate(dense_grad_matrices(grid)):
+            expected -= grad_mat.T @ f[d].ravel()  # div = -grad^T
         assert np.max(np.abs(div(grid, f).ravel() - expected)) <= 1e-11
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 6)])
     def test_lap_matches_dense_oracle(self, dim, n):
         grid = Grid(dim, n, 2.3)
         u = random_field(grid, 37 + dim)
-        expected = laplacian_matrix(grid) @ u.ravel()
+        expected = -(dense_neg_lap_matrix(grid) @ u.ravel())
         assert np.max(np.abs(lap(grid, u).ravel() - expected)) <= 1e-11
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -398,6 +398,10 @@ class TestCliErrors:
             ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002", "--budget", "nan"],
             ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002",
              "--record-cutoff", "nan"],
+            ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.003",
+             "--snapshots", "0.001,nan,0.002"],
+            ["converge1", "--n", "8", "--nt", "4,4,4"],
+            ["converge2", "--n-list", "8,8,16"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import tail_contraction
+from oracles import record_functional, tail_contraction
 from thinfilm import (
     BarrierCollapseError,
     Grid,
@@ -322,27 +322,6 @@ def step_system(grid, residual, hessian, precondition, image_of):
         directional=directional,
         image_errors=image_errors,
     )
-
-
-def record_functional(system, functional, phi0):
-    """Wrap system.directional so that every residual_at also records the
-    functional at the new iterate; returns the record, which starts with
-    the value at phi0."""
-    values = [float(functional(phi0))]
-    directional = system.directional
-
-    def recorded(phi, direction, r_phi):
-        g, residual_at = directional(phi, direction, r_phi)
-
-        def at(alpha):
-            r = residual_at(alpha)
-            values.append(float(functional(phi + alpha * direction[0])))
-            return r
-
-        return g, at
-
-    system.directional = recorded
-    return values
 
 
 def quadratic_problem(grid, solver, coeffs, seed):

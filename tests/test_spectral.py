@@ -2,8 +2,8 @@
 
 The Fourier path must invert the 2*dim+1 point stencil exactly, so single
 trigonometric modes (eigenvectors of any periodic circulant) give closed-form
-expected values with the stencil eigenvalue (4/h^2) sin^2(pi k/n), and dense
-pseudoinverse solves assembled in the test give matrix-level oracles.
+expected values with the stencil eigenvalue (4/h^2) sin^2(pi k/n), and
+pseudoinverse solves of the dense matrices give matrix-level oracles.
 """
 
 import math
@@ -167,11 +167,9 @@ class TestPreconditionerSolve:
         grid = Grid(2, 6, 1.3)
         solver = SpectralSolver(grid)
         r = random_mean_zero(grid, 47)
-        neg_lap = reference_neg_lap_matrix(grid)
-        a0, a1, a2 = coeffs
-        mat = a0 * np.linalg.pinv(neg_lap) + a1 * np.eye(grid.num_cells) + a2 * neg_lap
+        mat = dense_preconditioner_matrix(grid, *coeffs)
         expected = (np.linalg.pinv(mat) @ r.ravel()).reshape(grid.shape)
-        d = solver.solve_preconditioner(r, a0, a1, a2)
+        d = solver.solve_preconditioner(r, *coeffs)
         assert np.max(np.abs(d - expected)) <= 1e-11
 
     def test_alternating_coefficients_match_fresh_solvers(self):
