@@ -264,7 +264,8 @@ def _run_step(v) -> int:
     print(
         f"t={format_float(state.t)} energy={format_float(report.energy)} "
         f"modified_energy={modified} min_phi={format_float(report.min_phi)} "
-        f"psd_iters={report.psd_iters} line_evals={report.line_evals} "
+        f"psd_iters={report.psd_iters} precond_a1={format_float(report.precond_a1)} "
+        f"line_evals={report.line_evals} "
         f"restarts={report.restarts} capped={report.capped} "
         f"residual={format_float(report.final_residual)} "
         f"mass_drift={format_float(report.mass_drift)}"

@@ -6,14 +6,21 @@ by preconditioned nonlinear conjugate gradients with the Polak-Ribiere+
 update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
 
     residual   r   = residual(phi)             (zero at the solution)
-    gradient   p   = L^{-1} (r - mean r)       (L from the preconditioner)
+    gradient   p   = Lc^{-1} (r - mean r)      (Lc the preconditioner)
     direction  d   = p + beta d_prev,  beta = max(0, <p, rp - rp_prev> / res_prev^2)
     step       phi <- phi + alpha d
 
 with rp = r - mean r and res^2 = <p, rp>.  The direction falls back to p
 (a restart) whenever it is not a descent direction, <d, rp> <= 0.  Its
-preconditioner image L d = rp + beta L d_prev is carried along at no
+preconditioner image Lc d = rp + beta Lc d_prev is carried along at no
 transform cost and handed to the step system with d.
+
+Two norms of rp are kept apart.  res, in the metric of Lc, drives PR+.
+The stop is sqrt(<L0^{-1} rp, rp>) <= tol in a fixed metric L0 that the
+step system hands back with each preconditioner solve: a step system may
+fit Lc to its data (StepSystem shifts its identity coefficient to the
+step's curvature), and a stop in the metric of Lc would move with it,
+since a larger Lc shrinks the norm of the same residual.
 
 alpha approximates the root of the scalar derivative g(alpha) along d,
 found by a positivity-aware line search: the update may consume at most a fixed
@@ -82,8 +89,9 @@ class SolverConfig:
 class PsdTrace:
     """Per-iteration history of one nonlinear solve.
 
-    residual_norms holds the preconditioned metric norm sqrt(<p, r - mean r>)
-    measured at the top of each iteration, including the accepting one, so
+    residual_norms holds the stop norm sqrt(<L0^{-1} rp, rp>) of
+    rp = r - mean r in the solve's fixed metric L0, measured at the top of
+    each iteration, including the accepting one, so
     it has one more entry than alphas.  restarts counts the iterations whose
     conjugate direction was not downhill and was reset to p, and capped the
     line searches that returned the step cap just inside the positivity
@@ -216,9 +224,11 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
     ``system`` is a step system (schemes.StepSystem); the solve looks its
     methods up on the instance as it calls them.  system.residual(phi)
     returns the full residual field and is called once, at phi_init;
-    system.precondition(rp) applies L^{-1} to a mean-zero field.
+    system.precondition(rp) returns (Lc^{-1} rp, <L0^{-1} rp, rp>) for a
+    mean-zero field rp, with Lc the preconditioner and L0 the fixed metric
+    of the stop.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
-    that the system handed out last, a direction d and its image s = L d,
+    that the system handed out last, a direction d and its image s = Lc d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
     g(alpha) = -<r(phi + alpha d), d> and its derivative, and
     residual_at(alpha) = r(phi + alpha d) carries the residual to the next
@@ -252,20 +262,20 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
         rp -= rp.sum() / rp.size
-        p = system.precondition(rp)
+        p, stop2 = system.precondition(rp)
+        stop = math.sqrt(stop2)
+        trace.residual_norms.append(stop)
+        if stop <= cfg.tol:
+            return phi, trace
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
         # would otherwise accumulate over very long runs.
         p -= p.sum() / p.size
         res2 = max(inner(grid, p, rp), 0.0)
-        res = math.sqrt(res2)
-        trace.residual_norms.append(res)
-        if res <= cfg.tol:
-            return phi, trace
 
         # Polak-Ribiere+: beta is clipped at zero, and a direction that is
-        # not downhill is replaced by p.  The image s = L d follows d
-        # through the same combination, since L p = rp.
+        # not downhill is replaced by p.  The image s = Lc d follows d
+        # through the same combination, since Lc p = rp.
         beta = 0.0 if d is None else (res2 - inner(grid, p, rp_prev)) / res2_prev
         slope = 0.0
         if beta > 0.0:

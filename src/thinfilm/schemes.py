@@ -82,6 +82,8 @@ class StepReport:
     line_evals sums the line-search evaluations of the solve, restarts
     counts its CG directions reset to the preconditioned gradient, and
     capped its line searches that stopped at the positivity barrier's cap.
+    precond_a1 is the identity coefficient of the step's preconditioner
+    (see StepSystem); final_residual is measured in the fixed metric.
     """
 
     psd_iters: int
@@ -93,6 +95,7 @@ class StepReport:
     line_evals: int = 0
     restarts: int = 0
     capped: int = 0
+    precond_a1: float = math.nan
 
 
 def initial_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
@@ -155,16 +158,22 @@ class StepSystem:
                  + (stiffness/2) ||grad phi||^2 - <phi, constant>.
 
     Write r(phi) = B(phi) + K phi + c with B the pointwise inverse-power
-    term and K linear.  Then K = I - L for the preconditioner
-    L = a0 (-lap)^{-1} + a1 I + a2 (-lap) with (a0, a1, a2) =
-    ``coefficients``, and ``precondition`` solves L d = rp.
+    term and K linear.  Then K = I - L0 for the operator
+    L0 = a0 (-lap)^{-1} + a1 I + a2 (-lap) with (a0, a1, a2) =
+    ``coefficients``, which depend on dt alone; L0 is the fixed metric of
+    the solver's stop.  The preconditioner is Lc = L0 + shift I, so
+    K = (1 + shift) I - Lc: its identity coefficient
+    a1 + shift = max(median(linear - B'(phi)), 0) is the median of the
+    Hessian diagonal at the point of the step's first ``residual`` call,
+    read from that call's pointwise pass.  ``precondition(rp)`` returns
+    (Lc^{-1} rp, <L0^{-1} rp, rp>).
 
     psd_solve looks ``residual``, ``precondition`` and ``directional`` up on
     the instance as it calls them, so methods wrapped on the instance after
     assembly see every call.  ``directional(phi, (d, s), r)`` takes a
-    direction d together with its image s = L d, so K d = d - s costs no
-    transform, and the residual r at phi, which must be the last one the
-    system handed out.  It returns (g, residual_at).  g(alpha) returns the
+    direction d together with its image s = Lc d, so K d = (1 + shift) d - s
+    costs no transform, and the residual r at phi, which must be the last
+    one the system handed out.  It returns (g, residual_at).  g(alpha) returns the
     pair (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
     g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
     two dots per trial alpha.  g(0) costs two dots and no pass while the
@@ -173,7 +182,7 @@ class StepSystem:
     unless the last pass of the step was this direction's trial at the same
     alpha: the line search ends at a trial it evaluated, as a rule its last,
     and that pass is then reused, to the same bits.  Both agree with the
-    naive evaluation through ``residual`` to rounding error whenever s = L d
+    naive evaluation through ``residual`` to rounding error whenever s = Lc d
     to rounding error.
     """
 
@@ -184,6 +193,7 @@ class StepSystem:
         self.linear, self.stiffness, self.weight = linear, stiffness, weight
         self.history, self.constant = history, constant
         self.coefficients = (weight / dt, linear + 1.0, stiffness)
+        self.shift = None
         # Scratch fields of the pointwise pass, shared by every residual and
         # line trial of the step.  After a pass, bulk holds B(x) and curv
         # holds the curvature -B'(x) / curv_scale, both at the point x of
@@ -234,13 +244,24 @@ class StepSystem:
         affine -= self.solver.inv_neg_lap(lifted) / self.dt
         affine += self.constant
         self._pass(phi)
+        if self.shift is None:
+            # The (upper) median of the curvature: one partition of a copy
+            # in the scratch field that the pass leaves free.
+            flat = self._work.reshape(-1)
+            np.copyto(flat, self._curv.reshape(-1))
+            k = flat.size // 2
+            flat.partition(k)
+            c = max(self.linear + self._curv_scale * flat[k], 0.0)
+            self.shift = c - self.coefficients[1]
         r = self._bulk + affine
         self._r = r
         self._affine = self._held = affine
         return r
 
-    def precondition(self, rp: np.ndarray) -> np.ndarray:
-        return self.solver.solve_preconditioner(rp, *self.coefficients)
+    def precondition(self, rp: np.ndarray) -> tuple:
+        if self.shift is None:
+            raise ValueError("precondition needs the step's first residual")
+        return self.solver.solve_preconditioner(rp, *self.coefficients, self.shift)
 
     def directional(self, phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
         if r_phi is not self._r:
@@ -249,7 +270,8 @@ class StepSystem:
         grid, affine = self.grid, self._affine
         work, bulk, curv = self._work, self._bulk, self._curv
         scale, curv_scale = grid.cell_volume, self._curv_scale
-        kd = d - image
+        kd = (1.0 + self.shift) * d
+        kd -= image
         dflat = d.ravel()
         s0 = inner(grid, affine, d)
         s1 = inner(grid, kd, d)
@@ -313,7 +335,7 @@ class _SchemeBase:
         return self.solver.inv_neg_lap(forcing - m)
 
     def _finish_step(self, state: StepState, phi_new: np.ndarray, trace,
-                     dt: float) -> tuple:
+                     system: StepSystem) -> tuple:
         min_phi = float(np.min(phi_new))
         if not min_phi > 0.0:
             raise PositivityLostError(f"step produced min phi = {min_phi}")
@@ -336,11 +358,12 @@ class _SchemeBase:
             line_evals=sum(trace.line_evals),
             restarts=trace.restarts,
             capped=trace.capped,
+            precond_a1=system.coefficients[1] + system.shift,
         )
         new_state = StepState(
             phi=phi_new,
             phi_prev=state.phi,
-            t=state.t + dt,
+            t=state.t + system.dt,
             beta0=state.beta0,
             step_index=state.step_index + 1,
         )
@@ -390,7 +413,7 @@ class FirstOrderScheme(_SchemeBase):
         phi_new, trace = psd_solve(
             self.grid, system, self._warm_start(state), self.psd_config
         )
-        return self._finish_step(state, phi_new, trace, dt)
+        return self._finish_step(state, phi_new, trace, system)
 
 
 class Bdf2Scheme(_SchemeBase):
@@ -461,7 +484,7 @@ class Bdf2Scheme(_SchemeBase):
         phi_new, trace = psd_solve(
             self.grid, system, self._warm_start(state), self.psd_config
         )
-        new_state, report = self._finish_step(state, phi_new, trace, dt)
+        new_state, report = self._finish_step(state, phi_new, trace, system)
         # Reuse the report's F(phi_new) rather than evaluating it again.
         report.modified_energy = _energy.modified_energy(
             self.grid, self.solver, phi_new, state.phi,

@@ -49,11 +49,12 @@ class SpectralSolver:
         self._eig_safe = eig.copy()
         self._eig_safe.flat[0] = 1.0
         self._axes = tuple(range(grid.dim))
-        # 1 / (a0 / lambda + a1 + a2 lambda) with mode 0 pinned to zero, for
-        # the coefficients _symbol_key; built by the first solve that needs
-        # it, since a step's solves all share one triple.
-        self._symbol_key = None
-        self._inv_symbol = None
+        # Half-spectrum factors of the last preconditioner solve's
+        # (a0, a1, a2, shift): _root = sqrt(w / L), w the Parseval weight,
+        # and _ratio = 1 / ((L + shift) _root).  A step's solves all share
+        # one key, so its first solve rebuilds them, in place.
+        self._solve_key = None
+        self._root = self._ratio = None
 
     def _check_mean(self, f: np.ndarray) -> float:
         m = float(np.mean(f))
@@ -102,48 +103,78 @@ class SpectralSolver:
         return float(np.sqrt(max(value, 0.0)))
 
     def _preconditioned_hat(
-        self, r: np.ndarray, a0: float, a1: float, a2: float
-    ) -> np.ndarray:
-        """Transform of the mean-zero solution of L d = r, checks included."""
-        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0):
+        self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float
+    ) -> tuple:
+        """Transform of the mean-zero solution of (L + shift I) d = r, and
+        <L^{-1} r, r>; checks included."""
+        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
             raise InvalidCoefficientsError(
-                f"need a0 > 0, a1 >= 0, a2 >= 0, got ({a0}, {a1}, {a2})"
+                f"need a0 > 0, a1 >= 0, a2 >= 0, a1 + shift >= 0, "
+                f"got ({a0}, {a1}, {a2}) and shift {shift}"
             )
         self.grid.validate_field(r)
         self._check_mean(r)
-        key = (a0, a1, a2)
-        if self._symbol_key != key:
-            inv = 1.0 / (a0 / self._eig_safe + a1 + a2 * self._eig_safe)
-            inv.flat[0] = 0.0
-            self._symbol_key, self._inv_symbol = key, inv
-        # The mean of r only reaches mode 0, which the symbol zeroes.
+        key = (a0, a1, a2, shift)
+        if self._solve_key != key:
+            # Rebuilt every step, so in place and without temporaries, into
+            # buffers allocated by the first solve: other allocation orders
+            # raised the peak memory of a 48^3 run by up to 2 MB.
+            if self._root is None:
+                self._root = np.empty(self._eig_safe.shape)
+                self._ratio = np.empty(self._eig_safe.shape)
+            grid, eig, root, ratio = self.grid, self._eig_safe, self._root, self._ratio
+            # ratio = L
+            np.multiply(eig, a2, out=ratio)
+            np.reciprocal(eig, out=root)
+            root *= a0
+            ratio += root
+            ratio += a1
+            # The Parseval weight w is h^dim / N as in hminus1_norm, doubled
+            # for the last-axis modes that stand for a conjugate pair.
+            np.reciprocal(ratio, out=root)
+            root *= 2.0 * grid.cell_volume / grid.num_cells
+            root[..., 0] /= 2.0
+            if grid.n % 2 == 0:
+                root[..., -1] /= 2.0
+            np.sqrt(root, out=root)
+            ratio += shift
+            ratio *= root
+            np.reciprocal(ratio, out=ratio)
+            self._solve_key = key
+        # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the
+        # mean of r only reaches mode 0, which is dropped.
         rhat = np.fft.rfftn(r, axes=self._axes)
-        rhat *= self._inv_symbol
-        return rhat
+        rhat *= self._root
+        rhat.flat[0] = 0.0
+        norm2 = float(np.vdot(rhat, rhat).real)
+        rhat *= self._ratio
+        return rhat, norm2
 
     def solve_preconditioner(
-        self, r: np.ndarray, a0: float, a1: float, a2: float
-    ) -> np.ndarray:
-        """Solve L d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
+        self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float = 0.0
+    ) -> tuple:
+        """Solve (L + shift I) d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
 
-        Requires a0 > 0 and a1, a2 >= 0 so L is positive definite on the
-        mean-zero subspace; ``r`` must be mean-zero within tolerance.
-        Returns the mean-zero solution.
+        Requires a0 > 0, a1, a2 >= 0 and a1 + shift >= 0, so L and L + shift I
+        are positive definite on the mean-zero subspace; ``r`` must be
+        mean-zero within tolerance.  Returns the mean-zero solution d and
+        the squared norm <L^{-1} r, r> of r in the metric of the unshifted
+        L, read off the same forward transform.
         """
-        rhat = self._preconditioned_hat(r, a0, a1, a2)
-        return np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
+        rhat, norm2 = self._preconditioned_hat(r, a0, a1, a2, shift)
+        return np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes), norm2
 
     def solve_preconditioner_with_poisson(
         self, r: np.ndarray, a0: float, a1: float, a2: float
     ) -> tuple:
         """Solve L d = r and -lap(psi) = d sharing one forward transform.
 
-        Returns (d, psi) with d identical to :meth:`solve_preconditioner`
+        Returns (d, psi) with d identical to that of :meth:`solve_preconditioner`
         and psi equal to inv_neg_lap(d) up to rounding (the composed solve
         avoids the intermediate round trip through grid space).  No solver
         path uses it: the step systems get L d without a transform.
         """
-        rhat = self._preconditioned_hat(r, a0, a1, a2)
+        rhat, _ = self._preconditioned_hat(r, a0, a1, a2, 0.0)
         d = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
         rhat /= self._eig_safe
         rhat.flat[0] = 0.0

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as perfbench/run.py sets: the suite then runs the same
+# BLAS code as the benchmark, and a second thread would only spin on the
+# other core.  It must be set before numpy loads its BLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 

@@ -227,6 +227,10 @@ class TestCliStep:
         assert "energy=" in line and "psd_iters=" in line
         assert "line_evals=" in line and "restarts=" in line
         assert re.search(r"\bcapped=0\b", line)
+        # the preconditioner's identity coefficient, printed after psd_iters:
+        # the first-order Hessian diagonal 24 phi^-10 at its median, > 0
+        found = re.search(r"psd_iters=\d+ precond_a1=(\S+) ", line)
+        assert found and 0.0 < float(found.group(1)) < math.inf
 
     def test_step_chains_from_snapshot(self, tmp_path):
         first = tmp_path / "first"

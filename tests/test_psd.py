@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import record_functional, tail_contraction
+from oracles import dense_preconditioner_matrix, record_functional, tail_contraction
 from thinfilm import (
     BarrierCollapseError,
     Grid,
@@ -382,8 +382,13 @@ class TestPsdSolveBarrier:
 
     The negative gradient is r = phi^-2 - 4 phi and the Hessian is the
     pointwise 2 phi^-3 + 4; stationarity on the slice means
-    r - mean(r) = 0, and 1/phi blows up at the positivity barrier.
+    r - mean(r) = 0, and 1/phi blows up at the positivity barrier.  As in
+    the schemes, the preconditioner Lc = L0 + SHIFT I is shifted from the
+    fixed metric L0 = 0.1 (-lap)^{-1} + 8 I of the stop.
     """
+
+    L0 = (0.1, 8.0, 0.0)
+    SHIFT = 4.0
 
     def setup_method(self):
         self.grid = Grid(2, 8, 1.0)
@@ -392,10 +397,10 @@ class TestPsdSolveBarrier:
         self.phi0 = rng.uniform(0.4, 1.6, self.grid.shape)
 
     def precondition(self, r):
-        return self.solver.solve_preconditioner(r, 0.1, 8.0, 0.0)
+        return self.solver.solve_preconditioner(r, *self.L0, self.SHIFT)
 
     def apply_l(self, d):
-        return 0.1 * self.solver.inv_neg_lap(d) + 8.0 * d
+        return 0.1 * self.solver.inv_neg_lap(d) + (8.0 + self.SHIFT) * d
 
     def functional(self, phi):
         return inner(self.grid, 1.0 / phi + 2.0 * phi**2, np.ones(self.grid.shape))
@@ -436,6 +441,37 @@ class TestPsdSolveBarrier:
         # asymptotic contraction of the metric residual
         tail = tail_contraction(trace)
         assert tail is not None and tail < 0.95
+
+    def test_stop_norm_is_in_the_fixed_metric(self):
+        """Every recorded norm is sqrt(<L0^{-1} rp, rp>), not the norm in the
+        metric of the shifted preconditioner that drives PR+."""
+        records = []
+        system = self.system()
+        exact = system.directional
+
+        def directional(phi, direction, r_phi):
+            g, residual_at = exact(phi, direction, r_phi)
+
+            def recorded(alpha):
+                r = residual_at(alpha)
+                records.append(r)
+                return r
+
+            return g, recorded
+
+        system.directional = directional
+        phi, trace = psd_solve(self.grid, system, self.phi0)
+        pinv = np.linalg.pinv(dense_preconditioner_matrix(self.grid, *self.L0))
+        norms = []
+        for r in [barrier_residual(self.phi0)] + records:
+            rp = (r - np.mean(r)).ravel()
+            norms.append(math.sqrt(self.grid.cell_volume * rp @ pinv @ rp))
+        assert trace.residual_norms == pytest.approx(norms, rel=1e-9)
+        shifted = np.linalg.pinv(
+            dense_preconditioner_matrix(self.grid, 0.1, 8.0 + self.SHIFT, 0.0)
+        )
+        rp = (records[0] - np.mean(records[0])).ravel()
+        assert math.sqrt(self.grid.cell_volume * rp @ shifted @ rp) < 0.9 * norms[1]
 
     def test_directional_fast_path_matches_naive(self):
         """Closures that carry the residual they are handed, as the schemes'
@@ -504,10 +540,12 @@ class TestPsdSolveBarrier:
         # The CG direction must not be combined in place while it is still
         # the preconditioner's output, which here is the solver's own rp.
         phi_same, trace_same = psd_solve(
-            self.grid, self.system(lambda r: r), self.phi0
+            self.grid, self.system(lambda r: (r, inner(self.grid, r, r))), self.phi0
         )
         phi_copy, trace_copy = psd_solve(
-            self.grid, self.system(lambda r: r.copy()), self.phi0
+            self.grid,
+            self.system(lambda r: (r.copy(), inner(self.grid, r, r))),
+            self.phi0,
         )
         assert trace_same.iterations >= 3
         assert trace_same.residual_norms == trace_copy.residual_norms

@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     dense_neg_lap_matrix,
     dense_preconditioner_matrix,
+    potential_curvature,
     step_functional,
     tail_contraction,
 )
@@ -64,6 +65,15 @@ def smooth_field(grid, amp=0.2):
     return 1.0 + amp * np.sin(2.0 * np.pi * x / grid.length) * np.cos(
         2.0 * np.pi * y / grid.length
     )
+
+
+def fixed_metric_norm(scheme, system, phi):
+    """sqrt(<L0^{-1} rp, rp>) of the residual assembled afresh at phi, in the
+    step's fixed metric L0 = the preconditioner without its shift."""
+    r = system.residual(phi)
+    rp = r - np.mean(r)
+    rp -= np.mean(rp)
+    return math.sqrt(scheme.solver.solve_preconditioner(rp, *system.coefficients)[1])
 
 
 def mean_zero_forcing(grid, seed):
@@ -187,11 +197,16 @@ class TestGradientIdentity:
 
 class TestDirectionalFactory:
     @staticmethod
-    def make_system(setup, which, phi_old, dt):
+    def make_system(setup, which, phi_old, dt, shift=None):
+        """The step system; a given shift replaces the one its first
+        residual would choose, so a fresh system can share another's Lc."""
         _, _, fo, bdf2 = setup
         if which == "fo":
-            return fo, fo.step_system_from(phi_old, dt)
-        return bdf2, bdf2.step_system_from(phi_old, phi_old, dt)
+            scheme, system = fo, fo.step_system_from(phi_old, dt)
+        else:
+            scheme, system = bdf2, bdf2.step_system_from(phi_old, phi_old, dt)
+        system.shift = shift
+        return scheme, system
 
     @staticmethod
     def gradient(system, phi):
@@ -199,12 +214,13 @@ class TestDirectionalFactory:
         r = system.residual(phi)
         rp = r - np.mean(r)
         rp -= np.mean(rp)
-        return r, rp, system.precondition(rp)
+        return r, rp, system.precondition(rp)[0]
 
     @staticmethod
     def dense_image(grid, system, d):
-        """L d through the dense preconditioner matrix, no FFT involved."""
-        mat = dense_preconditioner_matrix(grid, *system.coefficients)
+        """Lc d through the dense preconditioner matrix, no FFT involved."""
+        a0, a1, a2 = system.coefficients
+        mat = dense_preconditioner_matrix(grid, a0, a1 + system.shift, a2)
         return (mat @ d.ravel()).reshape(grid.shape)
 
     @staticmethod
@@ -248,12 +264,15 @@ class TestDirectionalFactory:
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_cg_direction_with_carried_image(self, setup, which):
+        """K d = (1 + shift) d - Lc d from the carried image Lc d, with the
+        shift far from zero."""
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 38)
         _, system = self.make_system(setup, which, phi_old, dt)
-        phi0 = positive_field(grid, 39)
+        phi0 = positive_field(grid, 39, 0.4, 1.4)
         r0, rp0, p0 = self.gradient(system, phi0)
+        assert abs(system.shift) > 1.0
         g0, _ = system.directional(phi0, (p0, rp0), r0)
         alpha0 = line_search(g0, barrier_alpha(phi0, p0), g0(0.0))
         phi1 = phi0 + alpha0 * p0
@@ -333,7 +352,7 @@ class TestDirectionalFactory:
         image = self.dense_image(grid, system, d)
         seeded = system.directional(phi1, (d, image), r1)[0](0.0)[1]
 
-        _, fresh_system = self.make_system(setup, which, phi_old, dt)
+        _, fresh_system = self.make_system(setup, which, phi_old, dt, system.shift)
         r_fresh = fresh_system.residual(phi1)
         fresh = fresh_system.directional(phi1, (d, image), r_fresh)[0](0.0)[1]
         assert seeded == pytest.approx(fresh, rel=1e-12)
@@ -439,6 +458,32 @@ class TestPreconditionerCoefficients:
         assert a1 == pytest.approx((8.0 / 3.0) * params.a0 + 1.0, rel=1e-15)
         assert a2 == pytest.approx(params.eps**2 + params.a_stab * dt, rel=1e-15)
 
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_identity_coefficient_is_the_median_hessian_diagonal(self, setup, which):
+        """a1 + shift is the (upper) median of the Hessian diagonal at the
+        first residual's point, kept for the step; the report carries it."""
+        grid, params, fo, bdf2 = setup
+        dt = 0.05
+        phi = positive_field(grid, 96, 0.5, 2.5)
+        if which == "fo":
+            scheme, system = fo, fo.step_system_from(phi, dt)
+            diagonal = 24.0 * phi**-10
+        else:
+            scheme, system = bdf2, bdf2.step_system_from(phi, phi, dt)
+            diagonal = potential_curvature(phi, params.a0)
+        assert system.shift is None
+        with pytest.raises(ValueError, match="first residual"):
+            system.precondition(np.zeros(grid.shape))
+        system.residual(phi)
+        median = np.sort(diagonal.ravel())[grid.num_cells // 2]
+        a1 = system.coefficients[1]
+        assert a1 + system.shift == pytest.approx(median, rel=1e-12)
+        system.residual(2.0 * phi)
+        assert a1 + system.shift == pytest.approx(median, rel=1e-12)
+        state = initial_state(grid, phi) if which == "fo" else restart_state(grid, phi)
+        _, report = scheme.step(state, dt)
+        assert report.precond_a1 == pytest.approx(median, rel=1e-12)
+
     def test_nonpositive_dt_rejected(self, setup):
         grid, _, fo, bdf2 = setup
         ones = np.ones(grid.shape)
@@ -537,13 +582,11 @@ class TestNearBarrier:
         new_state, report = scheme.step(state, 1e-3)
         assert report.final_residual <= scheme.psd_config.tol
         assert report.psd_iters < scheme.psd_config.max_iters
-        # the carried residual has not drifted: a fresh assembly agrees
+        assert report.psd_iters <= 150
+        # the carried residual has not drifted: a fresh assembly agrees, in
+        # the fixed metric
         system = scheme.step_system_from(phi0, phi0, 1e-3)
-        r = system.residual(new_state.phi)
-        rp = r - np.mean(r)
-        rp -= np.mean(rp)
-        p = system.precondition(rp)
-        assert math.sqrt(inner(grid, p, rp)) <= scheme.psd_config.tol
+        assert fixed_metric_norm(scheme, system, new_state.phi) <= scheme.psd_config.tol
         assert np.all(new_state.phi > 0.0)
         assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), abs=1e-12)
 
@@ -567,6 +610,65 @@ class TestNearBarrier:
         )
         assert rate < 1.0
         assert tail_contraction(err.trace) > 1.0
+
+
+class TestFixedMetricStop:
+    @pytest.mark.parametrize("which, level", [("fo", 0.5), ("bdf2", 2.0)])
+    def test_trace_norm_is_the_fixed_metric_norm(self, which, level):
+        """The stop norm is sqrt(<L0^{-1} rp, rp>) whether the preconditioner
+        Lc = L0 + shift I lies far above L0 (first order near phi = 0.5) or
+        below it (BDF2 near phi = 2)."""
+        grid = Grid(2, 10, 1.0)
+        params = PhysParams(eps=0.1)
+        phi_old = level * positive_field(grid, 95, 0.9, 1.1)
+        dt = 0.01
+        if which == "fo":
+            scheme = FirstOrderScheme(grid, params)
+            system = scheme.step_system_from(phi_old, dt)
+        else:
+            scheme = Bdf2Scheme(grid, params)
+            system = scheme.step_system_from(phi_old, phi_old, dt)
+        carried = []
+        exact = system.directional
+
+        def directional(phi, direction, r_phi):
+            g, residual_at = exact(phi, direction, r_phi)
+
+            def recorded(alpha):
+                carried.append(residual_at(alpha))
+                return carried[-1]
+
+            return g, recorded
+
+        system.directional = directional
+        _, trace = psd_solve(grid, system, phi_old, scheme.psd_config)
+        assert system.shift > 1e3 if which == "fo" else system.shift < -1.0
+        rp = (carried[-1] - np.mean(carried[-1])).ravel()
+        a0, a1, a2 = system.coefficients
+        fixed = np.linalg.pinv(dense_preconditioner_matrix(grid, a0, a1, a2))
+        expected = math.sqrt(grid.cell_volume * rp @ fixed @ rp)
+        assert trace.residual_norms[-1] == pytest.approx(expected, rel=1e-8)
+        assert trace.residual_norms[-1] <= scheme.psd_config.tol
+        # the norm in the metric of Lc would have read otherwise
+        shifted = np.linalg.pinv(
+            dense_preconditioner_matrix(grid, a0, a1 + system.shift, a2)
+        )
+        own = math.sqrt(grid.cell_volume * rp @ shifted @ rp)
+        assert not own == pytest.approx(expected, rel=0.1)
+
+    def test_first_order_tall_spike_converges(self):
+        """A 16^2 film of ones with one cell at 1e4: the first-order step's
+        solution exists, and the default SolverConfig reaches it."""
+        grid = Grid(2, 16, 1.0)
+        phi0 = np.ones(grid.shape)
+        phi0[3, 5] = 1e4
+        scheme = FirstOrderScheme(grid, PhysParams(eps=0.01))
+        new_state, report = scheme.step(initial_state(grid, phi0), 0.01)
+        assert report.final_residual <= scheme.psd_config.tol
+        system = scheme.step_system_from(phi0, 0.01)
+        assert fixed_metric_norm(scheme, system, new_state.phi) <= scheme.psd_config.tol
+        assert np.all(new_state.phi > 0.0)
+        assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), rel=1e-12)
 
 
 class TestStatesAndHistory:

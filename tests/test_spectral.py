@@ -149,7 +149,7 @@ class TestPreconditionerSolve:
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
         r = random_mean_zero(grid, 9)
-        d = solver.solve_preconditioner(r, 1.0, 0.0, 0.0)
+        d, _ = solver.solve_preconditioner(r, 1.0, 0.0, 0.0)
         assert np.max(np.abs(d + lap(grid, r))) <= 1e-11 * norm_inf(d)
 
     def test_single_mode_closed_form(self):
@@ -159,7 +159,7 @@ class TestPreconditionerSolve:
         k = 3
         f = mode_1d(grid, k, "sin")
         lam = stencil_eigenvalue(grid, k)
-        d = solver.solve_preconditioner(f, a0, a1, a2)
+        d, _ = solver.solve_preconditioner(f, a0, a1, a2)
         assert np.max(np.abs(d - f / (a0 / lam + a1 + a2 * lam))) <= 1e-14
 
     @pytest.mark.parametrize("coeffs", [(10.0, 1.0, 0.04), (0.5, 0.0, 1.0)])
@@ -169,21 +169,41 @@ class TestPreconditionerSolve:
         r = random_mean_zero(grid, 47)
         mat = dense_preconditioner_matrix(grid, *coeffs)
         expected = (np.linalg.pinv(mat) @ r.ravel()).reshape(grid.shape)
-        d = solver.solve_preconditioner(r, *coeffs)
+        d, _ = solver.solve_preconditioner(r, *coeffs)
         assert np.max(np.abs(d - expected)) <= 1e-11
 
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("shift", [0.0, 3.5, -0.8])
+    def test_shifted_solve_and_unshifted_metric_norm(self, n, shift):
+        # d solves (L + shift I) d = r; the norm is <L^{-1} r, r> of the
+        # unshifted L whatever the shift (odd n: no Nyquist mode).
+        grid = Grid(2, n, 1.3)
+        solver = SpectralSolver(grid)
+        coeffs = (10.0, 1.0, 0.04)
+        r = random_mean_zero(grid, 48)
+        mat = dense_preconditioner_matrix(grid, *coeffs)
+        d, norm2 = solver.solve_preconditioner(r, *coeffs, shift)
+        shifted = mat + shift * np.eye(grid.num_cells)
+        expected = (np.linalg.pinv(shifted) @ r.ravel()).reshape(grid.shape)
+        assert np.max(np.abs(d - expected)) <= 1e-11
+        metric = grid.cell_volume * r.ravel() @ np.linalg.pinv(mat) @ r.ravel()
+        assert norm2 == pytest.approx(metric, rel=1e-12)
+
     def test_alternating_coefficients_match_fresh_solvers(self):
-        # One solver caches the symbol of the last triple; switching back
-        # and forth must give what a fresh solver and the dense matrix give.
+        # One solver caches the factors of the last coefficients and shift;
+        # switching back and forth must give what a fresh solver and the
+        # dense matrix give.
         grid = Grid(2, 6, 1.3)
         shared = SpectralSolver(grid)
-        triples = [(10.0, 1.0, 0.04), (0.5, 0.0, 1.0)]
-        for k in range(5):
-            coeffs = triples[k % 2]
+        cases = [(10.0, 1.0, 0.04, 0.0), (10.0, 1.0, 0.04, 2.5), (0.5, 0.0, 1.0, 0.3)]
+        for k in range(7):
+            a0, a1, a2, shift = cases[k % 3]
             r = random_mean_zero(grid, 60 + k)
-            d = shared.solve_preconditioner(r, *coeffs)
-            assert np.array_equal(d, SpectralSolver(grid).solve_preconditioner(r, *coeffs))
-            dense = np.linalg.pinv(dense_preconditioner_matrix(grid, *coeffs))
+            d, norm2 = shared.solve_preconditioner(r, a0, a1, a2, shift)
+            fresh = SpectralSolver(grid).solve_preconditioner(r, a0, a1, a2, shift)
+            assert np.array_equal(d, fresh[0]) and norm2 == fresh[1]
+            mat = dense_preconditioner_matrix(grid, a0, a1, a2)
+            dense = np.linalg.pinv(mat + shift * np.eye(grid.num_cells))
             expected = (dense @ r.ravel()).reshape(grid.shape)
             assert np.max(np.abs(d - expected)) <= 1e-11
 
@@ -193,7 +213,7 @@ class TestPreconditionerSolve:
         solver = SpectralSolver(grid)
         r = random_mean_zero(grid, 13)
         a0, a1, a2 = 100.0, 1.0, 0.01
-        d = solver.solve_preconditioner(r, a0, a1, a2)
+        d, _ = solver.solve_preconditioner(r, a0, a1, a2)
         back = a0 * solver.inv_neg_lap(d) + a1 * d - a2 * lap(grid, d)
         assert np.max(np.abs(back - r)) <= 1e-11 * norm_inf(r)
 
@@ -201,8 +221,8 @@ class TestPreconditionerSolve:
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
         r = random_mean_zero(grid, 2)
-        d1 = solver.solve_preconditioner(r, 3.0, 1.0, 0.2)
-        d2 = solver.solve_preconditioner(r, 3.0, 1.0, 0.2)
+        d1, _ = solver.solve_preconditioner(r, 3.0, 1.0, 0.2)
+        d2, _ = solver.solve_preconditioner(r, 3.0, 1.0, 0.2)
         assert np.array_equal(d1, d2)
         assert abs(float(np.mean(d1))) <= 1e-14
 
@@ -216,6 +236,14 @@ class TestPreconditionerSolve:
         with pytest.raises(InvalidCoefficientsError):
             solver.solve_preconditioner_with_poisson(r, *coeffs)
 
+    def test_rejects_a_shift_below_minus_a1(self):
+        grid = Grid(1, 8, 1.0)
+        solver = SpectralSolver(grid)
+        r = random_mean_zero(grid, 1)
+        solver.solve_preconditioner(r, 1.0, 0.5, 0.0, -0.5)
+        with pytest.raises(InvalidCoefficientsError):
+            solver.solve_preconditioner(r, 1.0, 0.5, 0.0, -0.6)
+
 
 class TestFusedPoissonSolve:
     def test_first_output_bitwise_matches_plain_solve(self):
@@ -224,7 +252,7 @@ class TestFusedPoissonSolve:
         r = random_mean_zero(grid, 31)
         a0, a1, a2 = 1500.0, 2.2528, 0.0104
         d_fused, _ = solver.solve_preconditioner_with_poisson(r, a0, a1, a2)
-        assert np.array_equal(d_fused, solver.solve_preconditioner(r, a0, a1, a2))
+        assert np.array_equal(d_fused, solver.solve_preconditioner(r, a0, a1, a2)[0])
 
     def test_second_output_is_poisson_solve_of_first(self):
         grid = Grid(2, 16, 1.0)
