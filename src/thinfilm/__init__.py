@@ -79,7 +79,6 @@ from .schemes import (
     FirstOrderScheme,
     StepReport,
     StepState,
-    ghost_init,
     initial_state,
     restart_state,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "StepReport",
     "initial_state",
     "restart_state",
-    "ghost_init",
     "ManufacturedSolution",
     "ConvergenceTable",
     "run_convergence_first_order",

@@ -127,18 +127,15 @@ def modified_energy(
     eps: float,
     a0: float,
     dt: float,
-    energy: float | None = None,
+    energy: float,
 ) -> float:
     """Two-level Lyapunov functional of the stabilized two-step scheme.
 
     F(phi_new) + (1/(4 dt)) ||phi_new - phi_old||_{-1}^2
-               + (4/3) a0 ||phi_new - phi_old||_2^2.
+               + (4/3) a0 ||phi_new - phi_old||_2^2,
 
-    ``energy``, when given, is F(phi_new) already evaluated; the result is
-    the same to the last bit.
+    with ``energy`` = F(phi_new) as the caller has already evaluated it.
     """
-    if energy is None:
-        energy = discrete_energy(grid, phi_new, eps)
     diff = phi_new - phi_old
     # The increment is mean-free up to rounding on the scale of phi; finish
     # the cancellation so the H^-1 solve accepts near-stationary steps.

@@ -18,7 +18,8 @@ class InvalidCoefficientsError(ThinFilmError):
 
 
 class NonPositiveFieldError(ThinFilmError):
-    """A field that must be strictly positive has a zero/negative entry."""
+    """A field that must be finite and strictly positive is not: it has a
+    zero, negative or nan entry, or (start data) an infinite one."""
 
 
 class MissingHistoryError(ThinFilmError):

@@ -52,28 +52,24 @@ class ManufacturedSolution:
     amplitude: float = 1.0 / _TWO_PI
     base: float = 1.0
 
-    def _check(self, grid: Grid) -> None:
+    def _profile(self, grid: Grid) -> np.ndarray:
+        """amplitude sin(2 pi x) cos(2 pi y), the shape both time factors scale."""
         if grid.dim != 2:
             raise ValueError("manufactured profile is two-dimensional")
+        x, y = grid.coordinates()
+        return self.amplitude * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y)
 
     def sample(self, grid: Grid, t: float) -> np.ndarray:
-        self._check(grid)
-        x, y = grid.coordinates()
-        return self.base + self.amplitude * np.sin(_TWO_PI * x) * np.cos(
-            _TWO_PI * y
-        ) * math.cos(t)
+        return self.base + self._profile(grid) * math.cos(t)
 
     def time_derivative(self, grid: Grid, t: float) -> np.ndarray:
-        self._check(grid)
-        x, y = grid.coordinates()
-        return -self.amplitude * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y) * math.sin(
-            t
-        )
+        return self._profile(grid) * -math.sin(t)
 
     def forcing(self, grid: Grid, eps: float, t: float) -> np.ndarray:
         """Source making the sampled profile satisfy the discrete flow."""
-        phi = self.sample(grid, t)
-        s = self.time_derivative(grid, t) - lap(grid, mu_exact(grid, phi, eps))
+        profile = self._profile(grid)
+        phi = self.base + profile * math.cos(t)
+        s = profile * -math.sin(t) - lap(grid, mu_exact(grid, phi, eps))
         m = mean(grid, s)
         # Rounding alone leaves a mean of order eps_mach * |S|_inf; anything
         # materially larger would signal a broken assembly.
@@ -187,7 +183,7 @@ def run_convergence_bdf2(
 ) -> ConvergenceTable:
     """Joint space-time refinement of the two-step scheme with dt = factor*h.
 
-    History is synthesized by the ghost start, so the whole run is second
+    History is synthesized by Bdf2Scheme.cold_start, so the whole run is second
     order and both error norms fit slope -2 against n.  Every rung's dt must
     divide t_final, which is checked before the first step.
     """

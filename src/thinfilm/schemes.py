@@ -27,6 +27,10 @@ so the singular potential is never evaluated at a non-positive height.  An
 optional source field S (mean-zero) turns the mass balance into
 d phi / dt = lap(mu) + S; its lifted contribution (-lap)^{-1}(S - mean S)
 enters the residual additively and is assembled once per step.
+
+initial_state, restart_state and Bdf2Scheme.cold_start refuse start data
+that is not finite and strictly positive; cold_start and step share one
+rule for dt and one for the source (grid-shaped, finite, mean-zero).
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class StepState:
     phi_prev: Optional[np.ndarray]
     t: float
     beta0: float
-    step_index: int = 0
+    step_index: int
 
 
 @dataclass
@@ -92,17 +96,26 @@ class StepReport:
     modified_energy: Optional[float]
     min_phi: float
     mass_drift: float
-    line_evals: int = 0
-    restarts: int = 0
-    capped: int = 0
-    precond_a1: float = math.nan
+    line_evals: int
+    restarts: int
+    capped: int
+    precond_a1: float
+
+
+def _start_mean(grid: Grid, phi0: np.ndarray, what: str) -> float:
+    """Mean beta0 of finite, strictly positive start data (a +inf makes it inf)."""
+    grid.validate_field(phi0)
+    check_positive(phi0, what)
+    beta0 = mean(grid, phi0)
+    if not math.isfinite(beta0):
+        raise NonPositiveFieldError(f"{what} must be finite, mean = {beta0}")
+    return beta0
 
 
 def initial_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
     """One-level starting state for the first-order scheme."""
-    grid.validate_field(phi0)
-    check_positive(phi0, "initial data")
-    return StepState(phi0.copy(), None, t, mean(grid, phi0), 0)
+    beta0 = _start_mean(grid, phi0, "initial data")
+    return StepState(phi0.copy(), None, t, beta0, 0)
 
 
 def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
@@ -112,35 +125,8 @@ def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
     after a time-step-size change; the first step taken from it degrades to
     first order locally without disturbing the energy decay.
     """
-    grid.validate_field(phi0)
-    check_positive(phi0, "restart data")
-    return StepState(phi0.copy(), phi0.copy(), t, mean(grid, phi0), 0)
-
-
-def ghost_init(
-    grid: Grid,
-    phi0: np.ndarray,
-    params: PhysParams,
-    dt: float,
-    forcing: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Synthesize history one step before t=0 by explicit backward Euler.
-
-    Returns phi_prev = phi0 - dt (lap(mu(phi0)) + S0) where S0 is the
-    optional mean-adjusted source at t=0.  Raises PositivityLostError when
-    the synthesized field is not strictly positive, in which case the
-    caller should shrink dt or fall back to :func:`restart_state`.
-    """
-    check_positive(phi0, "initial data")
-    rate = lap(grid, _energy.mu_exact(grid, phi0, params.eps))
-    if forcing is not None:
-        rate = rate + (forcing - mean(grid, forcing))
-    phi_prev = phi0 - dt * rate
-    if not np.all(phi_prev > 0.0):
-        raise PositivityLostError(
-            "synthesized history lost positivity; reduce dt or use restart_state"
-        )
-    return phi_prev
+    beta0 = _start_mean(grid, phi0, "restart data")
+    return StepState(phi0.copy(), phi0.copy(), t, beta0, 0)
 
 
 class StepSystem:
@@ -323,16 +309,16 @@ class _SchemeBase:
         self.solver = solver if solver is not None else SpectralSolver(grid)
         self.psd_config = psd_config if psd_config is not None else SolverConfig()
 
-    def _lift_forcing(self, forcing: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """(-lap)^{-1} of the mean-adjusted source, or None."""
-        if forcing is None:
-            return None
+    def _mean_free_source(self, forcing: np.ndarray) -> np.ndarray:
+        """The source minus its mean; a nan mean or an infinite scale fails
+        the test, so only a finite source with a rounding-level mean passes."""
+        self.grid.validate_field(forcing)
         m = mean(self.grid, forcing)
-        if abs(m) > _FORCING_MEAN_TOL * max(1.0, norm_inf(forcing)):
+        if not abs(m) <= _FORCING_MEAN_TOL * max(1.0, norm_inf(forcing)) < math.inf:
             raise NonZeroMeanError(
-                f"source field must be mean-zero, got mean {m:.3e}"
+                f"source field must be finite and mean-zero, got mean {m:.3e}"
             )
-        return self.solver.inv_neg_lap(forcing - m)
+        return forcing - m
 
     def _finish_step(self, state: StepState, phi_new: np.ndarray, trace,
                      system: StepSystem) -> tuple:
@@ -342,12 +328,13 @@ class _SchemeBase:
         # Consistency is judged per step (a broken solve shifts the mean far
         # beyond rounding in a single update); the cumulative drift against
         # the conserved mean is reported for monitoring.
-        step_drift = abs(mean(self.grid, phi_new) - mean(self.grid, state.phi))
+        new_mean = mean(self.grid, phi_new)
+        step_drift = abs(new_mean - mean(self.grid, state.phi))
         if step_drift > _STEP_MASS_TOL * max(1.0, abs(state.beta0)):
             raise SolverDivergedError(
                 f"mass drifted by {step_drift:.3e} in one step; solve is inconsistent"
             )
-        drift = abs(mean(self.grid, phi_new) - state.beta0)
+        drift = abs(new_mean - state.beta0)
         report = StepReport(
             psd_iters=trace.iterations,
             final_residual=trace.residual_norms[-1],
@@ -396,9 +383,8 @@ class FirstOrderScheme(_SchemeBase):
         check_positive(phi_old, "previous state")
         inv_old = 1.0 / phi_old
         constant = -(8.0 / 3.0) * (inv_old * inv_old * inv_old)
-        lift = self._lift_forcing(forcing)
-        if lift is not None:
-            constant += lift
+        if forcing is not None:
+            constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
         return StepSystem(
             self.grid, self.solver, dt, concave=False, linear=0.0,
             stiffness=self.params.eps**2, weight=1.0, history=phi_old,
@@ -450,9 +436,8 @@ class Bdf2Scheme(_SchemeBase):
         phi_hat = 2.0 * phi_old - phi_older
         # Terms independent of the iterate, assembled once per step.
         constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
-        lift = self._lift_forcing(forcing)
-        if lift is not None:
-            constant = constant + lift
+        if forcing is not None:
+            constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
         return StepSystem(
             self.grid, self.solver, dt, concave=True, linear=linear,
             stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
@@ -466,11 +451,24 @@ class Bdf2Scheme(_SchemeBase):
         t: float = 0.0,
         forcing: Optional[np.ndarray] = None,
     ) -> StepState:
-        """Two-level state at t with history synthesized by :func:`ghost_init`."""
-        phi_prev = ghost_init(self.grid, phi0, self.params, dt, forcing)
-        state = restart_state(self.grid, phi0, t)
-        state.phi_prev = phi_prev
-        return state
+        """Two-level state at t whose history is one explicit step back,
+        phi_prev = phi0 - dt (lap(mu(phi0)) + S0), S0 the mean-adjusted source.
+
+        dt, phi0 and the source are checked by the rules of step and
+        restart_state.  PositivityLostError when phi_prev is not strictly
+        positive: shrink dt or fall back to restart_state.
+        """
+        _check_dt(dt)
+        beta0 = _start_mean(self.grid, phi0, "initial data")
+        rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
+        if forcing is not None:
+            rate = rate + self._mean_free_source(forcing)
+        phi_prev = phi0 - dt * rate
+        if not np.all(phi_prev > 0.0):
+            raise PositivityLostError(
+                "synthesized history lost positivity; reduce dt or use restart_state"
+            )
+        return StepState(phi0.copy(), phi_prev, t, beta0, 0)
 
     def step(
         self, state: StepState, dt: float, forcing: Optional[np.ndarray] = None

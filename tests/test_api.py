@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "div",
     "fit_power_law",
     "format_float",
-    "ghost_init",
     "grad",
     "grad_norm_2",
     "initial_state",

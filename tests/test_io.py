@@ -418,6 +418,22 @@ class TestCliErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("scheme", ["fo", "bdf2"])
+    def test_snapshot_holding_inf_is_runtime_error(self, scheme, tmp_path, capsys):
+        """Start data with an infinite cell is refused before the first
+        step: exit 2 with one error line naming the data, no traceback."""
+        grid = Grid(2, 8, 1.0)
+        phi = np.ones(grid.shape)
+        phi[2, 5] = math.inf
+        write_field_snapshot(tmp_path / "inf.tfgf", grid, phi, 0.0)
+        code = main(["step", "--scheme", scheme, "--input", str(tmp_path / "inf.tfgf"),
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonPositiveFieldError: ")
+        assert "must be finite" in err
+        assert err.count("\n") == 1
+
     def test_value_error_inside_a_run_is_not_a_usage_error(
         self, tmp_path, monkeypatch, capsys
     ):

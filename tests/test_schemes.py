@@ -37,7 +37,6 @@ from thinfilm import (
     a0_star,
     barrier_alpha,
     discrete_energy,
-    ghost_init,
     initial_state,
     inner,
     lap,
@@ -79,6 +78,13 @@ def fixed_metric_norm(scheme, system, phi):
 def mean_zero_forcing(grid, seed):
     s = np.random.default_rng(seed).standard_normal(grid.shape)
     return s - np.mean(s)
+
+
+def holding(grid, value, field=None):
+    """field (by default a mean-zero source) with value in one cell."""
+    out = mean_zero_forcing(grid, 60) if field is None else field
+    out[1, 2] = value
+    return out
 
 
 @pytest.fixture
@@ -696,20 +702,85 @@ class TestStatesAndHistory:
         with pytest.raises(NonPositiveFieldError):
             restart_state(grid, np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(
+                lambda g, fo, bdf2, phi: bdf2.cold_start(phi, 1e-3,
+                                                         forcing=np.ones(g.shape)),
+                NonZeroMeanError, id="cold_start-mean-1-source",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: bdf2.cold_start(phi, 1e-3, forcing=np.zeros(g.n)),
+                ValueError, id="cold_start-1d-source",
+            ),
+            *(
+                pytest.param(
+                    lambda g, fo, bdf2, phi, dt=dt: bdf2.cold_start(phi, dt),
+                    InvalidCoefficientsError, id=f"cold_start-dt-{dt}",
+                )
+                for dt in (0.0, -1e-3, math.nan, math.inf)
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: bdf2.cold_start(phi, 1e-3,
+                                                         forcing=holding(g, math.nan)),
+                NonZeroMeanError, id="cold_start-nan-source",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: fo.step(initial_state(g, phi), 1e-3,
+                                                 holding(g, math.nan)),
+                NonZeroMeanError, id="fo-step-nan-source",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: bdf2.step(restart_state(g, phi), 1e-3,
+                                                   holding(g, math.nan)),
+                NonZeroMeanError, id="bdf2-step-nan-source",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: fo.step(initial_state(g, phi), 1e-3,
+                                                 holding(g, math.inf)),
+                NonZeroMeanError, id="fo-step-inf-source",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: initial_state(g, holding(g, math.inf, phi)),
+                NonPositiveFieldError, id="initial_state-inf-data",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: restart_state(g, holding(g, math.inf, phi)),
+                NonPositiveFieldError, id="restart_state-inf-data",
+            ),
+            pytest.param(
+                lambda g, fo, bdf2, phi: bdf2.cold_start(holding(g, math.inf, phi), 1e-3),
+                NonPositiveFieldError, id="cold_start-inf-data",
+            ),
+        ],
+    )
+    def test_entry_rules_shared_by_every_start_and_step(self, setup, call, error):
+        """dt, the start data and the source each have one rule, which
+        cold_start, the state constructors and step all apply."""
+        grid, _, fo, bdf2 = setup
+        with pytest.raises(error):
+            call(grid, fo, bdf2, smooth_field(grid))
+
+    @staticmethod
+    def ghost(grid, params, phi0, dt, forcing=None):
+        """The history cold_start synthesizes one step before the start."""
+        return Bdf2Scheme(grid, params).cold_start(phi0, dt, forcing=forcing).phi_prev
+
     def test_ghost_init_is_explicit_backward_step(self):
         grid = Grid(2, 8, 1.0)
         params = PhysParams(eps=0.5)
         phi0 = smooth_field(grid)
         dt = 1e-4
         expected = phi0 - dt * lap(grid, mu_exact(grid, phi0, params.eps))
-        assert np.allclose(ghost_init(grid, phi0, params, dt), expected, atol=1e-14)
+        assert np.allclose(self.ghost(grid, params, phi0, dt), expected, atol=1e-14)
 
     def test_ghost_init_linear_in_dt(self):
         grid = Grid(2, 8, 1.0)
         params = PhysParams(eps=0.5)
         phi0 = smooth_field(grid)
-        g1 = ghost_init(grid, phi0, params, 1e-5) - phi0
-        g2 = ghost_init(grid, phi0, params, 2e-5) - phi0
+        g1 = self.ghost(grid, params, phi0, 1e-5) - phi0
+        g2 = self.ghost(grid, params, phi0, 2e-5) - phi0
         assert norm_inf(g2 - 2.0 * g1) <= 1e-12 * norm_inf(g1)
 
     def test_ghost_init_applies_mean_adjusted_forcing(self):
@@ -717,13 +788,14 @@ class TestStatesAndHistory:
         params = PhysParams(eps=0.5)
         phi0 = smooth_field(grid)
         dt = 1e-4
-        forcing = np.random.default_rng(42).standard_normal(grid.shape)
+        # The draw minus its mean: a source with a material mean is refused.
+        forcing = mean_zero_forcing(grid, 42)
         expected = phi0 - dt * (
             lap(grid, mu_exact(grid, phi0, params.eps))
             + forcing
             - mean(grid, forcing)
         )
-        got = ghost_init(grid, phi0, params, dt, forcing)
+        got = self.ghost(grid, params, phi0, dt, forcing)
         assert np.allclose(got, expected, atol=1e-14)
 
     def test_ghost_init_positivity_guard(self):
@@ -731,19 +803,19 @@ class TestStatesAndHistory:
         params = PhysParams(eps=0.1)
         phi0 = positive_field(grid, 43, 0.15, 1.0)  # steep field, huge rate
         with pytest.raises(PositivityLostError):
-            ghost_init(grid, phi0, params, 1.0)
+            self.ghost(grid, params, phi0, 1.0)
 
     def test_cold_start_packs_ghost_history(self):
         grid = Grid(2, 8, 1.0)
         params = PhysParams(eps=0.5)
-        bdf2 = Bdf2Scheme(grid, params)
         phi0 = smooth_field(grid)
         dt = 1e-4
-        state = bdf2.cold_start(phi0, dt)
+        state = Bdf2Scheme(grid, params).cold_start(phi0, dt, t=0.25)
         assert np.array_equal(state.phi, phi0)
-        assert np.allclose(
-            state.phi_prev, ghost_init(grid, phi0, params, dt), atol=1e-15
-        )
+        assert state.phi is not phi0
+        assert (state.t, state.step_index) == (0.25, 0)
+        assert state.beta0 == mean(grid, phi0)
+        assert np.array_equal(state.phi_prev, self.ghost(grid, params, phi0, dt))
 
     def test_bdf2_requires_history(self, setup):
         grid, _, _, bdf2 = setup
@@ -790,7 +862,8 @@ class TestStepBehavior:
         solver = bdf2.solver
         new_state, report = bdf2.step(state, 0.01)
         expected = modified_energy(
-            grid, solver, new_state.phi, state.phi, params.eps, params.a0, 0.01
+            grid, solver, new_state.phi, state.phi, params.eps, params.a0, 0.01,
+            discrete_energy(grid, new_state.phi, params.eps),
         )
         # F(phi_new) is evaluated once per step, to the same bits
         assert report.modified_energy == expected
