@@ -54,13 +54,9 @@ from .experiments import (
 )
 from .grid import (
     Grid,
-    div,
-    grad,
     grad_norm_2,
     inner,
-    inner_face,
     lap,
-    mean,
     norm_inf,
     norm_2,
 )
@@ -88,12 +84,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid",
-    "grad",
-    "div",
     "lap",
     "inner",
-    "inner_face",
-    "mean",
     "norm_2",
     "norm_inf",
     "grad_norm_2",

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    converge1   temporal accuracy study of the one-step scheme
-    converge2   space-time accuracy study of the two-step scheme
+    converge1   temporal accuracy study of the one-step scheme (unit square)
+    converge2   space-time accuracy study of the two-step scheme (unit square)
     coarsen     droplet coarsening run: energy log, snapshots, power-law fit
     step        advance a single implicit step (debugging aid)
 
@@ -83,7 +83,6 @@ def _opts_converge1():
              "comma-separated step-count ladder"),
         _Opt("eps", float, 0.5, "interface width parameter"),
         _Opt("tf", float, 1.0, "final time"),
-        _Opt("length", float, 1.0, "periodic box side"),
         _Opt("outdir", str, "converge1-out", "output directory"),
     ) + _SOLVER_OPTS
 
@@ -95,7 +94,6 @@ def _opts_converge2():
              "the full-scale study uses 48..192)"),
         _Opt("eps", float, 0.5, "interface width parameter"),
         _Opt("tf", float, 1.0, "final time"),
-        _Opt("length", float, 1.0, "periodic box side"),
         _Opt("dt_factor", float, 0.5, "time step as a fraction of h"),
         _Opt("a0", float, None, "stabilization constant "
                                 "(default: sharp convexity constant)"),
@@ -154,7 +152,6 @@ def _run_converge(v) -> int:
     table = study(
         eps=v.eps,
         t_final=v.tf,
-        length=v.length,
         psd_config=_solver_config(v),
         on_resolution=lambda r, e2, ei: print(
             f"{label}={r} err_l2={e2:.6e} err_linf={ei:.6e}", flush=True

@@ -6,7 +6,9 @@ The film height phi > 0 carries the singular two-term potential
 
 and the discrete free energy on a periodic staggered grid is
 
-    F(phi) = <U(phi), 1> + (eps^2 / 2) ||grad phi||_2^2.
+    F(phi) = <U(phi), 1> + (eps^2 / 2) ||grad phi||_2^2,
+
+with ||grad phi||_2 the forward-difference norm :func:`grid.grad_norm_2`.
 
 Two convex/concave splittings of F drive the time schemes: the plain one,
 F = [<(1/3) phi^-8, 1> + (eps^2/2)||grad phi||^2] - [<(4/3) phi^-2, 1>],
@@ -124,7 +126,6 @@ def modified_energy(
     solver: SpectralSolver,
     phi_new: np.ndarray,
     phi_old: np.ndarray,
-    eps: float,
     a0: float,
     dt: float,
     energy: float,
@@ -134,7 +135,8 @@ def modified_energy(
     F(phi_new) + (1/(4 dt)) ||phi_new - phi_old||_{-1}^2
                + (4/3) a0 ||phi_new - phi_old||_2^2,
 
-    with ``energy`` = F(phi_new) as the caller has already evaluated it.
+    with ``energy`` = F(phi_new) as the caller has already evaluated it, so
+    eps enters only through ``energy``.
     """
     diff = phi_new - phi_old
     # The increment is mean-free up to rounding on the scale of phi; finish

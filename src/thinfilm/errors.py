@@ -52,7 +52,7 @@ class InsufficientDataError(ThinFilmError):
 
 
 class NonPositiveValueError(ThinFilmError):
-    """A fit in log coordinates received a non-positive value."""
+    """A fit in log coordinates received a value that is not finite and positive."""
 
 
 class ConfigError(ThinFilmError, ValueError):

@@ -1,25 +1,19 @@
-"""Uniform periodic staggered-grid calculus.
+"""Uniform periodic grid calculus.
 
 Scalar unknowns live at cell centers of a uniform grid over a periodic box
-(0, L)^dim with n cells per direction, h = L/n.  Vector quantities live at
-face centers: component d of a face field sits on the faces orthogonal to
-physical axis d.  Entry i of that component is the face between cells i and
-i+1 (wrapping periodically), so no ghost layers are ever stored.
+(0, L)^dim with n cells per direction, h = L/n; no ghost layers are ever
+stored.
 
 Array convention: a cell field is an ndarray of shape (n,)*dim in C order
 with the x index varying fastest, i.e. physical axis d corresponds to array
-axis dim-1-d.  A face field is a tuple of dim such arrays ordered (x, y, z).
+axis dim-1-d.
 
-The difference operators are a center-to-face and face-to-center pair:
-
-    grad      : (D u)_{i+1/2} = (u_{i+1} - u_i) / h          (per axis)
-    div       : (d f)_i       = (f_{i+1/2} - f_{i-1/2}) / h  (summed)
-
-``div(grad(u))`` collapses to the standard 2*dim+1 point Laplacian, exposed
-directly as :func:`lap`.  Inner products carry the uniform quadrature weight
-h^dim; the face-field product uses the averaged-product definition
-[f, g] = <avg(f*g), 1> which reduces to a plain weighted sum on periodic
-grids (the reduction is exercised by the test suite).
+The schemes need two operators: the standard 2*dim+1 point Laplacian
+:func:`lap`, and the l^2 norm :func:`grad_norm_2` of the forward
+difference (D_d u)_i = (u_{i+1} - u_i) / h along each direction, which
+carries the gradient energy.  On a periodic grid the two are linked by
+summation by parts, -<u, lap u> = grad_norm_2(u)^2.  Inner products
+carry the uniform quadrature weight h^dim.
 """
 
 from __future__ import annotations
@@ -90,26 +84,8 @@ class Grid:
             raise ValueError(f"field shape {u.shape} does not match grid {self.shape}")
 
 
-def grad(grid: Grid, u: np.ndarray) -> tuple:
-    """Center-to-face difference along every direction, ordered (x, y, z)."""
-    h = grid.h
-    return tuple(
-        (np.roll(u, -1, axis=grid.axis_of(d)) - u) / h for d in range(grid.dim)
-    )
-
-
-def div(grid: Grid, f: tuple) -> np.ndarray:
-    """Face-to-center divergence, the adjoint (up to sign) of :func:`grad`."""
-    h = grid.h
-    out = np.zeros(grid.shape)
-    for d in range(grid.dim):
-        ax = grid.axis_of(d)
-        out += (f[d] - np.roll(f[d], 1, axis=ax)) / h
-    return out
-
-
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Periodic 2*dim+1 point Laplacian, identical to div(grad(u))."""
+    """Periodic 2*dim+1 point Laplacian."""
     h2 = grid.h * grid.h
     out = -2.0 * grid.dim * u.astype(float, copy=True)
     for ax in range(u.ndim):
@@ -127,25 +103,6 @@ def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     return grid.cell_volume * float(np.dot(u.ravel(), v.ravel()))
 
 
-def inner_face(grid: Grid, f: tuple, g: tuple) -> float:
-    """Face inner product [f, g] = sum_d <avg_d(f_d g_d), 1>.
-
-    Defined through the face-to-center average of the pointwise product;
-    on periodic grids this equals the plain weighted sum over faces.
-    """
-    total = 0.0
-    for d in range(grid.dim):
-        ax = grid.axis_of(d)
-        w = f[d] * g[d]
-        total += float(np.sum(0.5 * (w + np.roll(w, 1, axis=ax))))
-    return grid.cell_volume * total
-
-
-def mean(grid: Grid, u: np.ndarray) -> float:
-    """Volume average <u, 1> / |Omega|, a plain arithmetic mean."""
-    return float(np.mean(u))
-
-
 def norm_inf(u: np.ndarray) -> float:
     """max |u|, taken as max(max u, -min u) without an abs temporary."""
     return float(max(u.max(), -u.min()))
@@ -156,11 +113,8 @@ def norm_2(grid: Grid, u: np.ndarray) -> float:
 
 
 def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
-    """l^2 norm of the staggered gradient.
-
-    Uses the periodic reduction of the face inner product to a plain
-    weighted sum, so it costs one pass per direction.
-    """
+    """l^2 norm sqrt(h^dim sum_d sum_i (D_d u)_i^2) of the forward-difference
+    gradient, one pass per direction."""
     h = grid.h
     acc = 0.0
     for d in range(grid.dim):

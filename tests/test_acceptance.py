@@ -31,12 +31,9 @@ from thinfilm import (
     SpectralSolver,
     a0_star,
     discrete_energy,
-    div,
     fit_power_law,
-    grad,
     grad_norm_2,
     inner,
-    inner_face,
     lap,
     mu_first_order,
     psd_solve,
@@ -74,24 +71,15 @@ class TestCriterion1Operators:
                 grid = Grid(dim, n, 1.3)
                 rng = np.random.default_rng(dim)
                 u = rng.standard_normal(grid.shape)
-                f = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
                 grads = dense_grad_matrices(grid)
                 neg_lap = dense_neg_lap_matrix(grid)
-                g = grad(grid, u)
-                for d in range(dim):
-                    assert np.max(
-                        np.abs(g[d].ravel() - grads[d] @ u.ravel())
-                    ) <= 1e-11
-                # div is the negated transpose of grad acting on faces
-                expected_div = np.zeros(grid.num_cells)
-                for d in range(dim):
-                    expected_div -= grads[d].T @ f[d].ravel()
-                assert np.max(
-                    np.abs(div(grid, f).ravel() - expected_div)
-                ) <= 1e-11
                 assert np.max(
                     np.abs(lap(grid, u).ravel() + neg_lap @ u.ravel())
                 ) <= 1e-11
+                dense_grad_norm = np.sqrt(grid.cell_volume * sum(
+                    float(np.sum((g @ u.ravel()) ** 2)) for g in grads
+                ))
+                assert abs(grad_norm_2(grid, u) - dense_grad_norm) <= 1e-11
                 # spectral inverse agrees with the dense pseudoinverse
                 solver = SpectralSolver(grid)
                 w = u - np.mean(u)
@@ -100,15 +88,19 @@ class TestCriterion1Operators:
                 )
                 assert np.max(np.abs(solver.inv_neg_lap(w) - psi_dense)) <= 1e-11
 
+            # summation by parts: -<u, lap v> = h^dim sum_d <G_d u, G_d v>
             for case in range(100):
                 rng = np.random.default_rng(5000 + case)
                 dim = int(rng.integers(1, 4))
                 n = int(rng.integers(3, 9))
                 grid = Grid(dim, n, float(rng.uniform(0.5, 3.0)))
-                psi = rng.standard_normal(grid.shape)
-                f = tuple(rng.standard_normal(grid.shape) for _ in range(dim))
-                lhs = inner(grid, psi, div(grid, f))
-                rhs = -inner_face(grid, grad(grid, psi), f)
+                u = rng.standard_normal(grid.shape)
+                v = rng.standard_normal(grid.shape)
+                lhs = -inner(grid, u, lap(grid, v))
+                rhs = grid.cell_volume * sum(
+                    float((g @ u.ravel()) @ (g @ v.ravel()))
+                    for g in dense_grad_matrices(grid)
+                )
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

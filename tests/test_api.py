@@ -45,18 +45,14 @@ PUBLIC_NAMES = [
     "barrier_alpha",
     "check_positive",
     "discrete_energy",
-    "div",
     "fit_power_law",
     "format_float",
-    "grad",
     "grad_norm_2",
     "initial_state",
     "inner",
-    "inner_face",
     "lap",
     "line_search",
     "load_config",
-    "mean",
     "modified_energy",
     "mu_bdf2",
     "mu_exact",

@@ -308,7 +308,7 @@ class TestModifiedEnergy:
             + hm1_sq / (4.0 * dt)
             + (4.0 / 3.0) * params.a0 * norm_2(grid, new - old) ** 2
         )
-        got = modified_energy(grid, solver, new, old, params.eps, params.a0, dt,
+        got = modified_energy(grid, solver, new, old, params.a0, dt,
                               discrete_energy(grid, new, params.eps))
         assert got == pytest.approx(expected, rel=1e-9)
 
@@ -325,7 +325,7 @@ class TestModifiedEnergy:
             + solver.hminus1_inner(diff, diff) / (4.0 * dt)
             + (4.0 / 3.0) * a0_star() * norm_2(grid, new - old) ** 2
         )
-        got = modified_energy(grid, solver, new, old, 0.3, a0_star(), dt,
+        got = modified_energy(grid, solver, new, old, a0_star(), dt,
                               discrete_energy(grid, new, 0.3))
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -333,7 +333,7 @@ class TestModifiedEnergy:
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
         phi = positive_field(grid, 42)
-        got = modified_energy(grid, solver, phi, phi.copy(), 0.3, a0_star(), 0.01,
+        got = modified_energy(grid, solver, phi, phi.copy(), a0_star(), 0.01,
                               discrete_energy(grid, phi, 0.3))
         assert got == pytest.approx(discrete_energy(grid, phi, 0.3), rel=1e-13)
 
@@ -343,5 +343,5 @@ class TestModifiedEnergy:
         new = positive_field(grid, 43)
         old = new + 0.05 * np.sin(2 * np.pi * grid.coordinates()[0])
         energy = discrete_energy(grid, new, 0.3)
-        assert modified_energy(grid, solver, new, old, 0.3, a0_star(), 0.01,
+        assert modified_energy(grid, solver, new, old, a0_star(), 0.01,
                                energy) >= energy

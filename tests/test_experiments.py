@@ -23,13 +23,13 @@ from thinfilm import (
     InsufficientDataError,
     ManufacturedSolution,
     NonPositiveValueError,
+    NonZeroMeanError,
     PhysParams,
     PositivityLostError,
     SpectralSolver,
     UnfinishedError,
     fit_power_law,
     lap,
-    mean,
     mu_exact,
     norm_inf,
     random_initial_data,
@@ -38,6 +38,7 @@ from thinfilm import (
     run_convergence_first_order,
     restart_state,
 )
+from thinfilm import experiments
 from thinfilm.experiments import _step_plan
 
 
@@ -89,12 +90,12 @@ class TestManufacturedSolution:
     def test_forcing_is_mean_zero(self):
         grid = Grid(2, 16, 1.0)
         s = ManufacturedSolution().forcing(grid, 0.5, 0.3)
-        assert abs(mean(grid, s)) <= 1e-12
+        assert abs(np.mean(s)) <= 1e-12
 
-    def test_zero_amplitude_profile_needs_no_forcing(self):
+    def test_zero_amplitude_profile_needs_no_forcing(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_AMPLITUDE", 0.0)
         grid = Grid(2, 8, 1.0)
-        flat = ManufacturedSolution(amplitude=0.0)
-        assert norm_inf(flat.forcing(grid, 0.5, 0.4)) <= 1e-12
+        assert norm_inf(ManufacturedSolution().forcing(grid, 0.5, 0.4)) <= 1e-12
 
     def test_rejects_wrong_dimension(self):
         profile = ManufacturedSolution()
@@ -102,6 +103,21 @@ class TestManufacturedSolution:
             profile.sample(Grid(1, 8, 1.0), 0.0)
         with pytest.raises(ValueError):
             profile.sample(Grid(3, 4, 1.0), 0.0)
+
+    def test_rejects_a_box_other_than_the_unit_square(self):
+        grid = Grid(2, 16, 0.7)
+        profile = ManufacturedSolution()
+        with pytest.raises(ValueError, match="unit square"):
+            profile.sample(grid, 0.0)
+        with pytest.raises(ValueError, match="unit square"):
+            profile.forcing(grid, 0.5, 0.3)
+
+    def test_forcing_with_a_material_mean_raises(self, monkeypatch):
+        """The mean guard is a raised error, not an assert that ``python -O``
+        would strip."""
+        monkeypatch.setattr(experiments, "lap", lambda grid, u: lap(grid, u) + 1e-6)
+        with pytest.raises(NonZeroMeanError, match="forcing mean"):
+            ManufacturedSolution().forcing(Grid(2, 16, 1.0), 0.5, 0.3)
 
 
 class TestFits:
@@ -121,7 +137,8 @@ class TestFits:
         assert b == pytest.approx(-1.5, rel=1e-12)
         assert a == pytest.approx(2.0, rel=1e-12)
 
-    def test_power_law_errors(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_power_law_errors(self, bad):
         t = np.array([1.0, 2.0, 4.0])
         v = np.array([1.0, 0.5, 0.25])
         with pytest.raises(InsufficientDataError):
@@ -130,6 +147,11 @@ class TestFits:
             fit_power_law(np.array([0.0, 2.0, 4.0]), v, 0.0, 100.0)
         with pytest.raises(NonPositiveValueError):
             fit_power_law(t, np.array([1.0, -0.5, 0.25]), 0.5, 100.0)
+        # nan passes a `<= 0` test; a value must be finite and positive
+        with pytest.raises(NonPositiveValueError):
+            fit_power_law(t, np.array([1.0, bad, 0.25]), 0.5, 100.0)
+        with pytest.raises(NonPositiveValueError):
+            fit_power_law(np.array([1.0, 2.0, math.inf]), v, 0.5, math.inf)
 
     def test_convergence_table_exact_slopes(self):
         nt = [100, 200, 400, 800]
@@ -141,7 +163,8 @@ class TestFits:
         assert math.exp(tab.intercept_l2) == pytest.approx(0.4, rel=1e-12)
         assert tab.resolutions == nt
 
-    def test_convergence_table_errors(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_convergence_table_errors(self, bad):
         with pytest.raises(InsufficientDataError):
             ConvergenceTable.from_errors([10, 20], [1.0, 0.5], [1.0, 0.5])
         with pytest.raises(InsufficientDataError):  # two distinct abscissae
@@ -150,6 +173,10 @@ class TestFits:
             ConvergenceTable.from_errors(
                 [10, 20, 40], [1.0, 0.0, 0.25], [1.0, 0.5, 0.25]
             )
+        with pytest.raises(NonPositiveValueError):
+            ConvergenceTable.from_errors([10, 20, 40], [1.0, bad, 0.25], [1.0, 0.5, 0.2])
+        with pytest.raises(NonPositiveValueError):
+            ConvergenceTable.from_errors([10, 20, 40], [1.0, 0.5, 0.2], [1.0, 0.5, bad])
 
 
 class TestConvergenceSmokes:
@@ -220,7 +247,7 @@ class TestRandomInitialData:
         phi = random_initial_data(grid, 7)
         assert float(np.min(phi)) >= 1.9
         assert float(np.max(phi)) < 2.1
-        assert mean(grid, phi) == pytest.approx(2.0, abs=2e-3)
+        assert np.mean(phi) == pytest.approx(2.0, abs=2e-3)
 
     def test_deterministic_per_seed(self):
         grid = Grid(2, 16, 1.0)
@@ -416,7 +443,7 @@ class TestCoarseningRun:
                     t=t,
                     energy=report.energy,
                     modified_energy=report.modified_energy,
-                    mass=mean(grid, state.phi),
+                    mass=float(np.mean(state.phi)),
                     min_phi=report.min_phi,
                     psd_iters=report.psd_iters,
                     residual=report.final_residual,

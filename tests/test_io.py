@@ -406,6 +406,7 @@ class TestCliErrors:
              "--snapshots", "0.001,nan,0.002"],
             ["converge1", "--n", "8", "--nt", "4,4,4"],
             ["converge2", "--n-list", "8,8,16"],
+            ["converge1", "--length", "0.7"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
@@ -416,6 +417,18 @@ class TestCliErrors:
         assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_converge_config_with_a_box_length_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The manufactured studies run on the unit square only."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("n_list=8,16,32\nlength=2\n")
+        assert main(["converge2", "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
+        assert "length" in err
+        assert err.count("\n") == 1
 
 
     @pytest.mark.parametrize("scheme", ["fo", "bdf2"])

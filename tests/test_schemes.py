@@ -41,7 +41,6 @@ from thinfilm import (
     inner,
     lap,
     line_search,
-    mean,
     modified_energy,
     mu_exact,
     norm_inf,
@@ -594,7 +593,7 @@ class TestNearBarrier:
         system = scheme.step_system_from(phi0, phi0, 1e-3)
         assert fixed_metric_norm(scheme, system, new_state.phi) <= scheme.psd_config.tol
         assert np.all(new_state.phi > 0.0)
-        assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), abs=1e-12)
+        assert np.mean(new_state.phi) == pytest.approx(np.mean(phi0), abs=1e-12)
 
     def test_failed_solve_reports_its_mean_contraction(self):
         """The first-order solve from the well converges slowly and is not
@@ -674,7 +673,7 @@ class TestFixedMetricStop:
         system = scheme.step_system_from(phi0, 0.01)
         assert fixed_metric_norm(scheme, system, new_state.phi) <= scheme.psd_config.tol
         assert np.all(new_state.phi > 0.0)
-        assert mean(grid, new_state.phi) == pytest.approx(mean(grid, phi0), rel=1e-12)
+        assert np.mean(new_state.phi) == pytest.approx(np.mean(phi0), rel=1e-12)
 
 
 class TestStatesAndHistory:
@@ -684,7 +683,7 @@ class TestStatesAndHistory:
         state = initial_state(grid, phi0, t=1.5)
         assert state.phi_prev is None
         assert state.t == 1.5
-        assert state.beta0 == pytest.approx(mean(grid, phi0), rel=1e-15)
+        assert state.beta0 == pytest.approx(np.mean(phi0), rel=1e-15)
         phi0[0, 0] = 99.0
         assert state.phi[0, 0] != 99.0
 
@@ -793,7 +792,7 @@ class TestStatesAndHistory:
         expected = phi0 - dt * (
             lap(grid, mu_exact(grid, phi0, params.eps))
             + forcing
-            - mean(grid, forcing)
+            - np.mean(forcing)
         )
         got = self.ghost(grid, params, phi0, dt, forcing)
         assert np.allclose(got, expected, atol=1e-14)
@@ -814,7 +813,7 @@ class TestStatesAndHistory:
         assert np.array_equal(state.phi, phi0)
         assert state.phi is not phi0
         assert (state.t, state.step_index) == (0.25, 0)
-        assert state.beta0 == mean(grid, phi0)
+        assert state.beta0 == np.mean(phi0)
         assert np.array_equal(state.phi_prev, self.ghost(grid, params, phi0, dt))
 
     def test_bdf2_requires_history(self, setup):
@@ -862,7 +861,7 @@ class TestStepBehavior:
         solver = bdf2.solver
         new_state, report = bdf2.step(state, 0.01)
         expected = modified_energy(
-            grid, solver, new_state.phi, state.phi, params.eps, params.a0, 0.01,
+            grid, solver, new_state.phi, state.phi, params.a0, 0.01,
             discrete_energy(grid, new_state.phi, params.eps),
         )
         # F(phi_new) is evaluated once per step, to the same bits
@@ -899,7 +898,7 @@ class TestStepBehavior:
             assert report.min_phi > 0.0
             assert report.energy <= energy + 1e-10 * (1.0 + abs(energy))
             energy = report.energy
-        assert mean(grid, state.phi) == pytest.approx(state.beta0, abs=1e-12)
+        assert np.mean(state.phi) == pytest.approx(state.beta0, abs=1e-12)
 
     def test_bdf2_invariants_multi_step(self, setup):
         grid, params, _, bdf2 = setup
