@@ -39,9 +39,10 @@ from .io import (
     format_float,
     load_config,
     read_field_snapshot,
+    write_csv,
     write_energy_log,
     write_field_snapshot,
-    write_text_atomic,
+    write_key_values,
 )
 from .psd import SolverConfig
 from .schemes import Bdf2Scheme, FirstOrderScheme, initial_state, restart_state
@@ -160,17 +161,10 @@ def _run_converge(v) -> int:
     )
     outdir = Path(v.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = [f"{label},err_l2,err_linf"]
-    for res, e2, einf in zip(table.resolutions, table.errors_l2, table.errors_linf):
-        rows.append(f"{res},{format_float(e2)},{format_float(einf)}")
-    write_text_atomic(outdir / "convergence.csv", "\n".join(rows) + "\n")
-    fit = (
-        f"slope_l2={format_float(table.slope_l2)}\n"
-        f"intercept_l2={format_float(table.intercept_l2)}\n"
-        f"slope_linf={format_float(table.slope_linf)}\n"
-        f"intercept_linf={format_float(table.intercept_linf)}\n"
-    )
-    write_text_atomic(outdir / "fit.txt", fit)
+    rows = zip(table.resolutions, table.errors_l2, table.errors_linf)
+    write_csv(outdir / "convergence.csv", f"{label},err_l2,err_linf", rows)
+    keys = ("slope_l2", "intercept_l2", "slope_linf", "intercept_linf")
+    write_key_values(outdir / "fit.txt", {key: getattr(table, key) for key in keys})
     print(f"slope_l2={table.slope_l2:.6f} slope_linf={table.slope_linf:.6f}")
     return 0
 
@@ -189,17 +183,12 @@ def _write_coarsening(outdir: Path, run, t_end: float) -> None:
     try:
         amp, exponent = fit_power_law(times, excess, *window)
     except ThinFilmError as exc:
-        write_text_atomic(outdir / "fit.txt", f"error={exc}\n")
+        write_key_values(outdir / "fit.txt", {"error": str(exc)})
         print(f"power-law fit skipped: {exc}")
     else:
-        write_text_atomic(
-            outdir / "fit.txt",
-            "series=excess_energy\n"
-            f"window_t_min={format_float(window[0])}\n"
-            f"window_t_max={format_float(window[1])}\n"
-            f"amplitude={format_float(amp)}\n"
-            f"exponent={format_float(exponent)}\n",
-        )
+        fit = dict(series="excess_energy", window_t_min=window[0],
+                   window_t_max=window[1], amplitude=amp, exponent=exponent)
+        write_key_values(outdir / "fit.txt", fit)
         print(f"excess energy ~ {amp:.4f} * t^{exponent:.4f} on {window}")
 
 

@@ -68,9 +68,6 @@ class ManufacturedSolution:
     def sample(self, grid: Grid, t: float) -> np.ndarray:
         return _BASE + self._profile(grid) * math.cos(t)
 
-    def time_derivative(self, grid: Grid, t: float) -> np.ndarray:
-        return self._profile(grid) * -math.sin(t)
-
     def forcing(self, grid: Grid, eps: float, t: float) -> np.ndarray:
         """Source making the sampled profile satisfy the discrete flow."""
         profile = self._profile(grid)
@@ -82,6 +79,27 @@ class ManufacturedSolution:
         if not abs(m) <= 1e-13 * max(1.0, norm_inf(s)):
             raise NonZeroMeanError(f"forcing mean {m:.3e} out of tolerance")
         return s
+
+
+def _loglog_fit(x, y, what: str):
+    """Least-squares line log y = slope log x + intercept; returns both.
+
+    Needs at least three distinct x (``what`` names them in the error) and
+    finite positive x and y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    distinct = np.unique(x).size
+    if distinct < 3:
+        raise InsufficientDataError(f"need 3 distinct {what} to fit, got {distinct}")
+    # nan fails every comparison, so require the good range rather than
+    # refuse the bad one.
+    if not np.all((x > 0.0) & (x < math.inf) & (y > 0.0) & (y < math.inf)):
+        raise NonPositiveValueError(
+            f"{what} and their values must be finite and positive for a log-log fit"
+        )
+    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+    return float(slope), float(intercept)
 
 
 @dataclass
@@ -98,26 +116,10 @@ class ConvergenceTable:
 
     @classmethod
     def from_errors(cls, resolutions, errors_l2, errors_linf):
-        if len(set(resolutions)) < 3:
-            raise InsufficientDataError(
-                f"need at least 3 distinct resolutions to fit, got {list(resolutions)}"
-            )
-        if not all(0.0 < e < math.inf for e in (*errors_l2, *errors_linf)):
-            raise NonPositiveValueError(
-                "errors must be finite and positive for a log-log fit"
-            )
-        logr = np.log(np.asarray(resolutions, dtype=float))
-        c2 = np.polyfit(logr, np.log(errors_l2), 1)
-        cinf = np.polyfit(logr, np.log(errors_linf), 1)
-        return cls(
-            resolutions=list(resolutions),
-            errors_l2=list(errors_l2),
-            errors_linf=list(errors_linf),
-            slope_l2=float(c2[0]),
-            intercept_l2=float(c2[1]),
-            slope_linf=float(cinf[0]),
-            intercept_linf=float(cinf[1]),
-        )
+        l2 = _loglog_fit(resolutions, errors_l2, "resolutions")
+        linf = _loglog_fit(resolutions, errors_linf, "resolutions")
+        # (slope, intercept) pairs, in field order
+        return cls(list(resolutions), list(errors_l2), list(errors_linf), *l2, *linf)
 
 
 def _check_study(t_final: float, ladder) -> None:
@@ -230,25 +232,15 @@ def random_initial_data(grid: Grid, seed: int) -> np.ndarray:
 def fit_power_law(times, values, t_min: float, t_max: float):
     """Least-squares fit values ~ a * t^b over the window [t_min, t_max].
 
-    Returns (a, b).  Requires at least three window points, and finite
-    positive times and values in the window.
+    Returns (a, b).  Requires at least three distinct times in the window,
+    and finite positive times and values there.
     """
     t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
     sel = (t >= t_min) & (t <= t_max)
-    if int(np.sum(sel)) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 samples in [{t_min}, {t_max}], got {int(np.sum(sel))}"
-        )
-    t, v = t[sel], v[sel]
-    # nan fails every comparison, so require the good range rather than
-    # refuse the bad one.
-    if not np.all((t > 0.0) & (t < math.inf)):
-        raise NonPositiveValueError("fit window needs finite positive times")
-    if not np.all((v > 0.0) & (v < math.inf)):
-        raise NonPositiveValueError("fit window needs finite positive values")
-    slope, intercept = np.polyfit(np.log(t), np.log(v), 1)
-    return float(np.exp(intercept)), float(slope)
+    slope, intercept = _loglog_fit(
+        t[sel], np.asarray(values, dtype=float)[sel], f"times in [{t_min}, {t_max}]"
+    )
+    return float(np.exp(intercept)), slope
 
 
 DEFAULT_SCHEDULE = ((100.0, 0.001), (500.0, 0.004), (2000.0, 0.008), (6000.0, 0.02))

@@ -72,8 +72,6 @@ class Grid:
         Centers sit at (i + 1/2) h along every direction.
         """
         line = (np.arange(self.n) + 0.5) * self.h
-        if self.dim == 1:
-            return (line.copy(),)
         # meshgrid in ij order over array axes (slowest first), then return
         # physically ordered (x fastest axis last).
         mats = np.meshgrid(*([line] * self.dim), indexing="ij")

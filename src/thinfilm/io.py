@@ -1,4 +1,4 @@
-"""On-disk artifacts: field snapshots, energy logs, key=value configs.
+"""Every on-disk artifact: field snapshots and the text files of the runs.
 
 Snapshot format (little endian): magic ``TFGF``, u32 version, u32 dim,
 u32 n, f64 box length, f64 time, then n^dim float64 cell values in C order
@@ -6,9 +6,11 @@ with the x index fastest.  A text sidecar ``<name>.meta`` repeats the
 header as key=value lines; timestamps live only in the sidecar so the
 binary artifact of a seeded run is byte-reproducible.
 
-Energy logs are plain CSV with a fixed header; floats are printed with 17
-significant digits so parse -> print is a fixpoint and values round-trip
-exactly.  All writers go through a temp file plus atomic rename.
+Text artifacts have one writer per format: ``write_csv`` (energy log,
+``convergence.csv``) and ``write_key_values`` (``.meta``, ``fit.txt``; read
+back by ``load_config``).  Floats are printed with 17 significant digits so
+parse -> print is a fixpoint and values round-trip exactly.  All writers go
+through a temp file plus atomic rename.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +71,20 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write a small text artifact through the same temp+rename path."""
+def _text(value) -> str:
+    """Strings and ints as they are; any other number through format_float."""
+    return str(value) if isinstance(value, (str, int)) else format_float(value)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line and then one comma-separated line per row."""
+    lines = [header] + [",".join(map(_text, row)) for row in rows]
+    _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+
+
+def write_key_values(path, pairs: dict) -> None:
+    """Write one key=value line per pair, in order; load_config reads them back."""
+    text = "".join(f"{key}={_text(value)}\n" for key, value in pairs.items())
     _atomic_write_bytes(Path(path), text.encode())
 
 
@@ -82,19 +97,12 @@ def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None
     )
     data = np.ascontiguousarray(values, dtype="<f8").tobytes()
     _atomic_write_bytes(path, header + data)
-    meta_lines = [
-        f"magic={SNAPSHOT_MAGIC.decode()}",
-        f"version={SNAPSHOT_VERSION}",
-        f"dim={grid.dim}",
-        f"n={grid.n}",
-        f"length={format_float(grid.length)}",
-        f"time={format_float(t)}",
-        f"cells={grid.num_cells}",
-        f"created={datetime.now(timezone.utc).isoformat()}",
-    ]
-    _atomic_write_bytes(
-        path.with_name(path.name + ".meta"), ("\n".join(meta_lines) + "\n").encode()
+    meta = dict(
+        magic=SNAPSHOT_MAGIC.decode(), version=SNAPSHOT_VERSION, dim=grid.dim, n=grid.n,
+        length=float(grid.length), time=float(t), cells=grid.num_cells,
+        created=datetime.now(timezone.utc).isoformat(),
     )
+    write_key_values(path.with_name(path.name + ".meta"), meta)
 
 
 def read_field_snapshot(path):
@@ -121,16 +129,7 @@ def read_field_snapshot(path):
 
 def write_energy_log(path, records) -> None:
     """Write EnergyRecord rows as CSV (atomic)."""
-    lines = [ENERGY_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                str(int(getattr(rec, name))) if kind is int
-                else format_float(getattr(rec, name))
-                for name, kind in _ENERGY_COLUMNS
-            )
-        )
-    _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode())
+    write_csv(path, ENERGY_HEADER, map(attrgetter(*ENERGY_HEADER.split(",")), records))
 
 
 def read_energy_log(path):

@@ -57,13 +57,6 @@ class TestManufacturedSolution:
         for t in (0.0, 0.5, 1.0, 3.0):
             assert float(np.min(profile.sample(grid, t))) > 0.8
 
-    def test_time_derivative_matches_difference_quotient(self):
-        grid = Grid(2, 8, 1.0)
-        profile = ManufacturedSolution()
-        t, s = 0.7, 1e-6
-        fd = (profile.sample(grid, t + s) - profile.sample(grid, t - s)) / (2.0 * s)
-        assert norm_inf(profile.time_derivative(grid, t) - fd) <= 1e-9
-
     def test_forcing_against_independent_assembly(self):
         grid = Grid(2, 8, 1.0)
         eps = 0.5
@@ -83,8 +76,12 @@ class TestManufacturedSolution:
         err = np.max(np.abs(got.ravel() - oracle))
         assert err <= 1e-7  # difference-quotient floor
         assert err / max(np.max(np.abs(got)), 1.0) <= 1e-10
-        # the forcing is assembled from the profile's own pieces, to the bit
-        assembled = profile.time_derivative(grid, t) - lap(grid, mu_exact(grid, phi, eps))
+        # the forcing is assembled from the profile's own pieces, to the bit:
+        # dPhi/dt in the profile's operation order, then -lap(mu)
+        x, y = grid.coordinates()
+        two_pi = 2.0 * math.pi
+        shape = (1.0 / two_pi) * np.sin(two_pi * x) * np.cos(two_pi * y)
+        assembled = shape * -math.sin(t) - lap(grid, mu_exact(grid, phi, eps))
         assert np.array_equal(got, assembled)
 
     def test_forcing_is_mean_zero(self):
@@ -152,6 +149,10 @@ class TestFits:
             fit_power_law(t, np.array([1.0, bad, 0.25]), 0.5, 100.0)
         with pytest.raises(NonPositiveValueError):
             fit_power_law(np.array([1.0, 2.0, math.inf]), v, 0.5, math.inf)
+        # three samples are not three distinct times
+        for times in ([5.0, 5.0, 5.0], [1.0, 1.0, 2.0]):
+            with pytest.raises(InsufficientDataError):
+                fit_power_law(np.array(times), np.array([1.0, 2.0, 3.0]), 0.5, 10.0)
 
     def test_convergence_table_exact_slopes(self):
         nt = [100, 200, 400, 800]
@@ -177,6 +178,11 @@ class TestFits:
             ConvergenceTable.from_errors([10, 20, 40], [1.0, bad, 0.25], [1.0, 0.5, 0.2])
         with pytest.raises(NonPositiveValueError):
             ConvergenceTable.from_errors([10, 20, 40], [1.0, 0.5, 0.2], [1.0, 0.5, bad])
+        # a resolution must be positive too: its logarithm is the abscissa
+        errors = [1.0, 0.5, 0.2]
+        for resolutions in ([0, 20, 40], [-10, 20, 40]):
+            with pytest.raises(NonPositiveValueError):
+                ConvergenceTable.from_errors(resolutions, errors, errors)
 
 
 class TestConvergenceSmokes:

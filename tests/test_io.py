@@ -9,16 +9,21 @@ main() in process.
 import math
 import re
 import struct
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from thinfilm import (
+    CoarseningRun,
     ConfigError,
+    ConvergenceTable,
     EnergyRecord,
     FormatError,
     Grid,
+    InsufficientDataError,
     SolverConfig,
+    fit_power_law,
     format_float,
     load_config,
     read_energy_log,
@@ -209,6 +214,76 @@ class TestLoadConfig:
         path.write_text("=0.5\n")
         with pytest.raises(ConfigError, match="empty key"):
             load_config(path)
+
+
+class TestKeyValueRoundTrip:
+    """load_config reads back exactly the pairs each key=value artifact holds."""
+
+    def test_snapshot_meta(self, tmp_path):
+        grid = Grid(2, 4, 2.5)
+        path = tmp_path / "field.tfgf"
+        write_field_snapshot(path, grid, np.ones(grid.shape), 0.1)
+        pairs = load_config(tmp_path / "field.tfgf.meta")
+        created = pairs.pop("created")
+        assert pairs == {
+            "magic": "TFGF", "version": "1", "dim": "2", "n": "4",
+            "length": "2.5", "time": "0.10000000000000001", "cells": "16",
+        }
+        assert datetime.fromisoformat(created).tzinfo is not None
+
+    def test_converge_fit(self, tmp_path, monkeypatch):
+        table = ConvergenceTable.from_errors(
+            [4, 8, 16], [0.1, 0.051, 0.026], [0.3, 0.16, 0.07]
+        )
+        monkeypatch.setattr(cli, "run_convergence_first_order", lambda **_: table)
+        out = tmp_path / "c1"
+        assert main(["converge1", "--outdir", str(out)]) == 0
+        keys = ("slope_l2", "intercept_l2", "slope_linf", "intercept_linf")
+        pairs = load_config(out / "fit.txt")
+        assert list(pairs) == list(keys)
+        assert all(float(pairs[key]) == getattr(table, key) for key in keys)
+        rows = (out / "convergence.csv").read_text().splitlines()
+        assert rows[0] == "nt,err_l2,err_linf"
+        assert [tuple(map(float, row.split(","))) for row in rows[1:]] == list(
+            zip(table.resolutions, table.errors_l2, table.errors_linf)
+        )
+
+    @staticmethod
+    def coarsening_run(times):
+        grid = Grid(2, 4, 1.0)
+        nan = float("nan")
+        records = [
+            EnergyRecord(t, 3.0 * t**-0.3 - grid.volume, nan, 1.0, 0.9, 0, nan)
+            for t in times
+        ]
+        return CoarseningRun(grid, records, [], np.ones(grid.shape), times[-1])
+
+    def test_coarsen_fit(self, tmp_path):
+        times = [float(t) for t in np.geomspace(1.0, 100.0, 12)]
+        run = self.coarsening_run(times)
+        cli._write_coarsening(tmp_path, run, 6000.0)
+        excess = [r.energy + run.grid.volume for r in run.records]
+        amplitude, exponent = fit_power_law(times, excess, 1.0, 100.0)
+        assert amplitude == pytest.approx(3.0, rel=1e-12)
+        assert exponent == pytest.approx(-0.3, rel=1e-12)
+        pairs = load_config(tmp_path / "fit.txt")
+        assert list(pairs) == [
+            "series", "window_t_min", "window_t_max", "amplitude", "exponent"
+        ]
+        assert pairs["series"] == "excess_energy"
+        assert float(pairs["window_t_min"]) == 1.0
+        assert float(pairs["window_t_max"]) == 100.0
+        assert float(pairs["amplitude"]) == amplitude
+        assert float(pairs["exponent"]) == exponent
+
+    def test_coarsen_fit_error(self, tmp_path):
+        times = [0.01, 0.02]
+        run = self.coarsening_run(times)
+        cli._write_coarsening(tmp_path, run, 0.02)
+        excess = [r.energy + run.grid.volume for r in run.records]
+        with pytest.raises(InsufficientDataError) as failure:
+            fit_power_law(times, excess, 1.0, 0.02)
+        assert load_config(tmp_path / "fit.txt") == {"error": str(failure.value)}
 
 
 class TestCliStep:
