@@ -13,10 +13,6 @@ class NonZeroMeanError(ThinFilmError):
     """An operation requiring a mean-zero field received one with a mean."""
 
 
-class InvalidCoefficientsError(ThinFilmError):
-    """Operator or scheme coefficients violate their admissible range."""
-
-
 class NonPositiveFieldError(ThinFilmError):
     """A field that must be finite and strictly positive is not: it has a
     zero, negative or nan entry, or (start data) an infinite one."""
@@ -58,6 +54,11 @@ class NonPositiveValueError(ThinFilmError):
 class ConfigError(ThinFilmError, ValueError):
     """Bad CLI/config input: unknown key, unparsable value, bad combination,
     or a value a config rejects on construction (hence also a ValueError)."""
+
+
+class InvalidCoefficientsError(ConfigError):
+    """Coefficients out of their admissible range (dt, the BDF2 floors, a
+    preconditioner solve's): rejected before a step runs, so a usage error."""
 
 
 class FormatError(ThinFilmError):

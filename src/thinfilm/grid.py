@@ -19,6 +19,7 @@ carry the uniform quadrature weight h^dim.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,10 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.n < 2:
-            raise ConfigError(f"need at least 2 cells per direction, got {self.n}")
+        if not isinstance(self.dim, numbers.Integral) or self.dim not in (1, 2, 3):
+            raise ConfigError(f"dim must be the integer 1, 2 or 3, got {self.dim!r}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ConfigError(f"need an integer >= 2 cells per direction, got {self.n!r}")
         if not (0.0 < self.length < math.inf):
             raise ConfigError(f"length must be positive and finite, got {self.length}")
 

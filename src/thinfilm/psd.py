@@ -48,6 +48,7 @@ next residual instead of repeating it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < math.inf):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass

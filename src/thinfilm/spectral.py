@@ -13,6 +13,10 @@ The zero mode is handled by explicit projection: inputs must be mean-zero
 (within tolerance), and the mode-0 output coefficient is pinned to zero,
 which drops the actual mean and fixes the additive constant of every solve.
 The inverse Laplacian also subtracts the mean before its transform.
+
+The H^-1 norm and the preconditioner's metric are both Parseval sums over
+the rfftn half spectrum with one weight w_k = 2 h^dim / N (N cells), halved
+at the last-axis modes 0 and n/2, which stand for no conjugate pair.
 """
 
 from __future__ import annotations
@@ -35,19 +39,19 @@ class SpectralSolver:
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        half = grid.n // 2 + 1
         lam_line = (4.0 / grid.h**2) * np.sin(np.pi * np.arange(grid.n) / grid.n) ** 2
-        lam_half = lam_line[: grid.n // 2 + 1]
-        # Broadcast per-axis eigenvalue lines to the rfftn output shape;
-        # the last array axis is the half-spectrum axis.
-        eig = np.zeros(grid.shape[:-1] + (grid.n // 2 + 1,))
-        for ax in range(grid.dim):
-            line = lam_half if ax == grid.dim - 1 else lam_line
-            shape = [1] * grid.dim
-            shape[ax] = line.size
-            eig = eig + line.reshape(shape)
+        # Per-axis eigenvalue lines summed over the rfftn output shape; the
+        # last array axis is the half-spectrum axis.
+        lines = [lam_line] * (grid.dim - 1) + [lam_line[:half]]
+        self._eig_safe = sum(np.meshgrid(*lines, indexing="ij", sparse=True))
         # Safe divisor: mode 0 is never used (pinned to zero after division).
-        self._eig_safe = eig.copy()
         self._eig_safe.flat[0] = 1.0
+        # Parseval weight along the half-spectrum axis (module docstring).
+        self._weight = np.full(half, 2.0 * grid.cell_volume / grid.num_cells)
+        self._weight[0] /= 2.0
+        if grid.n % 2 == 0:
+            self._weight[-1] /= 2.0
         self._axes = tuple(range(grid.dim))
         # Half-spectrum factors of the last preconditioner solve's
         # (a0, a1, a2, shift): _root = sqrt(w / L), w the Parseval weight,
@@ -57,6 +61,8 @@ class SpectralSolver:
         self._root = self._ratio = None
 
     def _check_mean(self, f: np.ndarray) -> float:
+        """Check the shape and mean of a solver input; returns the mean."""
+        self.grid.validate_field(f)
         m = float(np.mean(f))
         tol = _MEAN_TOL * norm_inf(f) * self.grid.volume
         if abs(m) > tol:
@@ -70,7 +76,6 @@ class SpectralSolver:
 
         ``f`` must be mean-zero within tolerance (NonZeroMeanError otherwise).
         """
-        self.grid.validate_field(f)
         m = self._check_mean(f)
         fhat = np.fft.rfftn(f - m, axes=self._axes)
         fhat /= self._eig_safe
@@ -85,70 +90,16 @@ class SpectralSolver:
         """H^-1 norm sqrt(<f, (-lap)^{-1} f>) of a mean-zero field.
 
         One forward transform: by Parseval the square is
-        h^dim / N * sum_k w_k |f_k|^2 / lambda_k over the half spectrum of
-        rfftn (N cells, mode 0 dropped), where w_k = 2 for the last-axis
-        modes that stand for a conjugate pair and 1 for modes 0 and n/2.
+        sum_k w_k |f_k|^2 / lambda_k over the half spectrum, mode 0 dropped.
         """
-        self.grid.validate_field(f)
         self._check_mean(f)
         fhat = np.fft.rfftn(f, axes=self._axes)
         q = np.square(fhat.real)
         q += np.square(fhat.imag)
         q /= self._eig_safe
+        q *= self._weight
         q.flat[0] = 0.0
-        total = 2.0 * float(q.sum()) - float(q[..., 0].sum())
-        if self.grid.n % 2 == 0:
-            total -= float(q[..., -1].sum())
-        value = self.grid.cell_volume / self.grid.num_cells * total
-        return float(np.sqrt(max(value, 0.0)))
-
-    def _preconditioned_hat(
-        self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float
-    ) -> tuple:
-        """Transform of the mean-zero solution of (L + shift I) d = r, and
-        <L^{-1} r, r>; checks included."""
-        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
-            raise InvalidCoefficientsError(
-                f"need a0 > 0, a1 >= 0, a2 >= 0, a1 + shift >= 0, "
-                f"got ({a0}, {a1}, {a2}) and shift {shift}"
-            )
-        self.grid.validate_field(r)
-        self._check_mean(r)
-        key = (a0, a1, a2, shift)
-        if self._solve_key != key:
-            # Rebuilt every step, so in place and without temporaries, into
-            # buffers allocated by the first solve: other allocation orders
-            # raised the peak memory of a 48^3 run by up to 2 MB.
-            if self._root is None:
-                self._root = np.empty(self._eig_safe.shape)
-                self._ratio = np.empty(self._eig_safe.shape)
-            grid, eig, root, ratio = self.grid, self._eig_safe, self._root, self._ratio
-            # ratio = L
-            np.multiply(eig, a2, out=ratio)
-            np.reciprocal(eig, out=root)
-            root *= a0
-            ratio += root
-            ratio += a1
-            # The Parseval weight w is h^dim / N as in hminus1_norm, doubled
-            # for the last-axis modes that stand for a conjugate pair.
-            np.reciprocal(ratio, out=root)
-            root *= 2.0 * grid.cell_volume / grid.num_cells
-            root[..., 0] /= 2.0
-            if grid.n % 2 == 0:
-                root[..., -1] /= 2.0
-            np.sqrt(root, out=root)
-            ratio += shift
-            ratio *= root
-            np.reciprocal(ratio, out=ratio)
-            self._solve_key = key
-        # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the
-        # mean of r only reaches mode 0, which is dropped.
-        rhat = np.fft.rfftn(r, axes=self._axes)
-        rhat *= self._root
-        rhat.flat[0] = 0.0
-        norm2 = float(np.vdot(rhat, rhat).real)
-        rhat *= self._ratio
-        return rhat, norm2
+        return float(np.sqrt(max(float(q.sum()), 0.0)))
 
     def solve_preconditioner(
         self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float = 0.0
@@ -161,23 +112,49 @@ class SpectralSolver:
         the squared norm <L^{-1} r, r> of r in the metric of the unshifted
         L, read off the same forward transform.
         """
-        rhat, norm2 = self._preconditioned_hat(r, a0, a1, a2, shift)
+        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
+            raise InvalidCoefficientsError(
+                f"need a0 > 0, a1 >= 0, a2 >= 0, a1 + shift >= 0, "
+                f"got ({a0}, {a1}, {a2}) and shift {shift}"
+            )
+        self._check_mean(r)
+        key = (a0, a1, a2, shift)
+        if self._solve_key != key:
+            # Rebuilt every step, so in place and without temporaries, into
+            # buffers allocated by the first solve: other allocation orders
+            # raised the peak memory of a 48^3 run by up to 2 MB.
+            if self._root is None:
+                self._root = np.empty(self._eig_safe.shape)
+                self._ratio = np.empty(self._eig_safe.shape)
+            eig, root, ratio = self._eig_safe, self._root, self._ratio
+            # ratio = L
+            np.multiply(eig, a2, out=ratio)
+            np.reciprocal(eig, out=root)
+            root *= a0
+            ratio += root
+            ratio += a1
+            np.reciprocal(ratio, out=root)
+            root *= self._weight
+            np.sqrt(root, out=root)
+            ratio += shift
+            ratio *= root
+            np.reciprocal(ratio, out=ratio)
+            self._solve_key = key
+        # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the
+        # mean of r only reaches mode 0, which is dropped.
+        rhat = np.fft.rfftn(r, axes=self._axes)
+        rhat *= self._root
+        rhat.flat[0] = 0.0
+        norm2 = float(np.vdot(rhat, rhat).real)
+        rhat *= self._ratio
         return np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes), norm2
 
     def solve_preconditioner_with_poisson(
         self, r: np.ndarray, a0: float, a1: float, a2: float
     ) -> tuple:
-        """Solve L d = r and -lap(psi) = d sharing one forward transform.
+        """Solve L d = r and -lap(psi) = d; returns (d, psi).
 
-        Returns (d, psi) with d identical to that of :meth:`solve_preconditioner`
-        and psi equal to inv_neg_lap(d) up to rounding (the composed solve
-        avoids the intermediate round trip through grid space).  No solver
-        path uses it: the step systems get L d without a transform.
+        No solver path uses it: the step systems get L d without a transform.
         """
-        rhat, _ = self._preconditioned_hat(r, a0, a1, a2, 0.0)
-        d = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
-        rhat /= self._eig_safe
-        rhat.flat[0] = 0.0
-        psi = np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes)
-        return d, psi
-
+        d, _ = self.solve_preconditioner(r, a0, a1, a2)
+        return d, self.inv_neg_lap(d)

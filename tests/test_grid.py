@@ -49,6 +49,12 @@ class TestGridGeometry:
             Grid(2, 8, math.inf)
         with pytest.raises(ValueError):
             Grid(2, 8, 1.0).validate_field(np.zeros((8, 4)))
+        # Counts must be integers; numpy integers count as such.
+        with pytest.raises(ValueError, match="integer"):
+            Grid(2, 16.0, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            Grid(1.0, 8, 1.0)
+        assert Grid(np.int64(2), np.int32(8), 1.0).shape == (8, 8)
 
     def test_cell_centers_offset_half(self):
         grid = Grid(1, 4, 1.0)

@@ -482,6 +482,11 @@ class TestCliErrors:
             ["converge1", "--n", "8", "--nt", "4,4,4"],
             ["converge2", "--n-list", "8,8,16"],
             ["converge1", "--length", "0.7"],
+            ["step", "--n", "8", "--dt", "0"],
+            ["step", "--n", "8", "--dt", "nan"],
+            ["step", "--n", "8", "--dt", "-1"],
+            ["converge2", "--n-list", "8,12,16", "--a0", "0.1"],
+            ["converge2", "--n-list", "8,12,16", "--a-stab", "0"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):

@@ -56,6 +56,8 @@ class TestSolverConfig:
             {"tol": math.inf},
             {"tol": math.nan},
             {"max_iters": 0},
+            {"max_iters": 2.5},
+            {"max_iters": 3.0},
         ],
     )
     def test_validation(self, kwargs):

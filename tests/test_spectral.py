@@ -172,12 +172,13 @@ class TestPreconditionerSolve:
         d, _ = solver.solve_preconditioner(r, *coeffs)
         assert np.max(np.abs(d - expected)) <= 1e-11
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("dim, n", [(2, 6), (2, 7), (1, 8), (1, 7), (3, 4), (3, 5)])
     @pytest.mark.parametrize("shift", [0.0, 3.5, -0.8])
-    def test_shifted_solve_and_unshifted_metric_norm(self, n, shift):
+    def test_shifted_solve_and_unshifted_metric_norm(self, dim, n, shift):
         # d solves (L + shift I) d = r; the norm is <L^{-1} r, r> of the
-        # unshifted L whatever the shift (odd n: no Nyquist mode).
-        grid = Grid(2, n, 1.3)
+        # unshifted L whatever the shift (odd n: no Nyquist mode).  The
+        # Parseval weight lies along the last array axis in every dim.
+        grid = Grid(dim, n, 1.3)
         solver = SpectralSolver(grid)
         coeffs = (10.0, 1.0, 0.04)
         r = random_mean_zero(grid, 48)
