@@ -30,7 +30,6 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     InvalidCoefficientsError,
-    MissingHistoryError,
     NonPositiveFieldError,
     NonPositiveValueError,
     NonZeroMeanError,
@@ -133,7 +132,6 @@ __all__ = [
     "NonZeroMeanError",
     "InvalidCoefficientsError",
     "NonPositiveFieldError",
-    "MissingHistoryError",
     "PositivityLostError",
     "SolverDivergedError",
     "BarrierCollapseError",

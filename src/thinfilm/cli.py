@@ -19,6 +19,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,7 @@ from .io import (
     write_key_values,
 )
 from .psd import SolverConfig
-from .schemes import Bdf2Scheme, FirstOrderScheme, initial_state, restart_state
+from .schemes import Bdf2Scheme, FirstOrderScheme, restart_state
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,7 +119,7 @@ def _opts_coarsen():
                                       "(repo default)"),
         _Opt("record_cutoff", float, 100.0, "record every step up to this "
                                             "time (repo default)"),
-        _Opt("budget", float, None, "optional wall-clock budget in seconds"),
+        _Opt("budget", float, math.inf, "wall-clock budget in seconds"),
         _Opt("outdir", str, "coarsen-out", "output directory"),
     ) + _SOLVER_OPTS
 
@@ -216,10 +217,8 @@ def _run_coarsen(v) -> int:
             ),
         )
     except UnfinishedError as exc:
-        if exc.partial is not None:
-            _write_coarsening(outdir, exc.partial, v.t_end)
-        print(f"error: UnfinishedError: {exc}", file=sys.stderr)
-        return 2
+        _write_coarsening(outdir, exc.partial, v.t_end)
+        raise
     _write_coarsening(outdir, run, v.t_end)
     print(f"finished at t={run.final_t:.6g} with {len(run.records)} records")
     return 0
@@ -232,27 +231,18 @@ def _run_step(v) -> int:
         grid = Grid(2, v.n, v.length)
         phi0 = random_initial_data(grid, v.seed)
         t0 = 0.0
-    params = PhysParams(v.eps)
-    psd = _solver_config(v)
-    if v.scheme == "fo":
-        scheme = FirstOrderScheme(grid, params, psd_config=psd)
-        state = initial_state(grid, phi0, t0)
-    else:
-        scheme = Bdf2Scheme(grid, params, psd_config=psd)
-        state = restart_state(grid, phi0, t0)
-    state, report = scheme.step(state, v.dt)
+    kind = FirstOrderScheme if v.scheme == "fo" else Bdf2Scheme
+    scheme = kind(grid, PhysParams(v.eps), psd_config=_solver_config(v))
+    state, report = scheme.step(restart_state(grid, phi0, t0), v.dt)
     outdir = Path(v.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_field_snapshot(outdir / "out.tfgf", grid, state.phi, state.t)
-    modified = (
-        "nan" if report.modified_energy is None else format_float(report.modified_energy)
-    )
     print(
         f"t={format_float(state.t)} energy={format_float(report.energy)} "
-        f"modified_energy={modified} min_phi={format_float(report.min_phi)} "
+        f"modified_energy={format_float(report.modified_energy)} "
+        f"min_phi={format_float(report.min_phi)} "
         f"psd_iters={report.psd_iters} precond_a1={format_float(report.precond_a1)} "
-        f"line_evals={report.line_evals} "
-        f"restarts={report.restarts} capped={report.capped} "
+        f"line_evals={report.line_evals} restarts={report.restarts} capped={report.capped} "
         f"residual={format_float(report.final_residual)} "
         f"mass_drift={format_float(report.mass_drift)}"
     )

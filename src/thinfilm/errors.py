@@ -18,22 +18,17 @@ class NonPositiveFieldError(ThinFilmError):
     zero, negative or nan entry, or (start data) an infinite one."""
 
 
-class MissingHistoryError(ThinFilmError):
-    """A two-step scheme was asked to step without a previous state."""
-
-
 class PositivityLostError(ThinFilmError):
     """A produced field lost strict positivity (should not happen)."""
 
 
 class SolverDivergedError(ThinFilmError):
-    """A time step failed because the nonlinear solve did not converge.
-
-    When the iteration budget ran out it carries the last iterate ``phi``
-    and the failed solve's ``trace``.
+    """A time step failed: its nonlinear solve did not converge, or its
+    result broke mass conservation.  Carries the solve's last iterate
+    ``phi`` and its ``trace``.
     """
 
-    def __init__(self, message, phi=None, trace=None):
+    def __init__(self, message, phi, trace):
         super().__init__(message)
         self.phi = phi
         self.trace = trace
@@ -68,6 +63,6 @@ class FormatError(ThinFilmError):
 class UnfinishedError(ThinFilmError):
     """A long run hit its wall-clock budget.  Carries partial results."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial

@@ -42,7 +42,7 @@ from .errors import (
 from .grid import Grid, lap, norm_2, norm_inf
 from .io import EnergyRecord
 from .psd import SolverConfig
-from .schemes import Bdf2Scheme, FirstOrderScheme, initial_state, restart_state
+from .schemes import Bdf2Scheme, FirstOrderScheme, restart_state
 from .spectral import SpectralSolver
 
 _TWO_PI = 2.0 * math.pi
@@ -172,7 +172,7 @@ def run_convergence_first_order(
     profile = ManufacturedSolution()
     scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
     runs = (
-        (nt, scheme, initial_state(grid, profile.sample(grid, 0.0)), t_final / nt, nt)
+        (nt, scheme, restart_state(grid, profile.sample(grid, 0.0)), t_final / nt, nt)
         for nt in nt_values
     )
     return _convergence_table(runs, profile, eps, t_final, on_resolution)
@@ -269,7 +269,7 @@ class CoarseningConfig:
     record_cutoff: float = 100.0
     record_every_late: int = 10
     psd: SolverConfig = field(default_factory=SolverConfig)
-    wall_clock_budget: Optional[float] = None
+    wall_clock_budget: float = math.inf
 
     def __post_init__(self):
         prev_end, prev_dt = 0.0, 0.0
@@ -292,7 +292,7 @@ class CoarseningConfig:
                 f"snapshot_times must not hold nan, got {self.snapshot_times}"
             )
         budget = self.wall_clock_budget
-        if budget is not None and not budget >= 0.0:
+        if not budget >= 0.0:
             raise ConfigError(f"wall_clock_budget must be >= 0, got {budget}")
 
 
@@ -353,16 +353,15 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
         state = scheme.cold_start(phi0, dt0)
     except PositivityLostError:
         state = restart_state(grid, phi0)
-    nan = float("nan")
     records = [
         EnergyRecord(
             t=0.0,
             energy=discrete_energy(grid, phi0, config.eps),
-            modified_energy=nan,
+            modified_energy=math.nan,
             mass=float(np.mean(phi0)),
             min_phi=float(np.min(phi0)),
             psd_iters=0,
-            residual=nan,
+            residual=math.nan,
         )
     ]
     snapshots: list = []
@@ -379,15 +378,10 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
             return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
         t, dt, restart, last_of_rung = upcoming
         upcoming = next(plan, None)
-        if (
-            config.wall_clock_budget is not None
-            and time.monotonic() - clock_start > config.wall_clock_budget
-        ):
+        if time.monotonic() - clock_start > config.wall_clock_budget:
+            partial = CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
             raise UnfinishedError(
-                f"wall clock budget exceeded at t = {state.t:.6g}",
-                partial=CoarseningRun(
-                    grid, records, snapshots, state.phi.copy(), state.t
-                ),
+                f"wall clock budget exceeded at t = {state.t:.6g}", partial
             )
         if restart:
             state = restart_state(grid, state.phi, state.t)

@@ -27,6 +27,10 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic box (0, length)^dim with n cells per direction."""
@@ -36,9 +40,9 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, numbers.Integral) or self.dim not in (1, 2, 3):
+        if not _is_int(self.dim) or self.dim not in (1, 2, 3):
             raise ConfigError(f"dim must be the integer 1, 2 or 3, got {self.dim!r}")
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ConfigError(f"need an integer >= 2 cells per direction, got {self.n!r}")
         if not (0.0 < self.length < math.inf):
             raise ConfigError(f"length must be positive and finite, got {self.length}")

@@ -28,7 +28,7 @@ optional source field S (mean-zero) turns the mass balance into
 d phi / dt = lap(mu) + S; its lifted contribution (-lap)^{-1}(S - mean S)
 enters the residual additively and is assembled once per step.
 
-initial_state, restart_state and Bdf2Scheme.cold_start refuse start data
+restart_state (either scheme) and Bdf2Scheme.cold_start refuse start data
 that is not finite and strictly positive; cold_start and step share one
 rule for dt and one for the source (grid-shaped, finite, mean-zero).
 """
@@ -44,8 +44,8 @@ import numpy as np
 from . import energy as _energy
 from .energy import PhysParams, a0_star, check_positive
 from .errors import (
+    ConfigError,
     InvalidCoefficientsError,
-    MissingHistoryError,
     NonPositiveFieldError,
     NonZeroMeanError,
     PositivityLostError,
@@ -66,14 +66,14 @@ def _check_dt(dt: float) -> None:
 
 @dataclass
 class StepState:
-    """Trajectory point: current field, optional history, time bookkeeping.
+    """Trajectory point: current field, previous field, time bookkeeping.
 
     beta0 is the conserved volume average fixed by the initial data; every
     produced state must match it to relative 1e-10.
     """
 
     phi: np.ndarray
-    phi_prev: Optional[np.ndarray]
+    phi_prev: np.ndarray
     t: float
     beta0: float
     step_index: int
@@ -88,12 +88,13 @@ class StepReport:
     capped its line searches that stopped at the positivity barrier's cap.
     precond_a1 is the identity coefficient of the step's preconditioner
     (see StepSystem); final_residual is measured in the fixed metric.
+    modified_energy is nan for the first-order scheme, which has none.
     """
 
     psd_iters: int
     final_residual: float
     energy: float
-    modified_energy: Optional[float]
+    modified_energy: float
     min_phi: float
     mass_drift: float
     line_evals: int
@@ -102,31 +103,30 @@ class StepReport:
     precond_a1: float
 
 
-def _start_mean(grid: Grid, phi0: np.ndarray, what: str) -> float:
+def _start_mean(grid: Grid, phi0: np.ndarray) -> float:
     """Mean beta0 of finite, strictly positive start data (a +inf makes it inf)."""
     grid.validate_field(phi0)
-    check_positive(phi0, what)
+    check_positive(phi0, "start data")
     beta0 = float(np.mean(phi0))
     if not math.isfinite(beta0):
-        raise NonPositiveFieldError(f"{what} must be finite, mean = {beta0}")
+        raise NonPositiveFieldError(f"start data must be finite, mean = {beta0}")
     return beta0
-
-
-def initial_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
-    """One-level starting state for the first-order scheme."""
-    beta0 = _start_mean(grid, phi0, "initial data")
-    return StepState(phi0.copy(), None, t, beta0, 0)
 
 
 def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
     """Two-level state with duplicated history, phi_prev = phi0.
 
-    Used when (re)starting the two-step scheme without usable history, e.g.
-    after a time-step-size change; the first step taken from it degrades to
-    first order locally without disturbing the energy decay.
+    Either scheme starts from it; a two-step step taken from it (as after a
+    time-step-size change) degrades to first order locally without
+    disturbing the energy decay.
     """
-    beta0 = _start_mean(grid, phi0, "restart data")
+    beta0 = _start_mean(grid, phi0)
     return StepState(phi0.copy(), phi0.copy(), t, beta0, 0)
+
+
+# Kept only because perfbench/workloads.py calls this name; package code
+# calls restart_state.
+initial_state = restart_state
 
 
 class StepSystem:
@@ -307,6 +307,8 @@ class _SchemeBase:
         self.grid = grid
         self.params = params
         self.solver = solver if solver is not None else SpectralSolver(grid)
+        if self.solver.grid != grid:
+            raise ConfigError(f"solver grid {self.solver.grid} is not the scheme's {grid}")
         self.psd_config = psd_config if psd_config is not None else SolverConfig()
 
     def _mean_free_source(self, forcing: np.ndarray) -> np.ndarray:
@@ -332,14 +334,15 @@ class _SchemeBase:
         step_drift = abs(new_mean - float(np.mean(state.phi)))
         if step_drift > _STEP_MASS_TOL * max(1.0, abs(state.beta0)):
             raise SolverDivergedError(
-                f"mass drifted by {step_drift:.3e} in one step; solve is inconsistent"
+                f"mass drifted by {step_drift:.3e} in one step; solve is inconsistent",
+                phi_new, trace,
             )
         drift = abs(new_mean - state.beta0)
         report = StepReport(
             psd_iters=trace.iterations,
             final_residual=trace.residual_norms[-1],
             energy=_energy.discrete_energy(self.grid, phi_new, self.params.eps),
-            modified_energy=None,
+            modified_energy=math.nan,
             min_phi=min_phi,
             mass_drift=drift,
             line_evals=sum(trace.line_evals),
@@ -357,15 +360,13 @@ class _SchemeBase:
         return new_state, report
 
     def _warm_start(self, state: StepState) -> np.ndarray:
-        """Extrapolated initial iterate, or state.phi without usable history.
+        """Extrapolated initial iterate, or state.phi under duplicated history.
 
         Starting from phi + theta (phi - phi_prev) with theta capped at half
         the positivity barrier cuts the CG iteration count on smooth
         trajectories; the increment is mean-free, so the conserved mean is
         untouched, and the solution of the convex step problem is the same.
         """
-        if state.phi_prev is None:
-            return state.phi
         delta = state.phi - state.phi_prev
         if not np.any(delta):
             return state.phi
@@ -459,7 +460,7 @@ class Bdf2Scheme(_SchemeBase):
         positive: shrink dt or fall back to restart_state.
         """
         _check_dt(dt)
-        beta0 = _start_mean(self.grid, phi0, "initial data")
+        beta0 = _start_mean(self.grid, phi0)
         rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
         if forcing is not None:
             rate = rate + self._mean_free_source(forcing)
@@ -474,10 +475,6 @@ class Bdf2Scheme(_SchemeBase):
         self, state: StepState, dt: float, forcing: Optional[np.ndarray] = None
     ) -> tuple:
         """Advance one step; returns (new_state, report)."""
-        if state.phi_prev is None:
-            raise MissingHistoryError(
-                "two-step scheme needs phi_prev; use cold_start or restart_state"
-            )
         system = self.step_system_from(state.phi, state.phi_prev, dt, forcing)
         phi_new, trace = psd_solve(
             self.grid, system, self._warm_start(state), self.psd_config

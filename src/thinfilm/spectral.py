@@ -84,6 +84,7 @@ class SpectralSolver:
 
     def hminus1_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """H^-1 inner product <f, (-lap)^{-1} g> of two mean-zero fields."""
+        self._check_mean(f)
         return inner(self.grid, f, self.inv_neg_lap(g))
 
     def hminus1_norm(self, f: np.ndarray) -> float:

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "InsufficientDataError",
     "InvalidCoefficientsError",
     "ManufacturedSolution",
-    "MissingHistoryError",
     "NonPositiveFieldError",
     "NonPositiveValueError",
     "NonZeroMeanError",

@@ -54,6 +54,11 @@ class TestGridGeometry:
             Grid(2, 16.0, 1.0)
         with pytest.raises(ValueError, match="integer"):
             Grid(1.0, 8, 1.0)
+        # A bool is an Integral but no count.
+        with pytest.raises(ValueError, match="integer"):
+            Grid(True, 8, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            Grid(2, True, 1.0)
         assert Grid(np.int64(2), np.int32(8), 1.0).shape == (8, 8)
 
     def test_cell_centers_offset_half(self):

@@ -6,6 +6,8 @@ driver's exit codes and reproducibility guarantees are exercised through
 main() in process.
 """
 
+import dataclasses
+import inspect
 import math
 import re
 import struct
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from thinfilm import (
+    CoarseningConfig,
     CoarseningRun,
     ConfigError,
     ConvergenceTable,
@@ -433,6 +436,45 @@ class TestCliConfigMerge:
         cfg.write_text("scheme=golden\n")
         assert main(["step", "--config", str(cfg)]) == 1
         assert "scheme" in capsys.readouterr().err
+
+
+class TestCliDefaults:
+    """Every default the CLI restates equals the library default it feeds."""
+
+    # CLI option -> library parameter, per command; outdir feeds no library
+    # call, and tol/max_iters feed SolverConfig.
+    FEEDS = {
+        "converge1": (run_convergence_first_order,
+                      dict(n="n", nt="nt_values", eps="eps", tf="t_final")),
+        "converge2": (run_convergence_bdf2,
+                      dict(n_list="n_values", eps="eps", tf="t_final",
+                           dt_factor="dt_factor", a0="a0", a_stab="a_stab")),
+        "coarsen": (CoarseningConfig,
+                    dict(n="n", length="length", eps="eps", seed="seed",
+                         t_end="t_end", snapshots="snapshot_times",
+                         record_every="record_every_late",
+                         record_cutoff="record_cutoff",
+                         budget="wall_clock_budget")),
+    }
+
+    @staticmethod
+    def plain(value):
+        return list(value) if isinstance(value, (list, tuple)) else value
+
+    @pytest.mark.parametrize("command", sorted(FEEDS))
+    def test_cli_defaults_equal_library_defaults(self, command):
+        target, feeds = self.FEEDS[command]
+        if dataclasses.is_dataclass(target):
+            library = {f.name: f.default for f in dataclasses.fields(target)}
+        else:
+            library = {name: p.default
+                       for name, p in inspect.signature(target).parameters.items()}
+        opts = {opt.name: opt.default for opt in cli._COMMANDS[command].opts}
+        assert set(opts) == set(feeds) | {"outdir", "tol", "max_iters"}
+        for option, parameter in feeds.items():
+            assert self.plain(opts[option]) == self.plain(library[parameter]), option
+        solver = SolverConfig()
+        assert (opts["tol"], opts["max_iters"]) == (solver.tol, solver.max_iters)
 
 
 class TestCliErrors:

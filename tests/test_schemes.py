@@ -21,12 +21,13 @@ from oracles import (
     tail_contraction,
 )
 from thinfilm import psd as psd_module
+from thinfilm import schemes as schemes_module
 from thinfilm import (
     Bdf2Scheme,
+    ConfigError,
     FirstOrderScheme,
     Grid,
     InvalidCoefficientsError,
-    MissingHistoryError,
     NonPositiveFieldError,
     NonZeroMeanError,
     PhysParams,
@@ -508,6 +509,17 @@ class TestPreconditionerCoefficients:
         Bdf2Scheme(grid, PhysParams(eps=0.1))
         Bdf2Scheme(grid, PhysParams(eps=0.1, a0=a0_star()))
 
+    @pytest.mark.parametrize("kind", [FirstOrderScheme, Bdf2Scheme])
+    def test_solver_for_another_grid_rejected(self, kind):
+        """A solver built for another box would invert a Laplacian 4x off
+        (L = 2 against 1) and still converge: refused on construction."""
+        grid, params = Grid(2, 16, 1.0), PhysParams(eps=0.1)
+        for other in (Grid(2, 16, 2.0), Grid(2, 32, 1.0), Grid(3, 16, 1.0)):
+            with pytest.raises(ConfigError, match="solver grid"):
+                kind(grid, params, SpectralSolver(other))
+        # an equal grid built separately is the same grid
+        assert kind(grid, params, SpectralSolver(Grid(2, 16, 1.0))).grid == grid
+
 
 class TestLinearPart:
     """The residual's linear part K and the preconditioner L obey K = I - L."""
@@ -681,7 +693,8 @@ class TestStatesAndHistory:
         grid = Grid(2, 8, 1.0)
         phi0 = positive_field(grid, 40)
         state = initial_state(grid, phi0, t=1.5)
-        assert state.phi_prev is None
+        assert np.array_equal(state.phi_prev, phi0)
+        assert state.phi_prev is not state.phi
         assert state.t == 1.5
         assert state.beta0 == pytest.approx(np.mean(phi0), rel=1e-15)
         phi0[0, 0] = 99.0
@@ -816,11 +829,15 @@ class TestStatesAndHistory:
         assert state.beta0 == np.mean(phi0)
         assert np.array_equal(state.phi_prev, self.ghost(grid, params, phi0, dt))
 
-    def test_bdf2_requires_history(self, setup):
+    def test_bdf2_steps_from_initial_state(self, setup):
+        """Either scheme starts from the one start state: duplicated history."""
         grid, _, _, bdf2 = setup
-        state = initial_state(grid, positive_field(grid, 44))
-        with pytest.raises(MissingHistoryError):
-            bdf2.step(state, 0.01)
+        phi0 = positive_field(grid, 44)
+        new_state, report = bdf2.step(initial_state(grid, phi0), 0.01)
+        restarted, _ = bdf2.step(restart_state(grid, phi0), 0.01)
+        assert np.array_equal(new_state.phi, restarted.phi)
+        assert report.final_residual <= 1e-9
+        assert math.isfinite(report.modified_energy)
 
 
 class TestStepBehavior:
@@ -853,7 +870,7 @@ class TestStepBehavior:
             discrete_energy(grid, new_state.phi, 0.5), rel=1e-13
         )
         assert report.min_phi == pytest.approx(float(np.min(new_state.phi)), rel=1e-15)
-        assert report.modified_energy is None
+        assert math.isnan(report.modified_energy)
 
     def test_bdf2_reports_modified_energy(self, setup):
         grid, params, _, bdf2 = setup
@@ -936,6 +953,23 @@ class TestStepBehavior:
         message = str(err)
         assert f"{err.trace.residual_norms[-1]:.3e}" in message
         assert "tail contraction" in message and "min phi" in message
+
+    def test_mass_drift_raises_with_the_solve_payload(self, setup, monkeypatch):
+        """A solve whose result moved the mean fails the step; the error
+        carries that result and the solve's trace."""
+        grid, _, fo, _ = setup
+        solve, seen = schemes_module.psd_solve, {}
+
+        def drifting_solve(*args):
+            phi, trace = solve(*args)
+            seen["phi"], seen["trace"] = phi + 1e-6, trace
+            return seen["phi"], trace
+
+        monkeypatch.setattr(schemes_module, "psd_solve", drifting_solve)
+        with pytest.raises(SolverDivergedError, match="mass drifted") as excinfo:
+            fo.step(restart_state(grid, smooth_field(grid)), 0.01)
+        assert excinfo.value.phi is seen["phi"]
+        assert excinfo.value.trace is seen["trace"]
 
     def test_report_counts_line_evaluations(self, setup):
         grid, _, fo, _ = setup

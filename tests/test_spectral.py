@@ -135,6 +135,16 @@ class TestHminus1:
             solver.hminus1_inner(f, f), rel=1e-13
         )
 
+    def test_inner_checks_both_fields(self):
+        """f is held to the rules of g: grid shape and zero mean."""
+        grid = Grid(2, 8, 1.0)
+        solver = SpectralSolver(grid)
+        r = random_mean_zero(grid, 8)
+        with pytest.raises(ValueError, match="shape"):
+            solver.hminus1_inner(r.ravel()[::-1].reshape(4, 16), r)
+        with pytest.raises(NonZeroMeanError):
+            solver.hminus1_inner(r + 0.01, r)
+
     def test_norm_positive_definite(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
