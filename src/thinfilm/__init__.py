@@ -15,7 +15,6 @@ with a positivity-respecting line search.
 from .energy import (
     PhysParams,
     a0_star,
-    check_positive,
     discrete_energy,
     modified_energy,
     mu_bdf2,
@@ -37,6 +36,7 @@ from .errors import (
     SolverDivergedError,
     ThinFilmError,
     UnfinishedError,
+    check_positive,
 )
 from .experiments import (
     DEFAULT_SCHEDULE,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveFieldError
+from .errors import ConfigError, check_positive, check_positive_finite
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -56,23 +56,14 @@ class PhysParams:
     a_stab: float = None
 
     def __post_init__(self):
-        if not (0.0 < self.eps < math.inf):
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        check_positive_finite("eps", self.eps)
         if self.a0 is None:
             object.__setattr__(self, "a0", a0_star())
         if self.a_stab is None:
             object.__setattr__(self, "a_stab", (4.0 / 9.0) * self.a0**2)
-        if not (0.0 < self.a0 < math.inf):
-            raise ConfigError(f"a0 must be positive and finite, got {self.a0}")
+        check_positive_finite("a0", self.a0)
         if not (0.0 <= self.a_stab < math.inf):
             raise ConfigError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
-
-
-def check_positive(phi: np.ndarray, what: str = "field") -> None:
-    """Raise NonPositiveFieldError unless every entry of phi is > 0."""
-    if not np.all(phi > 0.0):
-        bad = float(np.min(phi))
-        raise NonPositiveFieldError(f"{what} must be strictly positive, min = {bad}")
 
 
 def _recip_powers_2_8(phi: np.ndarray):

@@ -1,8 +1,14 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its three input rules.
 
 Every failure mode that callers are expected to handle gets its own class
-so that CLI and test code can match on type instead of message text.
+so that CLI and test code can match on type instead of message text.  The
+input rules live here too: check_positive_finite, check_count, check_positive.
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class ThinFilmError(Exception):
@@ -66,3 +72,22 @@ class UnfinishedError(ThinFilmError):
     def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
+
+
+def check_positive_finite(name: str, value, error=ConfigError) -> None:
+    """Raise ``error`` unless 0 < value < inf; nan fails the test."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ConfigError unless value is an integer >= low; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(phi: np.ndarray, what: str = "field") -> None:
+    """Raise NonPositiveFieldError unless every entry of phi is > 0."""
+    if not np.all(phi > 0.0):
+        bad = float(np.min(phi))
+        raise NonPositiveFieldError(f"{what} must be strictly positive, min = {bad}")

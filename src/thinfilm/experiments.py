@@ -38,6 +38,8 @@ from .errors import (
     NonZeroMeanError,
     PositivityLostError,
     UnfinishedError,
+    check_count,
+    check_positive_finite,
 )
 from .grid import Grid, lap, norm_2, norm_inf
 from .io import EnergyRecord
@@ -123,8 +125,7 @@ class ConvergenceTable:
 
 
 def _check_study(t_final: float, ladder) -> None:
-    if not (0.0 < t_final < math.inf):
-        raise ConfigError(f"t_final must be positive and finite, got {t_final}")
+    check_positive_finite("t_final", t_final)
     # The fit needs three distinct rungs: refuse a ladder with fewer before
     # the first step.
     if len(set(ladder)) < 3:
@@ -166,8 +167,8 @@ def run_convergence_first_order(
     t_final; the expected l2 slope against the step count is -1.
     """
     _check_study(t_final, nt_values)
-    if any(nt < 1 for nt in nt_values):
-        raise ConfigError(f"step counts must be >= 1, got {list(nt_values)}")
+    for nt in nt_values:
+        check_count("step count", nt, 1)
     grid = Grid(2, n, 1.0)
     profile = ManufacturedSolution()
     scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
@@ -195,8 +196,7 @@ def run_convergence_bdf2(
     divide t_final, which is checked before the first step.
     """
     _check_study(t_final, n_values)
-    if not (0.0 < dt_factor < math.inf):
-        raise ConfigError(f"dt_factor must be positive and finite, got {dt_factor}")
+    check_positive_finite("dt_factor", dt_factor)
     profile = ManufacturedSolution()
     rungs = []
     for n in n_values:
@@ -223,8 +223,7 @@ def random_initial_data(grid: Grid, seed: int) -> np.ndarray:
     The stream is a PCG64 generator filled in C order; golden tests pin the
     exact values, so the generator identity is part of the format.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     return 2.0 + 0.1 * (2.0 * rng.random(grid.shape) - 1.0)
 
@@ -280,8 +279,7 @@ class CoarseningConfig:
         # Past the last rung's end the run would stop early, without a word.
         if not (0.0 < self.t_end <= prev_end and self.t_end < math.inf):
             raise ConfigError(f"t_end must lie in (0, {prev_end}], got {self.t_end}")
-        if self.record_every_late < 1:
-            raise ConfigError("record_every_late must be >= 1")
+        check_count("record_every_late", self.record_every_late, 1)
         # nan fails every comparison: the run would drop records or never
         # run out of budget.
         if math.isnan(self.record_cutoff):

@@ -18,17 +18,11 @@ carry the uniform quadrature weight h^dim.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .errors import ConfigError, check_count, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -40,12 +34,11 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if not _is_int(self.dim) or self.dim not in (1, 2, 3):
-            raise ConfigError(f"dim must be the integer 1, 2 or 3, got {self.dim!r}")
-        if not _is_int(self.n) or self.n < 2:
-            raise ConfigError(f"need an integer >= 2 cells per direction, got {self.n!r}")
-        if not (0.0 < self.length < math.inf):
-            raise ConfigError(f"length must be positive and finite, got {self.length}")
+        check_count("dim", self.dim, 1)
+        if self.dim > 3:
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
+        check_count("n", self.n, 2)
+        check_positive_finite("length", self.length)
 
     @property
     def h(self) -> float:

@@ -48,16 +48,16 @@ next residual instead of repeating it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BarrierCollapseError,
-    ConfigError,
-    NonPositiveFieldError,
     SolverDivergedError,
+    check_count,
+    check_positive,
+    check_positive_finite,
 )
 from .grid import Grid, inner
 
@@ -80,10 +80,8 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.tol < math.inf):
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_positive_finite("tol", self.tol)
+        check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -249,8 +247,7 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
     """
     cfg = cfg or SolverConfig()
     phi = np.array(phi_init, dtype=float, copy=True)
-    if not np.all(phi > 0.0):
-        raise NonPositiveFieldError("initial iterate must be strictly positive")
+    check_positive(phi, "initial iterate")
     trace = PsdTrace()
 
     r = system.residual(phi)

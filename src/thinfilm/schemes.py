@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import energy as _energy
-from .energy import PhysParams, a0_star, check_positive
+from .energy import PhysParams, a0_star
 from .errors import (
     ConfigError,
     InvalidCoefficientsError,
@@ -50,6 +50,8 @@ from .errors import (
     NonZeroMeanError,
     PositivityLostError,
     SolverDivergedError,
+    check_positive,
+    check_positive_finite,
 )
 from .grid import Grid, inner, lap, norm_inf
 from .psd import SolverConfig, barrier_alpha, psd_solve
@@ -57,11 +59,6 @@ from .spectral import SpectralSolver
 
 _STEP_MASS_TOL = 1e-12
 _FORCING_MEAN_TOL = 1e-12
-
-
-def _check_dt(dt: float) -> None:
-    if not (0.0 < dt < math.inf):
-        raise InvalidCoefficientsError(f"dt must be positive and finite, got {dt}")
 
 
 @dataclass
@@ -360,16 +357,13 @@ class _SchemeBase:
         return new_state, report
 
     def _warm_start(self, state: StepState) -> np.ndarray:
-        """Extrapolated initial iterate, or state.phi under duplicated history.
-
-        Starting from phi + theta (phi - phi_prev) with theta capped at half
-        the positivity barrier cuts the CG iteration count on smooth
-        trajectories; the increment is mean-free, so the conserved mean is
+        """Extrapolated initial iterate phi + theta (phi - phi_prev), theta = 1
+        capped at half the positivity barrier: it cuts the CG iteration count
+        on smooth trajectories, and is phi to the bit under duplicated
+        history.  The increment is mean-free, so the conserved mean is
         untouched, and the solution of the convex step problem is the same.
         """
         delta = state.phi - state.phi_prev
-        if not np.any(delta):
-            return state.phi
         theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
         return state.phi + theta * delta
 
@@ -380,7 +374,7 @@ class FirstOrderScheme(_SchemeBase):
     def step_system_from(
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepSystem:
-        _check_dt(dt)
+        check_positive_finite("dt", dt, InvalidCoefficientsError)
         check_positive(phi_old, "previous state")
         inv_old = 1.0 / phi_old
         constant = -(8.0 / 3.0) * (inv_old * inv_old * inv_old)
@@ -429,7 +423,7 @@ class Bdf2Scheme(_SchemeBase):
         dt: float,
         forcing: Optional[np.ndarray] = None,
     ) -> StepSystem:
-        _check_dt(dt)
+        check_positive_finite("dt", dt, InvalidCoefficientsError)
         p = self.params
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
@@ -459,7 +453,7 @@ class Bdf2Scheme(_SchemeBase):
         restart_state.  PositivityLostError when phi_prev is not strictly
         positive: shrink dt or fall back to restart_state.
         """
-        _check_dt(dt)
+        check_positive_finite("dt", dt, InvalidCoefficientsError)
         beta0 = _start_mean(self.grid, phi0)
         rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
         if forcing is not None:
