@@ -59,9 +59,9 @@ class PhysParams:
         check_positive_finite("eps", self.eps)
         if self.a0 is None:
             object.__setattr__(self, "a0", a0_star())
+        check_positive_finite("a0", self.a0)
         if self.a_stab is None:
             object.__setattr__(self, "a_stab", (4.0 / 9.0) * self.a0**2)
-        check_positive_finite("a0", self.a0)
         if not (0.0 <= self.a_stab < math.inf):
             raise ConfigError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
 
@@ -113,7 +113,6 @@ def splitting_stabilized(grid: Grid, phi: np.ndarray, eps: float, a0: float):
 
 
 def modified_energy(
-    grid: Grid,
     solver: SpectralSolver,
     phi_new: np.ndarray,
     phi_old: np.ndarray,
@@ -126,8 +125,8 @@ def modified_energy(
     F(phi_new) + (1/(4 dt)) ||phi_new - phi_old||_{-1}^2
                + (4/3) a0 ||phi_new - phi_old||_2^2,
 
-    with ``energy`` = F(phi_new) as the caller has already evaluated it, so
-    eps enters only through ``energy``.
+    on the grid of ``solver``, with ``energy`` = F(phi_new) as the caller
+    has already evaluated it, so eps enters only through ``energy``.
     """
     diff = phi_new - phi_old
     # The increment is mean-free up to rounding on the scale of phi; finish
@@ -135,7 +134,7 @@ def modified_energy(
     return (
         energy
         + solver.hminus1_norm(diff - np.mean(diff)) ** 2 / (4.0 * dt)
-        + (4.0 / 3.0) * a0 * norm_2(grid, diff) ** 2
+        + (4.0 / 3.0) * a0 * norm_2(solver.grid, diff) ** 2
     )
 
 

@@ -75,9 +75,10 @@ class UnfinishedError(ThinFilmError):
 
 
 def check_positive_finite(name: str, value, error=ConfigError) -> None:
-    """Raise ``error`` unless 0 < value < inf; nan fails the test."""
-    if not 0.0 < value < math.inf:
-        raise error(f"{name} must be positive and finite, got {value}")
+    """Raise ``error`` unless value is a real (not a bool) in (0, inf); nan fails."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):
+        raise error(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_count(name: str, value, low: int) -> None:

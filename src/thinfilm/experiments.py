@@ -45,7 +45,6 @@ from .grid import Grid, lap, norm_2, norm_inf
 from .io import EnergyRecord
 from .psd import SolverConfig
 from .schemes import Bdf2Scheme, FirstOrderScheme, restart_state
-from .spectral import SpectralSolver
 
 _TWO_PI = 2.0 * math.pi
 # Phi = _BASE + _AMPLITUDE sin(2 pi x) cos(2 pi y) cos(t) >= 1 - 1/(2 pi) > 0.
@@ -171,7 +170,7 @@ def run_convergence_first_order(
         check_count("step count", nt, 1)
     grid = Grid(2, n, 1.0)
     profile = ManufacturedSolution()
-    scheme = FirstOrderScheme(grid, PhysParams(eps), SpectralSolver(grid), psd_config)
+    scheme = FirstOrderScheme(grid, PhysParams(eps), psd_config=psd_config)
     runs = (
         (nt, scheme, restart_state(grid, profile.sample(grid, 0.0)), t_final / nt, nt)
         for nt in nt_values
@@ -341,7 +340,7 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     steps.
     """
     grid = Grid(2, config.n, config.length)
-    scheme = Bdf2Scheme(grid, PhysParams(config.eps), SpectralSolver(grid), config.psd)
+    scheme = Bdf2Scheme(grid, PhysParams(config.eps), psd_config=config.psd)
     phi0 = random_initial_data(grid, config.seed)
     plan = _step_plan(config)
     upcoming = next(plan, None)

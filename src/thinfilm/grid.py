@@ -82,6 +82,7 @@ class Grid:
 
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Periodic 2*dim+1 point Laplacian."""
+    grid.validate_field(u)
     h2 = grid.h * grid.h
     out = -2.0 * grid.dim * u.astype(float, copy=True)
     for ax in range(u.ndim):
@@ -111,6 +112,7 @@ def norm_2(grid: Grid, u: np.ndarray) -> float:
 def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     """l^2 norm sqrt(h^dim sum_d sum_i (D_d u)_i^2) of the forward-difference
     gradient, one pass per direction."""
+    grid.validate_field(u)
     h = grid.h
     acc = 0.0
     for d in range(grid.dim):

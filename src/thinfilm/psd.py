@@ -10,7 +10,8 @@ update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
     direction  d   = p + beta d_prev,  beta = max(0, <p, rp - rp_prev> / res_prev^2)
     step       phi <- phi + alpha d
 
-with rp = r - mean r and res^2 = <p, rp>.  The direction falls back to p
+with rp = r - mean r and res^2 = <p, rp>, inner products taken on the
+grid that the step system carries.  The direction falls back to p
 (a restart) whenever it is not a descent direction, <d, rp> <= 0.  Its
 preconditioner image Lc d = rp + beta Lc d_prev is carried along at no
 transform cost and handed to the step system with d.
@@ -59,7 +60,7 @@ from .errors import (
     check_positive,
     check_positive_finite,
 )
-from .grid import Grid, inner
+from .grid import inner
 
 # Fraction of the distance to the positivity barrier a step may consume.
 _ALPHA_SAFETY = 0.99
@@ -125,7 +126,7 @@ class PsdTrace:
         return (rn[-1] / rn[start]) ** (1.0 / (len(rn) - 1 - start))
 
 
-def barrier_alpha(phi: np.ndarray, d: np.ndarray, safety: float = 0.99) -> float:
+def barrier_alpha(phi: np.ndarray, d: np.ndarray, safety: float) -> float:
     """Largest safe step keeping phi + alpha d strictly positive.
 
     Returns safety * min(-phi_i / d_i) over entries with d_i < 0, or +inf
@@ -217,10 +218,11 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     )
 
 
-def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None = None):
+def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     """Drive preconditioned nonlinear CG until the metric residual meets tol.
 
-    ``system`` is a step system (schemes.StepSystem); the solve looks its
+    ``system`` is a step system (schemes.StepSystem); it carries its
+    ``grid``, whose inner product the solve uses, and the solve looks its
     methods up on the instance as it calls them.  system.residual(phi)
     returns the full residual field and is called once, at phi_init;
     system.precondition(rp) returns (Lc^{-1} rp, <L0^{-1} rp, rp>) for a
@@ -245,7 +247,7 @@ def psd_solve(grid: Grid, system, phi_init: np.ndarray, cfg: SolverConfig | None
     iterate (every step descends, so it is the best one) and the trace when
     the budget runs out.
     """
-    cfg = cfg or SolverConfig()
+    grid = system.grid
     phi = np.array(phi_init, dtype=float, copy=True)
     check_positive(phi, "initial iterate")
     trace = PsdTrace()

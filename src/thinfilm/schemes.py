@@ -133,7 +133,8 @@ class StepSystem:
                  - (-lap)^{-1}(weight phi - history) / dt + constant,
 
     the bracketed term present when ``concave`` (the phi^-3 term taken
-    implicitly).  r is the negative gradient, on the fixed-mean slice, of
+    implicitly), on the grid of ``solver``, which the system carries as
+    ``grid``.  r is the negative gradient, on the fixed-mean slice, of
     the strictly convex step functional
 
         J(phi) = ||weight phi - history||_{-1}^2 / (2 weight dt)
@@ -169,10 +170,10 @@ class StepSystem:
     to rounding error.
     """
 
-    def __init__(self, grid: Grid, solver: SpectralSolver, dt: float, *,
+    def __init__(self, solver: SpectralSolver, dt: float, *,
                  concave: bool, linear: float, stiffness: float, weight: float,
                  history: np.ndarray, constant: np.ndarray):
-        self.grid, self.solver, self.dt, self.concave = grid, solver, dt, concave
+        self.grid, self.solver, self.dt, self.concave = solver.grid, solver, dt, concave
         self.linear, self.stiffness, self.weight = linear, stiffness, weight
         self.history, self.constant = history, constant
         self.coefficients = (weight / dt, linear + 1.0, stiffness)
@@ -181,7 +182,7 @@ class StepSystem:
         # line trial of the step.  After a pass, bulk holds B(x) and curv
         # holds the curvature -B'(x) / curv_scale, both at the point x of
         # that pass; work is free.
-        self._work, self._bulk, self._curv = (np.empty(grid.shape) for _ in range(3))
+        self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
         self._curv_scale = 8.0 if concave else 24.0
         # The last residual handed out and its affine part K phi + c, which
         # the line closures take instead of re-deriving it as r - B(phi): the
@@ -381,7 +382,7 @@ class FirstOrderScheme(_SchemeBase):
         if forcing is not None:
             constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
         return StepSystem(
-            self.grid, self.solver, dt, concave=False, linear=0.0,
+            self.solver, dt, concave=False, linear=0.0,
             stiffness=self.params.eps**2, weight=1.0, history=phi_old,
             constant=constant,
         )
@@ -391,9 +392,7 @@ class FirstOrderScheme(_SchemeBase):
     ) -> tuple:
         """Advance one step; returns (new_state, report)."""
         system = self.step_system_from(state.phi, dt, forcing)
-        phi_new, trace = psd_solve(
-            self.grid, system, self._warm_start(state), self.psd_config
-        )
+        phi_new, trace = psd_solve(system, self._warm_start(state), self.psd_config)
         return self._finish_step(state, phi_new, trace, system)
 
 
@@ -434,19 +433,15 @@ class Bdf2Scheme(_SchemeBase):
         if forcing is not None:
             constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
         return StepSystem(
-            self.grid, self.solver, dt, concave=True, linear=linear,
+            self.solver, dt, concave=True, linear=linear,
             stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
             history=2.0 * phi_old - 0.5 * phi_older, constant=constant,
         )
 
     def cold_start(
-        self,
-        phi0: np.ndarray,
-        dt: float,
-        t: float = 0.0,
-        forcing: Optional[np.ndarray] = None,
+        self, phi0: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepState:
-        """Two-level state at t whose history is one explicit step back,
+        """Two-level state at t = 0 whose history is one explicit step back,
         phi_prev = phi0 - dt (lap(mu(phi0)) + S0), S0 the mean-adjusted source.
 
         dt, phi0 and the source are checked by the rules of step and
@@ -463,20 +458,17 @@ class Bdf2Scheme(_SchemeBase):
             raise PositivityLostError(
                 "synthesized history lost positivity; reduce dt or use restart_state"
             )
-        return StepState(phi0.copy(), phi_prev, t, beta0, 0)
+        return StepState(phi0.copy(), phi_prev, 0.0, beta0, 0)
 
     def step(
         self, state: StepState, dt: float, forcing: Optional[np.ndarray] = None
     ) -> tuple:
         """Advance one step; returns (new_state, report)."""
         system = self.step_system_from(state.phi, state.phi_prev, dt, forcing)
-        phi_new, trace = psd_solve(
-            self.grid, system, self._warm_start(state), self.psd_config
-        )
+        phi_new, trace = psd_solve(system, self._warm_start(state), self.psd_config)
         new_state, report = self._finish_step(state, phi_new, trace, system)
         # Reuse the report's F(phi_new) rather than evaluating it again.
         report.modified_energy = _energy.modified_energy(
-            self.grid, self.solver, phi_new, state.phi, self.params.a0, dt,
-            report.energy,
+            self.solver, phi_new, state.phi, self.params.a0, dt, report.energy
         )
         return new_state, report

@@ -61,13 +61,14 @@ class SpectralSolver:
         self._root = self._ratio = None
 
     def _check_mean(self, f: np.ndarray) -> float:
-        """Check the shape and mean of a solver input; returns the mean."""
+        """Check the shape, finiteness and mean of a solver input; returns the
+        mean.  A nan entry makes the mean nan, an infinite one the tolerance."""
         self.grid.validate_field(f)
         m = float(np.mean(f))
         tol = _MEAN_TOL * norm_inf(f) * self.grid.volume
-        if abs(m) > tol:
+        if not abs(m) <= tol < np.inf:
             raise NonZeroMeanError(
-                f"field mean {m:.3e} exceeds tolerance {tol:.3e}; subtract it first"
+                f"field not finite or its mean {m:.3e} above tolerance {tol:.3e}"
             )
         return m
 

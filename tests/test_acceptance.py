@@ -189,7 +189,7 @@ class TestCriterion5DescentSolver:
                 system, lambda phi: step_functional(system, phi), phi_old
             )
             cfg = SolverConfig(tol=1e-9, max_iters=100)
-            phi, trace = psd_solve(grid, system, phi_old, cfg)
+            phi, trace = psd_solve(system, phi_old, cfg)
             assert trace.residual_norms[-1] < 1e-9
             assert trace.iterations <= 100
             assert len(fv) == trace.iterations + 1

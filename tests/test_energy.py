@@ -292,25 +292,28 @@ class TestChemicalPotentials:
 
 class TestModifiedEnergy:
     def test_assembly_against_pinv_oracle(self):
-        grid = Grid(2, 6, 1.0)
-        solver = SpectralSolver(grid)
-        params = PhysParams(eps=0.3)
-        dt = 0.01
-        new = positive_field(grid, 40)
-        old = new + 0.01 * np.random.default_rng(41).standard_normal(grid.shape)
-        old -= np.mean(old - new)  # make the increment mean-free
-        diff = (new - old).ravel()
+        """On the unit square and off it: the cell volume and the H^-1
+        solve both come from the solver's grid."""
+        for length in (1.0, 3.2):
+            grid = Grid(2, 6, length)
+            solver = SpectralSolver(grid)
+            params = PhysParams(eps=0.3)
+            dt = 0.01
+            new = positive_field(grid, 40)
+            old = new + 0.01 * np.random.default_rng(41).standard_normal(grid.shape)
+            old -= np.mean(old - new)  # make the increment mean-free
+            diff = (new - old).ravel()
 
-        pinv = np.linalg.pinv(dense_neg_lap_matrix(grid))
-        hm1_sq = grid.cell_volume * float(diff @ pinv @ diff)
-        expected = (
-            discrete_energy(grid, new, params.eps)
-            + hm1_sq / (4.0 * dt)
-            + (4.0 / 3.0) * params.a0 * norm_2(grid, new - old) ** 2
-        )
-        got = modified_energy(grid, solver, new, old, params.a0, dt,
-                              discrete_energy(grid, new, params.eps))
-        assert got == pytest.approx(expected, rel=1e-9)
+            pinv = np.linalg.pinv(dense_neg_lap_matrix(grid))
+            hm1_sq = grid.cell_volume * float(diff @ pinv @ diff)
+            expected = (
+                discrete_energy(grid, new, params.eps)
+                + hm1_sq / (4.0 * dt)
+                + (4.0 / 3.0) * params.a0 * norm_2(grid, new - old) ** 2
+            )
+            got = modified_energy(solver, new, old, params.a0, dt,
+                                  discrete_energy(grid, new, params.eps))
+            assert got == pytest.approx(expected, rel=1e-9), length
 
     def test_hminus1_term_matches_hminus1_inner(self):
         grid = Grid(2, 12, 1.0)
@@ -325,7 +328,7 @@ class TestModifiedEnergy:
             + solver.hminus1_inner(diff, diff) / (4.0 * dt)
             + (4.0 / 3.0) * a0_star() * norm_2(grid, new - old) ** 2
         )
-        got = modified_energy(grid, solver, new, old, a0_star(), dt,
+        got = modified_energy(solver, new, old, a0_star(), dt,
                               discrete_energy(grid, new, 0.3))
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -333,7 +336,7 @@ class TestModifiedEnergy:
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
         phi = positive_field(grid, 42)
-        got = modified_energy(grid, solver, phi, phi.copy(), a0_star(), 0.01,
+        got = modified_energy(solver, phi, phi.copy(), a0_star(), 0.01,
                               discrete_energy(grid, phi, 0.3))
         assert got == pytest.approx(discrete_energy(grid, phi, 0.3), rel=1e-13)
 
@@ -343,5 +346,5 @@ class TestModifiedEnergy:
         new = positive_field(grid, 43)
         old = new + 0.05 * np.sin(2 * np.pi * grid.coordinates()[0])
         energy = discrete_energy(grid, new, 0.3)
-        assert modified_energy(grid, solver, new, old, a0_star(), 0.01,
+        assert modified_energy(solver, new, old, a0_star(), 0.01,
                                energy) >= energy

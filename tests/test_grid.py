@@ -15,9 +15,11 @@ import pytest
 from oracles import dense_grad_matrices, dense_neg_lap_matrix
 from thinfilm import (
     Grid,
+    discrete_energy,
     grad_norm_2,
     inner,
     lap,
+    mu_exact,
     norm_inf,
     norm_2,
 )
@@ -116,6 +118,23 @@ class TestDifferenceOperators:
         u = np.full(grid.shape, 4.2)
         assert norm_inf(lap(grid, u)) <= 1e-14 / grid.h**2
         assert grad_norm_2(grid, u) == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lap,
+            grad_norm_2,
+            lambda grid, u: mu_exact(grid, u, 0.1),
+            lambda grid, u: discrete_energy(grid, u, 0.1),
+        ],
+        ids=["lap", "grad_norm_2", "mu_exact", "discrete_energy"],
+    )
+    def test_field_of_another_grid_rejected(self, call):
+        """A (4, 16) field has the 64 cells of an 8 x 8 grid but not its
+        shape, so its spacing is not the grid's."""
+        u = 1.0 + 0.1 * random_field(Grid(2, 8, 1.0), 5).reshape(4, 16)
+        with pytest.raises(ValueError, match="shape"):
+            call(Grid(2, 8, 1.0), u)
 
     def test_lap_output_mean_zero(self):
         grid = Grid(2, 16, 1.0)

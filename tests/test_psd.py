@@ -30,6 +30,9 @@ from thinfilm import (
 )
 from thinfilm.psd import _WOLFE_TOL
 
+# The default stopping rule, which every psd_solve call names.
+CFG = SolverConfig()
+
 
 def bisect_root(g, lo, hi, iters=200):
     """Plain bisection oracle: root of increasing g in [lo, hi]."""
@@ -73,7 +76,7 @@ class TestBarrierAlpha:
         assert barrier_alpha(phi, d, 0.5) == pytest.approx(0.25, rel=1e-15)
 
     def test_infinite_when_nothing_decreases(self):
-        assert barrier_alpha(np.array([1.0, 2.0]), np.array([0.0, 3.0])) == math.inf
+        assert barrier_alpha(np.array([1.0, 2.0]), np.array([0.0, 3.0]), 0.99) == math.inf
 
     def test_binding_entry_wins(self):
         phi = np.array([4.0, 1.0, 9.0])
@@ -319,6 +322,7 @@ def step_system(grid, residual, hessian, precondition, image_of):
         return g, residual_at
 
     return SimpleNamespace(
+        grid=grid,
         residual=residual,
         precondition=precondition,
         directional=directional,
@@ -358,7 +362,7 @@ class TestPsdSolveQuadratic:
         system, phi_star, phi0 = quadratic_problem(
             grid, solver, (5.0, 1.0, 0.04), seed=1
         )
-        phi, trace = psd_solve(grid, system, phi0)
+        phi, trace = psd_solve(system, phi0, CFG)
         assert trace.iterations == 1
         assert max(system.image_errors) <= 1e-12
         assert trace.alphas[0] == pytest.approx(1.0, abs=1e-12)
@@ -370,7 +374,7 @@ class TestPsdSolveQuadratic:
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
         system, _, phi0 = quadratic_problem(grid, solver, (5.0, 1.0, 0.04), seed=3)
-        _, trace = psd_solve(grid, system, phi0)
+        _, trace = psd_solve(system, phi0, CFG)
         assert tail_contraction(trace) is None
 
 
@@ -419,7 +423,7 @@ class TestPsdSolveBarrier:
     def test_converges_with_invariants(self):
         system = self.system()
         fv = record_functional(system, self.functional, self.phi0)
-        phi, trace = psd_solve(self.grid, system, self.phi0)
+        phi, trace = psd_solve(system, self.phi0, CFG)
         # stationarity on the slice: the deflated residual is flat
         r = barrier_residual(phi)
         assert norm_inf(r - np.mean(r)) <= 1e-7
@@ -462,7 +466,7 @@ class TestPsdSolveBarrier:
             return g, recorded
 
         system.directional = directional
-        phi, trace = psd_solve(self.grid, system, self.phi0)
+        phi, trace = psd_solve(system, self.phi0, CFG)
         pinv = np.linalg.pinv(dense_preconditioner_matrix(self.grid, *self.L0))
         norms = []
         for r in [barrier_residual(self.phi0)] + records:
@@ -498,12 +502,13 @@ class TestPsdSolveBarrier:
             return g, lambda alpha: moved(alpha)[0]
 
         fast = SimpleNamespace(
+            grid=self.grid,
             residual=barrier_residual,
             precondition=self.precondition,
             directional=directional,
         )
-        phi_plain, trace_plain = psd_solve(self.grid, naive, self.phi0)
-        phi_fast, trace_fast = psd_solve(self.grid, fast, self.phi0)
+        phi_plain, trace_plain = psd_solve(naive, self.phi0, CFG)
+        phi_fast, trace_fast = psd_solve(fast, self.phi0, CFG)
         assert trace_fast.iterations == trace_plain.iterations
         assert norm_inf(phi_fast - phi_plain) <= 1e-12
         assert len(naive.image_errors) == trace_plain.iterations
@@ -530,7 +535,7 @@ class TestPsdSolveBarrier:
             return stretched, residual_at
 
         system.directional = directional
-        phi, trace = psd_solve(self.grid, system, self.phi0)
+        phi, trace = psd_solve(system, self.phi0, CFG)
         assert trace.restarts >= trace.iterations // 2
         assert trace.residual_norms[-1] <= 1e-9
         assert np.all(phi > 0.0)
@@ -542,12 +547,10 @@ class TestPsdSolveBarrier:
         # The CG direction must not be combined in place while it is still
         # the preconditioner's output, which here is the solver's own rp.
         phi_same, trace_same = psd_solve(
-            self.grid, self.system(lambda r: (r, inner(self.grid, r, r))), self.phi0
+            self.system(lambda r: (r, inner(self.grid, r, r))), self.phi0, CFG
         )
         phi_copy, trace_copy = psd_solve(
-            self.grid,
-            self.system(lambda r: (r.copy(), inner(self.grid, r, r))),
-            self.phi0,
+            self.system(lambda r: (r.copy(), inner(self.grid, r, r))), self.phi0, CFG
         )
         assert trace_same.iterations >= 3
         assert trace_same.residual_norms == trace_copy.residual_norms
@@ -558,7 +561,7 @@ class TestPsdSolveBarrier:
     def test_budget_exhaustion_carries_best_iterate(self):
         cfg = SolverConfig(tol=1e-15, max_iters=3)
         with pytest.raises(SolverDivergedError) as excinfo:
-            psd_solve(self.grid, self.system(), self.phi0, cfg)
+            psd_solve(self.system(), self.phi0, cfg)
         err = excinfo.value
         assert err.phi is not None and np.all(err.phi > 0.0)
         assert err.trace.iterations == 3
@@ -568,13 +571,13 @@ class TestPsdSolveBarrier:
         bad = self.phi0.copy()
         bad.flat[0] = 0.0
         with pytest.raises(NonPositiveFieldError):
-            psd_solve(self.grid, self.system(), bad)
+            psd_solve(self.system(), bad, CFG)
 
     def test_solution_independent_of_start(self):
         other = self.phi0 + 0.2 * np.sin(
             2.0 * np.pi * self.grid.coordinates()[0]
         )
         other += np.mean(self.phi0) - np.mean(other)
-        phi_a, _ = psd_solve(self.grid, self.system(), self.phi0)
-        phi_b, _ = psd_solve(self.grid, self.system(), other)
+        phi_a, _ = psd_solve(self.system(), self.phi0, CFG)
+        phi_b, _ = psd_solve(self.system(), other, CFG)
         assert norm_inf(phi_a - phi_b) <= 1e-7

@@ -84,7 +84,7 @@ COUNTS = [
 CASES = [
     pytest.param(call, name, error, value, id=f"{label}={value!r}")
     for label, call, name, error in POSITIVE_FINITE
-    for value in (0.0, -1.0, math.nan, math.inf)
+    for value in (0.0, -1.0, math.nan, math.inf, True, "1")
 ] + [
     pytest.param(call, name, ConfigError, value, id=f"{label}={value!r}")
     for label, call, name, low in COUNTS
@@ -96,6 +96,14 @@ CASES = [
 def test_bad_input_is_refused(call, name, error, value):
     with pytest.raises(error, match=f"^{name} must be "):
         call(value)
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64])
+def test_numpy_floats_pass_the_positive_finite_rule(real):
+    assert Grid(2, 8, real(2.0)).length == 2.0
+    assert PhysParams(real(0.1), a0=real(1.0)).a0 == 1.0
+    assert SolverConfig(tol=real(0.5)).tol == 0.5
+    bdf2_cold_start(real(1e-6))
 
 
 def test_fractional_step_count_is_refused_before_the_first_step(monkeypatch):

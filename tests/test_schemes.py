@@ -280,7 +280,7 @@ class TestDirectionalFactory:
         r0, rp0, p0 = self.gradient(system, phi0)
         assert abs(system.shift) > 1.0
         g0, _ = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0), g0(0.0))
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), g0(0.0))
         phi1 = phi0 + alpha0 * p0
         r1, rp1, p1 = self.gradient(system, phi1)
         beta = inner(grid, p1, rp1 - rp0) / inner(grid, p0, rp0)
@@ -350,7 +350,7 @@ class TestDirectionalFactory:
         phi0 = positive_field(grid, 81)
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, residual_at = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0), g0(0.0))
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), g0(0.0))
         phi1 = phi0 + alpha0 * p0
         r1 = residual_at(alpha0)
         d = np.random.default_rng(82).standard_normal(grid.shape)
@@ -375,7 +375,7 @@ class TestDirectionalFactory:
         r, rp, d = self.gradient(system, phi)
         g, _ = system.directional(phi, (d, rp), r)
         held = g(0.0)
-        g(0.3 * barrier_alpha(phi, d))
+        g(0.3 * barrier_alpha(phi, d, 0.99))
         again = g(0.0)
 
         _, other = self.make_system(setup, which, phi_old, dt)
@@ -398,7 +398,7 @@ class TestDirectionalFactory:
         phi = positive_field(grid, 88)
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
-        alpha = 0.4 * barrier_alpha(phi, d)
+        alpha = 0.4 * barrier_alpha(phi, d, 0.99)
         g, residual_at = system.directional(phi, (d, rp), r)
         g(alpha)
         if between == "other trial":
@@ -423,7 +423,7 @@ class TestDirectionalFactory:
         phi = positive_field(grid, 91)
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
-        alpha = 0.3 * barrier_alpha(phi, d)
+        alpha = 0.3 * barrier_alpha(phi, d, 0.99)
         g, _ = system.directional(phi, (d, rp), r)
         g(alpha)
         d *= 0.5
@@ -658,7 +658,7 @@ class TestFixedMetricStop:
             return g, recorded
 
         system.directional = directional
-        _, trace = psd_solve(grid, system, phi_old, scheme.psd_config)
+        _, trace = psd_solve(system, phi_old, scheme.psd_config)
         assert system.shift > 1e3 if which == "fo" else system.shift < -1.0
         rp = (carried[-1] - np.mean(carried[-1])).ravel()
         a0, a1, a2 = system.coefficients
@@ -822,10 +822,10 @@ class TestStatesAndHistory:
         params = PhysParams(eps=0.5)
         phi0 = smooth_field(grid)
         dt = 1e-4
-        state = Bdf2Scheme(grid, params).cold_start(phi0, dt, t=0.25)
+        state = Bdf2Scheme(grid, params).cold_start(phi0, dt)
         assert np.array_equal(state.phi, phi0)
         assert state.phi is not phi0
-        assert (state.t, state.step_index) == (0.25, 0)
+        assert (state.t, state.step_index) == (0.0, 0)
         assert state.beta0 == np.mean(phi0)
         assert np.array_equal(state.phi_prev, self.ghost(grid, params, phi0, dt))
 
@@ -878,7 +878,7 @@ class TestStepBehavior:
         solver = bdf2.solver
         new_state, report = bdf2.step(state, 0.01)
         expected = modified_energy(
-            grid, solver, new_state.phi, state.phi, params.a0, 0.01,
+            solver, new_state.phi, state.phi, params.a0, 0.01,
             discrete_energy(grid, new_state.phi, params.eps),
         )
         # F(phi_new) is evaluated once per step, to the same bits
@@ -974,7 +974,7 @@ class TestStepBehavior:
     def test_report_counts_line_evaluations(self, setup):
         grid, _, fo, _ = setup
         phi_old = smooth_field(grid, amp=0.4)
-        _, trace = psd_solve(grid, fo.step_system_from(phi_old, 0.02), phi_old)
+        _, trace = psd_solve(fo.step_system_from(phi_old, 0.02), phi_old, fo.psd_config)
         _, report = fo.step(initial_state(grid, smooth_field(grid, amp=0.4)), 0.02)
         assert report.psd_iters == trace.iterations
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
@@ -1103,7 +1103,7 @@ class TestStepBehavior:
         start = phi_old.copy()
         start[16, 16] += 1000.0
         start -= 1000.0 / grid.num_cells
-        phi, trace = psd_solve(grid, system, start)
+        phi, trace = psd_solve(system, start, scheme.psd_config)
         assert trace.residual_norms[-1] <= 1e-9
         assert trace.capped == by_rule[0] >= 1
 

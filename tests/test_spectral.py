@@ -287,6 +287,26 @@ class TestZeroModeHandling:
                 random_mean_zero(grid, 4) + 0.01, 1.0, 1.0, 1.0
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda solver, f: solver.inv_neg_lap(f),
+            lambda solver, f: solver.hminus1_norm(f),
+            lambda solver, f: solver.hminus1_inner(f, random_mean_zero(solver.grid, 9)),
+            lambda solver, f: solver.solve_preconditioner(f, 1.0, 1.0, 1.0),
+        ],
+        ids=["inv_neg_lap", "hminus1_norm", "hminus1_inner", "solve_preconditioner"],
+    )
+    def test_rejects_non_finite_entry(self, call, bad):
+        """One nan or infinite entry makes the field unusable, not its mean
+        tolerance infinite."""
+        grid = Grid(2, 8, 1.0)
+        f = random_mean_zero(grid, 7)
+        f.flat[3] = bad
+        with pytest.raises(NonZeroMeanError, match="finite"):
+            call(SpectralSolver(grid), f)
+
     def test_tolerates_and_removes_roundoff_mean(self):
         grid = Grid(2, 8, 1.0)
         solver = SpectralSolver(grid)
