@@ -8,12 +8,14 @@ Subcommands:
     step        advance a single implicit step (debugging aid)
 
 Options may also be supplied through ``--config FILE`` holding key=value
-lines keyed by the option names (underscores, no leading dashes).  Explicit
-flags beat config values, config values beat built-in defaults; keys a
-command does not know are rejected.  Exit codes: 0 success, 1 usage or
-config error (ConfigError, which the configs raise for values they reject),
-2 runtime failure.  Any other exception is a defect and keeps its
-traceback.
+lines.  A key is a flag without its dashes, spelled with underscores or
+dashes (``n_list`` or ``n-list``), and the same parser reads it as that
+flag, ahead of the explicit flags: flags beat file values, file values
+beat defaults.  Unknown names and prefixes of option names are refused in
+files and flags alike; so are a file key ``config`` and a key spelled both
+ways.  Exit codes: 0 success, 1 usage or config error (ConfigError, which
+the configs raise for values they reject), 2 runtime failure.  Any other
+exception is a defect and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import PhysParams
@@ -54,87 +55,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _entries(text: str):
+    """The comma-separated entries of text; a blank text has none."""
+    parts = text.split(",") if text.strip() else []
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return parts
+
+
 def _int_list(text: str):
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [int(part) for part in _entries(text)]
 
 
 def _float_list(text: str):
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in _entries(text)]
 
 
-@dataclass(frozen=True)
-class _Opt:
-    name: str
-    parse: object
-    default: object
-    help: str
-    choices: tuple = None
-
-
-_SOLVER_OPTS = (
-    _Opt("tol", float, 1e-9, "CG residual tolerance"),
-    _Opt("max_iters", int, 500, "CG iteration budget per step"),
-)
-
-
-def _opts_converge1():
-    return (
-        _Opt("n", int, 128, "cells per direction (desk-scale default; "
-                            "the full-scale study uses 256)"),
-        _Opt("nt", _int_list, [100, 200, 400, 800],
-             "comma-separated step-count ladder"),
-        _Opt("eps", float, 0.5, "interface width parameter"),
-        _Opt("tf", float, 1.0, "final time"),
-        _Opt("outdir", str, "converge1-out", "output directory"),
-    ) + _SOLVER_OPTS
-
-
-def _opts_converge2():
-    return (
-        _Opt("n_list", _int_list, [32, 48, 64, 96],
-             "comma-separated grid ladder (desk-scale default; "
-             "the full-scale study uses 48..192)"),
-        _Opt("eps", float, 0.5, "interface width parameter"),
-        _Opt("tf", float, 1.0, "final time"),
-        _Opt("dt_factor", float, 0.5, "time step as a fraction of h"),
-        _Opt("a0", float, None, "stabilization constant "
-                                "(default: sharp convexity constant)"),
-        _Opt("a_stab", float, None, "second-difference coefficient "
-                                    "(default: (4/9) a0^2)"),
-        _Opt("outdir", str, "converge2-out", "output directory"),
-    ) + _SOLVER_OPTS
-
-
-def _opts_coarsen():
-    return (
-        _Opt("n", int, 128, "cells per direction (desk-scale default)"),
-        _Opt("length", float, 12.8, "periodic box side"),
-        _Opt("eps", float, 0.02, "interface width parameter"),
-        _Opt("seed", int, 0, "seed of the random initial data (repo default)"),
-        _Opt("t_end", float, 6000.0, "end time; the step-size ladder is "
-                                     "truncated here"),
-        _Opt("snapshots", _float_list, list(DEFAULT_SNAPSHOT_TIMES),
-             "comma-separated snapshot request times"),
-        _Opt("record_every", int, 10, "late-time energy record stride "
-                                      "(repo default)"),
-        _Opt("record_cutoff", float, 100.0, "record every step up to this "
-                                            "time (repo default)"),
-        _Opt("budget", float, math.inf, "wall-clock budget in seconds"),
-        _Opt("outdir", str, "coarsen-out", "output directory"),
-    ) + _SOLVER_OPTS
-
-
-def _opts_step():
-    return (
-        _Opt("scheme", str, "fo", "stepper", choices=("fo", "bdf2")),
-        _Opt("n", int, 64, "cells per direction (ignored with --input)"),
-        _Opt("length", float, 1.0, "periodic box side (ignored with --input)"),
-        _Opt("eps", float, 0.1, "interface width parameter"),
-        _Opt("dt", float, 1e-3, "time step"),
-        _Opt("seed", int, 0, "seed of the random initial data"),
-        _Opt("input", str, None, "start from this snapshot instead of a seed"),
-        _Opt("outdir", str, "step-out", "output directory"),
-    ) + _SOLVER_OPTS
+def _scheme(text: str):
+    if text not in ("fo", "bdf2"):
+        raise argparse.ArgumentTypeError(f"must be fo or bdf2, got {text!r}")
+    return text
 
 
 def _solver_config(v) -> SolverConfig:
@@ -249,86 +189,99 @@ def _run_step(v) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Command:
-    opts: tuple
-    run: object
-    help: str
+_SOLVER_OPTS = (
+    ("tol", float, 1e-9, "CG residual tolerance"),
+    ("max_iters", int, 500, "CG iteration budget per step"),
+)
 
-
+# command -> (help, runner, options); an option is (name, type, default,
+# help), its flag the name with dashes for underscores.
 _COMMANDS = {
-    "converge1": _Command(
-        _opts_converge1(), _run_converge,
-        "temporal accuracy study of the one-step scheme",
-    ),
-    "converge2": _Command(
-        _opts_converge2(), _run_converge,
-        "space-time accuracy study of the two-step scheme (dt = factor * h)",
-    ),
-    "coarsen": _Command(
-        _opts_coarsen(), _run_coarsen,
-        "droplet coarsening run: energy log, snapshots, power-law fit",
-    ),
-    "step": _Command(
-        _opts_step(), _run_step,
-        "advance a single implicit step from a seed or snapshot",
-    ),
+    "converge1": ("temporal accuracy study of the one-step scheme", _run_converge, (
+        ("n", int, 128, "cells per direction (desk-scale default; "
+                        "the full-scale study uses 256)"),
+        ("nt", _int_list, [100, 200, 400, 800], "comma-separated step-count ladder"),
+        ("eps", float, 0.5, "interface width parameter"),
+        ("tf", float, 1.0, "final time"),
+        ("outdir", str, "converge1-out", "output directory"),
+    ) + _SOLVER_OPTS),
+    "converge2": ("space-time accuracy study of the two-step scheme (dt = factor * h)",
+                  _run_converge, (
+        ("n_list", _int_list, [32, 48, 64, 96],
+         "comma-separated grid ladder (desk-scale default; "
+         "the full-scale study uses 48..192)"),
+        ("eps", float, 0.5, "interface width parameter"),
+        ("tf", float, 1.0, "final time"),
+        ("dt_factor", float, 0.5, "time step as a fraction of h"),
+        ("a0", float, None, "stabilization constant "
+                            "(default: sharp convexity constant)"),
+        ("a_stab", float, None, "second-difference coefficient (default: (4/9) a0^2)"),
+        ("outdir", str, "converge2-out", "output directory"),
+    ) + _SOLVER_OPTS),
+    "coarsen": ("droplet coarsening run: energy log, snapshots, power-law fit",
+                _run_coarsen, (
+        ("n", int, 128, "cells per direction (desk-scale default)"),
+        ("length", float, 12.8, "periodic box side"),
+        ("eps", float, 0.02, "interface width parameter"),
+        ("seed", int, 0, "seed of the random initial data (repo default)"),
+        ("t_end", float, 6000.0, "end time; the step-size ladder is truncated here"),
+        ("snapshots", _float_list, list(DEFAULT_SNAPSHOT_TIMES),
+         "comma-separated snapshot request times"),
+        ("record_every", int, 10, "late-time energy record stride (repo default)"),
+        ("record_cutoff", float, 100.0,
+         "record every step up to this time (repo default)"),
+        ("budget", float, math.inf, "wall-clock budget in seconds"),
+        ("outdir", str, "coarsen-out", "output directory"),
+    ) + _SOLVER_OPTS),
+    "step": ("advance a single implicit step from a seed or snapshot", _run_step, (
+        ("scheme", _scheme, "fo", "stepper: fo or bdf2"),
+        ("n", int, 64, "cells per direction (ignored with --input)"),
+        ("length", float, 1.0, "periodic box side (ignored with --input)"),
+        ("eps", float, 0.1, "interface width parameter"),
+        ("dt", float, 1e-3, "time step"),
+        ("seed", int, 0, "seed of the random initial data"),
+        ("input", str, None, "start from this snapshot instead of a seed"),
+        ("outdir", str, "step-out", "output directory"),
+    ) + _SOLVER_OPTS),
 }
 
 
 def _build_parser():
-    """The parser and its subparsers by command name."""
     parser = _Parser(prog="thinfilm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help, description=cmd.help)
-        p.add_argument("--config", default=None, metavar="FILE",
+    for command, (text, _, opts) in _COMMANDS.items():
+        # No prefix matching: a file key "t" must not set --t-end.
+        p = sub.add_parser(command, help=text, description=text, allow_abbrev=False)
+        p.add_argument("--config", metavar="FILE",
                        help="key=value file providing option defaults")
-        for opt in cmd.opts:
-            kwargs = {
-                "dest": opt.name,
-                "default": opt.default,
-                "help": f"{opt.help} (default: {opt.default})",
-                "metavar": opt.name.upper(),
-            }
-            if opt.choices is not None:
-                kwargs["choices"] = opt.choices
-            else:
-                kwargs["type"] = opt.parse
-            p.add_argument("--" + opt.name.replace("_", "-"), **kwargs)
-    return parser, sub.choices
+        for name, parse, default, help_text in opts:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                           default=default, metavar=name.upper(),
+                           help=f"{help_text} (default: {default})")
+    return parser
 
 
-def _config_defaults(cmd: _Command, path) -> dict:
-    """Parsed values of a config file, checked against the command's options."""
-    known = {opt.name: opt for opt in cmd.opts}
-    values = {}
-    for key, text in load_config(path).items():
-        opt = known.get(key)
-        if opt is None:
-            raise ConfigError(f"unknown config key {key!r} for this command")
-        try:
-            value = opt.parse(text)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if opt.choices is not None and value not in opt.choices:
-            raise ConfigError(
-                f"config key {key!r} must be one of {opt.choices}, got {value!r}"
-            )
-        values[key] = value
-    return values
+def _file_flags(path) -> list:
+    """The key=value pairs of a config file as --key=value flags."""
+    pairs = load_config(path)
+    flags = {"--" + key.replace("_", "-"): value for key, value in pairs.items()}
+    if "--config" in flags:
+        raise ConfigError(f"{path}: a config file cannot name another (key 'config')")
+    if len(flags) < len(pairs):
+        raise ConfigError(f"{path}: a key is given with underscores and with dashes")
+    return [f"{flag}={value}" for flag, value in flags.items()]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser, commands = _build_parser()
+        parser = _build_parser()
         args = parser.parse_args(argv)
-        cmd = _COMMANDS[args.command]
         if args.config is not None:
-            # File values become the defaults, so explicit flags still win.
-            commands[args.command].set_defaults(**_config_defaults(cmd, args.config))
-            args = parser.parse_args(argv)
-        return cmd.run(args)
+            # The top-level parser takes no option but -h, so argv[0] is the
+            # command; file flags go before the explicit ones, which win.
+            args = parser.parse_args(argv[:1] + _file_flags(args.config) + argv[1:])
+        return _COMMANDS[args.command][1](args)
     except ConfigError as exc:
         print(f"error: ConfigError: {exc}", file=sys.stderr)
         return 1

@@ -23,12 +23,11 @@ reproducible across platforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_positive, check_positive_finite
+from .errors import check_nonnegative_finite, check_positive, check_positive_finite
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -62,8 +61,7 @@ class PhysParams:
         check_positive_finite("a0", self.a0)
         if self.a_stab is None:
             object.__setattr__(self, "a_stab", (4.0 / 9.0) * self.a0**2)
-        if not (0.0 <= self.a_stab < math.inf):
-            raise ConfigError(f"a_stab must be >= 0 and finite, got {self.a_stab}")
+        check_nonnegative_finite("a_stab", self.a_stab)
 
 
 def _recip_powers_2_8(phi: np.ndarray):

@@ -1,8 +1,9 @@
-"""Exception types raised across the package, and its three input rules.
+"""Exception types raised across the package, and its input rules.
 
 Every failure mode that callers are expected to handle gets its own class
 so that CLI and test code can match on type instead of message text.  The
-input rules live here too: check_positive_finite, check_count, check_positive.
+input rules live here too: check_positive_finite, check_nonnegative_finite,
+check_count, check_positive.
 """
 
 import math
@@ -74,11 +75,20 @@ class UnfinishedError(ThinFilmError):
         self.partial = partial
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive_finite(name: str, value, error=ConfigError) -> None:
     """Raise ``error`` unless value is a real (not a bool) in (0, inf); nan fails."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < math.inf):
+    if not (_is_real(value) and 0.0 < value < math.inf):
         raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_nonnegative_finite(name: str, value) -> None:
+    """Raise ConfigError unless value is a real (not a bool) in [0, inf); nan fails."""
+    if not (_is_real(value) and 0.0 <= value < math.inf):
+        raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 def check_count(name: str, value, low: int) -> None:

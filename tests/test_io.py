@@ -9,9 +9,13 @@ main() in process.
 import dataclasses
 import inspect
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from thinfilm import (
     write_energy_log,
     write_field_snapshot,
 )
+import thinfilm
 from thinfilm import cli
 from thinfilm.cli import main
 
@@ -404,7 +409,7 @@ class TestCliConverge:
         cfg = tmp_path / "c1.cfg"
         cfg.write_text("n_list=8,12,16\n")
         assert main(["converge1", "--config", str(cfg)]) == 1
-        assert "unknown config key 'n_list'" in capsys.readouterr().err
+        assert "unrecognized arguments: --n-list=8,12,16" in capsys.readouterr().err
 
 
 class TestCliConfigMerge:
@@ -412,11 +417,29 @@ class TestCliConfigMerge:
         cfg = tmp_path / "run.cfg"
         file_out = tmp_path / "from-file"
         flag_out = tmp_path / "from-flag"
-        cfg.write_text(f"n=16\neps=0.5\ndt=0.001\noutdir={file_out}\n")
+        # max-iters: a key may be spelled with dashes, as its flag is
+        cfg.write_text(f"n=16\neps=0.5\ndt=0.001\nmax-iters=400\noutdir={file_out}\n")
         assert main(["step", "--config", str(cfg)]) == 0
         assert (file_out / "out.tfgf").exists()
         assert main(["step", "--config", str(cfg), "--outdir", str(flag_out)]) == 0
         assert (flag_out / "out.tfgf").exists()
+
+    def test_console_entry_flag_beats_file(self, tmp_path):
+        """``python -m thinfilm.cli`` reads sys.argv (main's argv=None path)."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=16\neps=0.5\ndt=0.001\noutdir={tmp_path / 'from-file'}\n")
+        out = tmp_path / "from-flag"
+        src = Path(thinfilm.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "thinfilm.cli", "step", "--n", "8",
+             "--config", str(cfg), "--outdir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert read_field_snapshot(out / "out.tfgf")[0] == Grid(2, 8, 1.0)
+        assert not (tmp_path / "from-file").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -429,13 +452,29 @@ class TestCliConfigMerge:
         cfg.write_text("n=sixteen\n")
         assert main(["step", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "ConfigError" in err and "'n'" in err
+        assert "ConfigError: argument --n: invalid int value: 'sixteen'" in err
 
     def test_config_choices_validated(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scheme=golden\n")
         assert main(["step", "--config", str(cfg)]) == 1
         assert "scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("config=other.cfg\n", "cannot name another"),
+            ("max_iters=400\nmax-iters=300\n", "with underscores and with dashes"),
+        ],
+    )
+    def test_config_naming_a_file_or_a_key_twice_refused(
+        self, text, message, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["step", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and message in err
 
 
 class TestCliDefaults:
@@ -469,12 +508,30 @@ class TestCliDefaults:
         else:
             library = {name: p.default
                        for name, p in inspect.signature(target).parameters.items()}
-        opts = {opt.name: opt.default for opt in cli._COMMANDS[command].opts}
+        opts = vars(cli._build_parser().parse_args([command]))
+        assert opts.pop("command") == command and opts.pop("config") is None
         assert set(opts) == set(feeds) | {"outdir", "tol", "max_iters"}
         for option, parameter in feeds.items():
             assert self.plain(opts[option]) == self.plain(library[parameter]), option
         solver = SolverConfig()
         assert (opts["tol"], opts["max_iters"]) == (solver.tol, solver.max_iters)
+
+
+class TestCliHelp:
+    @pytest.mark.parametrize("command", ["converge1", "converge2", "coarsen", "step"])
+    def test_help_names_every_flag_with_its_default(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        entries = re.split(r" (?=--[a-z][a-z0-9-]* [A-Z])", text.split(" options: ")[1])
+        shown = {entry.split()[0]: entry for entry in entries}
+        opts = vars(cli._build_parser().parse_args([command]))
+        del opts["command"], opts["config"]
+        for name, default in opts.items():
+            entry = shown["--" + name.replace("_", "-")]
+            assert entry.split()[1] == name.upper()
+            assert entry.endswith(f"(default: {default})"), entry
 
 
 class TestCliErrors:
@@ -493,6 +550,46 @@ class TestCliErrors:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["selftest"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["step", "--n", "8", "--sch", "bdf2"], None),
+            (["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002",
+              "--budg", "5"], None),
+            (["coarsen", "--n", "8", "--length", "0.8"], "t=0.002\n"),
+        ],
+    )
+    def test_option_prefix_is_usage_error(self, argv, config, tmp_path, monkeypatch,
+                                          capsys):
+        """One spelling per option: a prefix of a flag or of a config key is unknown."""
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = argv + ["--config", "run.cfg"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: unrecognized arguments: --")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge1", "--n", "8", "--nt", "4,,8,16"],
+            ["converge1", "--n", "8", "--nt", "4,8,16,"],
+            ["converge2", "--n-list", ",8,12,16"],
+            ["coarsen", "--n", "8", "--length", "0.8", "--t-end", "0.002",
+             "--snapshots", "0.001, ,0.002"],
+        ],
+    )
+    def test_empty_list_entry_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "empty entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", " "])
+    def test_empty_list_text_has_no_entries(self, text):
+        args = cli._build_parser().parse_args(["coarsen", "--snapshots", text])
+        assert args.snapshots == []
 
     @pytest.mark.parametrize(
         "argv",

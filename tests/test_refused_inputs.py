@@ -1,12 +1,12 @@
 """One table of refused inputs: every entry point x every bad value.
 
-The package checks each scalar input with one of two shared rules in
-``thinfilm.errors``: positive and finite, or an integer count (never a
-bool) at least a bound.  Each row names an entry point, the input it
-takes and the rule's name for it; every bad value must raise the typed
-error, with the message naming that input, so a refusal for some other
-reason does not count.  A study refuses a bad step count before its first
-step.
+The package checks each scalar input with one of three shared rules in
+``thinfilm.errors``: positive and finite, non-negative and finite (both
+for reals, never a bool), or an integer count (never a bool) at least a
+bound.  Each row names an entry point, the input it takes and the rule's
+name for it; every bad value must raise the typed error, with the message
+naming that input, so a refusal for some other reason does not count.  A
+study refuses a bad step count before its first step.
 """
 
 import math
@@ -69,6 +69,11 @@ POSITIVE_FINITE = [
      ConfigError),
 ]
 
+# (label, entry point taking the bad value, name in the message)
+NONNEGATIVE_FINITE = [
+    ("PhysParams.a_stab", lambda v: PhysParams(0.1, a_stab=v), "a_stab"),
+]
+
 # (label, entry point taking the bad value, name in the message, lowest count)
 COUNTS = [
     ("Grid.dim", lambda v: Grid(v, 8, 1.0), "dim", 1),
@@ -87,6 +92,10 @@ CASES = [
     for value in (0.0, -1.0, math.nan, math.inf, True, "1")
 ] + [
     pytest.param(call, name, ConfigError, value, id=f"{label}={value!r}")
+    for label, call, name in NONNEGATIVE_FINITE
+    for value in (-1.0, math.nan, math.inf, True, "1")
+] + [
+    pytest.param(call, name, ConfigError, value, id=f"{label}={value!r}")
     for label, call, name, low in COUNTS
     for value in (True, 2.5, low - 1)
 ]
@@ -102,6 +111,7 @@ def test_bad_input_is_refused(call, name, error, value):
 def test_numpy_floats_pass_the_positive_finite_rule(real):
     assert Grid(2, 8, real(2.0)).length == 2.0
     assert PhysParams(real(0.1), a0=real(1.0)).a0 == 1.0
+    assert PhysParams(real(0.1), a_stab=real(0.0)).a_stab == 0.0
     assert SolverConfig(tol=real(0.5)).tol == 0.5
     bdf2_cold_start(real(1e-6))
 
