@@ -255,9 +255,12 @@ def _build_parser():
         p.add_argument("--config", metavar="FILE",
                        help="key=value file providing option defaults")
         for name, parse, default, help_text in opts:
+            # A help text that states its default itself (one computed at
+            # run time) keeps it; every other gets the stored one.
+            if "(default: " not in help_text:
+                help_text = f"{help_text} (default: {default})"
             p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
-                           default=default, metavar=name.upper(),
-                           help=f"{help_text} (default: {default})")
+                           default=default, metavar=name.upper(), help=help_text)
     return parser
 
 

@@ -53,18 +53,31 @@ _BASE = 1.0
 
 
 class ManufacturedSolution:
-    """Closed-form positive profile on the periodic unit square."""
+    """Closed-form positive profile on the periodic unit square.
+
+    The profile's shape is built once per grid and kept by the instance, as
+    a study steps each rung hundreds of times; it is read-only, since every
+    call on that grid gets the same array.
+    """
+
+    def __init__(self):
+        self._profiles = {}
 
     def _profile(self, grid: Grid) -> np.ndarray:
         """_AMPLITUDE sin(2 pi x) cos(2 pi y), the shape both time factors scale."""
-        # On a box of non-integer side the profile is not even periodic.
-        if grid.dim != 2 or grid.length != 1.0:
-            raise ValueError(
-                "manufactured profile lives on the unit square, "
-                f"got dim {grid.dim}, length {grid.length}"
-            )
-        x, y = grid.coordinates()
-        return _AMPLITUDE * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y)
+        profile = self._profiles.get(grid)
+        if profile is None:
+            # On a box of non-integer side the profile is not even periodic.
+            if grid.dim != 2 or grid.length != 1.0:
+                raise ValueError(
+                    "manufactured profile lives on the unit square, "
+                    f"got dim {grid.dim}, length {grid.length}"
+                )
+            x, y = grid.coordinates()
+            profile = _AMPLITUDE * np.sin(_TWO_PI * x) * np.cos(_TWO_PI * y)
+            profile.flags.writeable = False
+            self._profiles[grid] = profile
+        return profile
 
     def sample(self, grid: Grid, t: float) -> np.ndarray:
         return _BASE + self._profile(grid) * math.cos(t)

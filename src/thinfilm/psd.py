@@ -225,9 +225,12 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     ``grid``, whose inner product the solve uses, and the solve looks its
     methods up on the instance as it calls them.  system.residual(phi)
     returns the full residual field and is called once, at phi_init;
-    system.precondition(rp) returns (Lc^{-1} rp, <L0^{-1} rp, rp>) for a
-    mean-zero field rp, with Lc the preconditioner and L0 the fixed metric
-    of the stop.
+    system.precondition(rp, limit) returns (Lc^{-1} rp, <L0^{-1} rp, rp>)
+    for a mean-zero field rp, with Lc the preconditioner and L0 the fixed
+    metric of the stop.  The solve passes limit = cfg.tol, the bound of its
+    own stop sqrt(<L0^{-1} rp, rp>) <= tol, and the system may return None
+    for Lc^{-1} rp exactly when that stop holds: the accepting iteration
+    never reads it, so a spectral solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
@@ -262,7 +265,7 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
         rp -= rp.sum() / rp.size
-        p, stop2 = system.precondition(rp)
+        p, stop2 = system.precondition(rp, cfg.tol)
         stop = math.sqrt(stop2)
         trace.residual_norms.append(stop)
         if stop <= cfg.tol:

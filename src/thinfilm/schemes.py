@@ -149,8 +149,9 @@ class StepSystem:
     K = (1 + shift) I - Lc: its identity coefficient
     a1 + shift = max(median(linear - B'(phi)), 0) is the median of the
     Hessian diagonal at the point of the step's first ``residual`` call,
-    read from that call's pointwise pass.  ``precondition(rp)`` returns
-    (Lc^{-1} rp, <L0^{-1} rp, rp>).
+    read from that call's pointwise pass.  ``precondition(rp, limit=None)``
+    returns (Lc^{-1} rp, <L0^{-1} rp, rp>), with None for Lc^{-1} rp when
+    a ``limit`` is given and sqrt(<L0^{-1} rp, rp>) <= limit.
 
     psd_solve looks ``residual``, ``precondition`` and ``directional`` up on
     the instance as it calls them, so methods wrapped on the instance after
@@ -242,10 +243,12 @@ class StepSystem:
         self._affine = self._held = affine
         return r
 
-    def precondition(self, rp: np.ndarray) -> tuple:
+    def precondition(self, rp: np.ndarray, limit: Optional[float] = None) -> tuple:
         if self.shift is None:
             raise ValueError("precondition needs the step's first residual")
-        return self.solver.solve_preconditioner(rp, *self.coefficients, self.shift)
+        return self.solver.solve_preconditioner(
+            rp, *self.coefficients, self.shift, limit
+        )
 
     def directional(self, phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
         if r_phi is not self._r:

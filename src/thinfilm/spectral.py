@@ -17,9 +17,18 @@ The inverse Laplacian also subtracts the mean before its transform.
 The H^-1 norm and the preconditioner's metric are both Parseval sums over
 the rfftn half spectrum with one weight w_k = 2 h^dim / N (N cells), halved
 at the last-axis modes 0 and n/2, which stand for no conjugate pair.
+
+Every transform runs in one half-spectrum buffer that the solver owns: the
+forward transform writes into it, and the inverse runs its complex axes in
+place there before one last-axis irfft into a fresh real array.  The axes
+and their order are those of numpy's rfftn/irfftn, so the bits are too.
+Every returned field is a fresh array that shares no memory with the
+buffer or with an earlier result; a solver is therefore not re-entrant.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,8 +42,11 @@ _MEAN_TOL = 1e-10
 class SpectralSolver:
     """Inverse Laplacian, H^-1 products, and preconditioner solves.
 
-    Eigenvalue tables are precomputed once per grid, so instances should be
-    created once and reused across time steps.
+    Eigenvalue tables and ``_hat``, the half-spectrum buffer that every
+    transform runs in, are allocated once per grid, so instances should be
+    created once and reused across time steps.  The buffer makes a solver
+    not re-entrant: no call may start while another runs (say, from a
+    second thread).  Every returned field is a fresh array.
     """
 
     def __init__(self, grid: Grid):
@@ -53,6 +65,10 @@ class SpectralSolver:
         if grid.n % 2 == 0:
             self._weight[-1] /= 2.0
         self._axes = tuple(range(grid.dim))
+        # irfftn transforms the leading axes in increasing order; ifftn goes
+        # through its axes backwards.
+        self._leading_reversed = self._axes[-2::-1]
+        self._hat = np.empty(self._eig_safe.shape, dtype=complex)
         # Half-spectrum factors of the last preconditioner solve's
         # (a0, a1, a2, shift): _root = sqrt(w / L), w the Parseval weight,
         # and _ratio = 1 / ((L + shift) _root).  A step's solves all share
@@ -72,16 +88,27 @@ class SpectralSolver:
             )
         return m
 
+    def _forward(self, f: np.ndarray) -> np.ndarray:
+        """rfftn of f into the owned buffer, which it returns."""
+        return np.fft.rfftn(f, axes=self._axes, out=self._hat)
+
+    def _inverse(self) -> np.ndarray:
+        """irfftn of the owned buffer, which it overwrites, as a fresh array."""
+        hat = self._hat
+        if self.grid.dim > 1:
+            np.fft.ifftn(hat, axes=self._leading_reversed, out=hat)
+        return np.fft.irfft(hat, n=self.grid.n, axis=-1)
+
     def inv_neg_lap(self, f: np.ndarray) -> np.ndarray:
         """Solve -lap(psi) = f for the mean-zero psi.
 
         ``f`` must be mean-zero within tolerance (NonZeroMeanError otherwise).
         """
         m = self._check_mean(f)
-        fhat = np.fft.rfftn(f - m, axes=self._axes)
+        fhat = self._forward(f - m)
         fhat /= self._eig_safe
         fhat.flat[0] = 0.0
-        return np.fft.irfftn(fhat, s=self.grid.shape, axes=self._axes)
+        return self._inverse()
 
     def hminus1_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """H^-1 inner product <f, (-lap)^{-1} g> of two mean-zero fields."""
@@ -95,7 +122,7 @@ class SpectralSolver:
         sum_k w_k |f_k|^2 / lambda_k over the half spectrum, mode 0 dropped.
         """
         self._check_mean(f)
-        fhat = np.fft.rfftn(f, axes=self._axes)
+        fhat = self._forward(f)
         q = np.square(fhat.real)
         q += np.square(fhat.imag)
         q /= self._eig_safe
@@ -104,15 +131,18 @@ class SpectralSolver:
         return float(np.sqrt(max(float(q.sum()), 0.0)))
 
     def solve_preconditioner(
-        self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float = 0.0
+        self, r: np.ndarray, a0: float, a1: float, a2: float, shift: float = 0.0,
+        limit: float | None = None,
     ) -> tuple:
         """Solve (L + shift I) d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
 
         Requires a0 > 0, a1, a2 >= 0 and a1 + shift >= 0, so L and L + shift I
         are positive definite on the mean-zero subspace; ``r`` must be
         mean-zero within tolerance.  Returns the mean-zero solution d and
-        the squared norm <L^{-1} r, r> of r in the metric of the unshifted
-        L, read off the same forward transform.
+        the squared norm norm2 = <L^{-1} r, r> of r in the metric of the
+        unshifted L, read off the same forward transform.  With a ``limit``,
+        d is None when sqrt(norm2) <= limit, and the inverse transform is
+        not paid for; without one, d is always solved for.
         """
         if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
             raise InvalidCoefficientsError(
@@ -144,12 +174,14 @@ class SpectralSolver:
             self._solve_key = key
         # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the
         # mean of r only reaches mode 0, which is dropped.
-        rhat = np.fft.rfftn(r, axes=self._axes)
+        rhat = self._forward(r)
         rhat *= self._root
         rhat.flat[0] = 0.0
         norm2 = float(np.vdot(rhat, rhat).real)
+        if limit is not None and math.sqrt(norm2) <= limit:
+            return None, norm2
         rhat *= self._ratio
-        return np.fft.irfftn(rhat, s=self.grid.shape, axes=self._axes), norm2
+        return self._inverse(), norm2
 
     def solve_preconditioner_with_poisson(
         self, r: np.ndarray, a0: float, a1: float, a2: float

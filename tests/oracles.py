@@ -4,7 +4,8 @@ None of these runs on a solver path.  The dense matrices are assembled by
 index arithmetic, sharing no code with the stencil or FFT paths; the
 curvature, the step functional and the largest tail ratio are the
 closed forms that the package's claims are checked against; the recorder
-reads a functional at every iterate a solve visits.
+reads a functional at every iterate a solve visits; PlainSpectral repeats
+the spectral solves through numpy's own rfftn/irfftn.
 """
 
 import numpy as np
@@ -129,3 +130,46 @@ def record_functional(system, functional, phi0):
 
     system.directional = recorded
     return values
+
+
+class PlainSpectral:
+    """SpectralSolver's solves through plain np.fft.rfftn/irfftn.
+
+    Every transform allocates its own arrays and the factors are rebuilt on
+    every call, out of place; the floating-point operations and their order
+    are those of thinfilm.spectral, so its results must be equal to the
+    bit.  No input checks.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.axes = tuple(range(grid.dim))
+        half = grid.n // 2 + 1
+        lam_line = (4.0 / grid.h**2) * np.sin(np.pi * np.arange(grid.n) / grid.n) ** 2
+        lines = [lam_line] * (grid.dim - 1) + [lam_line[:half]]
+        self.eig = sum(np.meshgrid(*lines, indexing="ij", sparse=True))
+        self.eig.flat[0] = 1.0
+        self.weight = np.full(half, 2.0 * grid.cell_volume / grid.num_cells)
+        self.weight[0] /= 2.0
+        if grid.n % 2 == 0:
+            self.weight[-1] /= 2.0
+
+    def inv_neg_lap(self, f):
+        fhat = np.fft.rfftn(f - float(np.mean(f)), axes=self.axes) / self.eig
+        fhat.flat[0] = 0.0
+        return np.fft.irfftn(fhat, s=self.grid.shape, axes=self.axes)
+
+    def hminus1_norm(self, f):
+        fhat = np.fft.rfftn(f, axes=self.axes)
+        q = (np.square(fhat.real) + np.square(fhat.imag)) / self.eig * self.weight
+        q.flat[0] = 0.0
+        return float(np.sqrt(max(float(q.sum()), 0.0)))
+
+    def solve_preconditioner(self, r, a0, a1, a2, shift=0.0):
+        big_l = self.eig * a2 + (1.0 / self.eig) * a0 + a1
+        root = np.sqrt((1.0 / big_l) * self.weight)
+        ratio = 1.0 / ((big_l + shift) * root)
+        rhat = np.fft.rfftn(r, axes=self.axes) * root
+        rhat.flat[0] = 0.0
+        norm2 = float(np.vdot(rhat, rhat).real)
+        return np.fft.irfftn(rhat * ratio, s=self.grid.shape, axes=self.axes), norm2

@@ -89,6 +89,19 @@ class TestManufacturedSolution:
         s = ManufacturedSolution().forcing(grid, 0.5, 0.3)
         assert abs(np.mean(s)) <= 1e-12
 
+    def test_profile_is_built_once_per_grid_and_read_only(self):
+        """Every call on an equal grid gets one cached, read-only profile;
+        what sample and forcing return are fresh, writable fields."""
+        profile = ManufacturedSolution()
+        shape = profile._profile(Grid(2, 8, 1.0))
+        assert profile._profile(Grid(2, 8, 1.0)) is shape
+        assert not shape.flags.writeable
+        with pytest.raises(ValueError):
+            shape[0, 0] = 0.0
+        for field in (profile.sample(Grid(2, 8, 1.0), 0.3),
+                      profile.forcing(Grid(2, 8, 1.0), 0.5, 0.3)):
+            assert field.flags.writeable and not np.shares_memory(field, shape)
+
     def test_zero_amplitude_profile_needs_no_forcing(self, monkeypatch):
         monkeypatch.setattr(experiments, "_AMPLITUDE", 0.0)
         grid = Grid(2, 8, 1.0)

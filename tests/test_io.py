@@ -528,10 +528,13 @@ class TestCliHelp:
         shown = {entry.split()[0]: entry for entry in entries}
         opts = vars(cli._build_parser().parse_args([command]))
         del opts["command"], opts["config"]
+        own = {name: "(default: " in text for name, _, _, text in cli._COMMANDS[command][2]}
         for name, default in opts.items():
             entry = shown["--" + name.replace("_", "-")]
             assert entry.split()[1] == name.upper()
-            assert entry.endswith(f"(default: {default})"), entry
+            # exactly one default: the help text's own, or else the stored one
+            assert entry.count("(default: ") == 1, entry
+            assert own[name] or entry.endswith(f"(default: {default})"), entry
 
 
 class TestCliErrors:

@@ -342,8 +342,8 @@ def quadratic_problem(grid, solver, coeffs, seed):
         u = u - np.mean(u)
         return a0 * solver.inv_neg_lap(u) + a1 * u - a2 * lap(grid, u)
 
-    def precondition(r):
-        return solver.solve_preconditioner(r, a0, a1, a2)
+    def precondition(r, limit=None):
+        return solver.solve_preconditioner(r, a0, a1, a2, limit=limit)
 
     system = step_system(
         grid,
@@ -402,8 +402,8 @@ class TestPsdSolveBarrier:
         rng = np.random.default_rng(7)
         self.phi0 = rng.uniform(0.4, 1.6, self.grid.shape)
 
-    def precondition(self, r):
-        return self.solver.solve_preconditioner(r, *self.L0, self.SHIFT)
+    def precondition(self, r, limit=None):
+        return self.solver.solve_preconditioner(r, *self.L0, self.SHIFT, limit)
 
     def apply_l(self, d):
         return 0.1 * self.solver.inv_neg_lap(d) + (8.0 + self.SHIFT) * d
@@ -547,10 +547,10 @@ class TestPsdSolveBarrier:
         # The CG direction must not be combined in place while it is still
         # the preconditioner's output, which here is the solver's own rp.
         phi_same, trace_same = psd_solve(
-            self.system(lambda r: (r, inner(self.grid, r, r))), self.phi0, CFG
+            self.system(lambda r, limit: (r, inner(self.grid, r, r))), self.phi0, CFG
         )
         phi_copy, trace_copy = psd_solve(
-            self.system(lambda r: (r.copy(), inner(self.grid, r, r))), self.phi0, CFG
+            self.system(lambda r, limit: (r.copy(), inner(self.grid, r, r))), self.phi0, CFG
         )
         assert trace_same.iterations >= 3
         assert trace_same.residual_norms == trace_copy.residual_norms

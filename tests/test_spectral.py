@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_neg_lap_matrix, dense_preconditioner_matrix
+from oracles import PlainSpectral, dense_neg_lap_matrix, dense_preconditioner_matrix
 from thinfilm import (
     Grid,
     InvalidCoefficientsError,
@@ -274,6 +274,65 @@ class TestFusedPoissonSolve:
             norm_inf(psi), 1e-300
         )
         assert abs(float(np.mean(psi))) <= 1e-14
+
+
+class TestOwnedBuffer:
+    """Every transform runs in one buffer the solver owns; the results are
+    those of plain rfftn/irfftn to the bit, and always fresh arrays."""
+
+    @pytest.mark.parametrize(
+        "dim, n", [(1, 16), (1, 7), (2, 128), (2, 33), (3, 48), (3, 5)]
+    )
+    def test_bit_identical_to_plain_transforms(self, dim, n):
+        grid = Grid(dim, n, 1.3)
+        solver, plain = SpectralSolver(grid), PlainSpectral(grid)
+        # The factors of the last coefficients are cached: alternate them.
+        cases = [(10.0, 1.0, 0.04, 0.0), (1500.0, 2.2528, 0.0104, 3.5),
+                 (0.5, 0.8, 1.0, -0.8), (10.0, 1.0, 0.04, 0.0)]
+        for k, coeffs in enumerate(cases):
+            f = random_mean_zero(grid, 70 + k)
+            with_mean = f + 1e-12 * norm_inf(f)  # below the mean tolerance
+            assert np.array_equal(solver.inv_neg_lap(with_mean), plain.inv_neg_lap(with_mean))
+            assert solver.hminus1_norm(f) == plain.hminus1_norm(f)
+            d, norm2 = solver.solve_preconditioner(f, *coeffs)
+            d_plain, norm2_plain = plain.solve_preconditioner(f, *coeffs)
+            assert np.array_equal(d, d_plain)
+            assert norm2 == norm2_plain
+            # a limit the stop norm does not meet changes nothing
+            limited = solver.solve_preconditioner(f, *coeffs, limit=0.5 * math.sqrt(norm2))
+            assert np.array_equal(limited[0], d_plain) and limited[1] == norm2_plain
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_results_share_no_memory(self, dim):
+        grid = Grid(dim, 6, 1.3)
+        solver = SpectralSolver(grid)
+        first = solver.inv_neg_lap(random_mean_zero(grid, 81))
+        kept = first.copy()
+        second, _ = solver.solve_preconditioner(random_mean_zero(grid, 82), 3.0, 1.0, 0.2)
+        third = solver.inv_neg_lap(random_mean_zero(grid, 83))
+        results = (first, second, third)
+        for i, a in enumerate(results):
+            assert not np.shares_memory(a, solver._hat)
+            for b in results[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_limit_drops_the_solution_exactly_at_the_stop(self, dim):
+        grid = Grid(dim, 7, 1.3)
+        solver = SpectralSolver(grid)
+        coeffs = (10.0, 1.0, 0.04, 2.0)
+        r = random_mean_zero(grid, 84)
+        d, norm2 = solver.solve_preconditioner(r, *coeffs)
+        stop = math.sqrt(norm2)
+        assert solver.solve_preconditioner(r, *coeffs, limit=stop) == (None, norm2)
+        below = solver.solve_preconditioner(r, *coeffs, limit=math.nextafter(stop, 0.0))
+        assert np.array_equal(below[0], d) and below[1] == norm2
+        # without a limit even a zero residual gets its (zero) solution
+        zero = np.zeros(grid.shape)
+        d0, norm0 = solver.solve_preconditioner(zero, *coeffs)
+        assert norm0 == 0.0 and np.array_equal(d0, zero)
+        assert solver.solve_preconditioner(zero, *coeffs, limit=0.0) == (None, 0.0)
 
 
 class TestZeroModeHandling:
