@@ -131,7 +131,7 @@ def modified_energy(
     # the cancellation so the H^-1 solve accepts near-stationary steps.
     return (
         energy
-        + solver.hminus1_norm(diff - np.mean(diff)) ** 2 / (4.0 * dt)
+        + solver.hminus1_norm(diff - diff.sum() / diff.size) ** 2 / (4.0 * dt)
         + (4.0 / 3.0) * a0 * norm_2(solver.grid, diff) ** 2
     )
 

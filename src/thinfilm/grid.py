@@ -14,6 +14,11 @@ difference (D_d u)_i = (u_{i+1} - u_i) / h along each direction, which
 carries the gradient energy.  On a periodic grid the two are linked by
 summation by parts, -<u, lap u> = grad_norm_2(u)^2.  Inner products
 carry the uniform quadrature weight h^dim.
+
+Both stencils reach the periodic neighbours through slices of the field
+(the interior shift plus the one wrapped layer), never through shifted
+copies, and add them in the order of the np.roll formulas
+(tests/oracles.py), so their bits are those formulas'.
 """
 
 from __future__ import annotations
@@ -81,14 +86,21 @@ class Grid:
 
 
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Periodic 2*dim+1 point Laplacian."""
+    """Periodic 2*dim+1 point Laplacian
+    (-2 dim u + sum over axes of u[i+1] + u[i-1]) / h^2."""
     grid.validate_field(u)
     h2 = grid.h * grid.h
-    out = -2.0 * grid.dim * u.astype(float, copy=True)
+    out = np.multiply(u, -2.0 * grid.dim, dtype=float)
     for ax in range(u.ndim):
-        out += np.roll(u, -1, axis=ax)
-        out += np.roll(u, 1, axis=ax)
-    return out / h2
+        # Views with axis ax first: out[i] += u[i + 1], then
+        # out[i] += u[i - 1], periodically.
+        o, v = out.swapaxes(0, ax), u.swapaxes(0, ax)
+        o[:-1] += v[1:]
+        o[-1:] += v[:1]
+        o[1:] += v[:-1]
+        o[:1] += v[-1:]
+    out /= h2
+    return out
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
@@ -111,12 +123,18 @@ def norm_2(grid: Grid, u: np.ndarray) -> float:
 
 def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     """l^2 norm sqrt(h^dim sum_d sum_i (D_d u)_i^2) of the forward-difference
-    gradient, one pass per direction."""
+    gradient, one pass per direction, each squared in place in one
+    scratch field."""
     grid.validate_field(u)
     h = grid.h
+    delta = np.empty(u.shape)
     acc = 0.0
     for d in range(grid.dim):
         ax = grid.axis_of(d)
-        delta = (np.roll(u, -1, axis=ax) - u) / h
-        acc += float(np.sum(delta * delta))
+        dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
+        np.subtract(v[1:], v[:-1], out=dv[:-1])
+        np.subtract(v[:1], v[-1:], out=dv[-1:])
+        delta /= h
+        delta *= delta
+        acc += float(delta.sum())
     return float(np.sqrt(grid.cell_volume * acc))

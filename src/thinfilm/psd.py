@@ -227,10 +227,11 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     returns the full residual field and is called once, at phi_init;
     system.precondition(rp, limit) returns (Lc^{-1} rp, <L0^{-1} rp, rp>)
     for a mean-zero field rp, with Lc the preconditioner and L0 the fixed
-    metric of the stop.  The solve passes limit = cfg.tol, the bound of its
-    own stop sqrt(<L0^{-1} rp, rp>) <= tol, and the system may return None
-    for Lc^{-1} rp exactly when that stop holds: the accepting iteration
-    never reads it, so a spectral solve skips its inverse transform.
+    metric of the stop; Lc^{-1} rp may be rp itself.  The solve passes
+    limit = cfg.tol, the bound of its own stop sqrt(<L0^{-1} rp, rp>) <=
+    tol, and the system may return None for Lc^{-1} rp exactly when that
+    stop holds: the accepting iteration never reads it, so a spectral
+    solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
@@ -272,8 +273,12 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             return phi, trace
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
-        # would otherwise accumulate over very long runs.
-        p -= p.sum() / p.size
+        # would otherwise accumulate over very long runs.  Out of place
+        # when p is rp (or a view of it), which is still read below.
+        if np.may_share_memory(p, rp):
+            p = p - p.sum() / p.size
+        else:
+            p -= p.sum() / p.size
         res2 = max(inner(grid, p, rp), 0.0)
 
         # Polak-Ribiere+: beta is clipped at zero, and a direction that is
@@ -290,10 +295,9 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             if not slope > 0.0:
                 trace.restarts += 1
         if not slope > 0.0:
-            # d is combined in place from here on, and p may be the
-            # preconditioner's input rp or an array it shares; rp itself is
-            # this iteration's own array and is done with once beta is
-            # taken from it as rp_prev.
+            # d is combined in place from here on, and p may be an array
+            # the preconditioner keeps; rp itself is this iteration's own
+            # array and is done with once beta is taken from it as rp_prev.
             d, s, slope = p.copy(), rp, res2
         rp_prev, res2_prev = rp, res2
 

@@ -104,7 +104,7 @@ def _start_mean(grid: Grid, phi0: np.ndarray) -> float:
     """Mean beta0 of finite, strictly positive start data (a +inf makes it inf)."""
     grid.validate_field(phi0)
     check_positive(phi0, "start data")
-    beta0 = float(np.mean(phi0))
+    beta0 = float(phi0.sum() / phi0.size)
     if not math.isfinite(beta0):
         raise NonPositiveFieldError(f"start data must be finite, mean = {beta0}")
     return beta0
@@ -225,7 +225,7 @@ class StepSystem:
         # rounding on the scale of phi, not of the increment: finish the
         # cancellation before the solve.
         lifted = np.subtract(self.weight * phi, self.history, out=self._work)
-        lifted -= np.mean(lifted)
+        lifted -= lifted.sum() / lifted.size
         affine -= self.solver.inv_neg_lap(lifted) / self.dt
         affine += self.constant
         self._pass(phi)
@@ -316,7 +316,7 @@ class _SchemeBase:
         """The source minus its mean; a nan mean or an infinite scale fails
         the test, so only a finite source with a rounding-level mean passes."""
         self.grid.validate_field(forcing)
-        m = float(np.mean(forcing))
+        m = float(forcing.sum() / forcing.size)
         if not abs(m) <= _FORCING_MEAN_TOL * max(1.0, norm_inf(forcing)) < math.inf:
             raise NonZeroMeanError(
                 f"source field must be finite and mean-zero, got mean {m:.3e}"
@@ -331,8 +331,8 @@ class _SchemeBase:
         # Consistency is judged per step (a broken solve shifts the mean far
         # beyond rounding in a single update); the cumulative drift against
         # the conserved mean is reported for monitoring.
-        new_mean = float(np.mean(phi_new))
-        step_drift = abs(new_mean - float(np.mean(state.phi)))
+        new_mean = float(phi_new.sum() / phi_new.size)
+        step_drift = abs(new_mean - float(state.phi.sum() / state.phi.size))
         if step_drift > _STEP_MASS_TOL * max(1.0, abs(state.beta0)):
             raise SolverDivergedError(
                 f"mass drifted by {step_drift:.3e} in one step; solve is inconsistent",

@@ -18,10 +18,13 @@ The H^-1 norm and the preconditioner's metric are both Parseval sums over
 the rfftn half spectrum with one weight w_k = 2 h^dim / N (N cells), halved
 at the last-axis modes 0 and n/2, which stand for no conjugate pair.
 
-Every transform runs in one half-spectrum buffer that the solver owns: the
-forward transform writes into it, and the inverse runs its complex axes in
-place there before one last-axis irfft into a fresh real array.  The axes
-and their order are those of numpy's rfftn/irfftn, so the bits are too.
+Every transform runs in one half-spectrum buffer that the solver owns, as
+one numpy call per axis without the n-D wrappers' set-up: the forward
+transform is an rfft along the last axis into the buffer, then an in-place
+fft along each leading axis from the last to the first; the inverse is an
+in-place ifft along each leading axis from the first to the last, then one
+last-axis irfft into a fresh real array.  These are the calls of numpy's
+rfftn/irfftn in their order, so the bits are theirs too.
 Every returned field is a fresh array that shares no memory with the
 buffer or with an earlier result; a solver is therefore not re-entrant.
 """
@@ -64,10 +67,6 @@ class SpectralSolver:
         self._weight[0] /= 2.0
         if grid.n % 2 == 0:
             self._weight[-1] /= 2.0
-        self._axes = tuple(range(grid.dim))
-        # irfftn transforms the leading axes in increasing order; ifftn goes
-        # through its axes backwards.
-        self._leading_reversed = self._axes[-2::-1]
         self._hat = np.empty(self._eig_safe.shape, dtype=complex)
         # Half-spectrum factors of the last preconditioner solve's
         # (a0, a1, a2, shift): _root = sqrt(w / L), w the Parseval weight,
@@ -80,7 +79,7 @@ class SpectralSolver:
         """Check the shape, finiteness and mean of a solver input; returns the
         mean.  A nan entry makes the mean nan, an infinite one the tolerance."""
         self.grid.validate_field(f)
-        m = float(np.mean(f))
+        m = float(f.sum() / f.size)
         tol = _MEAN_TOL * norm_inf(f) * self.grid.volume
         if not abs(m) <= tol < np.inf:
             raise NonZeroMeanError(
@@ -90,13 +89,17 @@ class SpectralSolver:
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         """rfftn of f into the owned buffer, which it returns."""
-        return np.fft.rfftn(f, axes=self._axes, out=self._hat)
+        hat = self._hat
+        np.fft.rfft(f, axis=-1, out=hat)
+        for ax in range(self.grid.dim - 2, -1, -1):
+            np.fft.fft(hat, axis=ax, out=hat)
+        return hat
 
     def _inverse(self) -> np.ndarray:
         """irfftn of the owned buffer, which it overwrites, as a fresh array."""
         hat = self._hat
-        if self.grid.dim > 1:
-            np.fft.ifftn(hat, axes=self._leading_reversed, out=hat)
+        for ax in range(self.grid.dim - 1):
+            np.fft.ifft(hat, axis=ax, out=hat)
         return np.fft.irfft(hat, n=self.grid.n, axis=-1)
 
     def inv_neg_lap(self, f: np.ndarray) -> np.ndarray:

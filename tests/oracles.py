@@ -5,7 +5,10 @@ index arithmetic, sharing no code with the stencil or FFT paths; the
 curvature, the step functional and the largest tail ratio are the
 closed forms that the package's claims are checked against; the recorder
 reads a functional at every iterate a solve visits; PlainSpectral repeats
-the spectral solves through numpy's own rfftn/irfftn.
+the spectral solves through numpy's own rfftn/irfftn; roll_lap and
+roll_grad_norm_2 are the stencils as shifted copies by np.roll, whose
+floating-point operations and their order the package's slice stencils
+keep.
 """
 
 import numpy as np
@@ -62,6 +65,26 @@ def dense_preconditioner_matrix(grid, a0, a1, a2):
     neg_lap = dense_neg_lap_matrix(grid)
     eye = np.eye(grid.num_cells)
     return a0 * np.linalg.pinv(neg_lap) + a1 * eye + a2 * neg_lap
+
+
+def roll_lap(grid, u):
+    """(-2 dim u + sum over array axes of u[i+1] + u[i-1]) / h^2, the
+    neighbours added axis by axis as periodic shifts, u[i+1] first."""
+    out = -2.0 * grid.dim * u.astype(float, copy=True)
+    for axis in range(u.ndim):
+        out += np.roll(u, -1, axis=axis)
+        out += np.roll(u, 1, axis=axis)
+    return out / (grid.h * grid.h)
+
+
+def roll_grad_norm_2(grid, u):
+    """sqrt(h^dim sum_d sum_i ((u[i+1] - u[i]) / h)^2), accumulated
+    direction by direction (x first) as periodic shifts."""
+    acc = 0.0
+    for direction in range(grid.dim):
+        delta = (np.roll(u, -1, axis=grid.axis_of(direction)) - u) / grid.h
+        acc += float(np.sum(delta * delta))
+    return float(np.sqrt(grid.cell_volume * acc))
 
 
 def potential_curvature(x, a0):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_grad_matrices, dense_neg_lap_matrix
+from oracles import dense_grad_matrices, dense_neg_lap_matrix, roll_grad_norm_2, roll_lap
 from thinfilm import (
     Grid,
     discrete_energy,
@@ -140,6 +140,33 @@ class TestDifferenceOperators:
         grid = Grid(2, 16, 1.0)
         u = random_field(grid, 3)
         assert abs(np.mean(lap(grid, u))) <= 1e-12 * norm_inf(u) / grid.h**2
+
+
+STENCIL_GRIDS = [(dim, n) for dim in (1, 2, 3) for n in (2, 3, 7, 16)] + [(2, 128), (3, 48)]
+
+
+class TestRollFormula:
+    """The slice stencils give the bits of the np.roll formulas."""
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_lap_bit_identical(self, dim, n):
+        grid = Grid(dim, n, 1.3)
+        u = random_field(grid, 40 + n)
+        assert np.array_equal(lap(grid, u), roll_lap(grid, u))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lap_of_integer_field(self, dim):
+        grid = Grid(dim, 7, 1.3)
+        u = np.random.default_rng(dim).integers(-1000, 1000, grid.shape)
+        out = lap(grid, u)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, roll_lap(grid, u))
+
+    @pytest.mark.parametrize("dim, n", STENCIL_GRIDS)
+    def test_grad_norm_2_bit_identical(self, dim, n):
+        grid = Grid(dim, n, 1.3)
+        u = random_field(grid, 60 + n)
+        assert grad_norm_2(grid, u) == roll_grad_norm_2(grid, u)
 
 
 class TestInnerProductsAndNorms:

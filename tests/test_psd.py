@@ -543,20 +543,36 @@ class TestPsdSolveBarrier:
             float(np.mean(self.phi0)), abs=1e-12
         )
 
-    def test_preconditioner_may_return_its_input(self):
-        # The CG direction must not be combined in place while it is still
-        # the preconditioner's output, which here is the solver's own rp.
-        phi_same, trace_same = psd_solve(
-            self.system(lambda r, limit: (r, inner(self.grid, r, r))), self.phi0, CFG
-        )
-        phi_copy, trace_copy = psd_solve(
-            self.system(lambda r, limit: (r.copy(), inner(self.grid, r, r))), self.phi0, CFG
-        )
+    def assert_returned_input_is_left_alone(self, phi0):
+        """psd_solve with a preconditioner that returns its input rp equals
+        psd_solve with one that returns a copy, to the bit."""
+        runs = [
+            psd_solve(self.system(lambda r, limit: (wrap(r), inner(self.grid, r, r))), phi0, CFG)
+            for wrap in (lambda r: r, np.copy)
+        ]
+        (phi_same, trace_same), (phi_copy, trace_copy) = runs
         assert trace_same.iterations >= 3
         assert trace_same.residual_norms == trace_copy.residual_norms
         assert trace_same.alphas == trace_copy.alphas
         assert trace_same.line_evals == trace_copy.line_evals
         assert np.array_equal(phi_same, phi_copy)
+
+    def test_preconditioner_may_return_its_input(self):
+        # The CG direction must not be combined in place while it is still
+        # the preconditioner's output, which here is the solver's own rp.
+        self.assert_returned_input_is_left_alone(self.phi0)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_returned_input_is_not_deflated_in_place(self, n, seed):
+        # Nor may the gradient's mean be pinned in place: rp is still read
+        # for the slope and the next beta.  On draws where p's mean is not
+        # exactly zero, a deflated rp changes the iterates.
+        self.grid = Grid(2, n, 1.0)
+        self.solver = SpectralSolver(self.grid)
+        self.assert_returned_input_is_left_alone(
+            np.random.default_rng(seed).uniform(0.4, 1.6, self.grid.shape)
+        )
 
     def test_budget_exhaustion_carries_best_iterate(self):
         cfg = SolverConfig(tol=1e-15, max_iters=3)

@@ -984,15 +984,17 @@ class TestStepBehavior:
     def test_transforms_per_step(self, monkeypatch, scheme_cls, fixed):
         """An unforced step pays one forward/inverse pair per CG iteration.
 
-        A transform is counted by its one last-axis call: rfftn forward,
-        irfft at the end of an inverse.  On top of the pairs come the pair
-        of the first residual, the forward transform alone of the accepting
-        iteration's preconditioner solve (its stop norm; the solution it
-        would not read is never transformed back), and for the two-step
-        scheme the one forward transform of the modified energy's H^-1 norm.
+        A transform is counted by its one last-axis call: rfft at the start
+        of a forward transform, irfft at the end of an inverse; the fft and
+        ifft calls along the other axes are not counted.  On top of the
+        pairs come the pair of the first residual, the forward transform
+        alone of the accepting iteration's preconditioner solve (its stop
+        norm; the solution it would not read is never transformed back),
+        and for the two-step scheme the one forward transform of the
+        modified energy's H^-1 norm.
         """
         transforms = [0]
-        for name in ("rfftn", "irfft"):
+        for name in ("rfft", "irfft"):
             original = getattr(np.fft, name)
 
             def counted(*args, _original=original, **kwargs):
