@@ -126,7 +126,7 @@ def modified_energy(
     on the grid of ``solver``, with ``energy`` = F(phi_new) as the caller
     has already evaluated it, so eps enters only through ``energy``.
     """
-    diff = phi_new - phi_old
+    diff = np.subtract(phi_new, phi_old, dtype=float)
     # The increment is mean-free up to rounding on the scale of phi; finish
     # the cancellation so the H^-1 solve accepts near-stationary steps.
     return (

@@ -15,10 +15,11 @@ carries the gradient energy.  On a periodic grid the two are linked by
 summation by parts, -<u, lap u> = grad_norm_2(u)^2.  Inner products
 carry the uniform quadrature weight h^dim.
 
-Both stencils reach the periodic neighbours through slices of the field
-(the interior shift plus the one wrapped layer), never through shifted
-copies, and add them in the order of the np.roll formulas
-(tests/oracles.py), so their bits are those formulas'.
+Both stencils compute in float64 whatever the field's dtype.  They reach
+the periodic neighbours through slices of the field (the interior shift
+plus the one wrapped layer), never through shifted copies, and add them in
+the order of the np.roll formulas (tests/oracles.py), so for a float64
+field their bits are those formulas'.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     for d in range(grid.dim):
         ax = grid.axis_of(d)
         dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
-        np.subtract(v[1:], v[:-1], out=dv[:-1])
-        np.subtract(v[:1], v[-1:], out=dv[-1:])
+        np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
+        np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
         delta /= h
         delta *= delta
         acc += float(delta.sum())

@@ -260,7 +260,8 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     d = s = rp_prev = None
     res2_prev = 0.0
     for _ in range(cfg.max_iters):
-        # Means as sum / size: the same bits as np.mean without its wrapper.
+        # Means as sum / size: on these float64 fields the same bits as
+        # np.mean, without its wrapper.
         rp = r - r.sum() / r.size
         # Deflate once more: the first subtraction leaves a rounding-level
         # mean on the scale of r itself, which can dwarf a nearly converged
@@ -273,12 +274,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             return phi, trace
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
-        # would otherwise accumulate over very long runs.  Out of place
-        # when p is rp (or a view of it), which is still read below.
-        if np.may_share_memory(p, rp):
-            p = p - p.sum() / p.size
-        else:
-            p -= p.sum() / p.size
+        # would otherwise accumulate over very long runs.  Out of place, so
+        # p is this iteration's own array even when the preconditioner
+        # returned rp, which is still read below, or an array it keeps.
+        p = p - p.sum() / p.size
         res2 = max(inner(grid, p, rp), 0.0)
 
         # Polak-Ribiere+: beta is clipped at zero, and a direction that is
@@ -295,10 +294,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             if not slope > 0.0:
                 trace.restarts += 1
         if not slope > 0.0:
-            # d is combined in place from here on, and p may be an array
-            # the preconditioner keeps; rp itself is this iteration's own
-            # array and is done with once beta is taken from it as rp_prev.
-            d, s, slope = p.copy(), rp, res2
+            # d and s are combined in place from here on: p and rp are this
+            # iteration's own arrays, and rp is done with once beta is taken
+            # from it as rp_prev.
+            d, s, slope = p, rp, res2
         rp_prev, res2_prev = rp, res2
 
         evals = 0

@@ -115,10 +115,12 @@ def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
 
     Either scheme starts from it; a two-step step taken from it (as after a
     time-step-size change) degrades to first order locally without
-    disturbing the energy decay.
+    disturbing the energy decay.  Both levels are float64 copies of phi0,
+    whatever its dtype.
     """
+    phi0 = np.array(phi0, dtype=float)
     beta0 = _start_mean(grid, phi0)
-    return StepState(phi0.copy(), phi0.copy(), t, beta0, 0)
+    return StepState(phi0, phi0.copy(), t, beta0, 0)
 
 
 # Kept only because perfbench/workloads.py calls this name; package code
@@ -314,8 +316,10 @@ class _SchemeBase:
 
     def _mean_free_source(self, forcing: np.ndarray) -> np.ndarray:
         """The source minus its mean; a nan mean or an infinite scale fails
-        the test, so only a finite source with a rounding-level mean passes."""
+        the test, so only a finite source with a rounding-level mean passes.
+        The source is taken in float64 whatever its dtype."""
         self.grid.validate_field(forcing)
+        forcing = np.asarray(forcing, dtype=float)
         m = float(forcing.sum() / forcing.size)
         if not abs(m) <= _FORCING_MEAN_TOL * max(1.0, norm_inf(forcing)) < math.inf:
             raise NonZeroMeanError(
@@ -448,10 +452,12 @@ class Bdf2Scheme(_SchemeBase):
         phi_prev = phi0 - dt (lap(mu(phi0)) + S0), S0 the mean-adjusted source.
 
         dt, phi0 and the source are checked by the rules of step and
-        restart_state.  PositivityLostError when phi_prev is not strictly
-        positive: shrink dt or fall back to restart_state.
+        restart_state, and phi0 is taken in float64 as there.
+        PositivityLostError when phi_prev is not strictly positive: shrink
+        dt or fall back to restart_state.
         """
         check_positive_finite("dt", dt, InvalidCoefficientsError)
+        phi0 = np.asarray(phi0, dtype=float)
         beta0 = _start_mean(self.grid, phi0)
         rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
         if forcing is not None:

@@ -77,8 +77,10 @@ class SpectralSolver:
 
     def _check_mean(self, f: np.ndarray) -> float:
         """Check the shape, finiteness and mean of a solver input; returns the
-        mean.  A nan entry makes the mean nan, an infinite one the tolerance."""
+        mean, summed in float64 whatever the dtype of f.  A nan entry makes
+        the mean nan, an infinite one the tolerance."""
         self.grid.validate_field(f)
+        f = np.asarray(f, dtype=float)
         m = float(f.sum() / f.size)
         tol = _MEAN_TOL * norm_inf(f) * self.grid.volume
         if not abs(m) <= tol < np.inf:

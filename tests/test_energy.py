@@ -315,6 +315,17 @@ class TestModifiedEnergy:
                                   discrete_energy(grid, new, params.eps))
             assert got == pytest.approx(expected, rel=1e-9), length
 
+    def test_float32_levels_taken_in_float64(self):
+        grid = Grid(2, 12, 1.0)
+        solver = SpectralSolver(grid)
+        new = positive_field(grid, 46).astype(np.float32)
+        old = (new + 0.01 * np.random.default_rng(47).standard_normal(grid.shape)).astype(
+            np.float32
+        )
+        got = modified_energy(solver, new, old, a0_star(), 0.01, 1.0)
+        want = modified_energy(solver, new.astype(float), old.astype(float), a0_star(), 0.01, 1.0)
+        assert got == want
+
     def test_hminus1_term_matches_hminus1_inner(self):
         grid = Grid(2, 12, 1.0)
         solver = SpectralSolver(grid)

@@ -168,6 +168,14 @@ class TestRollFormula:
         u = random_field(grid, 60 + n)
         assert grad_norm_2(grid, u) == roll_grad_norm_2(grid, u)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_other_dtypes_computed_in_float64(self, dim, dtype):
+        grid = Grid(dim, 7, 1.3)
+        u = (100.0 * random_field(grid, 80 + dim)).astype(dtype)
+        assert np.array_equal(lap(grid, u), lap(grid, u.astype(float)))
+        assert grad_norm_2(grid, u) == grad_norm_2(grid, u.astype(float))
+
 
 class TestInnerProductsAndNorms:
     def test_inner_matches_fsum_oracle(self):

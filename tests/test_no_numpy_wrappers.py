@@ -4,7 +4,7 @@ An ast scan of ``src/thinfilm``: no ``roll``, no ``mean`` and no n-D FFT
 wrapper (``rfftn``, ``irfftn``, ``fftn``, ``ifftn`` and their 2D forms) is
 referenced, as an attribute or imported by name from numpy.  Each costs
 Python-level set-up per call that dominates on small grids, and each has a
-replacement with the same bits: slices added in the roll formula's order,
+replacement with the same bits on float64 fields: slices added in the roll formula's order,
 ``x.sum() / x.size``, and one rfft/fft/ifft/irfft call per axis in the
 n-D wrapper's axis order.
 """

@@ -707,6 +707,25 @@ class TestStatesAndHistory:
         assert np.array_equal(state.phi, state.phi_prev)
         assert state.phi is not state.phi_prev
 
+    def test_float16_start_data_summed_in_float64(self):
+        """110592 float16 ones sum past float16's largest value, 65504."""
+        grid = Grid(3, 48, 6.4)
+        state = restart_state(grid, np.ones(grid.shape, np.float16))
+        assert state.beta0 == 1.0
+        assert state.phi.dtype == state.phi_prev.dtype == np.float64
+
+    def test_cold_start_takes_other_dtypes_in_float64(self):
+        grid = Grid(2, 16, 3.2)
+        scheme = Bdf2Scheme(grid, PhysParams(eps=0.1))
+        phi0 = smooth_field(grid).astype(np.float32)
+        source = np.random.default_rng(43).integers(-5, 6, grid.shape)
+        source.flat[0] -= source.sum()
+        got = scheme.cold_start(phi0, 1e-3, source)
+        want = scheme.cold_start(phi0.astype(float), 1e-3, source.astype(float))
+        assert np.array_equal(got.phi, want.phi)
+        assert np.array_equal(got.phi_prev, want.phi_prev)
+        assert got.beta0 == want.beta0
+
     def test_initial_data_must_be_positive(self):
         grid = Grid(1, 4, 1.0)
         with pytest.raises(NonPositiveFieldError):

@@ -276,6 +276,19 @@ class TestFusedPoissonSolve:
         assert abs(float(np.mean(psi))) <= 1e-14
 
 
+class TestInputDtypes:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+    def test_same_results_as_float64_input(self, dtype):
+        """Half +2 and half -2 along the first axis: exact in every dtype,
+        with a float16 sum of either half past float16's largest value."""
+        grid = Grid(3, 48, 6.4)
+        f = np.full(grid.shape, 2, dtype=dtype)
+        f[24:] = -2
+        solver = SpectralSolver(grid)
+        assert np.array_equal(solver.inv_neg_lap(f), solver.inv_neg_lap(f.astype(float)))
+        assert solver.hminus1_norm(f) == solver.hminus1_norm(f.astype(float))
+
+
 class TestOwnedBuffer:
     """Every transform runs in one buffer the solver owns; the results are
     those of plain rfftn/irfftn to the bit, and always fresh arrays."""
