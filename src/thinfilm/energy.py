@@ -82,9 +82,19 @@ def _recip_powers_3_9(phi: np.ndarray):
 def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
     """Total discrete free energy F(phi)."""
     check_positive(phi)
-    inv2, inv8 = _recip_powers_2_8(phi)
-    bulk = grid.cell_volume * float(np.sum(inv8 / 3.0 - (4.0 / 3.0) * inv2))
-    return bulk + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
+    # inv8 / 3 - (4/3) inv2 in two fields, in place, by the operations of
+    # _recip_powers_2_8 in their order, so to the same bits.
+    inv2 = 1.0 / phi
+    inv2 *= inv2
+    bulk = inv2 * inv2
+    bulk *= bulk
+    bulk /= 3.0
+    inv2 *= 4.0 / 3.0
+    bulk -= inv2
+    return (
+        grid.cell_volume * float(bulk.sum())
+        + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
+    )
 
 
 def splitting_first_order(grid: Grid, phi: np.ndarray, eps: float):
@@ -92,10 +102,10 @@ def splitting_first_order(grid: Grid, phi: np.ndarray, eps: float):
     check_positive(phi)
     inv2, inv8 = _recip_powers_2_8(phi)
     fc = (
-        grid.cell_volume * float(np.sum(inv8)) / 3.0
+        grid.cell_volume * float(inv8.sum()) / 3.0
         + 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
     )
-    fe = (4.0 / 3.0) * grid.cell_volume * float(np.sum(inv2))
+    fe = (4.0 / 3.0) * grid.cell_volume * float(inv2.sum())
     return fc, fe
 
 

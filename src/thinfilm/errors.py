@@ -99,6 +99,6 @@ def check_count(name: str, value, low: int) -> None:
 
 def check_positive(phi: np.ndarray, what: str = "field") -> None:
     """Raise NonPositiveFieldError unless every entry of phi is > 0."""
-    if not np.all(phi > 0.0):
-        bad = float(np.min(phi))
+    if not (phi > 0.0).all():
+        bad = float(phi.min())
         raise NonPositiveFieldError(f"{what} must be strictly positive, min = {bad}")

@@ -108,7 +108,7 @@ def _loglog_fit(x, y, what: str):
         raise InsufficientDataError(f"need 3 distinct {what} to fit, got {distinct}")
     # nan fails every comparison, so require the good range rather than
     # refuse the bad one.
-    if not np.all((x > 0.0) & (x < math.inf) & (y > 0.0) & (y < math.inf)):
+    if not ((x > 0.0) & (x < math.inf) & (y > 0.0) & (y < math.inf)).all():
         raise NonPositiveValueError(
             f"{what} and their values must be finite and positive for a log-log fit"
         )
@@ -369,7 +369,7 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
             energy=discrete_energy(grid, phi0, config.eps),
             modified_energy=math.nan,
             mass=float(phi0.sum() / phi0.size),
-            min_phi=float(np.min(phi0)),
+            min_phi=float(phi0.min()),
             psd_iters=0,
             residual=math.nan,
         )

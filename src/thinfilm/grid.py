@@ -25,6 +25,7 @@ field their bits are those formulas'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,11 @@ from .errors import ConfigError, check_count, check_positive_finite
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic box (0, length)^dim with n cells per direction."""
+    """Uniform periodic box (0, length)^dim with n cells per direction.
+
+    The derived constants are computed once per instance and cached; they
+    take no part in equality or the hash, which see the three fields only.
+    """
 
     dim: int
     n: int
@@ -46,23 +51,23 @@ class Grid:
         check_count("n", self.n, 2)
         check_positive_finite("length", self.length)
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.length / self.n
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return self.n**self.dim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.h**self.dim
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return self.length**self.dim
 

@@ -8,7 +8,7 @@ update (Nocedal-Wright, Numerical Optimization, ch. 5).  One iteration:
     residual   r   = residual(phi)             (zero at the solution)
     gradient   p   = Lc^{-1} (r - mean r)      (Lc the preconditioner)
     direction  d   = p + beta d_prev,  beta = max(0, <p, rp - rp_prev> / res_prev^2)
-    step       phi <- phi + alpha d
+    step       phi <- phi + alpha d            (formed by the step system)
 
 with rp = r - mean r and res^2 = <p, rp>, inner products taken on the
 grid that the step system carries.  The direction falls back to p
@@ -43,7 +43,9 @@ convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): a search ends at the
 first trial with |g(alpha)| <= _WOLFE_TOL |g(0)|, a strong-Wolfe curvature
 condition with sigma = 1e-6.  Every search ends at a trial that g
 evaluated, so a step system can carry that trial's pointwise pass into the
-next residual instead of repeating it.
+next residual instead of repeating it, and that trial's point phi + alpha d
+into the next iterate: the step system owns the field a trial writes its
+point into, and hands it over, as the new iterate, with the residual there.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def barrier_alpha(phi: np.ndarray, d: np.ndarray, safety: float) -> float:
     Returns safety * min(-phi_i / d_i) over entries with d_i < 0, or +inf
     when no entry decreases, computed in one pass as -1 / min(d / phi).
     """
-    m = float(np.min(d / phi))
+    m = float((d / phi).min())
     return safety * (-1.0 / m) if m < 0.0 else math.inf
 
 
@@ -236,10 +238,13 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     that the system handed out last, a direction d and its image s = Lc d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
     g(alpha) = -<r(phi + alpha d), d> and its derivative, and
-    residual_at(alpha) = r(phi + alpha d) carries the residual to the next
-    iteration.  residual_at is called right after the search, with no other
-    g call in between, and every search ends at a trial g evaluated, so it
-    may reuse the work of a trial at the same alpha.  g(0) seeds the search
+    residual_at(alpha) returns the pair (phi_new, r(phi_new)) for
+    phi_new = phi + alpha d, formed as fl(phi + fl(alpha d)); the solve
+    takes phi_new as its next iterate and owns it from then on, so it must
+    be an array that the system never writes to again.  residual_at is
+    called right after the search, with no other g call in between, and
+    every search ends at a trial g evaluated, so it may reuse the work and
+    the point of a trial at the same alpha.  g(0) seeds the search
     with its slope and is not counted as a line evaluation; step systems
     answer it from the state they carry at phi.  Its value is replaced by
     -<d, rp> from the deflated residual: the undeflated inner product
@@ -313,8 +318,7 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
         alpha = line_search(g, barrier, (-slope, slope0))
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
-        phi = phi + alpha * d
-        r = residual_at(alpha)
+        phi, r = residual_at(alpha)
         trace.alphas.append(alpha)
         trace.line_evals.append(evals)
         trace.capped += alpha == _step_cap(barrier)
@@ -324,7 +328,7 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
         f"CG residual {trace.residual_norms[-1]:.3e} above tol {cfg.tol:.1e} "
         f"after {cfg.max_iters} iterations; mean tail contraction "
         f"{'n/a' if rate is None else format(rate, '.4f')} per iteration, "
-        f"best iterate min phi {float(np.min(phi)):.3e}",
+        f"best iterate min phi {float(phi.min()):.3e}",
         phi=phi,
         trace=trace,
     )

@@ -25,8 +25,10 @@ functional on the fixed-mean slice and solved by preconditioned nonlinear
 CG (PR+); iterates stay strictly positive through the line-search barrier,
 so the singular potential is never evaluated at a non-positive height.  An
 optional source field S (mean-zero) turns the mass balance into
-d phi / dt = lap(mu) + S; its lifted contribution (-lap)^{-1}(S - mean S)
-enters the residual additively and is assembled once per step.
+d phi / dt = lap(mu) + S.  It enters through the history: a step system
+takes history + dt (S - mean S), so the one inverse Laplacian of the
+step's first residual, (-lap)^{-1}(weight phi - history) / dt, lifts the
+source together with the time difference, at no transform of its own.
 
 restart_state (either scheme) and Bdf2Scheme.cold_start refuse start data
 that is not finite and strictly positive; cold_start and step share one
@@ -136,7 +138,9 @@ class StepSystem:
 
     the bracketed term present when ``concave`` (the phi^-3 term taken
     implicitly), on the grid of ``solver``, which the system carries as
-    ``grid``.  r is the negative gradient, on the fixed-mean slice, of
+    ``grid``.  A source S, when the step has one, is part of ``history``
+    (as + dt S), so its lift shares the inverse Laplacian of the first
+    residual.  r is the negative gradient, on the fixed-mean slice, of
     the strictly convex step functional
 
         J(phi) = ||weight phi - history||_{-1}^2 / (2 weight dt)
@@ -163,14 +167,19 @@ class StepSystem:
     one the system handed out.  It returns (g, residual_at).  g(alpha) returns the
     pair (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
     g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
-    two dots per trial alpha.  g(0) costs two dots and no pass while the
-    pass that produced r is still held: its slope comes from the curvature
-    -B' of that pass.  residual_at(alpha) = r(phi + alpha d) costs one pass,
-    unless the last pass of the step was this direction's trial at the same
-    alpha: the line search ends at a trial it evaluated, as a rule its last,
-    and that pass is then reused, to the same bits.  Both agree with the
-    naive evaluation through ``residual`` to rounding error whenever s = Lc d
-    to rounding error.
+    two dots per trial alpha.  A trial forms its point phi + alpha d, as
+    fl(phi + fl(alpha d)), in a point field that the system owns.  g(0)
+    costs two dots and no pass while the pass that produced r is still
+    held: its slope comes from the curvature -B' of that pass.
+    residual_at(alpha) returns the pair (phi + alpha d, r(phi + alpha d))
+    and costs one pass, unless the last pass of the step was this
+    direction's trial at the same alpha: the line search ends at a trial it
+    evaluated, as a rule its last, and that pass and that point are then
+    reused, to the same bits.  The point field is handed over with the pair,
+    to be the caller's new iterate, and the system takes a fresh one for its
+    next trial; it never writes to a point it has handed over.  g and
+    residual_at agree with the naive evaluation through ``residual`` to
+    rounding error whenever s = Lc d to rounding error.
     """
 
     def __init__(self, solver: SpectralSolver, dt: float, *,
@@ -184,8 +193,10 @@ class StepSystem:
         # Scratch fields of the pointwise pass, shared by every residual and
         # line trial of the step.  After a pass, bulk holds B(x) and curv
         # holds the curvature -B'(x) / curv_scale, both at the point x of
-        # that pass; work is free.
-        self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
+        # that pass; work is free.  point holds the last line trial's point.
+        self._work, self._bulk, self._curv, self._point = (
+            np.empty(self.grid.shape) for _ in range(4)
+        )
         self._curv_scale = 8.0 if concave else 24.0
         # The last residual handed out and its affine part K phi + c, which
         # the line closures take instead of re-deriving it as r - B(phi): the
@@ -198,7 +209,7 @@ class StepSystem:
         self._held = self._held_alpha = None
 
     def _pass(self, x: np.ndarray) -> None:
-        """Fill bulk and curv at x; x may be work itself."""
+        """Fill bulk and curv at x, which is not one of the scratch fields."""
         work, bulk, curv = self._work, self._bulk, self._curv
         np.divide(1.0, x, out=work)
         np.multiply(work, work, out=bulk)
@@ -266,11 +277,12 @@ class StepSystem:
         s1 = inner(grid, kd, d)
 
         def trial(alpha: float) -> None:
-            np.multiply(d, alpha, out=work)
-            np.add(work, phi, out=work)
-            if not work.min() > 0.0:
+            point = self._point
+            np.multiply(d, alpha, out=point)
+            np.add(point, phi, out=point)
+            if not point.min() > 0.0:
                 raise NonPositiveFieldError("line trial point is not strictly positive")
-            self._pass(work)
+            self._pass(point)
             # kd is new with every direction, so a pass is never reused
             # along another one.
             self._held, self._held_alpha = kd, alpha
@@ -285,16 +297,18 @@ class StepSystem:
             np.multiply(curv, d, out=work)
             return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
-        def residual_at(alpha: float) -> np.ndarray:
-            # The scratch fields still hold the pass at phi + alpha d when
-            # the last pass was this direction's trial at alpha.
+        def residual_at(alpha: float) -> tuple:
+            # The scratch and point fields still hold the pass and the point
+            # phi + alpha d when the last pass was this direction's trial
+            # at alpha.
             if not (self._held is kd and self._held_alpha == alpha):
                 trial(alpha)
             moved = affine + alpha * kd
             out = bulk + moved
             self._r = out
             self._affine = self._held = moved
-            return out
+            point, self._point = self._point, np.empty(grid.shape)
+            return point, out
 
         return g, residual_at
 
@@ -327,9 +341,16 @@ class _SchemeBase:
             )
         return forcing - m
 
+    def _with_source(self, history: np.ndarray, dt: float,
+                     forcing: Optional[np.ndarray]) -> np.ndarray:
+        """history + dt (S - mean S), or history itself without a source."""
+        if forcing is None:
+            return history
+        return history + dt * self._mean_free_source(forcing)
+
     def _finish_step(self, state: StepState, phi_new: np.ndarray, trace,
                      system: StepSystem) -> tuple:
-        min_phi = float(np.min(phi_new))
+        min_phi = float(phi_new.min())
         if not min_phi > 0.0:
             raise PositivityLostError(f"step produced min phi = {min_phi}")
         # Consistency is judged per step (a broken solve shifts the mean far
@@ -386,12 +407,10 @@ class FirstOrderScheme(_SchemeBase):
         check_positive(phi_old, "previous state")
         inv_old = 1.0 / phi_old
         constant = -(8.0 / 3.0) * (inv_old * inv_old * inv_old)
-        if forcing is not None:
-            constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
         return StepSystem(
             self.solver, dt, concave=False, linear=0.0,
-            stiffness=self.params.eps**2, weight=1.0, history=phi_old,
-            constant=constant,
+            stiffness=self.params.eps**2, weight=1.0,
+            history=self._with_source(phi_old, dt, forcing), constant=constant,
         )
 
     def step(
@@ -437,12 +456,11 @@ class Bdf2Scheme(_SchemeBase):
         phi_hat = 2.0 * phi_old - phi_older
         # Terms independent of the iterate, assembled once per step.
         constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
-        if forcing is not None:
-            constant += self.solver.inv_neg_lap(self._mean_free_source(forcing))
+        history = self._with_source(2.0 * phi_old - 0.5 * phi_older, dt, forcing)
         return StepSystem(
             self.solver, dt, concave=True, linear=linear,
             stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
-            history=2.0 * phi_old - 0.5 * phi_older, constant=constant,
+            history=history, constant=constant,
         )
 
     def cold_start(
@@ -463,7 +481,7 @@ class Bdf2Scheme(_SchemeBase):
         if forcing is not None:
             rate = rate + self._mean_free_source(forcing)
         phi_prev = phi0 - dt * rate
-        if not np.all(phi_prev > 0.0):
+        if not (phi_prev > 0.0).all():
             raise PositivityLostError(
                 "synthesized history lost positivity; reduce dt or use restart_state"
             )

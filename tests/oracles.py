@@ -3,8 +3,9 @@
 None of these runs on a solver path.  The dense matrices are assembled by
 index arithmetic, sharing no code with the stencil or FFT paths; the
 curvature, the step functional and the largest tail ratio are the
-closed forms that the package's claims are checked against; the recorder
-reads a functional at every iterate a solve visits; PlainSpectral repeats
+closed forms that the package's claims are checked against; the recorders
+see every iterate a solve visits; source_in_constant assembles a forced
+step with its source lifted by a solve of its own; PlainSpectral repeats
 the spectral solves through numpy's own rfftn/irfftn; roll_lap and
 roll_grad_norm_2 are the stencils as shifted copies by np.roll, whose
 floating-point operations and their order the package's slice stencils
@@ -134,25 +135,44 @@ def tail_contraction(trace):
     return max(ratios) if ratios else None
 
 
-def record_functional(system, functional, phi0):
-    """Wrap system.directional so that every residual_at also records the
-    functional at the new iterate; returns the record, which starts with
-    the value at phi0."""
-    values = [float(functional(phi0))]
+def record_steps(system, record):
+    """Wrap system.directional so that every residual_at also calls
+    record(phi, d, alpha, phi_new, r) with its iterate, direction and step
+    and the pair (phi_new, r) it returns, before the solve sees the pair."""
     directional = system.directional
 
     def recorded(phi, direction, r_phi):
         g, residual_at = directional(phi, direction, r_phi)
 
         def at(alpha):
-            r = residual_at(alpha)
-            values.append(float(functional(phi + alpha * direction[0])))
-            return r
+            phi_new, r = residual_at(alpha)
+            record(phi, direction[0], alpha, phi_new, r)
+            return phi_new, r
 
         return g, at
 
     system.directional = recorded
+
+
+def record_functional(system, functional, phi0):
+    """Record the functional at phi0 and at every new iterate of a solve
+    (record_steps); returns the record."""
+    values = [float(functional(phi0))]
+    record_steps(
+        system, lambda phi, d, alpha, phi_new, r: values.append(float(functional(phi_new)))
+    )
     return values
+
+
+def source_in_constant(scheme, levels, dt, forcing):
+    """The unforced step system of ``scheme`` on the time levels ``levels``
+    (phi_old, and phi_older for the two-step scheme) with the lifted source
+    (-lap)^{-1}(S - mean S) added to its constant: a transform pair of its
+    own, where the package folds dt (S - mean S) into the history."""
+    system = scheme.step_system_from(*levels, dt)
+    source = forcing - np.mean(forcing)
+    system.constant = system.constant + scheme.solver.inv_neg_lap(source)
+    return system
 
 
 class PlainSpectral:

@@ -2,11 +2,15 @@
 
 An ast scan of ``src/thinfilm``: no ``roll``, no ``mean`` and no n-D FFT
 wrapper (``rfftn``, ``irfftn``, ``fftn``, ``ifftn`` and their 2D forms) is
-referenced, as an attribute or imported by name from numpy.  Each costs
-Python-level set-up per call that dominates on small grids, and each has a
-replacement with the same bits on float64 fields: slices added in the roll formula's order,
-``x.sum() / x.size``, and one rfft/fft/ifft/irfft call per axis in the
-n-D wrapper's axis order.
+referenced, as an attribute or imported by name from numpy, and no
+module-level reduction ``min``, ``max``, ``sum`` or ``all`` is referenced
+as an attribute of ``np`` or ``numpy`` or imported by name from numpy.
+Each costs Python-level set-up per call that dominates on small grids, and
+each has a replacement with the same bits on float64 fields: slices added
+in the roll formula's order, ``x.sum() / x.size``, one
+rfft/fft/ifft/irfft call per axis in the n-D wrapper's axis order, and the
+array methods ``x.min()``, ``x.max()``, ``x.sum()`` and ``x.all()``, which
+stay legal.
 """
 
 import ast
@@ -20,18 +24,27 @@ WRAPPERS = {
     "roll", "mean",
     "rfftn", "irfftn", "fftn", "ifftn", "rfft2", "irfft2", "fft2", "ifft2",
 }
+# Flagged only as attributes of the numpy module itself: the array methods
+# of the same names are the replacement.
+REDUCTIONS = {"min", "max", "sum", "all"}
+NUMPY_NAMES = {"np", "numpy"}
 
 
 def wrapper_uses(source):
-    """``name (line n)`` for each reference to a wrapper."""
+    """``name (line n)`` for each reference to a wrapper or a module-level
+    reduction."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in WRAPPERS:
+        if isinstance(node, ast.Attribute) and (
+            node.attr in WRAPPERS
+            or node.attr in REDUCTIONS
+            and isinstance(node.value, ast.Name) and node.value.id in NUMPY_NAMES
+        ):
             found.append(f"{node.attr} (line {node.lineno})")
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             found += [
                 f"{alias.name} (line {node.lineno})"
-                for alias in node.names if alias.name in WRAPPERS
+                for alias in node.names if alias.name in WRAPPERS | REDUCTIONS
             ]
     return sorted(found)
 
@@ -65,4 +78,26 @@ def test_scan_flags_planted_wrappers():
         "rfftn (line 8)",
         "roll (line 3)",
         "roll (line 6)",
+    ]
+
+
+def test_scan_flags_module_reductions_only():
+    source = (
+        "import numpy as np\n"
+        "from numpy import sum as total, maximum\n"
+        "\n"
+        "def f(u, grid, trace):\n"
+        "    a = np.min(u) + numpy.max(u)\n"
+        "    if np.all(u > 0.0):\n"
+        "        return np.sum(u)\n"
+        "    ok = u.min() + u.max() + u.sum() + (u > 0.0).all() + maximum(u, 0)\n"
+        "    ok += grid.min + trace.max() + np.minimum(u, 1).sum() + np.fft.rfft(u).sum()\n"
+        "    return min(1, 2) + max(ok, 0) + sum([1]) + all([ok])\n"
+    )
+    assert wrapper_uses(source) == [
+        "all (line 6)",
+        "max (line 5)",
+        "min (line 5)",
+        "sum (line 2)",
+        "sum (line 7)",
     ]

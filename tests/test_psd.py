@@ -317,7 +317,8 @@ def step_system(grid, residual, hessian, precondition, image_of):
             return -inner(grid, residual(x), d), inner(grid, hessian(x, d), d)
 
         def residual_at(alpha):
-            return residual(phi + alpha * d)
+            x = phi + alpha * d
+            return x, residual(x)
 
         return g, residual_at
 
@@ -459,9 +460,9 @@ class TestPsdSolveBarrier:
             g, residual_at = exact(phi, direction, r_phi)
 
             def recorded(alpha):
-                r = residual_at(alpha)
+                phi_new, r = residual_at(alpha)
                 records.append(r)
-                return r
+                return phi_new, r
 
             return g, recorded
 
@@ -499,7 +500,11 @@ class TestPsdSolveBarrier:
                 curvature = (2.0 * x**-3 + 4.0) * d
                 return -inner(self.grid, r, d), inner(self.grid, curvature, d)
 
-            return g, lambda alpha: moved(alpha)[0]
+            def residual_at(alpha):
+                r, x = moved(alpha)
+                return x, r
+
+            return g, residual_at
 
         fast = SimpleNamespace(
             grid=self.grid,

@@ -17,6 +17,8 @@ from oracles import (
     dense_neg_lap_matrix,
     dense_preconditioner_matrix,
     potential_curvature,
+    record_steps,
+    source_in_constant,
     step_functional,
     tail_contraction,
 )
@@ -236,9 +238,9 @@ class TestDirectionalFactory:
             naive_g = -inner(grid, r_trial, d)
             scale = max(1.0, abs(naive_g))
             assert abs(g(alpha)[0] - naive_g) <= 1e-10 * scale
-            assert norm_inf(residual_at(alpha) - r_trial) <= 1e-10 * max(
-                1.0, norm_inf(r_trial)
-            )
+            phi_new, r_new = residual_at(alpha)
+            assert np.array_equal(phi_new, phi + alpha * d)
+            assert norm_inf(r_new - r_trial) <= 1e-10 * max(1.0, norm_inf(r_trial))
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_matches_naive_evaluations(self, setup, which):
@@ -351,8 +353,7 @@ class TestDirectionalFactory:
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, residual_at = system.directional(phi0, (p0, rp0), r0)
         alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), g0(0.0))
-        phi1 = phi0 + alpha0 * p0
-        r1 = residual_at(alpha0)
+        phi1, r1 = residual_at(alpha0)
         d = np.random.default_rng(82).standard_normal(grid.shape)
         d -= np.mean(d)
         image = self.dense_image(grid, system, d)
@@ -410,7 +411,9 @@ class TestDirectionalFactory:
         _, fresh_system = self.make_system(setup, which, phi_old, dt)
         r_fresh = fresh_system.residual(phi)
         fresh = fresh_system.directional(phi, (d, rp), r_fresh)[1](alpha)
-        assert np.array_equal(got, fresh)
+        for got_field, fresh_field in zip(got, fresh):
+            assert np.array_equal(got_field, fresh_field)
+        assert np.array_equal(got[0], phi + alpha * d)
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_pass_never_reused_along_another_direction(self, setup, which):
@@ -429,7 +432,8 @@ class TestDirectionalFactory:
         d *= 0.5
         image = 0.5 * rp
         _, residual_at = system.directional(phi, (d, image), r)
-        got = residual_at(alpha)
+        phi_new, got = residual_at(alpha)
+        assert np.array_equal(phi_new, phi + alpha * d)
         naive = system.residual(phi + alpha * d)
         assert norm_inf(got - naive) <= 1e-10 * max(1.0, norm_inf(naive))
 
@@ -652,8 +656,9 @@ class TestFixedMetricStop:
             g, residual_at = exact(phi, direction, r_phi)
 
             def recorded(alpha):
-                carried.append(residual_at(alpha))
-                return carried[-1]
+                phi_new, r = residual_at(alpha)
+                carried.append(r)
+                return phi_new, r
 
             return g, recorded
 
@@ -960,6 +965,52 @@ class TestStepBehavior:
         state2, report2 = bdf2.step(state2, 0.01, forcing)
         assert report2.mass_drift <= 1e-11
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_forced_step_matches_source_in_constant(self, scheme_cls, dim):
+        """A forced step, its source folded into the history, against the
+        same step with the lifted source added to the constant instead."""
+        grid = Grid(dim, 16 if dim == 2 else 8, 1.0)
+        scheme = scheme_cls(grid, PhysParams(eps=0.2))
+        forcing = 20.0 * mean_zero_forcing(grid, 64 + dim)
+        dt = 0.01
+        state = restart_state(grid, positive_field(grid, 62 + dim, 0.8, 1.2))
+        state, _ = scheme.step(state, dt)  # two distinct time levels
+        new_state, _ = scheme.step(state, dt, forcing)
+
+        levels = (state.phi,) if scheme_cls is FirstOrderScheme else (state.phi, state.phi_prev)
+        system = source_in_constant(scheme, levels, dt, forcing)
+        expected, _ = psd_solve(system, scheme._warm_start(state), scheme.psd_config)
+        assert norm_inf(new_state.phi - expected) <= 1e-12 * norm_inf(expected)
+        # the source moved the step well beyond that agreement
+        unforced, _ = scheme.step(state, dt)
+        assert norm_inf(new_state.phi - unforced.phi) >= 1e-4 * norm_inf(expected)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_iterates_are_the_handed_over_points(self, setup, which):
+        """Each iterate of psd_solve is the point residual_at handed over,
+        which equals phi + alpha * d to the bit, and the solve returns the
+        last of them."""
+        grid, _, fo, bdf2 = setup
+        phi_old = positive_field(grid, 66)
+        if which == "fo":
+            system = fo.step_system_from(phi_old, 0.05)
+        else:
+            system = bdf2.step_system_from(phi_old, positive_field(grid, 67), 0.05)
+        start = positive_field(grid, 68)
+        points = []
+
+        def record(phi, d, alpha, phi_new, r):
+            assert phi is (points[-1] if points else phi)
+            assert np.array_equal(phi_new, phi + alpha * d)
+            points.append(phi_new)
+
+        record_steps(system, record)
+        phi, trace = psd_solve(system, start, fo.psd_config)
+        assert len(points) == trace.iterations >= 2
+        assert phi is points[-1]
+        assert len({id(point) for point in points}) == len(points)
+
     def test_exhausted_budget_reports_the_failed_solve(self, setup):
         grid, params, _, _ = setup
         short = FirstOrderScheme(grid, params, psd_config=SolverConfig(max_iters=2))
@@ -999,6 +1050,27 @@ class TestStepBehavior:
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
         assert report.restarts == trace.restarts
 
+    @staticmethod
+    def assert_transforms_per_step(monkeypatch, scheme_cls, fixed, forced):
+        transforms = [0]
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                transforms[0] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        forcing = mean_zero_forcing(grid, 61) if forced else None
+        for _ in range(3):
+            before = transforms[0]
+            state, report = scheme.step(state, 0.01, forcing)
+            assert report.psd_iters >= 2
+            assert transforms[0] - before == 2 * report.psd_iters + fixed
+
     @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 3), (Bdf2Scheme, 4)])
     def test_transforms_per_step(self, monkeypatch, scheme_cls, fixed):
         """An unforced step pays one forward/inverse pair per CG iteration.
@@ -1012,23 +1084,13 @@ class TestStepBehavior:
         and for the two-step scheme the one forward transform of the
         modified energy's H^-1 norm.
         """
-        transforms = [0]
-        for name in ("rfft", "irfft"):
-            original = getattr(np.fft, name)
+        self.assert_transforms_per_step(monkeypatch, scheme_cls, fixed, forced=False)
 
-            def counted(*args, _original=original, **kwargs):
-                transforms[0] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        grid = Grid(2, 32, 3.2)
-        scheme = scheme_cls(grid, PhysParams(eps=0.1))
-        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
-        for _ in range(3):
-            before = transforms[0]
-            state, report = scheme.step(state, 0.01)
-            assert report.psd_iters >= 2
-            assert transforms[0] - before == 2 * report.psd_iters + fixed
+    @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 3), (Bdf2Scheme, 4)])
+    def test_transforms_per_forced_step(self, monkeypatch, scheme_cls, fixed):
+        """A forced step pays what an unforced one does: its source is lifted
+        by the first residual's pair, together with the time difference."""
+        self.assert_transforms_per_step(monkeypatch, scheme_cls, fixed, forced=True)
 
     @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
     def test_pointwise_passes_per_step(self, monkeypatch, scheme_cls):

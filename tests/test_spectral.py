@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import PlainSpectral, dense_neg_lap_matrix, dense_preconditioner_matrix
+from thinfilm import spectral as spectral_module
 from thinfilm import (
     Grid,
     InvalidCoefficientsError,
@@ -378,6 +379,67 @@ class TestZeroModeHandling:
         f.flat[3] = bad
         with pytest.raises(NonZeroMeanError, match="finite"):
             call(SpectralSolver(grid), f)
+
+    # On Grid(1, 8, 2.0): the mean bound with |f[0]| = 1 = max|f|, and the
+    # full bound with max|f| = 4 where |f[0]| = 0.5.
+    HEAD_BOUND = 1e-10 * 1.0 * 2.0
+    FULL_BOUND = 1e-10 * 4.0 * 2.0
+
+    @pytest.mark.parametrize("head, big, mean, bad, settled", [
+        (0.0, 1.0, 0.0, None, True),
+        (0.0, 1.0, 1e-12, None, False),
+        (1e-300, 1.0, 1e-12, None, False),
+        (1.0, 1.0, 0.0, (5, math.inf), False),
+        (1.0, 1.0, 0.0, (5, -math.inf), False),
+        (1.0, 1.0, 0.0, (5, math.nan), False),
+        (1.0, 1.0, 0.0, (0, math.inf), False),
+        (1.0, 1.0, 0.0, (0, math.nan), False),
+        (1.0, 0.5, HEAD_BOUND, None, True),
+        (1.0, 0.5, math.nextafter(HEAD_BOUND, math.inf), None, False),
+        (1.0, 0.5, -math.nextafter(HEAD_BOUND, math.inf), None, False),
+        (0.5, 4.0, FULL_BOUND, None, False),
+        (0.5, 4.0, math.nextafter(FULL_BOUND, math.inf), None, False),
+        (0.5, 4.0, -math.nextafter(FULL_BOUND, math.inf), None, False),
+    ], ids=[
+        "f0 zero, mean zero", "f0 zero, mean inside", "f0 tiny, mean inside",
+        "inf away", "-inf away", "nan away", "inf at f0", "nan at f0",
+        "f0 bound", "f0 bound + 1 ulp", "-(f0 bound + 1 ulp)",
+        "full bound", "full bound + 1 ulp", "-(full bound + 1 ulp)",
+    ])
+    def test_first_entry_bound_keeps_every_verdict(
+        self, monkeypatch, head, big, mean, bad, settled
+    ):
+        """The bound with |f[0]| settles a field only where the full test
+        with max|f| passes it, and max|f| is then not taken; every other
+        field gets the full test's verdict and message."""
+        grid = Grid(1, 8, 2.0)
+        # Every pair cancels exactly, so the mean is ``mean`` to the bit.
+        f = np.array([head, -head, big, -big, 0.0, 0.0, 0.0, 8.0 * mean])
+        assert float(f.sum() / f.size) == mean
+        if bad is not None:
+            f[bad[0]] = bad[1]
+        m = float(f.sum() / f.size)
+        tol = 1e-10 * norm_inf(f) * grid.volume
+        passes = abs(m) <= tol < math.inf
+
+        full_tests = []
+
+        def counted_norm_inf(u):
+            full_tests.append(u)
+            return norm_inf(u)
+
+        monkeypatch.setattr(spectral_module, "norm_inf", counted_norm_inf)
+        solver = SpectralSolver(grid)
+        if passes:
+            assert solver._check_mean(f) == m
+        else:
+            with pytest.raises(NonZeroMeanError) as excinfo:
+                solver._check_mean(f)
+            assert str(excinfo.value) == (
+                f"field not finite or its mean {m:.3e} above tolerance {tol:.3e}"
+            )
+        assert len(full_tests) == (0 if settled else 1)
+        assert passes or not settled
 
     def test_tolerates_and_removes_roundoff_mean(self):
         grid = Grid(2, 8, 1.0)
