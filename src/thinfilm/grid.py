@@ -8,12 +8,13 @@ Array convention: a cell field is an ndarray of shape (n,)*dim in C order
 with the x index varying fastest, i.e. physical axis d corresponds to array
 axis dim-1-d.
 
-The schemes need two operators: the standard 2*dim+1 point Laplacian
-:func:`lap`, and the l^2 norm :func:`grad_norm_2` of the forward
-difference (D_d u)_i = (u_{i+1} - u_i) / h along each direction, which
-carries the gradient energy.  On a periodic grid the two are linked by
-summation by parts, -<u, lap u> = grad_norm_2(u)^2.  Inner products
-carry the uniform quadrature weight h^dim.
+Two stencil operators: the standard 2*dim+1 point Laplacian :func:`lap`,
+and the l^2 norm :func:`grad_norm_2` of the forward difference
+(D_d u)_i = (u_{i+1} - u_i) / h along each direction, which defines the
+gradient energy.  On a periodic grid the two are linked by summation by
+parts, -<u, lap u> = grad_norm_2(u)^2, and the schemes evaluate the
+energy through the left-hand side.  Inner products carry the uniform
+quadrature weight h^dim.
 
 Both stencils compute in float64 whatever the field's dtype.  They reach
 the periodic neighbours through slices of the field (the interior shift

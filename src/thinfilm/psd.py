@@ -237,20 +237,21 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
     and returns (g, residual_at): g(alpha) is the pair (g, g') of
-    g(alpha) = -<r(phi + alpha d), d> and its derivative, and
+    g(alpha) = -<r(phi + alpha d), d> and its derivative at a trial
+    alpha > 0, g.seed_slope is g'(0), and
     residual_at(alpha) returns the pair (phi_new, r(phi_new)) for
     phi_new = phi + alpha d, formed as fl(phi + fl(alpha d)); the solve
     takes phi_new as its next iterate and owns it from then on, so it must
     be an array that the system never writes to again.  residual_at is
     called right after the search, with no other g call in between, and
     every search ends at a trial g evaluated, so it may reuse the work and
-    the point of a trial at the same alpha.  g(0) seeds the search
-    with its slope and is not counted as a line evaluation; step systems
-    answer it from the state they carry at phi.  Its value is replaced by
-    -<d, rp> from the deflated residual: the undeflated inner product
-    carries rounding of order mean(r) sum(d), large near the barrier.  g and
-    residual_at must agree with the naive evaluations through
-    system.residual to rounding error.
+    the point of a trial at the same alpha.  The search is seeded with
+    g(0) = -<d, rp> from the deflated residual, which the solve has (the
+    undeflated inner product carries rounding of order mean(r) sum(d),
+    large near the barrier), and with g.seed_slope, which step systems read
+    from the state they carry at phi; g is never called at 0.  g,
+    g.seed_slope and residual_at must agree with the naive evaluations
+    through system.residual to rounding error.
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when
@@ -307,7 +308,6 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
 
         evals = 0
         g_inner, residual_at = system.directional(phi, (d, s), r)
-        slope0 = g_inner(0.0)[1]
 
         def g(alpha: float) -> tuple:
             nonlocal evals
@@ -315,7 +315,7 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             return g_inner(alpha)
 
         barrier = barrier_alpha(phi, d, _ALPHA_SAFETY)
-        alpha = line_search(g, barrier, (-slope, slope0))
+        alpha = line_search(g, barrier, (-slope, g_inner.seed_slope))
         if not (alpha > 0.0):
             raise BarrierCollapseError(f"line search returned alpha = {alpha}")
         phi, r = residual_at(alpha)

@@ -68,7 +68,11 @@ class StepState:
     """Trajectory point: current field, previous field, time bookkeeping.
 
     beta0 is the conserved volume average fixed by the initial data; every
-    produced state must match it to relative 1e-10.
+    produced state must match it to relative 1e-10.  lap_phi is lap(phi) on
+    the scheme's grid, or None: a step carries the Laplacian its energy
+    took, and the next two-step assembly reads it as lap(phi_old) instead
+    of computing it again.  restart_state and cold_start leave it None;
+    a caller that changes phi must drop it too.
     """
 
     phi: np.ndarray
@@ -76,6 +80,7 @@ class StepState:
     t: float
     beta0: float
     step_index: int
+    lap_phi: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -166,11 +171,13 @@ class StepSystem:
     costs no transform, and the residual r at phi, which must be the last
     one the system handed out.  It returns (g, residual_at).  g(alpha) returns the
     pair (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
-    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d>: one pointwise pass and
-    two dots per trial alpha.  A trial forms its point phi + alpha d, as
-    fl(phi + fl(alpha d)), in a point field that the system owns.  g(0)
-    costs two dots and no pass while the pass that produced r is still
-    held: its slope comes from the curvature -B' of that pass.
+    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> for a trial alpha > 0:
+    one pointwise pass and two dots.  A trial forms its point phi + alpha d, as
+    fl(phi + fl(alpha d)), in a point field that the system owns.  The
+    seed slope g'(0) comes with g, as g.seed_slope, from the curvature -B'
+    of the pass that produced r, at no pass while the system still holds
+    it (as it does whenever psd_solve asks); the value g(0) = -<r, d> is
+    the caller's.
     residual_at(alpha) returns the pair (phi + alpha d, r(phi + alpha d))
     and costs one pass, unless the last pass of the step was this
     direction's trial at the same alpha: the line search ends at a trial it
@@ -287,15 +294,16 @@ class StepSystem:
             # along another one.
             self._held, self._held_alpha = kd, alpha
 
-        def g(alpha: float) -> tuple:
-            # At alpha = 0 the pass of the residual at phi, when still held,
-            # serves: g(0) then costs two dots and no pass.
-            if not (alpha == 0.0 and self._held is affine):
-                trial(alpha)
-            value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
-            # g' = <-B' d, d> - <K d, d>, with d^2 never stored
+        def slope() -> float:
+            # g' = <-B' d, d> - <K d, d> at the point of the held pass, with
+            # d^2 never stored
             np.multiply(curv, d, out=work)
-            return value, curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
+            return curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
+
+        def g(alpha: float) -> tuple:
+            trial(alpha)
+            value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
+            return value, slope()
 
         def residual_at(alpha: float) -> tuple:
             # The scratch and point fields still hold the pass and the point
@@ -310,6 +318,11 @@ class StepSystem:
             point, self._point = self._point, np.empty(grid.shape)
             return point, out
 
+        if self._held is not affine:
+            # A trial since the residual at phi overwrote its pass.
+            self._pass(phi)
+            self._held = affine
+        g.seed_slope = slope()
         return g, residual_at
 
 
@@ -364,10 +377,13 @@ class _SchemeBase:
                 phi_new, trace,
             )
         drift = abs(new_mean - state.beta0)
+        lap_new = lap(self.grid, phi_new)
         report = StepReport(
             psd_iters=trace.iterations,
             final_residual=trace.residual_norms[-1],
-            energy=_energy.discrete_energy(self.grid, phi_new, self.params.eps),
+            energy=_energy._energy_with_lap(
+                self.grid, phi_new, lap_new, self.params.eps
+            ),
             modified_energy=math.nan,
             min_phi=min_phi,
             mass_drift=drift,
@@ -382,6 +398,7 @@ class _SchemeBase:
             t=state.t + system.dt,
             beta0=state.beta0,
             step_index=state.step_index + 1,
+            lap_phi=lap_new,
         )
         return new_state, report
 
@@ -447,16 +464,22 @@ class Bdf2Scheme(_SchemeBase):
         phi_older: np.ndarray,
         dt: float,
         forcing: Optional[np.ndarray] = None,
+        *,
+        lap_old: Optional[np.ndarray] = None,
     ) -> StepSystem:
+        """The step's system; lap_old is lap(phi_old) when the caller has
+        it (a state's lap_phi), and is computed otherwise."""
         check_positive_finite("dt", dt, InvalidCoefficientsError)
         p = self.params
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
+        if lap_old is None:
+            lap_old = lap(self.grid, phi_old)
         linear = (8.0 / 3.0) * p.a0
-        phi_hat = 2.0 * phi_old - phi_older
+        two_old = 2.0 * phi_old
         # Terms independent of the iterate, assembled once per step.
-        constant = linear * phi_hat - p.a_stab * dt * lap(self.grid, phi_old)
-        history = self._with_source(2.0 * phi_old - 0.5 * phi_older, dt, forcing)
+        constant = linear * (two_old - phi_older) - p.a_stab * dt * lap_old
+        history = self._with_source(two_old - 0.5 * phi_older, dt, forcing)
         return StepSystem(
             self.solver, dt, concave=True, linear=linear,
             stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
@@ -491,7 +514,9 @@ class Bdf2Scheme(_SchemeBase):
         self, state: StepState, dt: float, forcing: Optional[np.ndarray] = None
     ) -> tuple:
         """Advance one step; returns (new_state, report)."""
-        system = self.step_system_from(state.phi, state.phi_prev, dt, forcing)
+        system = self.step_system_from(
+            state.phi, state.phi_prev, dt, forcing, lap_old=state.lap_phi
+        )
         phi_new, trace = psd_solve(system, self._warm_start(state), self.psd_config)
         new_state, report = self._finish_step(state, phi_new, trace, system)
         # Reuse the report's F(phi_new) rather than evaluating it again.

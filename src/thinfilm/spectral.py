@@ -68,12 +68,11 @@ class SpectralSolver:
         if grid.n % 2 == 0:
             self._weight[-1] /= 2.0
         self._hat = np.empty(self._eig_safe.shape, dtype=complex)
-        # Half-spectrum factors of the last preconditioner solve's
-        # (a0, a1, a2, shift): _root = sqrt(w / L), w the Parseval weight,
-        # and _ratio = 1 / ((L + shift) _root).  A step's solves all share
-        # one key, so its first solve rebuilds them, in place.
-        self._solve_key = None
-        self._root = self._ratio = None
+        # Preconditioner tables (see solve_preconditioner): _big_l = L and
+        # _root = sqrt(w / L), w the Parseval weight, for _l_key =
+        # (a0, a1, a2), and _ratio = 1 / ((L + shift) _root) for _shift.
+        self._l_key = self._shift = None
+        self._big_l = self._root = self._ratio = None
 
     def _check_mean(self, f: np.ndarray) -> float:
         """Check the shape, finiteness and mean of a solver input; returns the
@@ -158,6 +157,11 @@ class SpectralSolver:
         unshifted L, read off the same forward transform.  With a ``limit``,
         d is None when sqrt(norm2) <= limit, and the inverse transform is
         not paid for; without one, d is always solved for.
+
+        The half-spectrum tables of L and sqrt(w / L) are kept for the last
+        (a0, a1, a2), so a run at one dt builds them once; the table of
+        1 / ((L + shift) sqrt(w / L)) is kept for the last shift and rebuilt
+        from them when the shift changes, as every step's does.
         """
         if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
             raise InvalidCoefficientsError(
@@ -165,28 +169,29 @@ class SpectralSolver:
                 f"got ({a0}, {a1}, {a2}) and shift {shift}"
             )
         self._check_mean(r)
-        key = (a0, a1, a2, shift)
-        if self._solve_key != key:
-            # Rebuilt every step, so in place and without temporaries, into
-            # buffers allocated by the first solve: other allocation orders
-            # raised the peak memory of a 48^3 run by up to 2 MB.
-            if self._root is None:
-                self._root = np.empty(self._eig_safe.shape)
-                self._ratio = np.empty(self._eig_safe.shape)
-            eig, root, ratio = self._eig_safe, self._root, self._ratio
-            # ratio = L
-            np.multiply(eig, a2, out=ratio)
+        big_l, root, ratio = self._big_l, self._root, self._ratio
+        if self._l_key != (a0, a1, a2):
+            # In place and without temporaries, into tables allocated by the
+            # first solve: other allocation orders raised the peak memory of
+            # a 48^3 run by up to 2 MB.
+            if big_l is None:
+                big_l, root, ratio = (np.empty(self._eig_safe.shape) for _ in range(3))
+                self._big_l, self._root, self._ratio = big_l, root, ratio
+            eig = self._eig_safe
+            np.multiply(eig, a2, out=big_l)
             np.reciprocal(eig, out=root)
             root *= a0
-            ratio += root
-            ratio += a1
-            np.reciprocal(ratio, out=root)
+            big_l += root
+            big_l += a1
+            np.reciprocal(big_l, out=root)
             root *= self._weight
             np.sqrt(root, out=root)
-            ratio += shift
+            self._l_key, self._shift = (a0, a1, a2), None
+        if self._shift != shift:
+            np.add(big_l, shift, out=ratio)
             ratio *= root
             np.reciprocal(ratio, out=ratio)
-            self._solve_key = key
+            self._shift = shift
         # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the
         # mean of r only reaches mode 0, which is dropped.
         rhat = self._forward(r)

@@ -9,12 +9,17 @@ step with its source lifted by a solve of its own; PlainSpectral repeats
 the spectral solves through numpy's own rfftn/irfftn; roll_lap and
 roll_grad_norm_2 are the stencils as shifted copies by np.roll, whose
 floating-point operations and their order the package's slice stencils
-keep.
+keep; grad_form_energy takes the energy's gradient term as a norm of
+forward differences, and two_laplacian_forcing the manufactured source as
+the Laplacian of the full chemical potential, where the package reads
+both off the stencil Laplacian.
 """
+
+import math
 
 import numpy as np
 
-from thinfilm import check_positive, grad_norm_2, inner
+from thinfilm import check_positive, grad_norm_2, inner, lap, mu_exact
 
 
 def _neighbours(grid, axis, step):
@@ -86,6 +91,24 @@ def roll_grad_norm_2(grid, u):
         delta = (np.roll(u, -1, axis=grid.axis_of(direction)) - u) / grid.h
         acc += float(np.sum(delta * delta))
     return float(np.sqrt(grid.cell_volume * acc))
+
+
+def grad_form_energy(grid, phi, eps):
+    """F(phi) = <U(phi), 1> + (eps^2 / 2) grad_norm_2(phi)^2."""
+    inv2 = 1.0 / phi**2
+    bulk = inv2**4 / 3.0 - (4.0 / 3.0) * inv2
+    gradient = 0.5 * eps**2 * grad_norm_2(grid, phi) ** 2
+    return grid.cell_volume * float(bulk.sum()) + gradient
+
+
+def two_laplacian_forcing(profile, grid, eps, t):
+    """The manufactured source dPhi/dt - lap(mu_exact(Phi)) on the unit
+    square, Phi = 1 + sin(2 pi x) cos(2 pi y) cos(t) / (2 pi) as sampled
+    by ``profile``: two Laplacians, one of them inside mu_exact."""
+    x, y = grid.coordinates()
+    shape = np.sin(2.0 * math.pi * x) * np.cos(2.0 * math.pi * y) / (2.0 * math.pi)
+    mu = mu_exact(grid, profile.sample(grid, t), eps)
+    return shape * -math.sin(t) - lap(grid, mu)
 
 
 def potential_curvature(x, a0):

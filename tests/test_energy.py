@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_neg_lap_matrix, potential_curvature
+from oracles import dense_neg_lap_matrix, grad_form_energy, potential_curvature
 from thinfilm import (
     Grid,
     NonPositiveFieldError,
@@ -165,6 +165,17 @@ class TestDiscreteEnergy:
         gradsq = grid.cell_volume * math.fsum(sq)
         expected = bulk + 0.5 * eps**2 * gradsq
         assert discrete_energy(grid, phi, eps) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 12)])
+    def test_summation_by_parts_matches_gradient_form(self, dim, n):
+        """The gradient term -(eps^2/2) <phi, lap phi> agrees with
+        (eps^2/2) grad_norm_2(phi)^2, the form it replaced, to rounding."""
+        grid = Grid(dim, n, 1.7)
+        phi = positive_field(grid, 12 + dim)
+        for eps in (0.02, 0.5):
+            assert discrete_energy(grid, phi, eps) == pytest.approx(
+                grad_form_energy(grid, phi, eps), rel=1e-13
+            )
 
     def test_gradient_term_scales_with_eps(self):
         grid = Grid(1, 8, 1.0)

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_neg_lap_matrix
+from oracles import dense_neg_lap_matrix, two_laplacian_forcing
 from thinfilm import (
     Bdf2Scheme,
     CoarseningConfig,
@@ -30,7 +30,6 @@ from thinfilm import (
     UnfinishedError,
     fit_power_law,
     lap,
-    mu_exact,
     norm_inf,
     random_initial_data,
     run_coarsening,
@@ -77,12 +76,45 @@ class TestManufacturedSolution:
         assert err <= 1e-7  # difference-quotient floor
         assert err / max(np.max(np.abs(got)), 1.0) <= 1e-10
         # the forcing is assembled from the profile's own pieces, to the bit:
-        # dPhi/dt in the profile's operation order, then -lap(mu)
+        # the shape times dPhi/dt's factor and the closed-form -eps^2 lap lap
+        # factor, then -lap of the bulk potential
         x, y = grid.coordinates()
         two_pi = 2.0 * math.pi
         shape = (1.0 / two_pi) * np.sin(two_pi * x) * np.cos(two_pi * y)
-        assembled = shape * -math.sin(t) - lap(grid, mu_exact(grid, phi, eps))
+        lam = (8.0 / (grid.h * grid.h)) * math.sin(math.pi * grid.h) ** 2
+        inv = 1.0 / phi
+        inv3 = inv * inv * inv
+        bulk = -(8.0 / 3.0) * (inv3 * inv3 * inv3 - inv3)
+        factor = -math.sin(t) + eps**2 * lam**2 * math.cos(t)
+        assembled = shape * factor - lap(grid, bulk)
         assert np.array_equal(got, assembled)
+
+    @pytest.mark.parametrize("n", [8, 32, 96])
+    def test_profile_shape_is_a_stencil_eigenfunction(self, n):
+        """lap_h P = -lam P with lam = (8 / h^2) sin^2(pi h), the identity
+        that gives the forcing its closed-form bilaplacian term, to the
+        rounding of the stencil: a few ulps of P times its weight 8 / h^2."""
+        grid = Grid(2, n, 1.0)
+        x, y = grid.coordinates()
+        shape = np.sin(2.0 * math.pi * x) * np.cos(2.0 * math.pi * y)
+        lam = (8.0 / grid.h**2) * math.sin(math.pi * grid.h) ** 2
+        err = norm_inf(lap(grid, shape) + lam * shape)
+        assert err <= 4.0 * np.finfo(float).eps * (8.0 / grid.h**2) * norm_inf(shape)
+
+    @pytest.mark.parametrize("n", [8, 32, 96])
+    def test_forcing_matches_two_laplacian_assembly(self, n):
+        """The closed-form source against the stencil applied twice, to
+        1e-12 relative plus the rounding of the oracle's own bilaplacian:
+        a few ulps of Phi times eps^2 (8 / h^2)^2, which exceeds 1e-12
+        relative from n = 32 on."""
+        grid = Grid(2, n, 1.0)
+        profile = ManufacturedSolution()
+        for eps, t in ((0.5, 0.0), (0.5, 0.6), (0.1, 2.3)):
+            got = profile.forcing(grid, eps, t)
+            oracle = two_laplacian_forcing(profile, grid, eps, t)
+            ulps = 4.0 * np.finfo(float).eps * norm_inf(profile.sample(grid, t))
+            rounding = ulps * eps**2 * (8.0 / grid.h**2) ** 2
+            assert norm_inf(got - oracle) <= 1e-12 * norm_inf(oracle) + rounding
 
     def test_forcing_is_mean_zero(self):
         grid = Grid(2, 16, 1.0)

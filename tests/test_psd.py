@@ -303,7 +303,7 @@ def step_system(grid, residual, hessian, precondition, image_of):
     g'(alpha) = <hessian(phi + alpha d, d), d>.  The image s handed along
     with every direction d is compared with L d, image_of applying the
     preconditioner's L; the relative errors are collected in the system's
-    image_errors.
+    image_errors.  g carries its slope at 0 as g.seed_slope.
     """
     image_errors = []
 
@@ -320,6 +320,7 @@ def step_system(grid, residual, hessian, precondition, image_of):
             x = phi + alpha * d
             return x, residual(x)
 
+        g.seed_slope = inner(grid, hessian(phi, d), d)
         return g, residual_at
 
     return SimpleNamespace(
@@ -504,6 +505,7 @@ class TestPsdSolveBarrier:
                 r, x = moved(alpha)
                 return x, r
 
+            g.seed_slope = inner(self.grid, (2.0 * phi**-3 + 4.0) * d, d)
             return g, residual_at
 
         fast = SimpleNamespace(
@@ -537,6 +539,7 @@ class TestPsdSolveBarrier:
                 value, slope = g(alpha / 1.5)
                 return value, slope / 1.5
 
+            stretched.seed_slope = g.seed_slope / 1.5
             return stretched, residual_at
 
         system.directional = directional

@@ -6,8 +6,11 @@ central differences of the step functionals; the conservation, positivity,
 and dissipation guarantees are asserted over multi-step runs.
 """
 
+import dataclasses
+import functools
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -40,6 +43,7 @@ from thinfilm import (
     a0_star,
     barrier_alpha,
     discrete_energy,
+    grad_norm_2,
     initial_state,
     inner,
     lap,
@@ -232,7 +236,17 @@ class TestDirectionalFactory:
         return (mat @ d.ravel()).reshape(grid.shape)
 
     @staticmethod
+    def seed_pair(grid, g, r, d):
+        """The pair (g(0), g'(0)) that seeds a search: the value from the
+        residual at phi, the slope handed back with g."""
+        return -inner(grid, r, d), g.seed_slope
+
+    @staticmethod
     def assert_matches_naive(grid, system, phi, d, g, residual_at, alphas):
+        h = 1e-6
+        naive_0 = [-inner(grid, system.residual(phi + a * d), d) for a in (-h, h)]
+        fd = (naive_0[1] - naive_0[0]) / (2.0 * h)
+        assert g.seed_slope == pytest.approx(fd, rel=1e-6, abs=1e-8)
         for alpha in alphas:
             r_trial = system.residual(phi + alpha * d)
             naive_g = -inner(grid, r_trial, d)
@@ -251,9 +265,7 @@ class TestDirectionalFactory:
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
         g, residual_at = system.directional(phi, (d, rp), r)  # L p = rp
-        self.assert_matches_naive(
-            grid, system, phi, d, g, residual_at, (0.0, 0.01, 0.2)
-        )
+        self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.01, 0.2))
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_rejects_a_residual_it_did_not_hand_out(self, setup, which):
@@ -282,7 +294,8 @@ class TestDirectionalFactory:
         r0, rp0, p0 = self.gradient(system, phi0)
         assert abs(system.shift) > 1.0
         g0, _ = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), g0(0.0))
+        seed = self.seed_pair(grid, g0, r0, p0)
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), seed)
         phi1 = phi0 + alpha0 * p0
         r1, rp1, p1 = self.gradient(system, phi1)
         beta = inner(grid, p1, rp1 - rp0) / inner(grid, p0, rp0)
@@ -291,7 +304,7 @@ class TestDirectionalFactory:
         image = rp1 + beta * rp0  # L d carried without a transform
         g, residual_at = system.directional(phi1, (d, image), r1)
         self.assert_matches_naive(
-            grid, system, phi1, d, g, residual_at, (0.0, 0.3 * alpha0, alpha0)
+            grid, system, phi1, d, g, residual_at, (0.3 * alpha0, alpha0)
         )
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
@@ -335,7 +348,7 @@ class TestDirectionalFactory:
 
         h = 1e-5
         for alpha in (0.0, 0.5, 1.0):
-            slope = g(alpha)[1]
+            slope = g.seed_slope if alpha == 0.0 else g(alpha)[1]
             fd = (naive_g(alpha + h) - naive_g(alpha - h)) / (2.0 * h)
             assert slope > 0.0
             assert slope == pytest.approx(fd, rel=1e-7)
@@ -343,7 +356,7 @@ class TestDirectionalFactory:
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_seeded_slope_equals_fresh_evaluation(self, setup, which):
         """After residual_at carries the residual to phi1, the next direction's
-        g(0) slope comes from the carried curvature; a step system that never
+        seed slope comes from the carried curvature; a step system that never
         saw phi1 computes it from a fresh pass."""
         grid = setup[0]
         dt = 0.08
@@ -352,40 +365,41 @@ class TestDirectionalFactory:
         phi0 = positive_field(grid, 81)
         r0, rp0, p0 = self.gradient(system, phi0)
         g0, residual_at = system.directional(phi0, (p0, rp0), r0)
-        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), g0(0.0))
+        seed = self.seed_pair(grid, g0, r0, p0)
+        alpha0 = line_search(g0, barrier_alpha(phi0, p0, 0.99), seed)
         phi1, r1 = residual_at(alpha0)
         d = np.random.default_rng(82).standard_normal(grid.shape)
         d -= np.mean(d)
         image = self.dense_image(grid, system, d)
-        seeded = system.directional(phi1, (d, image), r1)[0](0.0)[1]
+        seeded = system.directional(phi1, (d, image), r1)[0].seed_slope
 
         _, fresh_system = self.make_system(setup, which, phi_old, dt, system.shift)
         r_fresh = fresh_system.residual(phi1)
-        fresh = fresh_system.directional(phi1, (d, image), r_fresh)[0](0.0)[1]
+        fresh = fresh_system.directional(phi1, (d, image), r_fresh)[0].seed_slope
         assert seeded == pytest.approx(fresh, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
-    def test_g0_after_a_trial_matches_fresh_evaluation(self, setup, which):
-        """g(0) skips its pass only while the pass at phi is held; after a
-        trial has overwritten it, g(0) evaluates phi afresh."""
+    def test_seed_slope_after_a_trial_matches_fresh_evaluation(self, setup, which):
+        """The seed slope skips its pass only while the pass at phi is held;
+        after a trial has overwritten it, directional evaluates phi afresh,
+        to the same bits, and the trials after it are unchanged."""
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 84)
         phi = positive_field(grid, 85)
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
+        alpha = 0.3 * barrier_alpha(phi, d, 0.99)
         g, _ = system.directional(phi, (d, rp), r)
-        held = g(0.0)
-        g(0.3 * barrier_alpha(phi, d, 0.99))
-        again = g(0.0)
+        held = g.seed_slope
+        trial = g(alpha)
+        g_again, _ = system.directional(phi, (d, rp), r)
 
         _, other = self.make_system(setup, which, phi_old, dt)
         r_other = other.residual(phi)
-        fresh = other.directional(phi, (d, rp), r_other)[0](0.0)
-        for got in (held, again):
-            assert got[0] == pytest.approx(fresh[0], rel=1e-12)
-            assert got[1] == pytest.approx(fresh[1], rel=1e-12)
-        assert held[0] == pytest.approx(-inner(grid, r, d), rel=1e-10)
+        fresh, _ = other.directional(phi, (d, rp), r_other)
+        assert held == g_again.seed_slope == fresh.seed_slope
+        assert g_again(alpha) == trial == fresh(alpha)
 
     @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
@@ -1086,6 +1100,74 @@ class TestStepBehavior:
         """
         self.assert_transforms_per_step(monkeypatch, scheme_cls, fixed, forced=False)
 
+    @staticmethod
+    def count_calls(monkeypatch, fn):
+        """Count the calls of the package function ``fn`` through every
+        package module that bound it."""
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "thinfilm" or name.startswith("thinfilm."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scheme_cls, first, later", [(FirstOrderScheme, 2, 2), (Bdf2Scheme, 3, 2)]
+    )
+    def test_laplacians_per_step(self, monkeypatch, scheme_cls, first, later):
+        """A step takes lap once for its first residual and once for its
+        new field, whose energy reads it by summation by parts and which
+        the state carries to the next two-step assembly; the first two-step
+        step from restart_state, whose state carries none, pays one more.
+        No step takes grad_norm_2."""
+        laps = self.count_calls(monkeypatch, lap)
+        grads = self.count_calls(monkeypatch, grad_norm_2)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        for k in range(3):
+            before = laps[0]
+            state, report = scheme.step(state, 0.01)
+            assert report.psd_iters >= 2
+            assert laps[0] - before == (first if k == 0 else later)
+        assert grads[0] == 0
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_state_carries_the_laplacian_of_its_field(self, scheme_cls, dim, n):
+        grid = Grid(dim, n, 1.6)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 62, 0.8, 1.2))
+        assert state.lap_phi is None
+        for _ in range(3):
+            state, _ = scheme.step(state, 0.01)
+            assert np.array_equal(state.lap_phi, lap(grid, state.phi))
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_bdf2_step_without_the_carried_laplacian(self, dim, n):
+        """A state whose lap_phi is dropped steps to the same bits, in as
+        many iterations, as the state that carries it."""
+        grid = Grid(dim, n, 1.6)
+        scheme = Bdf2Scheme(grid, PhysParams(eps=0.1))
+        phi0 = positive_field(grid, 63, 0.8, 1.2)
+        assert scheme.cold_start(phi0, 1e-6).lap_phi is None
+        state = restart_state(grid, phi0)
+        for _ in range(2):
+            state, _ = scheme.step(state, 0.01)
+        carried, report = scheme.step(state, 0.01)
+        dropped, report_dropped = scheme.step(
+            dataclasses.replace(state, lap_phi=None), 0.01
+        )
+        assert np.array_equal(carried.phi, dropped.phi)
+        assert report.psd_iters == report_dropped.psd_iters
+        assert report.energy == report_dropped.energy
+
     @pytest.mark.parametrize("scheme_cls, fixed", [(FirstOrderScheme, 3), (Bdf2Scheme, 4)])
     def test_transforms_per_forced_step(self, monkeypatch, scheme_cls, fixed):
         """A forced step pays what an unforced one does: its source is lifted
@@ -1126,11 +1208,13 @@ class TestStepBehavior:
         tracer does, see every call.  A step makes one residual call, one
         directional call per CG iteration, one preconditioner solve per
         iteration plus the accepting one, and one g call per line
-        evaluation plus the g(0) of each search."""
+        evaluation; the seed slope comes with g, whose attributes the
+        wrappers keep (functools.wraps), as the tracer's do."""
         calls = Counter()
         assemble = scheme_cls.step_system_from
 
         def counted(name, fn):
+            @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
@@ -1164,7 +1248,7 @@ class TestStepBehavior:
                 "residual": 1,
                 "directional": iters,
                 "precondition": iters + 1,
-                "g": report.line_evals + iters,
+                "g": report.line_evals,
                 "residual_at": iters,
             }
 

@@ -316,6 +316,38 @@ class TestOwnedBuffer:
             limited = solver.solve_preconditioner(f, *coeffs, limit=0.5 * math.sqrt(norm2))
             assert np.array_equal(limited[0], d_plain) and limited[1] == norm2_plain
 
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 6)])
+    def test_tables_kept_per_step_size_and_shift(self, monkeypatch, dim, n):
+        """One solver fed the keys (dt1, s1), (dt1, s2), (dt2, s3), (dt1, s1)
+        of a two-step run, and then (dt2, s1), a new dt at the last shift,
+        returns PlainSpectral's bits on every call, and builds the table of
+        sqrt(w / L), its one np.sqrt, only when dt changes."""
+        grid = Grid(dim, n, 1.3)
+        solver, plain = SpectralSolver(grid), PlainSpectral(grid)
+        sqrts = [0]
+        sqrt = np.sqrt
+
+        def counted(*args, **kwargs):
+            sqrts[0] += 1
+            return sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sqrt", counted)
+
+        def coefficients(dt):  # (a0, a1, a2) of a two-step system at eps = 0.1
+            return 1.5 / dt, 1.9, 0.01 + 0.4 * dt
+
+        keys = [(0.01, 3.5), (0.01, -0.8), (0.004, 12.0), (0.01, 3.5), (0.004, 3.5)]
+        builds = []
+        for k, (dt, shift) in enumerate(keys):
+            f = random_mean_zero(grid, 90 + k)
+            coeffs = coefficients(dt)
+            before = sqrts[0]
+            d, norm2 = solver.solve_preconditioner(f, *coeffs, shift)
+            builds.append(sqrts[0] - before)
+            d_plain, norm2_plain = plain.solve_preconditioner(f, *coeffs, shift)
+            assert np.array_equal(d, d_plain) and norm2 == norm2_plain
+        assert builds == [1, 0, 1, 1, 1]
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_results_share_no_memory(self, dim):
         grid = Grid(dim, 6, 1.3)
