@@ -98,7 +98,11 @@ def check_count(name: str, value, low: int) -> None:
 
 
 def check_positive(phi: np.ndarray, what: str = "field") -> None:
-    """Raise NonPositiveFieldError unless every entry of phi is > 0."""
-    if not (phi > 0.0).all():
-        bad = float(phi.min())
+    """Raise NonPositiveFieldError unless every entry of phi is > 0.
+
+    One reduction: the minimum is > 0 exactly when every entry is, and a
+    nan entry makes it nan, which fails the test too.
+    """
+    bad = float(phi.min())
+    if not bad > 0.0:
         raise NonPositiveFieldError(f"{what} must be strictly positive, min = {bad}")

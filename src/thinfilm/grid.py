@@ -16,11 +16,16 @@ parts, -<u, lap u> = grad_norm_2(u)^2, and the schemes evaluate the
 energy through the left-hand side.  Inner products carry the uniform
 quadrature weight h^dim.
 
-Both stencils compute in float64 whatever the field's dtype.  They reach
-the periodic neighbours through slices of the field (the interior shift
-plus the one wrapped layer), never through shifted copies, and add them in
-the order of the np.roll formulas (tests/oracles.py), so for a float64
-field their bits are those formulas'.
+Both stencils compute in float64 whatever the field's dtype, never
+through shifted copies of the field, and add (or subtract) the periodic
+neighbours in the order of the np.roll formulas (tests/oracles.py), so for
+a float64 field their bits are those formulas'.  A leading axis reaches
+its neighbours through slices (the interior shift plus the one wrapped
+layer).  The contiguous (x) axis is taken in one shifted operation over
+the whole flattened field.  That operation pairs each row's end cell with
+a cell of the neighbouring row, so the row ends are then redone from the
+row's own wrapped cell.  Slicing that axis instead would cost numpy one
+inner loop per row.
 """
 
 from __future__ import annotations
@@ -94,11 +99,20 @@ class Grid:
 
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Periodic 2*dim+1 point Laplacian
-    (-2 dim u + sum over axes of u[i+1] + u[i-1]) / h^2."""
+    (-2 dim u + sum over axes of u[i+1] + u[i-1]) / h^2, as a fresh
+    C-contiguous float64 array.
+
+    A leading axis adds its neighbours as slices of the field.  The
+    contiguous axis adds each in one shifted add over the flattened field;
+    that add gives each row's end cell its neighbour in the next (or
+    previous) row, so the end cells are saved before it and redone from the
+    saved value and the row's own wrapped cell after it.
+    """
     grid.validate_field(u)
     h2 = grid.h * grid.h
-    out = np.multiply(u, -2.0 * grid.dim, dtype=float)
-    for ax in range(u.ndim):
+    # order="C": the flat adds need out.reshape(-1) to be a view.
+    out = np.multiply(u, -2.0 * grid.dim, dtype=float, order="C")
+    for ax in range(u.ndim - 1):
         # Views with axis ax first: out[i] += u[i + 1], then
         # out[i] += u[i - 1], periodically.
         o, v = out.swapaxes(0, ax), u.swapaxes(0, ax)
@@ -106,6 +120,13 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
         o[-1:] += v[:1]
         o[1:] += v[:-1]
         o[:1] += v[-1:]
+    flat_out, flat_u = out.reshape(-1), u.reshape(-1)
+    saved = out[..., -1].copy()
+    flat_out[:-1] += flat_u[1:]
+    np.add(saved, u[..., 0], out=out[..., -1])
+    saved = out[..., 0].copy()
+    flat_out[1:] += flat_u[:-1]
+    np.add(saved, u[..., -1], out=out[..., 0])
     out /= h2
     return out
 
@@ -131,16 +152,26 @@ def norm_2(grid: Grid, u: np.ndarray) -> float:
 def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     """l^2 norm sqrt(h^dim sum_d sum_i (D_d u)_i^2) of the forward-difference
     gradient, one pass per direction, each squared in place in one
-    scratch field."""
+    scratch field.
+
+    The x difference (the contiguous axis) is one subtraction over the
+    flattened field, whose row ends are then overwritten with
+    u[..., 0] - u[..., -1]; the other directions subtract slices.
+    """
     grid.validate_field(u)
     h = grid.h
     delta = np.empty(u.shape)
     acc = 0.0
     for d in range(grid.dim):
-        ax = grid.axis_of(d)
-        dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
-        np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
-        np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
+        if d == 0:
+            flat_u, flat_delta = u.reshape(-1), delta.reshape(-1)
+            np.subtract(flat_u[1:], flat_u[:-1], out=flat_delta[:-1], dtype=float)
+            np.subtract(u[..., 0], u[..., -1], out=delta[..., -1], dtype=float)
+        else:
+            ax = grid.axis_of(d)
+            dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
+            np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
+            np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
         delta /= h
         delta *= delta
         acc += float(delta.sum())

@@ -119,6 +119,31 @@ class TestPositivityGuard:
         with pytest.raises(NonPositiveFieldError):
             check_positive(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("values, passes, minimum", [
+        ([1.0, 2.0], True, None),
+        ([5e-324, 1.0], True, None),  # the smallest subnormal is > 0
+        ([1.0, np.inf], True, None),
+        ([np.inf, np.inf], True, None),
+        ([1.0, 0.0], False, "0.0"),
+        ([1.0, -0.0], False, "-0.0"),
+        ([1.0, -5e-324], False, "-5e-324"),
+        ([1.0, -np.inf], False, "-inf"),
+        ([1.0, np.nan], False, "nan"),
+        ([np.nan, -1.0], False, "nan"),
+        ([3, 1], True, None),
+        ([3, 0], False, "0.0"),
+    ])
+    def test_verdict_table(self, values, passes, minimum):
+        """One verdict per entry kind, the same as every entry > 0."""
+        phi = np.array(values)
+        assert passes == bool((phi > 0.0).all())
+        if passes:
+            check_positive(phi)
+        else:
+            with pytest.raises(NonPositiveFieldError) as err:
+                check_positive(phi)
+            assert str(err.value) == f"field must be strictly positive, min = {minimum}"
+
     def test_all_entry_points_guarded(self):
         grid = Grid(1, 4, 1.0)
         bad = np.array([1.0, 1.0, -0.5, 1.0])

@@ -176,6 +176,35 @@ class TestRollFormula:
         assert np.array_equal(lap(grid, u), lap(grid, u.astype(float)))
         assert grad_norm_2(grid, u) == grad_norm_2(grid, u.astype(float))
 
+    @pytest.mark.parametrize("kind", ["float16", "float32", "int64", "fortran", "transposed", "sliced"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 48])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_layouts_and_dtypes(self, dim, n, kind):
+        """Any dtype or memory layout gives the oracle's bits on the
+        C-contiguous float64 copy, in a fresh C-contiguous output, and
+        leaves the input as it was.  The contiguous axis's flat sweep only
+        works in a C-ordered output: one that followed a Fortran-ordered
+        input would reshape to a copy and lose the sweep's adds."""
+        grid = Grid(dim, n, 1.3)
+        rng = np.random.default_rng(1000 * dim + n)
+        field = 100.0 * rng.standard_normal(grid.shape)
+        if kind == "fortran":
+            u = np.asfortranarray(field)
+        elif kind == "transposed":
+            u = field.T  # a view with reversed strides
+        elif kind == "sliced":
+            u = 100.0 * rng.standard_normal((2 * n,) * dim)[(slice(1, None, 2),) * dim]
+        else:
+            u = field.astype(kind)
+        before = u.copy()
+        expected = np.ascontiguousarray(u, dtype=float)
+        out = lap(grid, u)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert not np.shares_memory(out, u)
+        assert np.array_equal(out, roll_lap(grid, expected))
+        assert grad_norm_2(grid, u) == roll_grad_norm_2(grid, expected)
+        assert np.array_equal(u, before)
+
 
 class TestInnerProductsAndNorms:
     def test_inner_matches_fsum_oracle(self):
