@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .energy import PhysParams
-from .errors import ConfigError, ThinFilmError, UnfinishedError
+from .errors import ConfigError, ThinFilmError
 from .experiments import (
     DEFAULT_SNAPSHOT_TIMES,
     CoarseningConfig,
@@ -156,8 +156,12 @@ def _run_coarsen(v) -> int:
                 flush=True,
             ),
         )
-    except UnfinishedError as exc:
-        _write_coarsening(outdir, exc.partial, v.t_end)
+    except ThinFilmError as exc:
+        # A budget overrun or a failed step: write what the run has, then
+        # exit 2 through main, naming the error's class.
+        partial = getattr(exc, "partial", None)
+        if partial is not None:
+            _write_coarsening(outdir, partial, v.t_end)
         raise
     _write_coarsening(outdir, run, v.t_end)
     print(f"finished at t={run.final_t:.6g} with {len(run.records)} records")

@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveValueError,
     NonZeroMeanError,
     PositivityLostError,
+    ThinFilmError,
     UnfinishedError,
     check_count,
     check_positive_finite,
@@ -358,7 +359,10 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     state (the initial one included) just before the first step that passes
     it by more than 1e-9, or by the final state; requests beyond the end of
     the run are dropped.  Raises UnfinishedError carrying partial results
-    if the wall-clock budget runs out; propagates solver failures as-is.
+    if the wall-clock budget runs out.  A step that fails (a ThinFilmError:
+    SolverDivergedError, BarrierCollapseError, PositivityLostError, ...)
+    propagates with its own class, the completed steps' run attached as
+    its ``partial``, as UnfinishedError carries it.
     ``progress(steps, t, iters, line_evals)``, when given, is called every
     1000 steps with the CG iterations and line evaluations of those 1000
     steps.
@@ -388,6 +392,9 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     snapshots: list = []
     pending = sorted(config.snapshot_times, reverse=True)
 
+    def run_so_far() -> CoarseningRun:
+        return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
+
     clock_start = time.monotonic()
     steps = window_iters = window_evals = 0
     while True:
@@ -396,17 +403,20 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
             pending.pop()
             snapshots.append((state.t, state.phi.copy()))
         if upcoming is None:
-            return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
+            return run_so_far()
         t, dt, restart, last_of_rung = upcoming
         upcoming = next(plan, None)
         if time.monotonic() - clock_start > config.wall_clock_budget:
-            partial = CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
             raise UnfinishedError(
-                f"wall clock budget exceeded at t = {state.t:.6g}", partial
+                f"wall clock budget exceeded at t = {state.t:.6g}", run_so_far()
             )
         if restart:
             state = restart_state(grid, state.phi, state.t)
-        state, report = scheme.step(state, dt)
+        try:
+            state, report = scheme.step(state, dt)
+        except ThinFilmError as exc:
+            exc.partial = run_so_far()
+            raise
         state.t = t
         steps += 1
         window_iters += report.psd_iters

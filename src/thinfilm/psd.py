@@ -220,6 +220,35 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     )
 
 
+def _line_step(system, phi: np.ndarray, direction: tuple, r: np.ndarray,
+               slope: float, trace: PsdTrace) -> tuple:
+    """One line search along d = direction[0] from phi, whose residual r the
+    system handed out last; returns the pair (phi_new, r(phi_new)) from
+    residual_at and records the search in ``trace``.
+
+    The direction's closures die on return, and with them what they hold
+    (phi, K d and the affine part at phi), before the next iteration's
+    preconditioner solve.
+    """
+    evals = 0
+    g_inner, residual_at = system.directional(phi, direction, r)
+
+    def g(alpha: float) -> tuple:
+        nonlocal evals
+        evals += 1
+        return g_inner(alpha)
+
+    barrier = barrier_alpha(phi, direction[0], _ALPHA_SAFETY)
+    alpha = line_search(g, barrier, (-slope, g_inner.seed_slope))
+    if not (alpha > 0.0):
+        raise BarrierCollapseError(f"line search returned alpha = {alpha}")
+    pair = residual_at(alpha)
+    trace.alphas.append(alpha)
+    trace.line_evals.append(evals)
+    trace.capped += alpha == _step_cap(barrier)
+    return pair
+
+
 def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     """Drive preconditioned nonlinear CG until the metric residual meets tol.
 
@@ -253,12 +282,26 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     g.seed_slope and residual_at must agree with the naive evaluations
     through system.residual to rounding error.
 
+    Ownership.  The solve copies phi_init and drops the caller's array.  It
+    owns every iterate and every residual a system hands it, from
+    system.residual and residual_at alike, and overwrites the residuals:
+    r is deflated in place into rp = r - mean r (the r that directional
+    receives is that deflated array), and after a restart rp is also the
+    image s, which later iterations combine in place.  So a system must
+    not read a residual it handed out (StepSystem checks only its
+    identity), and a caller that keeps one must copy it.  One search's
+    closures, and what they hold (K d, the iterate the search started
+    from, the affine part there), die when the search ends, so the next
+    preconditioner solve runs beside phi, r, d, s and rp_prev only.
+
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when
     the budget runs out.
     """
     grid = system.grid
     phi = np.array(phi_init, dtype=float, copy=True)
+    # The copy is the solve's iterate; the caller's array is not read again.
+    del phi_init
     check_positive(phi, "initial iterate")
     trace = PsdTrace()
 
@@ -266,9 +309,11 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     d = s = rp_prev = None
     res2_prev = 0.0
     for _ in range(cfg.max_iters):
-        # Means as sum / size: on these float64 fields the same bits as
-        # np.mean, without its wrapper.
-        rp = r - r.sum() / r.size
+        # Deflated in place: the solve owns every residual handed to it, and
+        # r itself becomes rp.  Means as sum / size: on these float64 fields
+        # the same bits as np.mean, without its wrapper.
+        rp = r
+        rp -= rp.sum() / rp.size
         # Deflate once more: the first subtraction leaves a rounding-level
         # mean on the scale of r itself, which can dwarf a nearly converged
         # rp and trip the solver's mean check.
@@ -304,24 +349,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
             # iteration's own arrays, and rp is done with once beta is taken
             # from it as rp_prev.
             d, s, slope = p, rp, res2
+        # p lives on only as d; rp (which is r) only as rp_prev.
+        del p
         rp_prev, res2_prev = rp, res2
-
-        evals = 0
-        g_inner, residual_at = system.directional(phi, (d, s), r)
-
-        def g(alpha: float) -> tuple:
-            nonlocal evals
-            evals += 1
-            return g_inner(alpha)
-
-        barrier = barrier_alpha(phi, d, _ALPHA_SAFETY)
-        alpha = line_search(g, barrier, (-slope, g_inner.seed_slope))
-        if not (alpha > 0.0):
-            raise BarrierCollapseError(f"line search returned alpha = {alpha}")
-        phi, r = residual_at(alpha)
-        trace.alphas.append(alpha)
-        trace.line_evals.append(evals)
-        trace.capped += alpha == _step_cap(barrier)
+        phi, r = _line_step(system, phi, (d, s), r, slope, trace)
 
     rate = trace.mean_tail_contraction()
     raise SolverDivergedError(

@@ -182,11 +182,22 @@ class StepSystem:
     and costs one pass, unless the last pass of the step was this
     direction's trial at the same alpha: the line search ends at a trial it
     evaluated, as a rule its last, and that pass and that point are then
-    reused, to the same bits.  The point field is handed over with the pair,
-    to be the caller's new iterate, and the system takes a fresh one for its
-    next trial; it never writes to a point it has handed over.  g and
-    residual_at agree with the naive evaluation through ``residual`` to
-    rounding error whenever s = Lc d to rounding error.
+    reused, to the same bits.  g and residual_at agree with the naive
+    evaluation through ``residual`` to rounding error whenever s = Lc d to
+    rounding error.
+
+    Ownership.  The system owns ``history`` and ``constant``, which only
+    ``residual`` reads; the scratch fields of the pointwise pass (work, bulk,
+    curv); the point field of the line trials; and the affine part
+    K phi + c of the last residual, which it keeps to itself.  The
+    closures of one ``directional`` call own its K d.  A trial
+    writes its point into the point field, which the system allocates at
+    the first trial after a hand-over, not before.  residual_at hands that
+    field over with the pair, to be the caller's new iterate, and the
+    system never writes to a point it has handed over.  Every residual, of
+    ``residual`` and residual_at alike, is a fresh array that the receiver
+    owns and may overwrite (psd_solve deflates it in place); the system
+    reads a handed-out residual only for its identity, in ``directional``.
     """
 
     def __init__(self, solver: SpectralSolver, dt: float, *,
@@ -200,10 +211,10 @@ class StepSystem:
         # Scratch fields of the pointwise pass, shared by every residual and
         # line trial of the step.  After a pass, bulk holds B(x) and curv
         # holds the curvature -B'(x) / curv_scale, both at the point x of
-        # that pass; work is free.  point holds the last line trial's point.
-        self._work, self._bulk, self._curv, self._point = (
-            np.empty(self.grid.shape) for _ in range(4)
-        )
+        # that pass; work is free.  point holds the last line trial's point;
+        # it is None from the hand-over of a point to the next trial.
+        self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
+        self._point = None
         self._curv_scale = 8.0 if concave else 24.0
         # The last residual handed out and its affine part K phi + c, which
         # the line closures take instead of re-deriving it as r - B(phi): the
@@ -284,6 +295,8 @@ class StepSystem:
         s1 = inner(grid, kd, d)
 
         def trial(alpha: float) -> None:
+            if self._point is None:
+                self._point = np.empty(grid.shape)
             point = self._point
             np.multiply(d, alpha, out=point)
             np.add(point, phi, out=point)
@@ -311,11 +324,13 @@ class StepSystem:
             # at alpha.
             if not (self._held is kd and self._held_alpha == alpha):
                 trial(alpha)
-            moved = affine + alpha * kd
+            # affine + alpha kd, to the same bits, with no temporary
+            moved = alpha * kd
+            moved += affine
             out = bulk + moved
             self._r = out
             self._affine = self._held = moved
-            point, self._point = self._point, np.empty(grid.shape)
+            point, self._point = self._point, None
             return point, out
 
         if self._held is not affine:

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 from thinfilm import (
+    BarrierCollapseError,
+    Bdf2Scheme,
     CoarseningConfig,
     CoarseningRun,
     ConfigError,
@@ -29,12 +31,15 @@ from thinfilm import (
     FormatError,
     Grid,
     InsufficientDataError,
+    PositivityLostError,
     SolverConfig,
+    SolverDivergedError,
     fit_power_law,
     format_float,
     load_config,
     read_energy_log,
     read_field_snapshot,
+    run_coarsening,
     run_convergence_bdf2,
     run_convergence_first_order,
     write_energy_log,
@@ -744,3 +749,57 @@ class TestCliCoarsen:
         assert "UnfinishedError" in capsys.readouterr().err
         records = read_energy_log(out / "energy.csv")
         assert len(records) == 1 and records[0].t == 0.0
+
+    @staticmethod
+    def fail_fifth_step(monkeypatch, error):
+        """Make Bdf2Scheme.step raise ``error`` on its 5th call."""
+        step, calls = Bdf2Scheme.step, []
+
+        def failing(self, state, dt, forcing=None):
+            calls.append(dt)
+            if len(calls) == 5:
+                raise error
+            return step(self, state, dt, forcing)
+
+        monkeypatch.setattr(Bdf2Scheme, "step", failing)
+
+    SOLVER_ERRORS = [
+        SolverDivergedError("no convergence", None, None),
+        BarrierCollapseError("no admissible step"),
+        PositivityLostError("min phi = -1"),
+    ]
+
+    @pytest.mark.parametrize("error", SOLVER_ERRORS, ids=lambda e: type(e).__name__)
+    def test_solver_failure_writes_partial_and_exits_2(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        """A step failing in the solver leaves the four completed steps'
+        energy log, the snapshot served before it, and fit.txt, and the
+        exit names the error's class."""
+        self.fail_fifth_step(monkeypatch, error)
+        out = tmp_path / "failed"
+        args = self.coarsen_args(out) + ["--snapshots", "0.002,0.01"]
+        assert main(args) == 2
+        assert f"error: {type(error).__name__}: " in capsys.readouterr().err
+        records = read_energy_log(out / "energy.csv")
+        assert [r.t for r in records] == pytest.approx([0.0, 0.001, 0.002, 0.003, 0.004])
+        assert sorted(p.name for p in out.glob("*.tfgf")) == ["snapshot_00_t0.002.tfgf"]
+        assert (out / "fit.txt").read_text().startswith("error=")
+
+    @pytest.mark.parametrize("error", SOLVER_ERRORS, ids=lambda e: type(e).__name__)
+    def test_library_caller_gets_the_solver_error(self, monkeypatch, error):
+        self.fail_fifth_step(monkeypatch, error)
+        config = CoarseningConfig(n=16, length=1.6, eps=0.1, t_end=0.02,
+                                  snapshot_times=(0.002, 0.01))
+        with pytest.raises(type(error)) as excinfo:
+            run_coarsening(config)
+        assert excinfo.value is error
+        partial = excinfo.value.partial
+        assert partial.final_t == pytest.approx(0.004)
+        assert len(partial.records) == 5
+        assert [t for t, _ in partial.snapshots] == pytest.approx([0.002])
+        # the state after the 4th step, as a run that ends there has it
+        monkeypatch.undo()
+        finished = run_coarsening(dataclasses.replace(config, t_end=0.004))
+        assert np.array_equal(partial.final_phi, finished.final_phi)
+        assert partial.records == finished.records

@@ -1,0 +1,152 @@
+"""Who owns the field-sized arrays of a step, and how many live at once.
+
+A step's arrays each have one owner: the caller's StepState, the step
+system, psd_solve, the closures of one search, or residual_at while it
+forms the new pair.  An array dies when its owner is done with it, so a
+warm step holds at most the fields counted in
+TestStepPeakMemory.test_warm_step_peak_is_at_most_the_owned_fields, and
+no array handed over shares memory with one it must stay apart from.
+"""
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from thinfilm import (
+    Bdf2Scheme,
+    FirstOrderScheme,
+    Grid,
+    PhysParams,
+    random_initial_data,
+    restart_state,
+)
+
+
+def warm_state(scheme, seed, dt):
+    """A state after one step: the spectral tables are built, and the state
+    carries its Laplacian and two distinct time levels."""
+    state = restart_state(scheme.grid, random_initial_data(scheme.grid, seed))
+    state, _ = scheme.step(state, dt)
+    return state
+
+
+class TestStepPeakMemory:
+    # Field-sized arrays that a warm step allocates and holds at its peak,
+    # counted array by array in the test's docstring.
+    OWNED = {Bdf2Scheme: 14, FirstOrderScheme: 13}
+    # The solve's Python objects (closures, trace lists, scalars): 0.016 of
+    # a 32^3 field measured.
+    SMALL = 0.1
+
+    @pytest.mark.parametrize("scheme_cls", [Bdf2Scheme, FirstOrderScheme])
+    def test_warm_step_peak_is_at_most_the_owned_fields(self, scheme_cls):
+        """The traced peak of one warm step on 32^3, in fields, is at most
+        the count of the arrays it owns at its peak, which sits inside
+        residual_at, when the new affine part and residual are formed.
+        Tracing starts with the step, so the caller's StepState fields
+        (phi, phi_prev, lap_phi) and the spectral solver's buffer and
+        tables, all allocated before, are not counted.
+
+        | owner               | arrays at the peak                       | BDF2 | first order |
+        |---------------------|------------------------------------------|------|-------------|
+        | StepSystem          | history, constant                        | 2    | 1 (its history is the caller's phi) |
+        | StepSystem          | pass scratch: work, bulk, curv           | 3    | 3           |
+        | psd_solve           | iterate phi, residual r (deflated in     | 4    | 4           |
+        |                     | place, kept as rp_prev), direction d,    |      |             |
+        |                     | image s                                  |      |             |
+        | the search          | affine part at phi, K d                  | 2    | 2           |
+        | residual_at         | new point (the point field handed        | 3    | 3           |
+        |                     | over), new affine part, new residual     |      |             |
+        | total               |                                          | 14   | 13          |
+
+        Not held: the warm start, which psd_solve drops once it has copied
+        it (before Python 3.11 the caller's frame keeps a call's arguments
+        until it returns, so there it is held: one more); a spare point
+        field, which the system allocates only at the next trial; the
+        previous search's closures and p, which die before the next
+        preconditioner solve; the copy r - mean r, since r is deflated in
+        place.
+        """
+        grid = Grid(3, 32, 3.2)
+        dt = 0.01
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = warm_state(scheme, 1, dt)
+        field = grid.num_cells * 8
+        owned = self.OWNED[scheme_cls] + (sys.version_info < (3, 11))
+
+        tracemalloc.start()
+        try:
+            _, report = scheme.step(state, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.psd_iters >= 2  # a search after the first one
+        assert peak / field <= owned + self.SMALL
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("scheme_cls", [Bdf2Scheme, FirstOrderScheme])
+    def test_handed_over_arrays_share_no_memory(self, scheme_cls, monkeypatch):
+        """No array a step hands over shares memory with one it must stay
+        apart from: the iterate psd_solve returns, every point residual_at
+        hands over (and its residual), the system's scratch fields, the
+        point of a later trial, and the caller's StepState fields."""
+        grid = Grid(2, 16, 1.6)
+        dt = 0.01
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = warm_state(scheme, 3, dt)
+        caller = [state.phi, state.phi_prev, state.lap_phi]
+        handed = []  # (point, residual) pairs in hand-over order
+        scratch = []  # the pass scratch fields seen at each hand-over
+        trials = []  # (number of hand-overs before it, point of a trial)
+        assemble = scheme.step_system_from
+
+        def recorded_system(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            directional = system.directional
+
+            def recorded(phi, direction, r_phi):
+                g, residual_at = directional(phi, direction, r_phi)
+
+                def g_recorded(alpha):
+                    out = g(alpha)
+                    trials.append((len(handed), system._point))
+                    return out
+
+                def residual_at_recorded(alpha):
+                    pair = residual_at(alpha)
+                    handed.append(pair)
+                    scratch.extend([system._work, system._bulk, system._curv])
+                    return pair
+
+                g_recorded.seed_slope = g.seed_slope
+                return g_recorded, residual_at_recorded
+
+            system.directional = recorded
+            return system
+
+        monkeypatch.setattr(scheme, "step_system_from", recorded_system)
+        new_state, report = scheme.step(state, dt)
+
+        assert len(handed) == report.psd_iters >= 2
+        returned = new_state.phi
+        assert returned is handed[-1][0]
+
+        def apart(a, b):
+            return not np.shares_memory(a, b)
+
+        for i, (point, residual) in enumerate(handed):
+            assert apart(point, residual)
+            for other in caller + scratch:
+                assert apart(point, other) and apart(residual, other)
+            for later_point, later_residual in handed[i + 1:]:
+                assert apart(point, later_point) and apart(point, later_residual)
+                assert apart(residual, later_point)
+            for before, trial_point in trials:
+                if before > i:
+                    assert apart(point, trial_point)
+        for other in caller + scratch:
+            assert apart(returned, other)
+        assert all(apart(returned, r) for _, r in handed)

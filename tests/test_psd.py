@@ -462,7 +462,9 @@ class TestPsdSolveBarrier:
 
             def recorded(alpha):
                 phi_new, r = residual_at(alpha)
-                records.append(r)
+                # A copy: psd_solve owns the residual it is handed and
+                # deflates it, and may combine it into a direction image.
+                records.append(r.copy())
                 return phi_new, r
 
             return g, recorded
