@@ -69,18 +69,18 @@ class PhysParams:
 
 
 def _recip_powers_2_8(phi: np.ndarray):
-    """(phi^-2, phi^-8) by repeated multiplication."""
+    """(phi^-2, phi^-8) by repeated squaring."""
     inv = 1.0 / phi
-    inv2 = inv * inv
-    inv4 = inv2 * inv2
-    return inv2, inv4 * inv4
+    inv2 = np.square(inv)
+    inv4 = np.square(inv2)
+    return inv2, np.square(inv4)
 
 
 def _recip_powers_3_9(phi: np.ndarray):
     """(phi^-3, phi^-9) by repeated multiplication."""
     inv = 1.0 / phi
-    inv3 = inv * inv * inv
-    return inv3, inv3 * inv3 * inv3
+    inv3 = np.square(inv) * inv
+    return inv3, np.square(inv3) * inv3
 
 
 def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
@@ -99,9 +99,9 @@ def _energy_with_lap(grid: Grid, phi: np.ndarray, lap_phi: np.ndarray,
     # inv8 / 3 - (4/3) inv2 in two fields, in place, by the operations of
     # _recip_powers_2_8 in their order, so to the same bits.
     inv2 = 1.0 / phi
-    inv2 *= inv2
-    bulk = inv2 * inv2
-    bulk *= bulk
+    np.square(inv2, out=inv2)
+    bulk = np.square(inv2)
+    np.square(bulk, out=bulk)
     bulk /= 3.0
     inv2 *= 4.0 / 3.0
     bulk -= inv2

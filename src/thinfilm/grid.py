@@ -173,6 +173,6 @@ def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
             np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
             np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
         delta /= h
-        delta *= delta
+        np.square(delta, out=delta)
         acc += float(delta.sum())
     return float(np.sqrt(grid.cell_volume * acc))

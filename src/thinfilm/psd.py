@@ -32,9 +32,11 @@ g is strictly increasing with g(0) = -<d, rp> < 0, and blows up to +inf at
 the barrier when the barrier is finite, so its root is unique.  The search
 is a Newton iteration on g with a bisection safeguard (Numerical Recipes,
 rtsafe), seeded by the slope g'(0) that the step system carries from the
-last residual it assembled.  Where a Newton step would leave the bracket or
-stall, or a trial reports no finite slope, the search bisects the bracket,
-or doubles the step while g has not yet changed sign.  If the safety cap
+last residual it assembled.  A trial's slope g' is taken on demand, only
+when the search steps from that trial, so the trial it returns at costs
+no slope.  Where a Newton step would leave the bracket or stall, or a
+trial reports no finite slope, the search bisects the bracket, or doubles
+the step while g has not yet changed sign.  If the safety cap
 itself is still downhill the capped step is taken as is; the iteration
 remains a descent step.
 
@@ -153,10 +155,12 @@ def _newton(alpha: float, value: float, slope: float) -> float:
 def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     """Step along an increasing scalar derivative g to near its positive root.
 
-    g(alpha) returns the pair (g(alpha), g'(alpha)); ``g0`` is that pair at
-    alpha = 0, which the caller already has.  A slope that is not finite and
-    positive gives no Newton step from its trial.  Accepts
-    alpha_barrier = +inf for barrier-free directions.
+    g(alpha) returns g(alpha), and g.slope() returns g'(alpha) at the last
+    trial; ``g0`` is the pair (g(0), g'(0)), which the caller already has.
+    The search asks for a trial's slope only to step from it, so never for
+    the trial it returns at.  A slope that is not finite and positive gives
+    no Newton step from its trial.  Accepts alpha_barrier = +inf for
+    barrier-free directions.
 
     One rule picks every trial (Numerical Recipes, rtsafe).  The first is
     the Newton step from 0 (1 without a slope), at most half the barrier.
@@ -192,7 +196,7 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     a = min(newton if 0.0 < newton < math.inf else 1.0, alpha_barrier / 2.0, cap)
     move, move_before = a, math.inf
     for _ in range(456):
-        value, slope = g(a)
+        value = g(a)
         # Overflow of the singular terms past the barrier shows up as nan/inf;
         # either way the trial step was too long.
         value = math.inf if math.isnan(value) else value
@@ -206,7 +210,7 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
             hi, bracketed = a, True
         if bracketed and hi - lo <= _LINE_TOL * hi:
             return lo
-        x = _newton(a, value, slope)
+        x = _newton(a, value, g.slope())
         if not (lo < x < hi and abs(x - a) <= 0.5 * move_before):
             x = 0.5 * (lo + hi) if bracketed else min(a * _GROWTH, cap)
             if not math.isfinite(x):
@@ -233,11 +237,12 @@ def _line_step(system, phi: np.ndarray, direction: tuple, r: np.ndarray,
     evals = 0
     g_inner, residual_at = system.directional(phi, direction, r)
 
-    def g(alpha: float) -> tuple:
+    def g(alpha: float) -> float:
         nonlocal evals
         evals += 1
         return g_inner(alpha)
 
+    g.slope = g_inner.slope
     barrier = barrier_alpha(phi, direction[0], _ALPHA_SAFETY)
     alpha = line_search(g, barrier, (-slope, g_inner.seed_slope))
     if not (alpha > 0.0):
@@ -265,9 +270,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
-    and returns (g, residual_at): g(alpha) is the pair (g, g') of
-    g(alpha) = -<r(phi + alpha d), d> and its derivative at a trial
-    alpha > 0, g.seed_slope is g'(0), and
+    and returns (g, residual_at): g(alpha) is g(alpha) = -<r(phi + alpha d), d>
+    at a trial alpha > 0, g.slope() its derivative at the last trial, taken
+    on demand (line_search asks for it only to step from that trial),
+    g.seed_slope is g'(0), and
     residual_at(alpha) returns the pair (phi_new, r(phi_new)) for
     phi_new = phi + alpha d, formed as fl(phi + fl(alpha d)); the solve
     takes phi_new as its next iterate and owns it from then on, so it must
@@ -278,9 +284,11 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     g(0) = -<d, rp> from the deflated residual, which the solve has (the
     undeflated inner product carries rounding of order mean(r) sum(d),
     large near the barrier), and with g.seed_slope, which step systems read
-    from the state they carry at phi; g is never called at 0.  g,
+    from the state they carry at phi; g is never called at 0.  g, g.slope,
     g.seed_slope and residual_at must agree with the naive evaluations
-    through system.residual to rounding error.
+    through system.residual to rounding error.  g.slope and g.seed_slope
+    are attributes of g set before directional returns, so a wrapper that
+    copies g's attributes (functools.wraps) keeps them.
 
     Ownership.  The solve copies phi_init and drops the caller's array.  It
     owns every iterate and every residual a system hands it, from

@@ -169,15 +169,17 @@ class StepSystem:
     assembly see every call.  ``directional(phi, (d, s), r)`` takes a
     direction d together with its image s = Lc d, so K d = (1 + shift) d - s
     costs no transform, and the residual r at phi, which must be the last
-    one the system handed out.  It returns (g, residual_at).  g(alpha) returns the
-    pair (value, slope) of g(alpha) = -<r(phi + alpha d), d> and
-    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> for a trial alpha > 0:
-    one pointwise pass and two dots.  A trial forms its point phi + alpha d, as
-    fl(phi + fl(alpha d)), in a point field that the system owns.  The
-    seed slope g'(0) comes with g, as g.seed_slope, from the curvature -B'
-    of the pass that produced r, at no pass while the system still holds
-    it (as it does whenever psd_solve asks); the value g(0) = -<r, d> is
-    the caller's.
+    one the system handed out.  It returns (g, residual_at).  g(alpha) returns
+    g(alpha) = -<r(phi + alpha d), d> for a trial alpha > 0: one pointwise
+    pass and one dot.  g.slope() returns
+    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> at the last trial, from
+    that trial's pass: one multiply and one dot, paid only when asked for,
+    which line_search does only to step from the trial.  A trial forms its
+    point phi + alpha d, as fl(phi + fl(alpha d)), in a point field that
+    the system owns.  The seed slope g'(0) comes with g, as g.seed_slope,
+    from the curvature -B' of the pass that produced r, at no pass while
+    the system still holds it (as it does whenever psd_solve asks); the
+    value g(0) = -<r, d> is the caller's.
     residual_at(alpha) returns the pair (phi + alpha d, r(phi + alpha d))
     and costs one pass, unless the last pass of the step was this
     direction's trial at the same alpha: the line search ends at a trial it
@@ -194,10 +196,14 @@ class StepSystem:
     writes its point into the point field, which the system allocates at
     the first trial after a hand-over, not before.  residual_at hands that
     field over with the pair, to be the caller's new iterate, and the
-    system never writes to a point it has handed over.  Every residual, of
-    ``residual`` and residual_at alike, is a fresh array that the receiver
-    owns and may overwrite (psd_solve deflates it in place); the system
-    reads a handed-out residual only for its identity, in ``directional``.
+    system never writes to a point it has handed over.  residual_at also
+    writes the new residual into the scratch field work, which is free
+    once its pass is done, and hands work over as that residual; the
+    system allocates the next work at its next use.  Every residual, of
+    ``residual`` and residual_at alike, is an array that the receiver
+    owns and may overwrite (psd_solve deflates it in place), shared with
+    nothing the system still holds; the system reads a handed-out
+    residual only for its identity, in ``directional``.
     """
 
     def __init__(self, solver: SpectralSolver, dt: float, *,
@@ -211,8 +217,10 @@ class StepSystem:
         # Scratch fields of the pointwise pass, shared by every residual and
         # line trial of the step.  After a pass, bulk holds B(x) and curv
         # holds the curvature -B'(x) / curv_scale, both at the point x of
-        # that pass; work is free.  point holds the last line trial's point;
-        # it is None from the hand-over of a point to the next trial.
+        # that pass; work is free.  residual_at hands work over as the new
+        # residual, and work is None until its next use allocates another
+        # (_scratch).  point holds the last line trial's point; it is None
+        # from the hand-over of a point to the next trial.
         self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
         self._point = None
         self._curv_scale = 8.0 if concave else 24.0
@@ -226,13 +234,20 @@ class StepSystem:
         # _held_alpha along it.  Every pass sets it.
         self._held = self._held_alpha = None
 
+    def _scratch(self) -> np.ndarray:
+        """The free scratch field work; a new one after residual_at handed
+        the last one over."""
+        if self._work is None:
+            self._work = np.empty(self.grid.shape)
+        return self._work
+
     def _pass(self, x: np.ndarray) -> None:
         """Fill bulk and curv at x, which is not one of the scratch fields."""
-        work, bulk, curv = self._work, self._bulk, self._curv
+        work, bulk, curv = self._scratch(), self._bulk, self._curv
         np.divide(1.0, x, out=work)
-        np.multiply(work, work, out=bulk)
+        np.square(work, out=bulk)
         np.multiply(bulk, work, out=bulk)  # x^-3
-        np.multiply(bulk, bulk, out=curv)
+        np.square(bulk, out=curv)
         np.multiply(curv, bulk, out=curv)  # x^-9
         if self.concave:
             # B = (8/3)(x^-9 - x^-3) and
@@ -255,7 +270,7 @@ class StepSystem:
         # in exact arithmetic (mass conservation), but its mean cancels to
         # rounding on the scale of phi, not of the increment: finish the
         # cancellation before the solve.
-        lifted = np.subtract(self.weight * phi, self.history, out=self._work)
+        lifted = np.subtract(self.weight * phi, self.history, out=self._scratch())
         lifted -= lifted.sum() / lifted.size
         affine -= self.solver.inv_neg_lap(lifted) / self.dt
         affine += self.constant
@@ -286,7 +301,7 @@ class StepSystem:
             raise ValueError("directional needs the last residual the step system handed out")
         d, image = direction
         grid, affine = self.grid, self._affine
-        work, bulk, curv = self._work, self._bulk, self._curv
+        bulk, curv = self._bulk, self._curv
         scale, curv_scale = grid.cell_volume, self._curv_scale
         kd = (1.0 + self.shift) * d
         kd -= image
@@ -310,13 +325,13 @@ class StepSystem:
         def slope() -> float:
             # g' = <-B' d, d> - <K d, d> at the point of the held pass, with
             # d^2 never stored
+            work = self._scratch()
             np.multiply(curv, d, out=work)
             return curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
-        def g(alpha: float) -> tuple:
+        def g(alpha: float) -> float:
             trial(alpha)
-            value = -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
-            return value, slope()
+            return -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
 
         def residual_at(alpha: float) -> tuple:
             # The scratch and point fields still hold the pass and the point
@@ -324,19 +339,23 @@ class StepSystem:
             # at alpha.
             if not (self._held is kd and self._held_alpha == alpha):
                 trial(alpha)
-            # affine + alpha kd, to the same bits, with no temporary
+            # affine + alpha kd, to the same bits, with no temporary; the
+            # residual goes into the free scratch field, which is handed over
+            # with it.
             moved = alpha * kd
             moved += affine
-            out = bulk + moved
+            out = np.add(bulk, moved, out=self._work)
             self._r = out
             self._affine = self._held = moved
             point, self._point = self._point, None
+            self._work = None
             return point, out
 
         if self._held is not affine:
             # A trial since the residual at phi overwrote its pass.
             self._pass(phi)
             self._held = affine
+        g.slope = slope
         g.seed_slope = slope()
         return g, residual_at
 
@@ -438,7 +457,7 @@ class FirstOrderScheme(_SchemeBase):
         check_positive_finite("dt", dt, InvalidCoefficientsError)
         check_positive(phi_old, "previous state")
         inv_old = 1.0 / phi_old
-        constant = -(8.0 / 3.0) * (inv_old * inv_old * inv_old)
+        constant = -(8.0 / 3.0) * (np.square(inv_old) * inv_old)
         return StepSystem(
             self.solver, dt, concave=False, linear=0.0,
             stiffness=self.params.eps**2, weight=1.0,

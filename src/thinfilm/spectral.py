@@ -18,6 +18,13 @@ The H^-1 norm and the preconditioner's metric are both Parseval sums over
 the rfftn half spectrum with one weight w_k = 2 h^dim / N (N cells), halved
 at the last-axis modes 0 and n/2, which stand for no conjugate pair.
 
+The preconditioner's two real tables are held as complex arrays whose
+imaginary parts are exactly +0.0.  numpy multiplies a complex spectrum by
+a real array by casting the real one to complex in buffered chunks; a
+complex table skips the cast, at twice the table's memory.  The products
+are the same bits: (a + ib)(c + i0) = (ac - b0) + i(bc + a0), and adding
+a zero leaves ac and bc as they are.
+
 Every transform runs in one half-spectrum buffer that the solver owns, as
 one numpy call per axis without the n-D wrappers' set-up: the forward
 transform is an rfft along the last axis into the buffer, then an in-place
@@ -62,15 +69,15 @@ class SpectralSolver:
         self._eig_safe = sum(np.meshgrid(*lines, indexing="ij", sparse=True))
         # Safe divisor: mode 0 is never used (pinned to zero after division).
         self._eig_safe.flat[0] = 1.0
-        # Parseval weight along the half-spectrum axis (module docstring).
-        self._weight = np.full(half, 2.0 * grid.cell_volume / grid.num_cells)
-        self._weight[0] /= 2.0
-        if grid.n % 2 == 0:
-            self._weight[-1] /= 2.0
+        # Parseval weight (module docstring), before the halving that
+        # _halve_unpaired applies.
+        self._weight = 2.0 * grid.cell_volume / grid.num_cells
         self._hat = np.empty(self._eig_safe.shape, dtype=complex)
         # Preconditioner tables (see solve_preconditioner): _big_l = L and
         # _root = sqrt(w / L), w the Parseval weight, for _l_key =
         # (a0, a1, a2), and _ratio = 1 / ((L + shift) _root) for _shift.
+        # _root and _ratio are complex with a zero imaginary part (module
+        # docstring).
         self._l_key = self._shift = None
         self._big_l = self._root = self._ratio = None
 
@@ -97,6 +104,14 @@ class SpectralSolver:
                 f"field not finite or its mean {m:.3e} above tolerance {tol:.3e}"
             )
         return m
+
+    def _halve_unpaired(self, q: np.ndarray) -> None:
+        """Halve a half-spectrum field in place at the last-axis modes 0 and,
+        for even n, n/2, which stand for no conjugate pair: the Parseval
+        weight's halving, as two column scalings and no row loop."""
+        q[..., 0] *= 0.5
+        if self.grid.n % 2 == 0:
+            q[..., -1] *= 0.5
 
     def _forward(self, f: np.ndarray) -> np.ndarray:
         """rfftn of f into the owned buffer, which it returns."""
@@ -141,6 +156,7 @@ class SpectralSolver:
         q += np.square(fhat.imag)
         q /= self._eig_safe
         q *= self._weight
+        self._halve_unpaired(q)
         q.flat[0] = 0.0
         return float(np.sqrt(max(float(q.sum()), 0.0)))
 
@@ -169,15 +185,16 @@ class SpectralSolver:
                 f"got ({a0}, {a1}, {a2}) and shift {shift}"
             )
         self._check_mean(r)
-        big_l, root, ratio = self._big_l, self._root, self._ratio
         if self._l_key != (a0, a1, a2):
             # In place and without temporaries, into tables allocated by the
             # first solve: other allocation orders raised the peak memory of
             # a 48^3 run by up to 2 MB.
-            if big_l is None:
-                big_l, root, ratio = (np.empty(self._eig_safe.shape) for _ in range(3))
-                self._big_l, self._root, self._ratio = big_l, root, ratio
-            eig = self._eig_safe
+            if self._big_l is None:
+                shape = self._eig_safe.shape
+                self._big_l = np.empty(shape)
+                self._root, self._ratio = (np.zeros(shape, complex) for _ in range(2))
+            # Real parts only, through views: the imaginary parts stay +0.0.
+            eig, big_l, root = self._eig_safe, self._big_l, self._root.real
             np.multiply(eig, a2, out=big_l)
             np.reciprocal(eig, out=root)
             root *= a0
@@ -185,11 +202,13 @@ class SpectralSolver:
             big_l += a1
             np.reciprocal(big_l, out=root)
             root *= self._weight
+            self._halve_unpaired(root)
             np.sqrt(root, out=root)
             self._l_key, self._shift = (a0, a1, a2), None
         if self._shift != shift:
-            np.add(big_l, shift, out=ratio)
-            ratio *= root
+            ratio = self._ratio.real
+            np.add(self._big_l, shift, out=ratio)
+            ratio *= self._root.real
             np.reciprocal(ratio, out=ratio)
             self._shift = shift
         # By Parseval, <L^{-1} r, r> is the squared norm of r_hat _root; the

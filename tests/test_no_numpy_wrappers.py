@@ -11,6 +11,11 @@ in the roll formula's order, ``x.sum() / x.size``, one
 rfft/fft/ifft/irfft call per axis in the n-D wrapper's axis order, and the
 array methods ``x.min()``, ``x.max()``, ``x.sum()`` and ``x.all()``, which
 stay legal.
+
+The same scan refuses a self-multiply of one name: ``x * x``, ``x *= x``
+or ``np.multiply(x, x, ...)``.  Each reads its operand twice, where
+``np.square(x)`` (``out=x`` in place) reads it once, for the same bits at
+about half the time on a field.
 """
 
 import ast
@@ -49,9 +54,63 @@ def wrapper_uses(source):
     return sorted(found)
 
 
+def self_multiplies(source):
+    """``name (line n)`` for each product of a name with itself."""
+
+    def same_name(a, b):
+        return isinstance(a, ast.Name) and isinstance(b, ast.Name) and a.id == b.id
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            pair = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            pair = (node.target, node.value)
+        elif (
+            isinstance(node, ast.Call) and len(node.args) >= 2
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "multiply"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in NUMPY_NAMES
+        ):
+            pair = tuple(node.args[:2])
+        else:
+            continue
+        if same_name(*pair):
+            found.append(f"{pair[0].id} (line {node.lineno})")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
 def test_no_numpy_convenience_wrapper(path):
     assert wrapper_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
+def test_no_self_multiply(path):
+    assert self_multiplies(path.read_text()) == []
+
+
+def test_scan_flags_planted_self_multiplies():
+    source = (
+        "import numpy as np\n"
+        "\n"
+        "def f(u, v, work, out):\n"
+        "    a = u * u\n"
+        "    b = u * u * u + v ** 2\n"
+        "    work *= work\n"
+        "    np.multiply(work, work, out=out)\n"
+        "    numpy.multiply(v, v)\n"
+        "    ok = u * v + np.multiply(u, v) + np.square(u) + u.x * u.y + 2.0 * 2.0\n"
+        "    work *= v\n"
+        "    np.square(work, out=work)\n"
+        "    return np.multiply(out, 2.0, out=out)\n"
+    )
+    assert self_multiplies(source) == [
+        "u (line 4)",
+        "u (line 5)",
+        "v (line 8)",
+        "work (line 6)",
+        "work (line 7)",
+    ]
 
 
 def test_scan_flags_planted_wrappers():

@@ -5,7 +5,8 @@ system, psd_solve, the closures of one search, or residual_at while it
 forms the new pair.  An array dies when its owner is done with it, so a
 warm step holds at most the fields counted in
 TestStepPeakMemory.test_warm_step_peak_is_at_most_the_owned_fields, and
-no array handed over shares memory with one it must stay apart from.
+no array handed over shares memory with one it must stay apart from.  A
+spectral solver holds its buffer and tables only (TestSpectralFootprint).
 """
 
 import sys
@@ -19,6 +20,7 @@ from thinfilm import (
     FirstOrderScheme,
     Grid,
     PhysParams,
+    SpectralSolver,
     random_initial_data,
     restart_state,
 )
@@ -35,7 +37,7 @@ def warm_state(scheme, seed, dt):
 class TestStepPeakMemory:
     # Field-sized arrays that a warm step allocates and holds at its peak,
     # counted array by array in the test's docstring.
-    OWNED = {Bdf2Scheme: 14, FirstOrderScheme: 13}
+    OWNED = {Bdf2Scheme: 13, FirstOrderScheme: 12}
     # The solve's Python objects (closures, trace lists, scalars): 0.016 of
     # a 32^3 field measured.
     SMALL = 0.1
@@ -52,18 +54,21 @@ class TestStepPeakMemory:
         | owner               | arrays at the peak                       | BDF2 | first order |
         |---------------------|------------------------------------------|------|-------------|
         | StepSystem          | history, constant                        | 2    | 1 (its history is the caller's phi) |
-        | StepSystem          | pass scratch: work, bulk, curv           | 3    | 3           |
+        | StepSystem          | pass scratch: bulk, curv                 | 2    | 2           |
         | psd_solve           | iterate phi, residual r (deflated in     | 4    | 4           |
         |                     | place, kept as rp_prev), direction d,    |      |             |
         |                     | image s                                  |      |             |
         | the search          | affine part at phi, K d                  | 2    | 2           |
         | residual_at         | new point (the point field handed        | 3    | 3           |
         |                     | over), new affine part, new residual     |      |             |
-        | total               |                                          | 14   | 13          |
+        |                     | (the pass scratch work, handed over)     |      |             |
+        | total               |                                          | 13   | 12          |
 
-        Not held: the warm start, which psd_solve drops once it has copied
-        it (before Python 3.11 the caller's frame keeps a call's arguments
-        until it returns, so there it is held: one more); a spare point
+        Not held: a spare scratch field work, which the system allocates
+        at its next use after handing the last one over; the warm start,
+        which psd_solve drops once it has copied it (before Python 3.11
+        the caller's frame keeps a call's arguments until it returns, so
+        there it is held: one more); a spare point
         field, which the system allocates only at the next trial; the
         previous search's closures and p, which die before the next
         preconditioner solve; the copy r - mean r, since r is deflated in
@@ -91,15 +96,19 @@ class TestOwnership:
     def test_handed_over_arrays_share_no_memory(self, scheme_cls, monkeypatch):
         """No array a step hands over shares memory with one it must stay
         apart from: the iterate psd_solve returns, every point residual_at
-        hands over (and its residual), the system's scratch fields, the
-        point of a later trial, and the caller's StepState fields."""
+        hands over (and its residual), the system's scratch fields (a
+        residual is the field work of the passes before it, handed over),
+        the point of a later trial, and the caller's StepState fields."""
         grid = Grid(2, 16, 1.6)
         dt = 0.01
         scheme = scheme_cls(grid, PhysParams(eps=0.1))
         state = warm_state(scheme, 3, dt)
         caller = [state.phi, state.phi_prev, state.lap_phi]
         handed = []  # (point, residual) pairs in hand-over order
-        scratch = []  # the pass scratch fields seen at each hand-over
+        # (number of hand-overs before it, a pass scratch field): work,
+        # bulk and curv at every trial, bulk and curv at every hand-over,
+        # where work itself goes over as the residual
+        scratch = []
         trials = []  # (number of hand-overs before it, point of a trial)
         assemble = scheme.step_system_from
 
@@ -113,14 +122,19 @@ class TestOwnership:
                 def g_recorded(alpha):
                     out = g(alpha)
                     trials.append((len(handed), system._point))
+                    scratch.extend(
+                        (len(handed), field)
+                        for field in (system._work, system._bulk, system._curv)
+                    )
                     return out
 
                 def residual_at_recorded(alpha):
                     pair = residual_at(alpha)
                     handed.append(pair)
-                    scratch.extend([system._work, system._bulk, system._curv])
+                    scratch.extend((len(handed), field) for field in (system._bulk, system._curv))
                     return pair
 
+                g_recorded.slope = g.slope
                 g_recorded.seed_slope = g.seed_slope
                 return g_recorded, residual_at_recorded
 
@@ -139,14 +153,48 @@ class TestOwnership:
 
         for i, (point, residual) in enumerate(handed):
             assert apart(point, residual)
-            for other in caller + scratch:
+            for other in caller:
                 assert apart(point, other) and apart(residual, other)
+            for after, other in scratch:
+                assert apart(point, other)
+                if after > i:
+                    assert apart(residual, other)
             for later_point, later_residual in handed[i + 1:]:
                 assert apart(point, later_point) and apart(point, later_residual)
                 assert apart(residual, later_point)
             for before, trial_point in trials:
                 if before > i:
                     assert apart(point, trial_point)
-        for other in caller + scratch:
+        for other in caller + [field for _, field in scratch]:
             assert apart(returned, other)
         assert all(apart(returned, r) for _, r in handed)
+
+
+class TestSpectralFootprint:
+    # The solver's Python objects: under 1.5 kB measured.
+    SMALL_BYTES = 4096
+
+    @pytest.mark.parametrize("dim, n", [(1, 4096), (2, 128), (3, 33)])
+    def test_solver_holds_its_buffer_and_tables_only(self, dim, n):
+        """After a preconditioner solve a SpectralSolver holds, counted in
+        float64 half spectra: the complex buffer (2), the eigenvalues (1),
+        L (1) and the complex tables sqrt(w / L) and
+        1 / ((L + shift) sqrt(w / L)) (2 each), 8 in all.  The step's
+        peak test starts tracing once the tables exist, so a table that
+        grows shows here only."""
+        grid = Grid(dim, n, 1.3)
+        half = grid.num_cells // n * (n // 2 + 1) * 8
+        r = np.random.default_rng(5).standard_normal(grid.shape)
+        r -= r.sum() / r.size
+        # numpy sets up its FFT machinery at the first transform
+        SpectralSolver(grid).solve_preconditioner(r, 10.0, 1.0, 0.04, 2.0)
+
+        tracemalloc.start()
+        try:
+            solver = SpectralSolver(grid)
+            d, _ = solver.solve_preconditioner(r, 10.0, 1.0, 0.04, 2.0)
+            del d
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(held - 8 * half) <= self.SMALL_BYTES

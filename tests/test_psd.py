@@ -86,22 +86,45 @@ class TestBarrierAlpha:
 
 
 def slope_g(f, df):
-    """g -> (f, f'): the pair g reports at each trial."""
+    """a -> (f(a), f'(a)): the pair of g and its slope at a trial."""
     return lambda a: (f(a), df(a))
 
 
-def evaluated_search(g, barrier):
-    """line_search on g from g(0), asserting that the step it returns is a
-    trial g evaluated; returns the step and the value of g there."""
+def line_g(pair):
+    """g in line_search's protocol from ``pair(a) = (g(a), g'(a))``: g(a)
+    evaluates the pair and returns the value, and g.slope() returns the
+    slope of the last trial.  g.trials and g.slopes count the calls."""
+
+    def g(a):
+        g.trials += 1
+        value, g.last_slope = pair(a)
+        return value
+
+    def slope():
+        g.slopes += 1
+        return g.last_slope
+
+    g.slope, g.trials, g.slopes = slope, 0, 0
+    return g
+
+
+def evaluated_search(pair, barrier):
+    """line_search on the g of ``pair`` from its pair at 0, asserting that
+    the step it returns is a trial g evaluated and that the search asked
+    for the slope of every trial but the last (it steps from all of them
+    and from none after its return); returns the step and the value of g
+    there."""
     values = {}
 
     def recorded(a):
-        out = g(a)
+        out = pair(a)
         values[a] = out[0]
         return out
 
-    got = line_search(recorded, barrier, g(0.0))
+    g = line_g(recorded)
+    got = line_search(g, barrier, pair(0.0))
     assert got in values
+    assert g.slopes == g.trials - 1
     return got, values[got]
 
 
@@ -189,7 +212,7 @@ class TestLineSearch:
             calls.append(a)
             return a - 300.0, math.nan
 
-        got = line_search(g, math.inf, (-300.0, math.nan))
+        got = line_search(line_g(g), math.inf, (-300.0, math.nan))
         assert calls[:10] == [2.0**k for k in range(10)]
         lo, hi = 256.0, 512.0
         for a in calls[10:]:
@@ -200,11 +223,11 @@ class TestLineSearch:
 
     def test_rejects_uphill_start(self):
         with pytest.raises(ValueError):
-            line_search(slope_g(lambda a: a + 1.0, lambda a: 1.0), math.inf, (1.0, 1.0))
+            line_search(line_g(slope_g(lambda a: a + 1.0, lambda a: 1.0)), math.inf, (1.0, 1.0))
 
     def test_collapsed_barrier(self):
         with pytest.raises(BarrierCollapseError):
-            line_search(slope_g(lambda a: a - 1.0, lambda a: 1.0), 0.0, (-1.0, 1.0))
+            line_search(line_g(slope_g(lambda a: a - 1.0, lambda a: 1.0)), 0.0, (-1.0, 1.0))
 
     @pytest.mark.parametrize("slope", [1e-308, 1.0, math.nan])
     def test_never_returns_an_infinite_step(self, slope):
@@ -218,7 +241,7 @@ class TestLineSearch:
             return -1.0, slope
 
         with pytest.raises(BarrierCollapseError):
-            line_search(g, math.inf, (-1.0, slope))
+            line_search(line_g(g), math.inf, (-1.0, slope))
         assert len(calls) <= 456
         assert all(math.isfinite(a) for a in calls)
 
@@ -230,7 +253,7 @@ class TestLineSearch:
                 calls.append(a)
                 return a - 1.0, slope0
 
-            line_search(g, math.inf, (-1.0, slope0))
+            line_search(line_g(g), math.inf, (-1.0, slope0))
             assert 0.0 not in calls  # g(0) was supplied, never evaluated
 
     def test_noise_below_the_wolfe_bound_ends_at_the_first_trial(self):
@@ -246,7 +269,7 @@ class TestLineSearch:
             noise = 1e-10 * root * rng.uniform(-1.0, 1.0)
             return a - root + noise, 1.0 + 1e-3 * rng.standard_normal()
 
-        got = line_search(g, math.inf, (-root, 1.0))
+        got = line_search(line_g(g), math.inf, (-root, 1.0))
         assert calls == [got]
         assert got == pytest.approx(root, abs=1e-10 * root)
 
@@ -264,7 +287,7 @@ class TestLineSearch:
             values[a] = a - root + noise
             return values[a], 1.0 + 1e-3 * rng.standard_normal()
 
-        got = line_search(g, math.inf, (-root, 1.0))
+        got = line_search(line_g(g), math.inf, (-root, 1.0))
         assert len(values) <= 456
         assert got in values
         assert values[got] < 0.0
@@ -303,7 +326,8 @@ def step_system(grid, residual, hessian, precondition, image_of):
     g'(alpha) = <hessian(phi + alpha d, d), d>.  The image s handed along
     with every direction d is compared with L d, image_of applying the
     preconditioner's L; the relative errors are collected in the system's
-    image_errors.  g carries its slope at 0 as g.seed_slope.
+    image_errors.  g carries its slope at 0 as g.seed_slope, and the
+    system counts the slopes its searches ask for in ``slopes``.
     """
     image_errors = []
 
@@ -312,24 +336,32 @@ def step_system(grid, residual, hessian, precondition, image_of):
         ld = image_of(d)
         image_errors.append(norm_inf(image - ld) / norm_inf(ld))
 
-        def g(alpha):
+        def pair(alpha):
             x = phi + alpha * d
             return -inner(grid, residual(x), d), inner(grid, hessian(x, d), d)
+
+        def slope():
+            system.slopes += 1
+            return g.last_slope
 
         def residual_at(alpha):
             x = phi + alpha * d
             return x, residual(x)
 
+        g = line_g(pair)
+        g.slope = slope
         g.seed_slope = inner(grid, hessian(phi, d), d)
         return g, residual_at
 
-    return SimpleNamespace(
+    system = SimpleNamespace(
         grid=grid,
         residual=residual,
         precondition=precondition,
         directional=directional,
         image_errors=image_errors,
+        slopes=0,
     )
+    return system
 
 
 def quadratic_problem(grid, solver, coeffs, seed):
@@ -440,6 +472,8 @@ class TestPsdSolveBarrier:
         assert len(trace.line_evals) == trace.iterations
         assert all(e >= 1 for e in trace.line_evals)
         assert all(a > 0.0 for a in trace.alphas)
+        # a search asks for the slope of every trial but the one it returns
+        assert system.slopes == sum(trace.line_evals) - trace.iterations
         # every direction arrives with its preconditioner image L d
         assert len(system.image_errors) == trace.iterations
         assert max(system.image_errors) <= 1e-10
@@ -498,7 +532,7 @@ class TestPsdSolveBarrier:
                 x = phi + alpha * d
                 return r_phi + (x**-2 - inv2) - 4.0 * alpha * d, x
 
-            def g(alpha):
+            def pair(alpha):
                 r, x = moved(alpha)
                 curvature = (2.0 * x**-3 + 4.0) * d
                 return -inner(self.grid, r, d), inner(self.grid, curvature, d)
@@ -507,6 +541,7 @@ class TestPsdSolveBarrier:
                 r, x = moved(alpha)
                 return x, r
 
+            g = line_g(pair)
             g.seed_slope = inner(self.grid, (2.0 * phi**-3 + 4.0) * d, d)
             return g, residual_at
 
@@ -537,10 +572,7 @@ class TestPsdSolveBarrier:
         def directional(phi, direction, r_phi):
             g, residual_at = exact(phi, direction, r_phi)
 
-            def stretched(alpha):
-                value, slope = g(alpha / 1.5)
-                return value, slope / 1.5
-
+            stretched = line_g(lambda alpha: (g(alpha / 1.5), g.slope() / 1.5))
             stretched.seed_slope = g.seed_slope / 1.5
             return stretched, residual_at
 

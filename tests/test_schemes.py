@@ -61,6 +61,12 @@ def apply_pinv(grid, pinv, u):
     return (pinv @ v.ravel()).reshape(grid.shape)
 
 
+def trial_pair(g, alpha):
+    """(g(alpha), g'(alpha)): a line trial and its slope, taken on demand."""
+    value = g(alpha)
+    return value, g.slope()
+
+
 def positive_field(grid, seed, low=0.6, high=1.6):
     return np.random.default_rng(seed).uniform(low, high, grid.shape)
 
@@ -251,7 +257,7 @@ class TestDirectionalFactory:
             r_trial = system.residual(phi + alpha * d)
             naive_g = -inner(grid, r_trial, d)
             scale = max(1.0, abs(naive_g))
-            assert abs(g(alpha)[0] - naive_g) <= 1e-10 * scale
+            assert abs(g(alpha) - naive_g) <= 1e-10 * scale
             phi_new, r_new = residual_at(alpha)
             assert np.array_equal(phi_new, phi + alpha * d)
             assert norm_inf(r_new - r_trial) <= 1e-10 * max(1.0, norm_inf(r_trial))
@@ -348,7 +354,7 @@ class TestDirectionalFactory:
 
         h = 1e-5
         for alpha in (0.0, 0.5, 1.0):
-            slope = g.seed_slope if alpha == 0.0 else g(alpha)[1]
+            slope = g.seed_slope if alpha == 0.0 else trial_pair(g, alpha)[1]
             fd = (naive_g(alpha + h) - naive_g(alpha - h)) / (2.0 * h)
             assert slope > 0.0
             assert slope == pytest.approx(fd, rel=1e-7)
@@ -392,14 +398,14 @@ class TestDirectionalFactory:
         alpha = 0.3 * barrier_alpha(phi, d, 0.99)
         g, _ = system.directional(phi, (d, rp), r)
         held = g.seed_slope
-        trial = g(alpha)
+        trial = trial_pair(g, alpha)
         g_again, _ = system.directional(phi, (d, rp), r)
 
         _, other = self.make_system(setup, which, phi_old, dt)
         r_other = other.residual(phi)
         fresh, _ = other.directional(phi, (d, rp), r_other)
         assert held == g_again.seed_slope == fresh.seed_slope
-        assert g_again(alpha) == trial == fresh(alpha)
+        assert trial_pair(g_again, alpha) == trial == trial_pair(fresh, alpha)
 
     @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
@@ -1251,6 +1257,88 @@ class TestStepBehavior:
                 "g": report.line_evals,
                 "residual_at": iters,
             }
+
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_a_search_takes_the_slope_only_of_trials_it_steps_from(
+        self, monkeypatch, scheme_cls
+    ):
+        """Every search returns at a trial before a Newton step from it, so
+        a step asks g.slope() once per line evaluation but the last of each
+        search: sum(line_evals) - iterations times."""
+        slopes = [0]
+        assemble = scheme_cls.step_system_from
+
+        def assembled(self, *args, **kwargs):
+            system = assemble(self, *args, **kwargs)
+            directional = system.directional
+
+            def counted(*args):
+                g, residual_at = directional(*args)
+                slope = g.slope
+
+                def counted_slope():
+                    slopes[0] += 1
+                    return slope()
+
+                g.slope = counted_slope
+                return g, residual_at
+
+            system.directional = counted
+            return system
+
+        monkeypatch.setattr(scheme_cls, "step_system_from", assembled)
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
+        for _ in range(3):
+            slopes[0] = 0
+            state, report = scheme.step(state, 0.01)
+            assert report.line_evals > report.psd_iters >= 2
+            assert slopes[0] == report.line_evals - report.psd_iters
+
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_eager_slopes_give_the_same_bits(self, monkeypatch, scheme_cls):
+        """A g that takes every trial's slope as it evaluates the trial, as
+        the pair protocol did, yields the iterates and trace of the lazy
+        one to the bit: a slope writes only the free scratch field."""
+        grid = Grid(2, 32, 3.2)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        start = restart_state(grid, positive_field(grid, 61, 0.8, 1.2))
+        lazy, state = [], start
+        for _ in range(3):
+            state, report = scheme.step(state, 0.01)
+            lazy.append((state, report))
+
+        assemble = scheme_cls.step_system_from
+
+        def assembled(self, *args, **kwargs):
+            system = assemble(self, *args, **kwargs)
+            directional = system.directional
+
+            def eager_directional(*args):
+                g, residual_at = directional(*args)
+
+                def eager(alpha):
+                    value = g(alpha)
+                    eager.taken = g.slope()
+                    return value
+
+                eager.slope = lambda: eager.taken
+                eager.seed_slope = g.seed_slope
+                return eager, residual_at
+
+            system.directional = eager_directional
+            return system
+
+        monkeypatch.setattr(scheme_cls, "step_system_from", assembled)
+        state = start
+        for expected, expected_report in lazy:
+            state, report = scheme.step(state, 0.01)
+            assert report.psd_iters >= 2
+            assert np.array_equal(state.phi, expected.phi)
+            assert np.array_equal(state.lap_phi, expected.lap_phi)
+            for name in ("psd_iters", "line_evals", "final_residual", "energy"):
+                assert getattr(report, name) == getattr(expected_report, name)
 
     def test_capped_searches_are_counted(self, monkeypatch):
         """A BDF2 step system at dt = 10 solved from a start with a spike of

@@ -298,11 +298,17 @@ class TestOwnedBuffer:
         "dim, n", [(1, 16), (1, 7), (2, 128), (2, 33), (3, 48), (3, 5)]
     )
     def test_bit_identical_to_plain_transforms(self, dim, n):
+        """PlainSpectral multiplies by real tables; the solver's tables
+        sqrt(w / L) and 1 / ((L + shift) sqrt(w / L)) are complex with
+        imaginary parts of exactly +0.0, for the same bits, also at a
+        second shift under two of the keys."""
         grid = Grid(dim, n, 1.3)
         solver, plain = SpectralSolver(grid), PlainSpectral(grid)
         # The factors of the last coefficients are cached: alternate them.
         cases = [(10.0, 1.0, 0.04, 0.0), (1500.0, 2.2528, 0.0104, 3.5),
-                 (0.5, 0.8, 1.0, -0.8), (10.0, 1.0, 0.04, 0.0)]
+                 (0.5, 0.8, 1.0, -0.8), (10.0, 1.0, 0.04, 0.0),
+                 (10.0, 1.0, 0.04, 2.0), (1500.0, 2.2528, 0.0104, 3.5),
+                 (1500.0, 2.2528, 0.0104, 12.0)]
         for k, coeffs in enumerate(cases):
             f = random_mean_zero(grid, 70 + k)
             with_mean = f + 1e-12 * norm_inf(f)  # below the mean tolerance
@@ -315,6 +321,9 @@ class TestOwnedBuffer:
             # a limit the stop norm does not meet changes nothing
             limited = solver.solve_preconditioner(f, *coeffs, limit=0.5 * math.sqrt(norm2))
             assert np.array_equal(limited[0], d_plain) and limited[1] == norm2_plain
+            for table in (solver._root, solver._ratio):
+                assert table.dtype == complex
+                assert not table.imag.any() and not np.signbit(table.imag).any()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 6)])
     def test_tables_kept_per_step_size_and_shift(self, monkeypatch, dim, n):
