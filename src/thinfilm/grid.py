@@ -19,13 +19,13 @@ quadrature weight h^dim.
 Both stencils compute in float64 whatever the field's dtype, never
 through shifted copies of the field, and add (or subtract) the periodic
 neighbours in the order of the np.roll formulas (tests/oracles.py), so for
-a float64 field their bits are those formulas'.  A leading axis reaches
-its neighbours through slices (the interior shift plus the one wrapped
-layer).  The contiguous (x) axis is taken in one shifted operation over
-the whole flattened field.  That operation pairs each row's end cell with
-a cell of the neighbouring row, so the row ends are then redone from the
-row's own wrapped cell.  Slicing that axis instead would cost numpy one
-inner loop per row.
+a float64 field their bits are those formulas'.  An axis reaches its
+neighbours through slices (the interior shift plus the one wrapped layer),
+except the contiguous (x) axis of :func:`lap`, which the solver calls in
+every step: slicing it would cost numpy one inner loop per row, so lap
+takes it in one shifted add over the whole flattened field.  That add
+pairs each row's end cell with a cell of the neighbouring row, so the row
+ends are then redone from the row's own wrapped cell.
 """
 
 from __future__ import annotations
@@ -151,27 +151,18 @@ def norm_2(grid: Grid, u: np.ndarray) -> float:
 
 def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     """l^2 norm sqrt(h^dim sum_d sum_i (D_d u)_i^2) of the forward-difference
-    gradient, one pass per direction, each squared in place in one
-    scratch field.
-
-    The x difference (the contiguous axis) is one subtraction over the
-    flattened field, whose row ends are then overwritten with
-    u[..., 0] - u[..., -1]; the other directions subtract slices.
+    gradient, one pass per direction, each a slice subtraction squared in
+    place in one scratch field.
     """
     grid.validate_field(u)
     h = grid.h
     delta = np.empty(u.shape)
     acc = 0.0
     for d in range(grid.dim):
-        if d == 0:
-            flat_u, flat_delta = u.reshape(-1), delta.reshape(-1)
-            np.subtract(flat_u[1:], flat_u[:-1], out=flat_delta[:-1], dtype=float)
-            np.subtract(u[..., 0], u[..., -1], out=delta[..., -1], dtype=float)
-        else:
-            ax = grid.axis_of(d)
-            dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
-            np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
-            np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
+        ax = grid.axis_of(d)
+        dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
+        np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
+        np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
         delta /= h
         np.square(delta, out=delta)
         acc += float(delta.sum())

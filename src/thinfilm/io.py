@@ -15,6 +15,7 @@ through a temp file plus atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -89,9 +90,13 @@ def write_key_values(path, pairs: dict) -> None:
 
 
 def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None:
-    """Write one cell field plus its text sidecar atomically."""
+    """Write one cell field plus its text sidecar atomically; ValueError,
+    before anything is written, for a field of the wrong shape or a time
+    that is not finite."""
     path = Path(path)
     grid.validate_field(values)
+    if not math.isfinite(t):
+        raise ValueError(f"snapshot time must be finite, got {t!r}")
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n, grid.length, float(t)
     )
@@ -106,7 +111,8 @@ def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None
 
 
 def read_field_snapshot(path):
-    """Read a snapshot; returns (grid, values, t).  FormatError on mismatch."""
+    """Read a snapshot; returns (grid, values, t).  FormatError on mismatch
+    or a time that is not finite."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -116,6 +122,8 @@ def read_field_snapshot(path):
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if not math.isfinite(t):
+        raise FormatError(f"{path}: time {t!r} is not finite")
     try:
         grid = Grid(dim, n, length)
     except ValueError as exc:

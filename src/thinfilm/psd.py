@@ -43,11 +43,11 @@ remains a descent step.
 The CG loop does not need the root itself, only a step that keeps PR+
 convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): a search ends at the
 first trial with |g(alpha)| <= _WOLFE_TOL |g(0)|, a strong-Wolfe curvature
-condition with sigma = 1e-6.  Every search ends at a trial that g
-evaluated, so a step system can carry that trial's pointwise pass into the
-next residual instead of repeating it, and that trial's point phi + alpha d
-into the next iterate: the step system owns the field a trial writes its
-point into, and hands it over, as the new iterate, with the residual there.
+condition with sigma = 1e-6.  Every search ends at its last trial, so a
+step system carries that trial's pointwise pass into the next residual,
+and that trial's point phi + alpha d into the next iterate: the step
+system owns the field a trial writes its point into, and hands it over, as
+the new iterate, with the residual there.
 """
 
 from __future__ import annotations
@@ -168,11 +168,12 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
     inside the current bracket and is at most half the move before the
     last (as fast as bisection); otherwise the search bisects the bracket
     once g has changed sign, and doubles the step toward the cap before.
-    Every return is a trial that g evaluated:
+    Every return is the last trial g evaluated:
 
     - the first with |g(alpha)| <= _WOLFE_TOL |g(0)|;
     - the downhill end of a bracket narrower than _LINE_TOL * alpha, where
-      g < 0, so still a descent step (rounding of g above the Wolfe bound);
+      g < 0, so still a descent step (rounding of g above the Wolfe bound),
+      evaluated once more to be the last trial;
     - the step cap, when even the capped step stays downhill (a
       barrier-limited descent step).
 
@@ -209,6 +210,7 @@ def line_search(g, alpha_barrier: float, g0: tuple) -> float:
         else:
             hi, bracketed = a, True
         if bracketed and hi - lo <= _LINE_TOL * hi:
+            g(lo)
             return lo
         x = _newton(a, value, g.slope())
         if not (lo < x < hi and abs(x - a) <= 0.5 * move_before):
@@ -263,44 +265,41 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     returns the full residual field and is called once, at phi_init;
     system.precondition(rp, limit) returns (Lc^{-1} rp, <L0^{-1} rp, rp>)
     for a mean-zero field rp, with Lc the preconditioner and L0 the fixed
-    metric of the stop; Lc^{-1} rp may be rp itself.  The solve passes
-    limit = cfg.tol, the bound of its own stop sqrt(<L0^{-1} rp, rp>) <=
-    tol, and the system may return None for Lc^{-1} rp exactly when that
-    stop holds: the accepting iteration never reads it, so a spectral
-    solve skips its inverse transform.
+    metric of the stop.  The solve passes limit = cfg.tol, the bound of its
+    own stop sqrt(<L0^{-1} rp, rp>) <= tol, and the system may return None
+    for Lc^{-1} rp exactly when that stop holds: the accepting iteration
+    never reads it, so a spectral solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
-    and returns (g, residual_at): g(alpha) is g(alpha) = -<r(phi + alpha d), d>
-    at a trial alpha > 0, g.slope() its derivative at the last trial, taken
-    on demand (line_search asks for it only to step from that trial),
-    g.seed_slope is g'(0), and
-    residual_at(alpha) returns the pair (phi_new, r(phi_new)) for
-    phi_new = phi + alpha d, formed as fl(phi + fl(alpha d)); the solve
-    takes phi_new as its next iterate and owns it from then on, so it must
-    be an array that the system never writes to again.  residual_at is
-    called right after the search, with no other g call in between, and
-    every search ends at a trial g evaluated, so it may reuse the work and
-    the point of a trial at the same alpha.  The search is seeded with
-    g(0) = -<d, rp> from the deflated residual, which the solve has (the
-    undeflated inner product carries rounding of order mean(r) sum(d),
-    large near the barrier), and with g.seed_slope, which step systems read
-    from the state they carry at phi; g is never called at 0.  g, g.slope,
-    g.seed_slope and residual_at must agree with the naive evaluations
-    through system.residual to rounding error.  g.slope and g.seed_slope
-    are attributes of g set before directional returns, so a wrapper that
-    copies g's attributes (functools.wraps) keeps them.
+    and returns (g, residual_at); a residual serves one search.  g(alpha) is
+    g(alpha) = -<r(phi + alpha d), d> at a trial alpha > 0, g.slope() its
+    derivative at the last trial, taken on demand (line_search asks for it
+    only to step from that trial), and g.seed_slope is g'(0).
+    residual_at(alpha) is called right after the search, at its last trial,
+    and returns the pair (phi_new, r(phi_new)) for phi_new = phi + alpha d,
+    formed as fl(phi + fl(alpha d)), so it may take that trial's work and
+    point.  The search is seeded with g(0) = -<d, rp> from the deflated
+    residual, which the solve has (the undeflated inner product carries
+    rounding of order mean(r) sum(d), large near the barrier), and with
+    g.seed_slope, which step systems read from the state they carry at phi;
+    g is never called at 0.  g, g.slope, g.seed_slope and residual_at must
+    agree with the naive evaluations through system.residual to rounding
+    error.  g.slope and g.seed_slope are attributes of g set before
+    directional returns, so a wrapper that copies g's attributes
+    (functools.wraps) keeps them.
 
     Ownership.  The solve copies phi_init and drops the caller's array.  It
-    owns every iterate and every residual a system hands it, from
-    system.residual and residual_at alike, and overwrites the residuals:
-    r is deflated in place into rp = r - mean r (the r that directional
-    receives is that deflated array), and after a restart rp is also the
-    image s, which later iterations combine in place.  So a system must
-    not read a residual it handed out (StepSystem checks only its
-    identity), and a caller that keeps one must copy it.  One search's
-    closures, and what they hold (K d, the iterate the search started
-    from, the affine part there), die when the search ends, so the next
-    preconditioner solve runs beside phi, r, d, s and rp_prev only.
+    owns every array a system hands it, and the system never writes to one
+    again: each residual and iterate, and each Lc^{-1} rp, which is
+    therefore not rp itself (ValueError).  It overwrites them: r is deflated
+    in place into rp = r - mean r (the r that directional receives is that
+    deflated array), Lc^{-1} rp into p, and after a restart p and rp become
+    d and s, which later iterations combine in place.  So a system must not
+    read a residual it handed out (StepSystem checks only its identity),
+    and a caller that keeps one must copy it.  One search's closures, and
+    what they hold (K d, the iterate the search started from, the affine
+    part there), die when the search ends, so the next preconditioner solve
+    runs beside phi, r, d, s and rp_prev only.
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when
@@ -331,12 +330,12 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
         trace.residual_norms.append(stop)
         if stop <= cfg.tol:
             return phi, trace
+        if p is rp:
+            raise ValueError("precondition must hand over an array of its own, not rp")
         # Pin the gradient to the fixed-mean tangent space exactly: the
         # spectral solve leaves a rounding-level mean whose per-step bias
-        # would otherwise accumulate over very long runs.  Out of place, so
-        # p is this iteration's own array even when the preconditioner
-        # returned rp, which is still read below, or an array it keeps.
-        p = p - p.sum() / p.size
+        # would otherwise accumulate over very long runs.
+        p -= p.sum() / p.size
         res2 = max(inner(grid, p, rp), 0.0)
 
         # Polak-Ribiere+: beta is clipped at zero, and a direction that is

@@ -160,33 +160,32 @@ class StepSystem:
     K = (1 + shift) I - Lc: its identity coefficient
     a1 + shift = max(median(linear - B'(phi)), 0) is the median of the
     Hessian diagonal at the point of the step's first ``residual`` call,
-    read from that call's pointwise pass.  ``precondition(rp, limit=None)``
+    read from that call's pointwise pass.  ``precondition(rp, limit)``
     returns (Lc^{-1} rp, <L0^{-1} rp, rp>), with None for Lc^{-1} rp when
-    a ``limit`` is given and sqrt(<L0^{-1} rp, rp>) <= limit.
+    ``limit`` is not None and sqrt(<L0^{-1} rp, rp>) <= limit.
 
     psd_solve looks ``residual``, ``precondition`` and ``directional`` up on
     the instance as it calls them, so methods wrapped on the instance after
     assembly see every call.  ``directional(phi, (d, s), r)`` takes a
     direction d together with its image s = Lc d, so K d = (1 + shift) d - s
     costs no transform, and the residual r at phi, which must be the last
-    one the system handed out.  It returns (g, residual_at).  g(alpha) returns
-    g(alpha) = -<r(phi + alpha d), d> for a trial alpha > 0: one pointwise
-    pass and one dot.  g.slope() returns
+    one the system handed out, with no line trial since.  It consumes r, so
+    a residual serves one search, and returns (g, residual_at).  g(alpha)
+    returns g(alpha) = -<r(phi + alpha d), d> for a trial alpha > 0: one
+    pointwise pass and one dot.  g.slope() returns
     g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> at the last trial, from
     that trial's pass: one multiply and one dot, paid only when asked for,
     which line_search does only to step from the trial.  A trial forms its
     point phi + alpha d, as fl(phi + fl(alpha d)), in a point field that
     the system owns.  The seed slope g'(0) comes with g, as g.seed_slope,
-    from the curvature -B' of the pass that produced r, at no pass while
-    the system still holds it (as it does whenever psd_solve asks); the
-    value g(0) = -<r, d> is the caller's.
-    residual_at(alpha) returns the pair (phi + alpha d, r(phi + alpha d))
-    and costs one pass, unless the last pass of the step was this
-    direction's trial at the same alpha: the line search ends at a trial it
-    evaluated, as a rule its last, and that pass and that point are then
-    reused, to the same bits.  g and residual_at agree with the naive
-    evaluation through ``residual`` to rounding error whenever s = Lc d to
-    rounding error.
+    from the curvature -B' of the pass that produced r; the value
+    g(0) = -<r, d> is the caller's.  residual_at(alpha) returns the pair
+    (phi + alpha d, r(phi + alpha d)) from the pass and the point of the
+    search's last trial, which must be at alpha: it refuses (ValueError)
+    any other alpha, a direction whose search is over, and a call before
+    the first trial.  g and residual_at agree with the naive evaluation
+    through ``residual`` to rounding error whenever s = Lc d to rounding
+    error.
 
     Ownership.  The system owns ``history`` and ``constant``, which only
     ``residual`` reads; the scratch fields of the pointwise pass (work, bulk,
@@ -224,14 +223,14 @@ class StepSystem:
         self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
         self._point = None
         self._curv_scale = 8.0 if concave else 24.0
-        # The last residual handed out and its affine part K phi + c, which
+        # The last residual handed out, until a search consumes it or a
+        # trial overwrites its pass, and its affine part K phi + c, which
         # the line closures take instead of re-deriving it as r - B(phi): the
         # rounding of that difference is on the scale of B (about 1e12 at
         # phi = 0.05) and would stay in every carried residual after it.
         self._r = self._affine = None
-        # What the scratch fields hold the pass of: the affine part of a
-        # residual's point, or a direction's K d after a trial at
-        # _held_alpha along it.  Every pass sets it.
+        # The K d of the direction whose trial at _held_alpha the scratch
+        # and point fields hold, or None when they hold no trial's.
         self._held = self._held_alpha = None
 
     def _scratch(self) -> np.ndarray:
@@ -285,11 +284,10 @@ class StepSystem:
             c = max(self.linear + self._curv_scale * flat[k], 0.0)
             self.shift = c - self.coefficients[1]
         r = self._bulk + affine
-        self._r = r
-        self._affine = self._held = affine
+        self._r, self._affine, self._held = r, affine, None
         return r
 
-    def precondition(self, rp: np.ndarray, limit: Optional[float] = None) -> tuple:
+    def precondition(self, rp: np.ndarray, limit: Optional[float]) -> tuple:
         if self.shift is None:
             raise ValueError("precondition needs the step's first residual")
         return self.solver.solve_preconditioner(
@@ -298,7 +296,11 @@ class StepSystem:
 
     def directional(self, phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
         if r_phi is not self._r:
-            raise ValueError("directional needs the last residual the step system handed out")
+            raise ValueError(
+                "directional needs the last residual the step system handed out, "
+                "unsearched and with no line trial since"
+            )
+        self._r = None
         d, image = direction
         grid, affine = self.grid, self._affine
         bulk, curv = self._bulk, self._curv
@@ -309,19 +311,6 @@ class StepSystem:
         s0 = inner(grid, affine, d)
         s1 = inner(grid, kd, d)
 
-        def trial(alpha: float) -> None:
-            if self._point is None:
-                self._point = np.empty(grid.shape)
-            point = self._point
-            np.multiply(d, alpha, out=point)
-            np.add(point, phi, out=point)
-            if not point.min() > 0.0:
-                raise NonPositiveFieldError("line trial point is not strictly positive")
-            self._pass(point)
-            # kd is new with every direction, so a pass is never reused
-            # along another one.
-            self._held, self._held_alpha = kd, alpha
-
         def slope() -> float:
             # g' = <-B' d, d> - <K d, d> at the point of the held pass, with
             # d^2 never stored
@@ -330,32 +319,38 @@ class StepSystem:
             return curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
         def g(alpha: float) -> float:
-            trial(alpha)
+            # The trial overwrites the point field and then the pass, which
+            # no longer serve a residual or an earlier trial.
+            self._r = self._held = None
+            if self._point is None:
+                self._point = np.empty(grid.shape)
+            point = self._point
+            np.multiply(d, alpha, out=point)
+            np.add(point, phi, out=point)
+            if not point.min() > 0.0:
+                raise NonPositiveFieldError("line trial point is not strictly positive")
+            self._pass(point)
+            # kd is new with every direction, so a pass is never taken for
+            # another one's.
+            self._held, self._held_alpha = kd, alpha
             return -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
 
         def residual_at(alpha: float) -> tuple:
-            # The scratch and point fields still hold the pass and the point
-            # phi + alpha d when the last pass was this direction's trial
-            # at alpha.
             if not (self._held is kd and self._held_alpha == alpha):
-                trial(alpha)
+                raise ValueError("residual_at needs its search's last trial, at that alpha")
             # affine + alpha kd, to the same bits, with no temporary; the
             # residual goes into the free scratch field, which is handed over
             # with it.
             moved = alpha * kd
             moved += affine
             out = np.add(bulk, moved, out=self._work)
-            self._r = out
-            self._affine = self._held = moved
+            self._r, self._affine, self._held = out, moved, None
             point, self._point = self._point, None
             self._work = None
             return point, out
 
-        if self._held is not affine:
-            # A trial since the residual at phi overwrote its pass.
-            self._pass(phi)
-            self._held = affine
         g.slope = slope
+        # The pass at phi is still held: it produced r, and no trial ran since.
         g.seed_slope = slope()
         return g, residual_at
 

@@ -142,6 +142,21 @@ class TestFieldSnapshots:
         with pytest.raises(FormatError, match="invalid header"):
             read_field_snapshot(bad_grid)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, tmp_path, t):
+        """The reader raises FormatError on a header time that is not
+        finite; the writer refuses one with ValueError and writes nothing."""
+        grid = Grid(2, 4, 1.0)
+        path = tmp_path / "field.tfgf"
+        path.write_bytes(
+            struct.pack("<4sIIIdd", b"TFGF", 1, 2, 4, 1.0, t) + bytes(16 * 8)
+        )
+        with pytest.raises(FormatError, match="time"):
+            read_field_snapshot(path)
+        with pytest.raises(ValueError, match="time"):
+            write_field_snapshot(tmp_path / "new.tfgf", grid, np.ones(grid.shape), t)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["field.tfgf"]
+
 
 class TestEnergyLog:
     def test_roundtrip_values(self, tmp_path):
@@ -351,6 +366,17 @@ class TestCliStep:
                      "--outdir", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_input_with_a_nan_time_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.tfgf"
+        path.write_bytes(
+            struct.pack("<4sIIIdd", b"TFGF", 1, 2, 8, 1.0, math.nan)
+            + np.ones(64).astype("<f8").tobytes()
+        )
+        code = main(["step", "--input", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FormatError: ")
+        assert not (tmp_path / "out" / "out.tfgf").exists()
 
 
 class TestCliConverge:

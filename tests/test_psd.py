@@ -108,24 +108,28 @@ def line_g(pair):
     return g
 
 
-def evaluated_search(pair, barrier):
+def evaluated_search(pair, barrier, collapses=False):
     """line_search on the g of ``pair`` from its pair at 0, asserting that
-    the step it returns is a trial g evaluated and that the search asked
-    for the slope of every trial but the last (it steps from all of them
-    and from none after its return); returns the step and the value of g
-    there."""
-    values = {}
+    the step it returns is the alpha of g's last call and that the search
+    asked for the slope of every trial it stepped from: every trial but the
+    last, and but the one before it when the bracket ``collapses`` (the
+    search then evaluates the bracket's downhill end once more, so the
+    last trial repeats an earlier alpha); returns the step and the value of
+    g there."""
+    calls = []
 
     def recorded(a):
         out = pair(a)
-        values[a] = out[0]
+        calls.append((a, out[0]))
         return out
 
     g = line_g(recorded)
     got = line_search(g, barrier, pair(0.0))
-    assert got in values
-    assert g.slopes == g.trials - 1
-    return got, values[got]
+    last, value = calls[-1]
+    assert got == last
+    assert (got in [a for a, _ in calls[:-1]]) == collapses
+    assert g.slopes == g.trials - 1 - collapses
+    return got, value
 
 
 def assert_wolfe_step(f, df, barrier, root):
@@ -199,7 +203,7 @@ class TestLineSearch:
         def df(a):
             return math.nan if a > 1.0 else 1.0
 
-        got, _ = evaluated_search(slope_g(f, df), math.inf)
+        got, _ = evaluated_search(slope_g(f, df), math.inf, collapses=True)
         assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_without_a_slope_the_search_doubles_then_bisects(self):
@@ -276,21 +280,23 @@ class TestLineSearch:
     def test_noise_above_the_wolfe_bound_ends_at_the_downhill_end(self):
         """g linear with root 0.57 plus noise of up to 1e-5 of |g(0)| that
         keeps |g| above the _WOLFE_TOL |g(0)| stop everywhere: the bracket
-        collapses onto the root and the search returns its downhill end, an
-        evaluated trial with g < 0, within the noise of the root."""
+        collapses onto the root and the search returns its downhill end,
+        evaluated once more as its last trial, where g < 0, within the noise
+        of the root."""
         root = 0.57
         rng = np.random.default_rng(3)
-        values = {}
+        calls = []
 
         def g(a):
             noise = 1e-5 * root * rng.uniform(0.2, 1.0) * math.copysign(1.0, a - root)
-            values[a] = a - root + noise
-            return values[a], 1.0 + 1e-3 * rng.standard_normal()
+            calls.append((a, a - root + noise))
+            return calls[-1][1], 1.0 + 1e-3 * rng.standard_normal()
 
         got = line_search(line_g(g), math.inf, (-root, 1.0))
-        assert len(values) <= 456
-        assert got in values
-        assert values[got] < 0.0
+        assert len(calls) <= 457
+        assert got == calls[-1][0]
+        assert got in [a for a, _ in calls[:-1]]
+        assert calls[-1][1] < 0.0
         assert 0.0 < root - got <= 1e-5 * root
 
     def test_cg_stop_returns_an_evaluated_trial(self):
@@ -376,7 +382,7 @@ def quadratic_problem(grid, solver, coeffs, seed):
         u = u - np.mean(u)
         return a0 * solver.inv_neg_lap(u) + a1 * u - a2 * lap(grid, u)
 
-    def precondition(r, limit=None):
+    def precondition(r, limit):
         return solver.solve_preconditioner(r, a0, a1, a2, limit=limit)
 
     system = step_system(
@@ -436,7 +442,7 @@ class TestPsdSolveBarrier:
         rng = np.random.default_rng(7)
         self.phi0 = rng.uniform(0.4, 1.6, self.grid.shape)
 
-    def precondition(self, r, limit=None):
+    def precondition(self, r, limit):
         return self.solver.solve_preconditioner(r, *self.L0, self.SHIFT, limit)
 
     def apply_l(self, d):
@@ -585,42 +591,34 @@ class TestPsdSolveBarrier:
             float(np.mean(self.phi0)), abs=1e-12
         )
 
-    def assert_returned_input_is_left_alone(self, phi0):
-        """psd_solve with a preconditioner that returns its input rp, or one
-        buffer it keeps across calls, equals psd_solve with one that returns
-        a fresh copy, to the bit."""
-        kept = np.empty(phi0.shape)
+    def assert_returned_input_is_refused(self, phi0):
+        """psd_solve with a preconditioner that returns its input rp raises
+        ValueError before it writes to that array: rp is left as the
+        preconditioner received it, to the bit."""
+        handed = []
 
-        def into_kept(r):
-            np.copyto(kept, r)
-            return kept
+        def precondition(r, limit):
+            handed.append((r, r.copy()))
+            return r, inner(self.grid, r, r)
 
-        runs = [
-            psd_solve(self.system(lambda r, limit: (wrap(r), inner(self.grid, r, r))), phi0, CFG)
-            for wrap in (lambda r: r, into_kept, np.copy)
-        ]
-        phi_copy, trace_copy = runs[-1]
-        for phi, trace in runs[:-1]:
-            assert trace.iterations >= 3
-            assert trace.residual_norms == trace_copy.residual_norms
-            assert trace.alphas == trace_copy.alphas
-            assert trace.line_evals == trace_copy.line_evals
-            assert np.array_equal(phi, phi_copy)
+        with pytest.raises(ValueError, match="not rp"):
+            psd_solve(self.system(precondition), phi0, CFG)
+        (rp, received), = handed
+        assert np.array_equal(rp, received)
 
-    def test_preconditioner_may_return_its_input(self):
-        # The CG direction must not be combined in place while it is still
-        # the preconditioner's output, which here is the solver's own rp.
-        self.assert_returned_input_is_left_alone(self.phi0)
+    def test_refuses_a_preconditioner_that_returns_its_input(self):
+        # p is deflated in place and later combined into the direction in
+        # place, while rp is still read for the slope and the next beta.
+        self.assert_returned_input_is_refused(self.phi0)
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("seed", range(10))
     def test_returned_input_is_not_deflated_in_place(self, n, seed):
-        # Nor may the gradient's mean be pinned in place: rp is still read
-        # for the slope and the next beta.  On draws where p's mean is not
-        # exactly zero, a deflated rp changes the iterates.
+        # On draws where the mean of rp is not exactly zero, deflating the
+        # returned input in place would change rp.
         self.grid = Grid(2, n, 1.0)
         self.solver = SpectralSolver(self.grid)
-        self.assert_returned_input_is_left_alone(
+        self.assert_returned_input_is_refused(
             np.random.default_rng(seed).uniform(0.4, 1.6, self.grid.shape)
         )
 

@@ -67,6 +67,19 @@ def trial_pair(g, alpha):
     return value, g.slope()
 
 
+def count_passes(monkeypatch):
+    """Count StepSystem's pointwise passes from here on, in a one-item list."""
+    passes = [0]
+    original = schemes_module.StepSystem._pass
+
+    def counted(system, x):
+        passes[0] += 1
+        return original(system, x)
+
+    monkeypatch.setattr(schemes_module.StepSystem, "_pass", counted)
+    return passes
+
+
 def positive_field(grid, seed, low=0.6, high=1.6):
     return np.random.default_rng(seed).uniform(low, high, grid.shape)
 
@@ -232,7 +245,7 @@ class TestDirectionalFactory:
         r = system.residual(phi)
         rp = r - np.mean(r)
         rp -= np.mean(rp)
-        return r, rp, system.precondition(rp)[0]
+        return r, rp, system.precondition(rp, None)[0]
 
     @staticmethod
     def dense_image(grid, system, d):
@@ -385,10 +398,11 @@ class TestDirectionalFactory:
         assert seeded == pytest.approx(fresh, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
-    def test_seed_slope_after_a_trial_matches_fresh_evaluation(self, setup, which):
-        """The seed slope skips its pass only while the pass at phi is held;
-        after a trial has overwritten it, directional evaluates phi afresh,
-        to the same bits, and the trials after it are unchanged."""
+    def test_a_residual_serves_one_search(self, setup, which):
+        """directional consumes the residual it is handed: a second call on
+        it is refused, before and after a trial.  residual_at refuses a call
+        before the first trial.  The one search the residual served matches
+        a fresh system's."""
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 84)
@@ -396,23 +410,47 @@ class TestDirectionalFactory:
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
         alpha = 0.3 * barrier_alpha(phi, d, 0.99)
-        g, _ = system.directional(phi, (d, rp), r)
-        held = g.seed_slope
+        g, residual_at = system.directional(phi, (d, rp), r)
+        with pytest.raises(ValueError, match="last residual"):
+            system.directional(phi, (d, rp), r)
+        with pytest.raises(ValueError, match="last trial"):
+            residual_at(alpha)
         trial = trial_pair(g, alpha)
-        g_again, _ = system.directional(phi, (d, rp), r)
+        with pytest.raises(ValueError, match="last residual"):
+            system.directional(phi, (d, rp), r)
 
         _, other = self.make_system(setup, which, phi_old, dt)
         r_other = other.residual(phi)
         fresh, _ = other.directional(phi, (d, rp), r_other)
-        assert held == g_again.seed_slope == fresh.seed_slope
-        assert trial_pair(g_again, alpha) == trial == trial_pair(fresh, alpha)
+        assert g.seed_slope == fresh.seed_slope
+        assert trial == trial_pair(fresh, alpha)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_a_residual_with_a_trial_since_is_refused(self, setup, which):
+        """A trial after the hand-over of a residual overwrites the pass the
+        next search would take its seed slope from, so directional then
+        refuses that residual."""
+        grid = setup[0]
+        phi_old = positive_field(grid, 86)
+        phi = positive_field(grid, 87)
+        _, system = self.make_system(setup, which, phi_old, 0.08)
+        r, rp, d = self.gradient(system, phi)
+        alpha = 0.3 * barrier_alpha(phi, d, 0.99)
+        g, residual_at = system.directional(phi, (d, rp), r)
+        g(alpha)
+        phi1, r1 = residual_at(alpha)
+        g(0.5 * alpha)
+        with pytest.raises(ValueError, match="no line trial since"):
+            system.directional(phi1, (d, rp), r1)
 
     @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_residual_at_reuses_only_the_last_trial(self, setup, which, between):
         """residual_at(alpha) right after g(alpha) takes that trial's pass,
-        and gives the same bits as a fresh system that evaluates phi + alpha d;
-        after any other pass it evaluates afresh, to the same bits."""
+        and gives the same bits as a fresh system that evaluates phi + alpha d
+        through its own trial; after any other pass it refuses, before it
+        writes anything, and the trial at alpha still serves it once g has
+        evaluated it again."""
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 87)
@@ -422,15 +460,21 @@ class TestDirectionalFactory:
         alpha = 0.4 * barrier_alpha(phi, d, 0.99)
         g, residual_at = system.directional(phi, (d, rp), r)
         g(alpha)
-        if between == "other trial":
-            g(0.5 * alpha)
-        elif between == "residual":
-            system.residual(positive_field(grid, 89))
+        if between != "nothing":
+            if between == "other trial":
+                g(0.5 * alpha)
+            else:
+                system.residual(positive_field(grid, 89))
+            with pytest.raises(ValueError, match="last trial"):
+                residual_at(alpha)
+            g(alpha)
         got = residual_at(alpha)
 
         _, fresh_system = self.make_system(setup, which, phi_old, dt)
         r_fresh = fresh_system.residual(phi)
-        fresh = fresh_system.directional(phi, (d, rp), r_fresh)[1](alpha)
+        fresh_g, fresh_at = fresh_system.directional(phi, (d, rp), r_fresh)
+        fresh_g(alpha)
+        fresh = fresh_at(alpha)
         for got_field, fresh_field in zip(got, fresh):
             assert np.array_equal(got_field, fresh_field)
         assert np.array_equal(got[0], phi + alpha * d)
@@ -439,7 +483,8 @@ class TestDirectionalFactory:
     def test_pass_never_reused_along_another_direction(self, setup, which):
         """After a trial at alpha along d, a new direction at the same alpha
         must not take that pass, even when it is the same array changed in
-        place (as the CG update does)."""
+        place (as the CG update does): its residual_at refuses until its
+        own trial, and the earlier direction's refuses from then on."""
         grid = setup[0]
         dt = 0.08
         phi_old = positive_field(grid, 90)
@@ -447,11 +492,17 @@ class TestDirectionalFactory:
         _, system = self.make_system(setup, which, phi_old, dt)
         r, rp, d = self.gradient(system, phi)
         alpha = 0.3 * barrier_alpha(phi, d, 0.99)
-        g, _ = system.directional(phi, (d, rp), r)
-        g(alpha)
+        g_first, residual_at_first = system.directional(phi, (d, rp), r)
+        g_first(alpha)
         d *= 0.5
         image = 0.5 * rp
-        _, residual_at = system.directional(phi, (d, image), r)
+        r = system.residual(phi)
+        g, residual_at = system.directional(phi, (d, image), r)
+        with pytest.raises(ValueError, match="last trial"):
+            residual_at(alpha)
+        g(alpha)
+        with pytest.raises(ValueError, match="last trial"):
+            residual_at_first(alpha)
         phi_new, got = residual_at(alpha)
         assert np.array_equal(phi_new, phi + alpha * d)
         naive = system.residual(phi + alpha * d)
@@ -466,9 +517,14 @@ class TestDirectionalFactory:
         r = system.residual(phi)
         d = -np.ones(grid.shape) + mean_zero_forcing(grid, 37) * 1e-3
         d -= np.mean(d) + 1.0  # strongly negative direction
-        g, _ = system.directional(phi, (d, self.dense_image(grid, system, d)), r)
+        g, residual_at = system.directional(phi, (d, self.dense_image(grid, system, d)), r)
+        alpha = barrier_alpha(phi, d, 0.5)
+        g(alpha)
         with pytest.raises(NonPositiveFieldError):
             g(1e6)
+        # the refused trial wrote its point over the one at alpha
+        with pytest.raises(ValueError, match="last trial"):
+            residual_at(alpha)
 
 
 class TestPreconditionerCoefficients:
@@ -503,7 +559,7 @@ class TestPreconditionerCoefficients:
             diagonal = potential_curvature(phi, params.a0)
         assert system.shift is None
         with pytest.raises(ValueError, match="first residual"):
-            system.precondition(np.zeros(grid.shape))
+            system.precondition(np.zeros(grid.shape), None)
         system.residual(phi)
         median = np.sort(diagonal.ravel())[grid.num_cells // 2]
         a1 = system.coefficients[1]
@@ -614,13 +670,16 @@ class TestNearBarrier:
         phi0 += 0.05 - np.min(phi0)
         return grid, phi0
 
-    def test_bdf2_step_converges_at_default_budget(self):
+    def test_bdf2_step_converges_at_default_budget(self, monkeypatch):
         """A well with min phi = 0.05: the step's solution exists for any dt,
-        and the default SolverConfig reaches it."""
+        and the default SolverConfig reaches it, at one pointwise pass per
+        line evaluation and one for the first residual."""
         grid, phi0 = self.well_data()
         scheme = Bdf2Scheme(grid, PhysParams(eps=0.02))
         state = restart_state(grid, phi0)
+        passes = count_passes(monkeypatch)
         new_state, report = scheme.step(state, 1e-3)
+        assert passes[0] == report.line_evals + 1
         assert report.final_residual <= scheme.psd_config.tol
         assert report.psd_iters < scheme.psd_config.max_iters
         assert report.psd_iters <= 150
@@ -1182,28 +1241,21 @@ class TestStepBehavior:
 
     @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
     def test_pointwise_passes_per_step(self, monkeypatch, scheme_cls):
-        """An unforced step pays one pointwise pass per line evaluation.
-
-        On top of them comes the pass of the first residual.  Every search
-        of these steps ends at a trial it evaluated, whose pass the next
-        residual reuses; the pass starts with the only np.divide with out=.
-        """
-        passes = [0]
-        original = np.divide
-
-        def counted(*args, **kwargs):
-            passes[0] += "out" in kwargs
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np, "divide", counted)
+        """A step pays one pointwise pass per line evaluation, and one for
+        its first residual: every search ends at its last trial, whose pass
+        the next residual takes."""
+        passes = count_passes(monkeypatch)
         grid = Grid(2, 32, 3.2)
         scheme = scheme_cls(grid, PhysParams(eps=0.1))
         state = restart_state(grid, positive_field(grid, 60, 0.8, 1.2))
-        for _ in range(3):
+        iters = evals = 0
+        for _ in range(20):
             before = passes[0]
             state, report = scheme.step(state, 0.01)
-            assert report.line_evals > report.psd_iters >= 2
             assert passes[0] - before == report.line_evals + 1
+            iters, evals = iters + report.psd_iters, evals + report.line_evals
+        # searches of more than one trial, and steps of more than one search
+        assert evals > iters > 20
 
     @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
     def test_closures_wrapped_after_assembly_see_every_call(
