@@ -271,7 +271,8 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     never reads it, so a spectral solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
-    and returns (g, residual_at); a residual serves one search.  g(alpha) is
+    and returns (g, residual_at); a residual serves one search, and a
+    direction one hand-over.  g(alpha) is
     g(alpha) = -<r(phi + alpha d), d> at a trial alpha > 0, g.slope() its
     derivative at the last trial, taken on demand (line_search asks for it
     only to step from that trial), and g.seed_slope is g'(0).
@@ -297,9 +298,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     d and s, which later iterations combine in place.  So a system must not
     read a residual it handed out (StepSystem checks only its identity),
     and a caller that keeps one must copy it.  One search's closures, and
-    what they hold (K d, the iterate the search started from, the affine
-    part there), die when the search ends, so the next preconditioner solve
-    runs beside phi, r, d, s and rp_prev only.
+    what they hold (the iterate the search started from, the affine part
+    there), die when the search ends; their K d lives on as the system's
+    new affine part, which residual_at forms in its array.  So the next
+    preconditioner solve runs beside phi, r, d, s and rp_prev only.
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when

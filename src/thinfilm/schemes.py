@@ -26,7 +26,7 @@ CG (PR+); iterates stay strictly positive through the line-search barrier,
 so the singular potential is never evaluated at a non-positive height.  An
 optional source field S (mean-zero) turns the mass balance into
 d phi / dt = lap(mu) + S.  It enters through the history: a step system
-takes history + dt (S - mean S), so the one inverse Laplacian of the
+forms history + dt (S - mean S), so the one inverse Laplacian of the
 step's first residual, (-lap)^{-1}(weight phi - history) / dt, lifts the
 source together with the time difference, at no transform of its own.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,8 +71,9 @@ class StepState:
     produced state must match it to relative 1e-10.  lap_phi is lap(phi) on
     the scheme's grid, or None: a step carries the Laplacian its energy
     took, and the next two-step assembly reads it as lap(phi_old) instead
-    of computing it again.  restart_state and cold_start leave it None;
-    a caller that changes phi must drop it too.
+    of computing it again, after checking its shape (ValueError) as that
+    of phi and phi_prev.  restart_state and cold_start leave it None; a
+    caller that changes phi must drop it too.
     """
 
     phi: np.ndarray
@@ -187,27 +188,34 @@ class StepSystem:
     through ``residual`` to rounding error whenever s = Lc d to rounding
     error.
 
-    Ownership.  The system owns ``history`` and ``constant``, which only
-    ``residual`` reads; the scratch fields of the pointwise pass (work, bulk,
+    Ownership.  ``history`` and ``constant`` are zero-argument callables
+    that form the two fields anew at each call.  They reference, and do
+    not own, the caller's time levels, lap(phi_old) and source; only
+    ``residual`` calls them, and the fields they form die with the call.
+    The system owns the scratch fields of the pointwise pass (work, bulk,
     curv); the point field of the line trials; and the affine part
     K phi + c of the last residual, which it keeps to itself.  The
-    closures of one ``directional`` call own its K d.  A trial
-    writes its point into the point field, which the system allocates at
-    the first trial after a hand-over, not before.  residual_at hands that
-    field over with the pair, to be the caller's new iterate, and the
-    system never writes to a point it has handed over.  residual_at also
-    writes the new residual into the scratch field work, which is free
-    once its pass is done, and hands work over as that residual; the
-    system allocates the next work at its next use.  Every residual, of
-    ``residual`` and residual_at alike, is an array that the receiver
-    owns and may overwrite (psd_solve deflates it in place), shared with
-    nothing the system still holds; the system reads a handed-out
-    residual only for its identity, in ``directional``.
+    closures of one
+    ``directional`` call own its K d until residual_at forms the new
+    affine part K phi_new + c = (K phi + c) + alpha K d in that array: a
+    direction serves one hand-over, after which its g, g.slope and
+    residual_at refuse (ValueError).  A trial writes its point into the
+    point field, which the system allocates at the first trial after a
+    hand-over, not before.  residual_at hands that field over with the
+    pair, to be the caller's new iterate, and the system never writes to
+    a point it has handed over.  residual_at also writes the new
+    residual into the scratch field work, which is free once its pass is
+    done, and hands work over as that residual; the system allocates the
+    next work at its next use.  Every residual, of ``residual`` and
+    residual_at alike, is an array that the receiver owns and may
+    overwrite (psd_solve deflates it in place), shared with nothing the
+    system still holds; the system reads a handed-out residual only for
+    its identity, in ``directional``.
     """
 
     def __init__(self, solver: SpectralSolver, dt: float, *,
                  concave: bool, linear: float, stiffness: float, weight: float,
-                 history: np.ndarray, constant: np.ndarray):
+                 history: Callable[[], np.ndarray], constant: Callable[[], np.ndarray]):
         self.grid, self.solver, self.dt, self.concave = solver.grid, solver, dt, concave
         self.linear, self.stiffness, self.weight = linear, stiffness, weight
         self.history, self.constant = history, constant
@@ -268,11 +276,12 @@ class StepSystem:
         # weight phi - history, formed in the free scratch field, is mean-free
         # in exact arithmetic (mass conservation), but its mean cancels to
         # rounding on the scale of phi, not of the increment: finish the
-        # cancellation before the solve.
-        lifted = np.subtract(self.weight * phi, self.history, out=self._scratch())
+        # cancellation before the solve.  history and constant are formed
+        # here and die with their statements.
+        lifted = np.subtract(self.weight * phi, self.history(), out=self._scratch())
         lifted -= lifted.sum() / lifted.size
         affine -= self.solver.inv_neg_lap(lifted) / self.dt
-        affine += self.constant
+        affine += self.constant()
         self._pass(phi)
         if self.shift is None:
             # The (upper) median of the curvature: one partition of a copy
@@ -311,9 +320,14 @@ class StepSystem:
         s0 = inner(grid, affine, d)
         s1 = inner(grid, kd, d)
 
+        def live() -> None:
+            if kd is None:
+                raise ValueError("a direction serves one hand-over; its K d is spent")
+
         def slope() -> float:
             # g' = <-B' d, d> - <K d, d> at the point of the held pass, with
             # d^2 never stored
+            live()
             work = self._scratch()
             np.multiply(curv, d, out=work)
             return curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
@@ -321,6 +335,7 @@ class StepSystem:
         def g(alpha: float) -> float:
             # The trial overwrites the point field and then the pass, which
             # no longer serve a residual or an earlier trial.
+            live()
             self._r = self._held = None
             if self._point is None:
                 self._point = np.empty(grid.shape)
@@ -336,15 +351,19 @@ class StepSystem:
             return -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
 
         def residual_at(alpha: float) -> tuple:
+            nonlocal kd
+            live()
             if not (self._held is kd and self._held_alpha == alpha):
                 raise ValueError("residual_at needs its search's last trial, at that alpha")
-            # affine + alpha kd, to the same bits, with no temporary; the
+            # The new affine part affine + alpha kd, formed in kd's array (the
+            # product commutes, so the bits are those of alpha * kd); the
             # residual goes into the free scratch field, which is handed over
             # with it.
-            moved = alpha * kd
-            moved += affine
-            out = np.add(bulk, moved, out=self._work)
-            self._r, self._affine, self._held = out, moved, None
+            np.multiply(kd, alpha, out=kd)
+            kd += affine
+            out = np.add(bulk, kd, out=self._work)
+            self._r, self._affine, self._held = out, kd, None
+            kd = None
             point, self._point = self._point, None
             self._work = None
             return point, out
@@ -370,10 +389,13 @@ class _SchemeBase:
             raise ConfigError(f"solver grid {self.solver.grid} is not the scheme's {grid}")
         self.psd_config = psd_config if psd_config is not None else SolverConfig()
 
-    def _mean_free_source(self, forcing: np.ndarray) -> np.ndarray:
-        """The source minus its mean; a nan mean or an infinite scale fails
-        the test, so only a finite source with a rounding-level mean passes.
-        The source is taken in float64 whatever its dtype."""
+    def _source(self, forcing: Optional[np.ndarray]) -> Optional[tuple]:
+        """The checked source and its mean, (S, mean S), or None without a
+        source; a nan mean or an infinite scale fails the check, so only a
+        finite source with a rounding-level mean passes.  S is the caller's
+        array when it is float64, and a float64 copy otherwise."""
+        if forcing is None:
+            return None
         self.grid.validate_field(forcing)
         forcing = np.asarray(forcing, dtype=float)
         m = float(forcing.sum() / forcing.size)
@@ -381,14 +403,16 @@ class _SchemeBase:
             raise NonZeroMeanError(
                 f"source field must be finite and mean-zero, got mean {m:.3e}"
             )
-        return forcing - m
+        return forcing, m
 
-    def _with_source(self, history: np.ndarray, dt: float,
-                     forcing: Optional[np.ndarray]) -> np.ndarray:
-        """history + dt (S - mean S), or history itself without a source."""
-        if forcing is None:
+    @staticmethod
+    def _with_source(history: np.ndarray, dt: float, source: Optional[tuple]) -> np.ndarray:
+        """history + dt (S - mean S) for source = (S, mean S), or history
+        itself without a source."""
+        if source is None:
             return history
-        return history + dt * self._mean_free_source(forcing)
+        forcing, m = source
+        return history + dt * (forcing - m)
 
     def _finish_step(self, state: StepState, phi_new: np.ndarray, trace,
                      system: StepSystem) -> tuple:
@@ -438,6 +462,8 @@ class _SchemeBase:
         history.  The increment is mean-free, so the conserved mean is
         untouched, and the solution of the convex step problem is the same.
         """
+        self.grid.validate_field(state.phi)
+        self.grid.validate_field(state.phi_prev)
         delta = state.phi - state.phi_prev
         theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
         return state.phi + theta * delta
@@ -450,13 +476,18 @@ class FirstOrderScheme(_SchemeBase):
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepSystem:
         check_positive_finite("dt", dt, InvalidCoefficientsError)
+        self.grid.validate_field(phi_old)
         check_positive(phi_old, "previous state")
-        inv_old = 1.0 / phi_old
-        constant = -(8.0 / 3.0) * (np.square(inv_old) * inv_old)
+        source = self._source(forcing)
+
+        def constant() -> np.ndarray:
+            inv_old = 1.0 / phi_old
+            return -(8.0 / 3.0) * (np.square(inv_old) * inv_old)
+
         return StepSystem(
             self.solver, dt, concave=False, linear=0.0,
             stiffness=self.params.eps**2, weight=1.0,
-            history=self._with_source(phi_old, dt, forcing), constant=constant,
+            history=lambda: self._with_source(phi_old, dt, source), constant=constant,
         )
 
     def step(
@@ -500,15 +531,24 @@ class Bdf2Scheme(_SchemeBase):
         it (a state's lap_phi), and is computed otherwise."""
         check_positive_finite("dt", dt, InvalidCoefficientsError)
         p = self.params
+        self.grid.validate_field(phi_old)
+        self.grid.validate_field(phi_older)
         check_positive(phi_old, "previous state")
         check_positive(phi_older, "second-previous state")
         if lap_old is None:
             lap_old = lap(self.grid, phi_old)
+        else:
+            self.grid.validate_field(lap_old)
         linear = (8.0 / 3.0) * p.a0
-        two_old = 2.0 * phi_old
-        # Terms independent of the iterate, assembled once per step.
-        constant = linear * (two_old - phi_older) - p.a_stab * dt * lap_old
-        history = self._with_source(two_old - 0.5 * phi_older, dt, forcing)
+        source = self._source(forcing)
+
+        # Terms independent of the iterate, formed by the step's residual.
+        def constant() -> np.ndarray:
+            return linear * (2.0 * phi_old - phi_older) - p.a_stab * dt * lap_old
+
+        def history() -> np.ndarray:
+            return self._with_source(2.0 * phi_old - 0.5 * phi_older, dt, source)
+
         return StepSystem(
             self.solver, dt, concave=True, linear=linear,
             stiffness=p.eps**2 + p.a_stab * dt, weight=1.5,
@@ -531,7 +571,8 @@ class Bdf2Scheme(_SchemeBase):
         beta0 = _start_mean(self.grid, phi0)
         rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
         if forcing is not None:
-            rate = rate + self._mean_free_source(forcing)
+            forcing, m = self._source(forcing)
+            rate = rate + (forcing - m)
         phi_prev = phi0 - dt * rate
         if not (phi_prev > 0.0).all():
             raise PositivityLostError(

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from thinfilm import check_positive, grad_norm_2, inner, lap, mu_exact
+from thinfilm.schemes import StepSystem
 
 
 def _neighbours(grid, axis, step):
@@ -132,7 +133,7 @@ def step_functional(system, phi):
     inv = 1.0 / phi
     inv2 = inv * inv
     inv8 = (inv2 * inv2) * (inv2 * inv2)
-    lifted = weight * phi - system.history
+    lifted = weight * phi - system.history()
     value = system.solver.hminus1_norm(lifted - np.mean(lifted)) ** 2 / (
         2.0 * weight * system.dt
     )
@@ -141,7 +142,7 @@ def step_functional(system, phi):
     if system.linear:
         value += 0.5 * system.linear * inner(grid, phi, phi)
     value += 0.5 * system.stiffness * grad_norm_2(grid, phi) ** 2
-    value -= inner(grid, phi, system.constant)
+    value -= inner(grid, phi, system.constant())
     return value
 
 
@@ -192,10 +193,13 @@ def source_in_constant(scheme, levels, dt, forcing):
     (phi_old, and phi_older for the two-step scheme) with the lifted source
     (-lap)^{-1}(S - mean S) added to its constant: a transform pair of its
     own, where the package folds dt (S - mean S) into the history."""
-    system = scheme.step_system_from(*levels, dt)
-    source = forcing - np.mean(forcing)
-    system.constant = system.constant + scheme.solver.inv_neg_lap(source)
-    return system
+    unforced = scheme.step_system_from(*levels, dt)
+    lifted = scheme.solver.inv_neg_lap(forcing - np.mean(forcing))
+    return StepSystem(
+        scheme.solver, dt, concave=unforced.concave, linear=unforced.linear,
+        stiffness=unforced.stiffness, weight=unforced.weight,
+        history=unforced.history, constant=lambda: unforced.constant() + lifted,
+    )
 
 
 class PlainSpectral:

@@ -1,20 +1,22 @@
 """Who owns the field-sized arrays of a step, and how many live at once.
 
 A step's arrays each have one owner: the caller's StepState, the step
-system, psd_solve, the closures of one search, or residual_at while it
-forms the new pair.  An array dies when its owner is done with it, so a
-warm step holds at most the fields counted in
-TestStepPeakMemory.test_warm_step_peak_is_at_most_the_owned_fields, and
-no array handed over shares memory with one it must stay apart from.  A
-spectral solver holds its buffer and tables only (TestSpectralFootprint).
+system, psd_solve, or the closures of one search.  An array dies when its
+owner is done with it, so a warm step holds at most the fields counted in
+TestStepPeakMemory.test_warm_step_peak_is_at_most_the_owned_fields, a
+step system holds its pass scratch and affine part only, and no array
+handed over shares memory with one it must stay apart from.  A spectral
+solver holds its buffer and tables only (TestSpectralFootprint).
 """
 
+import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import thinfilm
 from thinfilm import (
     Bdf2Scheme,
     FirstOrderScheme,
@@ -34,45 +36,73 @@ def warm_state(scheme, seed, dt):
     return state
 
 
+def where_memory_peaks(run) -> str:
+    """Run ``run`` traced, with a profile hook that reads the traced memory
+    at every call and return; the package frames at the highest reading,
+    innermost first, as "residual_at:350 <- _line_step:252 <- ...".  The
+    hook slows the run down and allocates a little itself, so it is for a
+    failure's message only, never for the measurement."""
+    package = os.path.dirname(thinfilm.__file__)
+    highest, where = -1, ""
+
+    def hook(frame, event, arg):
+        nonlocal highest, where
+        current = tracemalloc.get_traced_memory()[0]
+        if current > highest:
+            frames = []
+            while frame is not None:
+                if frame.f_code.co_filename.startswith(package):
+                    frames.append(f"{frame.f_code.co_name}:{frame.f_lineno}")
+                frame = frame.f_back
+            highest, where = current, " <- ".join(frames)
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return where
+
+
 class TestStepPeakMemory:
     # Field-sized arrays that a warm step allocates and holds at its peak,
     # counted array by array in the test's docstring.
-    OWNED = {Bdf2Scheme: 13, FirstOrderScheme: 12}
-    # The solve's Python objects (closures, trace lists, scalars): 0.016 of
+    OWNED = {Bdf2Scheme: 10, FirstOrderScheme: 10}
+    # The solve's Python objects (closures, trace lists, scalars): 0.019 of
     # a 32^3 field measured.
     SMALL = 0.1
 
     @pytest.mark.parametrize("scheme_cls", [Bdf2Scheme, FirstOrderScheme])
     def test_warm_step_peak_is_at_most_the_owned_fields(self, scheme_cls):
         """The traced peak of one warm step on 32^3, in fields, is at most
-        the count of the arrays it owns at its peak, which sits inside
-        residual_at, when the new affine part and residual are formed.
+        the count of the arrays it owns at its peak, which sits at a line
+        trial, when the trial's point and its pass's scratch are formed.
         Tracing starts with the step, so the caller's StepState fields
         (phi, phi_prev, lap_phi) and the spectral solver's buffer and
-        tables, all allocated before, are not counted.
+        tables, all allocated before, are not counted.  On a failure the
+        message names the frames where the memory peaks.
 
-        | owner               | arrays at the peak                       | BDF2 | first order |
-        |---------------------|------------------------------------------|------|-------------|
-        | StepSystem          | history, constant                        | 2    | 1 (its history is the caller's phi) |
-        | StepSystem          | pass scratch: bulk, curv                 | 2    | 2           |
-        | psd_solve           | iterate phi, residual r (deflated in     | 4    | 4           |
-        |                     | place, kept as rp_prev), direction d,    |      |             |
-        |                     | image s                                  |      |             |
-        | the search          | affine part at phi, K d                  | 2    | 2           |
-        | residual_at         | new point (the point field handed        | 3    | 3           |
-        |                     | over), new affine part, new residual     |      |             |
-        |                     | (the pass scratch work, handed over)     |      |             |
-        | total               |                                          | 13   | 12          |
+        | owner       | arrays at the peak                                | both schemes |
+        |-------------|---------------------------------------------------|--------------|
+        | StepSystem  | pass scratch: work, bulk, curv                    | 3            |
+        | the search  | affine part at phi, K d                           | 2            |
+        | psd_solve   | iterate phi, residual r (deflated in place, kept  | 4            |
+        |             | as rp_prev), direction d, image s                 |              |
+        | line trial  | the trial point (the point field)                 | 1            |
+        | total       |                                                   | 10           |
 
-        Not held: a spare scratch field work, which the system allocates
-        at its next use after handing the last one over; the warm start,
-        which psd_solve drops once it has copied it (before Python 3.11
-        the caller's frame keeps a call's arguments until it returns, so
-        there it is held: one more); a spare point
-        field, which the system allocates only at the next trial; the
-        previous search's closures and p, which die before the next
-        preconditioner solve; the copy r - mean r, since r is deflated in
-        place.
+        Not held: history and constant, which the first residual forms and
+        drops; a new affine part, which residual_at forms in K d's array,
+        and a new residual, which it forms in the scratch field work and
+        hands over (the system allocates the next work at its next use);
+        the warm start, which psd_solve drops once it has copied it (before
+        Python 3.11 the caller's frame keeps a call's arguments until it
+        returns, so there it is held: one more); a spare point field, which
+        the system allocates only at the next trial; the previous search's
+        closures and p, which die before the next preconditioner solve; the
+        copy r - mean r, since r is deflated in place.
         """
         grid = Grid(3, 32, 3.2)
         dt = 0.01
@@ -88,7 +118,41 @@ class TestStepPeakMemory:
         finally:
             tracemalloc.stop()
         assert report.psd_iters >= 2  # a search after the first one
-        assert peak / field <= owned + self.SMALL
+        assert peak / field <= owned + self.SMALL, "memory peaks at " + where_memory_peaks(
+            lambda: scheme.step(state, dt)
+        )
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("scheme_cls", [Bdf2Scheme, FirstOrderScheme])
+    def test_system_holds_its_scratch_and_affine_part(self, scheme_cls, forced):
+        """A step system assembled from a warm state, with its first
+        residual taken, holds four fields: the pass scratch work, bulk and
+        curv, and the affine part of that residual.  It references the
+        caller's levels, lap(phi_old) and source, and forms history and
+        constant only inside the residual.  The residual is counted apart:
+        it is handed over, the caller's."""
+        grid = Grid(3, 32, 3.2)
+        dt = 0.01
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = warm_state(scheme, 1, dt)
+        field = grid.num_cells * 8
+        forcing = None
+        if forced:
+            forcing = np.random.default_rng(2).standard_normal(grid.shape)
+            forcing -= forcing.sum() / forcing.size
+        if scheme_cls is Bdf2Scheme:
+            levels, kwargs = (state.phi, state.phi_prev), {"lap_old": state.lap_phi}
+        else:
+            levels, kwargs = (state.phi,), {}
+
+        tracemalloc.start()
+        try:
+            system = scheme.step_system_from(*levels, dt, forcing, **kwargs)
+            r = system.residual(state.phi)
+            held = tracemalloc.get_traced_memory()[0] - r.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held / field <= 4 + self.SMALL
 
 
 class TestOwnership:

@@ -52,6 +52,7 @@ from thinfilm import (
     mu_exact,
     norm_inf,
     psd_solve,
+    random_initial_data,
     restart_state,
 )
 
@@ -261,15 +262,21 @@ class TestDirectionalFactory:
         return -inner(grid, r, d), g.seed_slope
 
     @staticmethod
-    def assert_matches_naive(grid, system, phi, d, g, residual_at, alphas):
+    def assert_matches_naive(grid, system, phi, direction, alphas):
+        """g, its seed slope and residual_at along direction = (d, Lc d)
+        against the naive evaluations through ``residual``.  A direction
+        serves one hand-over, so each alpha takes a fresh residual at phi
+        and a direction of its own."""
+        d = direction[0]
         h = 1e-6
         naive_0 = [-inner(grid, system.residual(phi + a * d), d) for a in (-h, h)]
         fd = (naive_0[1] - naive_0[0]) / (2.0 * h)
-        assert g.seed_slope == pytest.approx(fd, rel=1e-6, abs=1e-8)
         for alpha in alphas:
             r_trial = system.residual(phi + alpha * d)
             naive_g = -inner(grid, r_trial, d)
             scale = max(1.0, abs(naive_g))
+            g, residual_at = system.directional(phi, direction, system.residual(phi))
+            assert g.seed_slope == pytest.approx(fd, rel=1e-6, abs=1e-8)
             assert abs(g(alpha) - naive_g) <= 1e-10 * scale
             phi_new, r_new = residual_at(alpha)
             assert np.array_equal(phi_new, phi + alpha * d)
@@ -282,9 +289,8 @@ class TestDirectionalFactory:
         phi_old = positive_field(grid, 30)
         phi = positive_field(grid, 31)
         _, system = self.make_system(setup, which, phi_old, dt)
-        r, rp, d = self.gradient(system, phi)
-        g, residual_at = system.directional(phi, (d, rp), r)  # L p = rp
-        self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.01, 0.2))
+        _, rp, d = self.gradient(system, phi)
+        self.assert_matches_naive(grid, system, phi, (d, rp), (0.01, 0.2))  # L p = rp
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_rejects_a_residual_it_did_not_hand_out(self, setup, which):
@@ -321,10 +327,7 @@ class TestDirectionalFactory:
         assert beta > 0.0
         d = p1 + beta * p0
         image = rp1 + beta * rp0  # L d carried without a transform
-        g, residual_at = system.directional(phi1, (d, image), r1)
-        self.assert_matches_naive(
-            grid, system, phi1, d, g, residual_at, (0.3 * alpha0, alpha0)
-        )
+        self.assert_matches_naive(grid, system, phi1, (d, image), (0.3 * alpha0, alpha0))
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_arbitrary_direction_with_independent_image(self, setup, which):
@@ -339,8 +342,7 @@ class TestDirectionalFactory:
         d *= 0.01
         # d never went through precondition; its image comes from the dense L
         image = self.dense_image(grid, system, d)
-        g, residual_at = system.directional(phi, (d, image), r)
-        self.assert_matches_naive(grid, system, phi, d, g, residual_at, (0.1,))
+        self.assert_matches_naive(grid, system, phi, (d, image), (0.1,))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
@@ -427,9 +429,9 @@ class TestDirectionalFactory:
 
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_a_residual_with_a_trial_since_is_refused(self, setup, which):
-        """A trial after the hand-over of a residual overwrites the pass the
-        next search would take its seed slope from, so directional then
-        refuses that residual."""
+        """A trial after the hand-over of a residual, along a direction
+        still live, overwrites the pass the next search would take its seed
+        slope from, so directional then refuses that residual."""
         grid = setup[0]
         phi_old = positive_field(grid, 86)
         phi = positive_field(grid, 87)
@@ -437,11 +439,37 @@ class TestDirectionalFactory:
         r, rp, d = self.gradient(system, phi)
         alpha = 0.3 * barrier_alpha(phi, d, 0.99)
         g, residual_at = system.directional(phi, (d, rp), r)
+        g_other, _ = system.directional(phi, (d, rp), system.residual(phi))
         g(alpha)
         phi1, r1 = residual_at(alpha)
-        g(0.5 * alpha)
+        g_other(0.5 * alpha)
         with pytest.raises(ValueError, match="no line trial since"):
             system.directional(phi1, (d, rp), r1)
+
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_a_direction_serves_one_hand_over(self, setup, which):
+        """residual_at forms the new affine part in the direction's K d, so
+        after it returns that direction's g, g.slope and residual_at refuse,
+        also once a later residual has cleared the held trial; the pair
+        handed over stays the naive one."""
+        grid = setup[0]
+        phi_old = positive_field(grid, 92)
+        phi = positive_field(grid, 93)
+        _, system = self.make_system(setup, which, phi_old, 0.08)
+        r, rp, d = self.gradient(system, phi)
+        alpha = 0.3 * barrier_alpha(phi, d, 0.99)
+        g, residual_at = system.directional(phi, (d, rp), r)
+        g(alpha)
+        phi1, r1 = residual_at(alpha)
+        got = r1.copy()
+        for between in ("nothing", "residual"):
+            if between == "residual":
+                system.residual(phi)
+            for call in (lambda: g(alpha), g.slope, lambda: residual_at(alpha)):
+                with pytest.raises(ValueError, match="one hand-over"):
+                    call()
+        naive = system.residual(phi1)
+        assert norm_inf(got - naive) <= 1e-10 * max(1.0, norm_inf(naive))
 
     @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
@@ -783,6 +811,41 @@ class TestStatesAndHistory:
         assert state.beta0 == pytest.approx(np.mean(phi0), rel=1e-15)
         phi0[0, 0] = 99.0
         assert state.phi[0, 0] != 99.0
+
+    @pytest.mark.parametrize(
+        "scheme_cls, level",
+        [(FirstOrderScheme, "phi_prev"), (Bdf2Scheme, "phi_prev"), (Bdf2Scheme, "lap_phi")],
+    )
+    def test_history_of_the_wrong_shape_is_refused(self, scheme_cls, level):
+        """A state level that is one row of the grid would broadcast against
+        the field; a step refuses it before any arithmetic, as it refuses a
+        source of the wrong shape, and so does the warm start."""
+        grid = Grid(2, 16, 1.6)
+        scheme = scheme_cls(grid, PhysParams(eps=0.1))
+        state = restart_state(grid, random_initial_data(grid, 3))
+        state, _ = scheme.step(state, 0.01)
+        row = dataclasses.replace(state, **{level: getattr(state, level)[0].copy()})
+        with pytest.raises(ValueError, match="does not match grid"):
+            scheme.step(row, 0.01)
+        if level == "phi_prev":
+            with pytest.raises(ValueError, match="does not match grid"):
+                scheme._warm_start(row)
+
+    @pytest.mark.parametrize("which", ["phi_old", "phi_older", "lap_old"])
+    def test_assembly_refuses_levels_of_the_wrong_shape(self, setup, which):
+        grid, _, fo, bdf2 = setup
+        levels = {
+            "phi_old": positive_field(grid, 94),
+            "phi_older": positive_field(grid, 95),
+        }
+        levels["lap_old"] = lap(grid, levels["phi_old"])
+        levels[which] = levels[which][0].copy()
+        with pytest.raises(ValueError, match="does not match grid"):
+            bdf2.step_system_from(levels["phi_old"], levels["phi_older"], 0.01,
+                                  lap_old=levels["lap_old"])
+        if which == "phi_old":
+            with pytest.raises(ValueError, match="does not match grid"):
+                fo.step_system_from(levels["phi_old"], 0.01)
 
     def test_restart_state_duplicates_history(self):
         grid = Grid(2, 8, 1.0)
