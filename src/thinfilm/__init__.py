@@ -17,11 +17,7 @@ from .energy import (
     a0_star,
     discrete_energy,
     modified_energy,
-    mu_bdf2,
     mu_exact,
-    mu_first_order,
-    splitting_first_order,
-    splitting_stabilized,
 )
 from .errors import (
     BarrierCollapseError,
@@ -36,7 +32,6 @@ from .errors import (
     SolverDivergedError,
     ThinFilmError,
     UnfinishedError,
-    check_positive,
 )
 from .experiments import (
     DEFAULT_SCHEDULE,
@@ -68,13 +63,12 @@ from .io import (
     write_energy_log,
     write_field_snapshot,
 )
-from .psd import PsdTrace, SolverConfig, barrier_alpha, line_search, psd_solve
+from .psd import PsdTrace, SolverConfig
 from .schemes import (
     Bdf2Scheme,
     FirstOrderScheme,
     StepReport,
     StepState,
-    initial_state,
     restart_state,
 )
 from .spectral import SpectralSolver
@@ -91,24 +85,15 @@ __all__ = [
     "SpectralSolver",
     "PhysParams",
     "a0_star",
-    "check_positive",
     "discrete_energy",
-    "splitting_first_order",
-    "splitting_stabilized",
     "modified_energy",
     "mu_exact",
-    "mu_first_order",
-    "mu_bdf2",
     "SolverConfig",
     "PsdTrace",
-    "barrier_alpha",
-    "line_search",
-    "psd_solve",
     "FirstOrderScheme",
     "Bdf2Scheme",
     "StepState",
     "StepReport",
-    "initial_state",
     "restart_state",
     "ManufacturedSolution",
     "ConvergenceTable",

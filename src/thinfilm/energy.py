@@ -69,11 +69,12 @@ class PhysParams:
 
 
 def _recip_powers_2_8(phi: np.ndarray):
-    """(phi^-2, phi^-8) by repeated squaring."""
-    inv = 1.0 / phi
-    inv2 = np.square(inv)
-    inv4 = np.square(inv2)
-    return inv2, np.square(inv4)
+    """(phi^-2, phi^-8) by repeated squaring, in two fresh fields."""
+    inv2 = 1.0 / phi
+    np.square(inv2, out=inv2)
+    inv8 = np.square(inv2)
+    np.square(inv8, out=inv8)
+    return inv2, inv8
 
 
 def _recip_powers_3_9(phi: np.ndarray):
@@ -84,7 +85,8 @@ def _recip_powers_3_9(phi: np.ndarray):
 
 
 def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
-    """Total discrete free energy F(phi)."""
+    """Total discrete free energy F(phi), computed in float64."""
+    phi = np.asarray(phi, dtype=float)
     check_positive(phi)
     return _energy_with_lap(grid, phi, lap(grid, phi), eps)
 
@@ -96,12 +98,8 @@ def _energy_with_lap(grid: Grid, phi: np.ndarray, lap_phi: np.ndarray,
     The gradient term is -(eps^2 / 2) <phi, lap phi>, equal to
     (eps^2 / 2) ||grad phi||^2 by summation by parts.
     """
-    # inv8 / 3 - (4/3) inv2 in two fields, in place, by the operations of
-    # _recip_powers_2_8 in their order, so to the same bits.
-    inv2 = 1.0 / phi
-    np.square(inv2, out=inv2)
-    bulk = np.square(inv2)
-    np.square(bulk, out=bulk)
+    # inv8 / 3 - (4/3) inv2, in place in the ladder's two fields.
+    inv2, bulk = _recip_powers_2_8(phi)
     bulk /= 3.0
     inv2 *= 4.0 / 3.0
     bulk -= inv2
@@ -167,7 +165,8 @@ def _bulk_potential(phi: np.ndarray) -> np.ndarray:
 
 
 def mu_exact(grid: Grid, phi: np.ndarray, eps: float) -> np.ndarray:
-    """Chemical potential -(8/3)(phi^-9 - phi^-3) - eps^2 lap(phi)."""
+    """Chemical potential -(8/3)(phi^-9 - phi^-3) - eps^2 lap(phi), in float64."""
+    phi = np.asarray(phi, dtype=float)
     check_positive(phi)
     return _bulk_potential(phi) - eps**2 * lap(grid, phi)
 

@@ -132,11 +132,13 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    """Cell inner product <u, v> = h^dim * sum(u v).
+    """Cell inner product <u, v> = h^dim * sum(u v), in float64.
 
     One dot of the flattened fields: no product temporary is formed (a
-    non-contiguous view is copied by ``ravel``).
+    non-contiguous view is copied by ``ravel``, a field of another dtype
+    by the float64 conversion).
     """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     return grid.cell_volume * float(np.dot(u.ravel(), v.ravel()))
 
 

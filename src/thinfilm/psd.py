@@ -247,8 +247,6 @@ def _line_step(system, phi: np.ndarray, direction: tuple, r: np.ndarray,
     g.slope = g_inner.slope
     barrier = barrier_alpha(phi, direction[0], _ALPHA_SAFETY)
     alpha = line_search(g, barrier, (-slope, g_inner.seed_slope))
-    if not (alpha > 0.0):
-        raise BarrierCollapseError(f"line search returned alpha = {alpha}")
     pair = residual_at(alpha)
     trace.alphas.append(alpha)
     trace.line_evals.append(evals)

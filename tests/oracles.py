@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from thinfilm import check_positive, grad_norm_2, inner, lap, mu_exact
+from thinfilm import grad_norm_2, inner, lap, mu_exact
+from thinfilm.errors import check_positive
 from thinfilm.schemes import StepSystem
 
 

@@ -35,8 +35,6 @@ from thinfilm import (
     grad_norm_2,
     inner,
     lap,
-    mu_first_order,
-    psd_solve,
     random_initial_data,
     read_energy_log,
     read_field_snapshot,
@@ -44,12 +42,13 @@ from thinfilm import (
     run_coarsening,
     run_convergence_bdf2,
     run_convergence_first_order,
-    initial_state,
     write_energy_log,
     write_field_snapshot,
 )
 from thinfilm.cli import main
+from thinfilm.energy import mu_first_order
 from thinfilm.io import EnergyRecord
+from thinfilm.psd import psd_solve
 
 
 @contextmanager
@@ -142,7 +141,7 @@ class TestCriterion4StructurePreservation:
             phi0 = random_initial_data(grid, 0)
 
             fo = FirstOrderScheme(grid, params)
-            state = initial_state(grid, phi0)
+            state = restart_state(grid, phi0)
             beta0 = state.beta0
             energy = discrete_energy(grid, phi0, params.eps)
             for _ in range(200):

@@ -19,18 +19,20 @@ from thinfilm import (
     PhysParams,
     SpectralSolver,
     a0_star,
-    check_positive,
     discrete_energy,
     inner,
     lap,
     modified_energy,
-    mu_bdf2,
     mu_exact,
-    mu_first_order,
     norm_2,
+)
+from thinfilm.energy import (
+    mu_bdf2,
+    mu_first_order,
     splitting_first_order,
     splitting_stabilized,
 )
+from thinfilm.errors import check_positive
 
 
 def potential(x):
@@ -209,6 +211,17 @@ class TestDiscreteEnergy:
         f1 = discrete_energy(grid, phi, 0.5)
         f2 = discrete_energy(grid, phi, 1.0)
         assert f2 - f0 == pytest.approx(4.0 * (f1 - f0), rel=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_other_dtypes_computed_in_float64(self, dtype):
+        """Heights of 0.2-0.4: phi^-8 reaches 390625, past float16's largest
+        value, 65504, and float32 rounds the bulk sum.  The energy and the
+        chemical potential are those of the field cast to float64 first."""
+        grid = Grid(2, 32, 3.2)
+        phi = positive_field(grid, 48, 0.2, 0.4).astype(dtype)
+        wide = phi.astype(float)
+        assert discrete_energy(grid, phi, 0.1) == discrete_energy(grid, wide, 0.1)
+        assert np.array_equal(mu_exact(grid, phi, 0.1), mu_exact(grid, wide, 0.1))
 
 
 class TestSplittings:

@@ -171,10 +171,16 @@ class TestRollFormula:
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_other_dtypes_computed_in_float64(self, dim, dtype):
+        """Entries up to a few hundred: their squares pass float16's largest
+        value, 65504, and a float32 dot rounds in float32."""
         grid = Grid(dim, 7, 1.3)
         u = (100.0 * random_field(grid, 80 + dim)).astype(dtype)
-        assert np.array_equal(lap(grid, u), lap(grid, u.astype(float)))
-        assert grad_norm_2(grid, u) == grad_norm_2(grid, u.astype(float))
+        v = (100.0 * random_field(grid, 90 + dim)).astype(dtype)
+        wide_u, wide_v = u.astype(float), v.astype(float)
+        assert np.array_equal(lap(grid, u), lap(grid, wide_u))
+        assert grad_norm_2(grid, u) == grad_norm_2(grid, wide_u)
+        assert inner(grid, u, v) == inner(grid, wide_u, wide_v)
+        assert norm_2(grid, u) == norm_2(grid, wide_u)
 
     @pytest.mark.parametrize("kind", ["float16", "float32", "int64", "fortran", "transposed", "sliced"])
     @pytest.mark.parametrize("n", [2, 3, 5, 48])

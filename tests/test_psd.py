@@ -21,14 +21,11 @@ from thinfilm import (
     SolverConfig,
     SolverDivergedError,
     SpectralSolver,
-    barrier_alpha,
     inner,
     lap,
-    line_search,
     norm_inf,
-    psd_solve,
 )
-from thinfilm.psd import _WOLFE_TOL
+from thinfilm.psd import _WOLFE_TOL, barrier_alpha, line_search, psd_solve
 
 # The default stopping rule, which every psd_solve call names.
 CFG = SolverConfig()

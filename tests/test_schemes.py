@@ -41,20 +41,17 @@ from thinfilm import (
     SolverDivergedError,
     SpectralSolver,
     a0_star,
-    barrier_alpha,
     discrete_energy,
     grad_norm_2,
-    initial_state,
     inner,
     lap,
-    line_search,
     modified_energy,
     mu_exact,
     norm_inf,
-    psd_solve,
     random_initial_data,
     restart_state,
 )
+from thinfilm.psd import barrier_alpha, line_search, psd_solve
 
 
 def apply_pinv(grid, pinv, u):
@@ -594,7 +591,7 @@ class TestPreconditionerCoefficients:
         assert a1 + system.shift == pytest.approx(median, rel=1e-12)
         system.residual(2.0 * phi)
         assert a1 + system.shift == pytest.approx(median, rel=1e-12)
-        state = initial_state(grid, phi) if which == "fo" else restart_state(grid, phi)
+        state = restart_state(grid, phi)
         _, report = scheme.step(state, dt)
         assert report.precond_a1 == pytest.approx(median, rel=1e-12)
 
@@ -727,7 +724,7 @@ class TestNearBarrier:
             grid, PhysParams(eps=0.02), psd_config=SolverConfig(max_iters=100)
         )
         with pytest.raises(SolverDivergedError) as excinfo:
-            scheme.step(initial_state(grid, phi0), 1e-3)
+            scheme.step(restart_state(grid, phi0), 1e-3)
         err = excinfo.value
         found = re.search(r"mean tail contraction (\S+) per iteration", str(err))
         rate = float(found.group(1))
@@ -792,7 +789,7 @@ class TestFixedMetricStop:
         phi0 = np.ones(grid.shape)
         phi0[3, 5] = 1e4
         scheme = FirstOrderScheme(grid, PhysParams(eps=0.01))
-        new_state, report = scheme.step(initial_state(grid, phi0), 0.01)
+        new_state, report = scheme.step(restart_state(grid, phi0), 0.01)
         assert report.final_residual <= scheme.psd_config.tol
         system = scheme.step_system_from(phi0, 0.01)
         assert fixed_metric_norm(scheme, system, new_state.phi) <= scheme.psd_config.tol
@@ -804,7 +801,7 @@ class TestStatesAndHistory:
     def test_initial_state_copies_and_records_mean(self):
         grid = Grid(2, 8, 1.0)
         phi0 = positive_field(grid, 40)
-        state = initial_state(grid, phi0, t=1.5)
+        state = restart_state(grid, phi0, t=1.5)
         assert np.array_equal(state.phi_prev, phi0)
         assert state.phi_prev is not state.phi
         assert state.t == 1.5
@@ -876,7 +873,7 @@ class TestStatesAndHistory:
     def test_initial_data_must_be_positive(self):
         grid = Grid(1, 4, 1.0)
         with pytest.raises(NonPositiveFieldError):
-            initial_state(grid, np.array([1.0, -1.0, 1.0, 1.0]))
+            restart_state(grid, np.array([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(NonPositiveFieldError):
             restart_state(grid, np.zeros(4))
 
@@ -905,7 +902,7 @@ class TestStatesAndHistory:
                 NonZeroMeanError, id="cold_start-nan-source",
             ),
             pytest.param(
-                lambda g, fo, bdf2, phi: fo.step(initial_state(g, phi), 1e-3,
+                lambda g, fo, bdf2, phi: fo.step(restart_state(g, phi), 1e-3,
                                                  holding(g, math.nan)),
                 NonZeroMeanError, id="fo-step-nan-source",
             ),
@@ -915,12 +912,12 @@ class TestStatesAndHistory:
                 NonZeroMeanError, id="bdf2-step-nan-source",
             ),
             pytest.param(
-                lambda g, fo, bdf2, phi: fo.step(initial_state(g, phi), 1e-3,
+                lambda g, fo, bdf2, phi: fo.step(restart_state(g, phi), 1e-3,
                                                  holding(g, math.inf)),
                 NonZeroMeanError, id="fo-step-inf-source",
             ),
             pytest.param(
-                lambda g, fo, bdf2, phi: initial_state(g, holding(g, math.inf, phi)),
+                lambda g, fo, bdf2, phi: restart_state(g, holding(g, math.inf, phi)),
                 NonPositiveFieldError, id="initial_state-inf-data",
             ),
             pytest.param(
@@ -999,7 +996,7 @@ class TestStatesAndHistory:
         """Either scheme starts from the one start state: duplicated history."""
         grid, _, _, bdf2 = setup
         phi0 = positive_field(grid, 44)
-        new_state, report = bdf2.step(initial_state(grid, phi0), 0.01)
+        new_state, report = bdf2.step(restart_state(grid, phi0), 0.01)
         restarted, _ = bdf2.step(restart_state(grid, phi0), 0.01)
         assert np.array_equal(new_state.phi, restarted.phi)
         assert report.final_residual <= 1e-9
@@ -1009,7 +1006,7 @@ class TestStatesAndHistory:
 class TestStepBehavior:
     def test_constant_field_is_fixed_point_first_order(self, setup):
         grid, _, fo, _ = setup
-        state = initial_state(grid, np.full(grid.shape, 1.3))
+        state = restart_state(grid, np.full(grid.shape, 1.3))
         new_state, report = fo.step(state, 0.5)
         assert report.psd_iters == 0
         assert norm_inf(new_state.phi - 1.3) <= 1e-14
@@ -1024,7 +1021,7 @@ class TestStepBehavior:
     def test_step_bookkeeping(self, setup):
         grid, _, fo, _ = setup
         phi0 = smooth_field(grid)
-        state = initial_state(grid, phi0, t=2.0)
+        state = restart_state(grid, phi0, t=2.0)
         new_state, report = fo.step(state, 0.125)
         assert new_state.t == pytest.approx(2.125, rel=1e-15)
         assert new_state.step_index == 1
@@ -1054,16 +1051,16 @@ class TestStepBehavior:
     def test_warm_start_does_not_change_solution(self, setup):
         grid, _, fo, _ = setup
         dt = 0.05
-        state = initial_state(grid, smooth_field(grid))
+        state = restart_state(grid, smooth_field(grid))
         state1, _ = fo.step(state, dt)
         warm, _ = fo.step(state1, dt)  # history present: warm-started
-        cold_in = initial_state(grid, state1.phi.copy(), t=state1.t)
+        cold_in = restart_state(grid, state1.phi.copy(), t=state1.t)
         cold, _ = fo.step(cold_in, dt)  # same problem, plain start
         assert norm_inf(warm.phi - cold.phi) <= 1e-7
 
     def test_large_step_stays_positive_and_dissipates(self, setup):
         grid, params, fo, _ = setup
-        state = initial_state(grid, positive_field(grid, 50, 0.4, 2.2))
+        state = restart_state(grid, positive_field(grid, 50, 0.4, 2.2))
         energy = discrete_energy(grid, state.phi, params.eps)
         for _ in range(5):
             state, report = fo.step(state, 10.0)  # far beyond any CFL-type limit
@@ -1073,7 +1070,7 @@ class TestStepBehavior:
 
     def test_first_order_invariants_multi_step(self, setup):
         grid, params, fo, _ = setup
-        state = initial_state(grid, smooth_field(grid, amp=0.4))
+        state = restart_state(grid, smooth_field(grid, amp=0.4))
         energy = discrete_energy(grid, state.phi, params.eps)
         for _ in range(8):
             state, report = fo.step(state, 0.02)
@@ -1100,7 +1097,7 @@ class TestStepBehavior:
     def test_forced_step_conserves_mass(self, setup):
         grid, _, fo, bdf2 = setup
         forcing = mean_zero_forcing(grid, 51)
-        state = initial_state(grid, smooth_field(grid))
+        state = restart_state(grid, smooth_field(grid))
         state, report = fo.step(state, 0.01, forcing)
         assert report.mass_drift <= 1e-11
         state2 = restart_state(grid, smooth_field(grid))
@@ -1156,7 +1153,7 @@ class TestStepBehavior:
     def test_exhausted_budget_reports_the_failed_solve(self, setup):
         grid, params, _, _ = setup
         short = FirstOrderScheme(grid, params, psd_config=SolverConfig(max_iters=2))
-        state = initial_state(grid, positive_field(grid, 52))
+        state = restart_state(grid, positive_field(grid, 52))
         with pytest.raises(SolverDivergedError) as excinfo:
             short.step(state, 0.02)
         err = excinfo.value
@@ -1187,7 +1184,7 @@ class TestStepBehavior:
         grid, _, fo, _ = setup
         phi_old = smooth_field(grid, amp=0.4)
         _, trace = psd_solve(fo.step_system_from(phi_old, 0.02), phi_old, fo.psd_config)
-        _, report = fo.step(initial_state(grid, smooth_field(grid, amp=0.4)), 0.02)
+        _, report = fo.step(restart_state(grid, smooth_field(grid, amp=0.4)), 0.02)
         assert report.psd_iters == trace.iterations
         assert report.line_evals == sum(trace.line_evals) >= report.psd_iters
         assert report.restarts == trace.restarts
@@ -1485,7 +1482,7 @@ class TestStepBehavior:
         loose = FirstOrderScheme(
             grid, params, psd_config=SolverConfig(tol=1e-4)
         )
-        state = initial_state(grid, smooth_field(grid, amp=0.4))
+        state = restart_state(grid, smooth_field(grid, amp=0.4))
         _, report = loose.step(state, 0.02)
         assert report.final_residual <= 1e-4
         tight = FirstOrderScheme(grid, params, psd_config=SolverConfig(tol=1e-11))
@@ -1501,7 +1498,7 @@ class TestStepBehavior:
         rate = lap(grid, mu_exact(grid, phi0, params.eps))
 
         def deviation(dt):
-            state, _ = fo.step(initial_state(grid, phi0), dt)
+            state, _ = fo.step(restart_state(grid, phi0), dt)
             return norm_inf(state.phi - (phi0 + dt * rate))
 
         e_coarse = deviation(2.5e-5)
