@@ -70,7 +70,7 @@ class PhysParams:
 
 def _recip_powers_2_8(phi: np.ndarray):
     """(phi^-2, phi^-8) by repeated squaring, in two fresh fields."""
-    inv2 = 1.0 / phi
+    inv2 = np.divide(1.0, phi, dtype=float)
     np.square(inv2, out=inv2)
     inv8 = np.square(inv2)
     np.square(inv8, out=inv8)
@@ -79,7 +79,7 @@ def _recip_powers_2_8(phi: np.ndarray):
 
 def _recip_powers_3_9(phi: np.ndarray):
     """(phi^-3, phi^-9) by repeated multiplication."""
-    inv = 1.0 / phi
+    inv = np.divide(1.0, phi, dtype=float)
     inv3 = np.square(inv) * inv
     return inv3, np.square(inv3) * inv3
 

@@ -45,9 +45,9 @@ convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): a search ends at the
 first trial with |g(alpha)| <= _WOLFE_TOL |g(0)|, a strong-Wolfe curvature
 condition with sigma = 1e-6.  Every search ends at its last trial, so a
 step system carries that trial's pointwise pass into the next residual,
-and that trial's point phi + alpha d into the next iterate: the step
-system owns the field a trial writes its point into, and hands it over, as
-the new iterate, with the residual there.
+and that trial's point phi + alpha d into the next iterate: a direction's
+closures own the field its trials write their point into, and hand it
+over, as the new iterate, with the residual there.
 """
 
 from __future__ import annotations
@@ -232,9 +232,8 @@ def _line_step(system, phi: np.ndarray, direction: tuple, r: np.ndarray,
     system handed out last; returns the pair (phi_new, r(phi_new)) from
     residual_at and records the search in ``trace``.
 
-    The direction's closures die on return, and with them what they hold
-    (phi, K d and the affine part at phi), before the next iteration's
-    preconditioner solve.
+    The direction's closures die on return, and with them what they hold,
+    before the next iteration's preconditioner solve.
     """
     evals = 0
     g_inner, residual_at = system.directional(phi, direction, r)
@@ -269,8 +268,8 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     never reads it, so a spectral solve skips its inverse transform.
     system.directional(phi, (d, s), r) takes the iterate, the residual there
     that the system handed out last, a direction d and its image s = Lc d,
-    and returns (g, residual_at); a residual serves one search, and a
-    direction one hand-over.  g(alpha) is
+    and returns (g, residual_at); the solve searches once from each
+    residual and calls residual_at once per direction.  g(alpha) is
     g(alpha) = -<r(phi + alpha d), d> at a trial alpha > 0, g.slope() its
     derivative at the last trial, taken on demand (line_search asks for it
     only to step from that trial), and g.seed_slope is g'(0).
@@ -294,12 +293,10 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
     in place into rp = r - mean r (the r that directional receives is that
     deflated array), Lc^{-1} rp into p, and after a restart p and rp become
     d and s, which later iterations combine in place.  So a system must not
-    read a residual it handed out (StepSystem checks only its identity),
-    and a caller that keeps one must copy it.  One search's closures, and
-    what they hold (the iterate the search started from, the affine part
-    there), die when the search ends; their K d lives on as the system's
-    new affine part, which residual_at forms in its array.  So the next
-    preconditioner solve runs beside phi, r, d, s and rp_prev only.
+    read a residual it handed out, and a caller that keeps one must copy
+    it.  One search's closures, and what they hold, die when the search
+    ends, so the next preconditioner solve runs beside phi, r, d, s and
+    rp_prev only.
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when

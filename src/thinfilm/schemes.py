@@ -61,6 +61,7 @@ from .spectral import SpectralSolver
 
 _STEP_MASS_TOL = 1e-12
 _FORCING_MEAN_TOL = 1e-12
+_SPENT = "a direction serves one hand-over; its K d is spent"
 
 
 @dataclass
@@ -169,48 +170,46 @@ class StepSystem:
     the instance as it calls them, so methods wrapped on the instance after
     assembly see every call.  ``directional(phi, (d, s), r)`` takes a
     direction d together with its image s = Lc d, so K d = (1 + shift) d - s
-    costs no transform, and the residual r at phi, which must be the last
-    one the system handed out, with no line trial since.  It consumes r, so
-    a residual serves one search, and returns (g, residual_at).  g(alpha)
-    returns g(alpha) = -<r(phi + alpha d), d> for a trial alpha > 0: one
-    pointwise pass and one dot.  g.slope() returns
-    g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> at the last trial, from
-    that trial's pass: one multiply and one dot, paid only when asked for,
-    which line_search does only to step from the trial.  A trial forms its
-    point phi + alpha d, as fl(phi + fl(alpha d)), in a point field that
-    the system owns.  The seed slope g'(0) comes with g, as g.seed_slope,
-    from the curvature -B' of the pass that produced r; the value
-    g(0) = -<r, d> is the caller's.  residual_at(alpha) returns the pair
-    (phi + alpha d, r(phi + alpha d)) from the pass and the point of the
-    search's last trial, which must be at alpha: it refuses (ValueError)
-    any other alpha, a direction whose search is over, and a call before
-    the first trial.  g and residual_at agree with the naive evaluation
-    through ``residual`` to rounding error whenever s = Lc d to rounding
-    error.
+    costs no transform, and the residual r at phi, and returns
+    (g, residual_at).  g(alpha) returns g(alpha) = -<r(phi + alpha d), d>
+    for a trial alpha > 0: one pointwise pass and one dot.  g.slope()
+    returns g'(alpha) = <-B'(phi + alpha d) d, d> - <K d, d> at the last
+    trial, from that trial's pass: one multiply and one dot, paid only when
+    asked for, which line_search does only to step from the trial.  A trial
+    forms its point phi + alpha d as fl(phi + fl(alpha d)).  The seed slope
+    g'(0) comes with g, as g.seed_slope, from the curvature -B' of the pass
+    that produced r; the value g(0) = -<r, d> is the caller's.
+    residual_at(alpha) returns the pair (phi + alpha d, r(phi + alpha d))
+    from the pass and the point of the direction's last trial, which must be
+    at alpha.  g and residual_at agree with the naive evaluation through
+    ``residual`` to rounding error whenever s = Lc d to rounding error.
 
     Ownership.  ``history`` and ``constant`` are zero-argument callables
     that form the two fields anew at each call.  They reference, and do
     not own, the caller's time levels, lap(phi_old) and source; only
     ``residual`` calls them, and the fields they form die with the call.
     The system owns the scratch fields of the pointwise pass (work, bulk,
-    curv); the point field of the line trials; and the affine part
-    K phi + c of the last residual, which it keeps to itself.  The
-    closures of one
-    ``directional`` call own its K d until residual_at forms the new
-    affine part K phi_new + c = (K phi + c) + alpha K d in that array: a
-    direction serves one hand-over, after which its g, g.slope and
-    residual_at refuse (ValueError).  A trial writes its point into the
-    point field, which the system allocates at the first trial after a
-    hand-over, not before.  residual_at hands that field over with the
-    pair, to be the caller's new iterate, and the system never writes to
-    a point it has handed over.  residual_at also writes the new
-    residual into the scratch field work, which is free once its pass is
-    done, and hands work over as that residual; the system allocates the
-    next work at its next use.  Every residual, of ``residual`` and
-    residual_at alike, is an array that the receiver owns and may
-    overwrite (psd_solve deflates it in place), shared with nothing the
-    system still holds; the system reads a handed-out residual only for
-    its identity, in ``directional``.
+    curv) and the affine part K phi + c of the last residual, which it
+    keeps to itself.  One marker, the owner of the held pass, decides every
+    refusal (ValueError).  The owner is the residual that the pass
+    produced, until a search consumes it; or the K d of the direction whose
+    last trial the pass is; or nothing.  So ``directional`` takes only the
+    residual that owns the pass, and consumes it: a residual serves one
+    search, and a trial since refuses it.  g.slope() answers, and
+    residual_at hands over, only while the pass is its direction's last
+    trial, and residual_at only at that trial's alpha.  The closures of one
+    ``directional`` call own its K d, a point field allocated at their
+    first trial, and the alpha of their last trial.  residual_at forms the
+    new affine part K phi_new + c = (K phi + c) + alpha K d in K d's array,
+    so a direction serves one hand-over, after which its g, g.slope and
+    residual_at refuse.  residual_at hands the point field over with the
+    pair, to be the caller's new iterate.  It writes the new residual into
+    the scratch field work, which is free once its pass is done, and hands
+    work over as that residual; the system allocates the next work at its
+    next use.  Every residual, of ``residual`` and residual_at alike, is an
+    array that the receiver owns and may overwrite (psd_solve deflates it
+    in place), shared with nothing the system still holds; the system reads
+    a handed-out residual only for its identity, in ``directional``.
     """
 
     def __init__(self, solver: SpectralSolver, dt: float, *,
@@ -226,20 +225,15 @@ class StepSystem:
         # holds the curvature -B'(x) / curv_scale, both at the point x of
         # that pass; work is free.  residual_at hands work over as the new
         # residual, and work is None until its next use allocates another
-        # (_scratch).  point holds the last line trial's point; it is None
-        # from the hand-over of a point to the next trial.
+        # (_scratch).
         self._work, self._bulk, self._curv = (np.empty(self.grid.shape) for _ in range(3))
-        self._point = None
         self._curv_scale = 8.0 if concave else 24.0
-        # The last residual handed out, until a search consumes it or a
-        # trial overwrites its pass, and its affine part K phi + c, which
-        # the line closures take instead of re-deriving it as r - B(phi): the
-        # rounding of that difference is on the scale of B (about 1e12 at
-        # phi = 0.05) and would stay in every carried residual after it.
-        self._r = self._affine = None
-        # The K d of the direction whose trial at _held_alpha the scratch
-        # and point fields hold, or None when they hold no trial's.
-        self._held = self._held_alpha = None
+        # The owner of the held pass (see Ownership), and the affine part
+        # K phi + c of the last residual, which the line closures take
+        # instead of re-deriving it as r - B(phi): the rounding of that
+        # difference is on the scale of B (about 1e12 at phi = 0.05) and
+        # would stay in every carried residual after it.
+        self._owner = self._affine = None
 
     def _scratch(self) -> np.ndarray:
         """The free scratch field work; a new one after residual_at handed
@@ -293,7 +287,7 @@ class StepSystem:
             c = max(self.linear + self._curv_scale * flat[k], 0.0)
             self.shift = c - self.coefficients[1]
         r = self._bulk + affine
-        self._r, self._affine, self._held = r, affine, None
+        self._owner, self._affine = r, affine
         return r
 
     def precondition(self, rp: np.ndarray, limit: Optional[float]) -> tuple:
@@ -304,12 +298,11 @@ class StepSystem:
         )
 
     def directional(self, phi: np.ndarray, direction: tuple, r_phi: np.ndarray):
-        if r_phi is not self._r:
+        if r_phi is not self._owner:
             raise ValueError(
                 "directional needs the last residual the step system handed out, "
                 "unsearched and with no line trial since"
             )
-        self._r = None
         d, image = direction
         grid, affine = self.grid, self._affine
         bulk, curv = self._bulk, self._curv
@@ -319,41 +312,45 @@ class StepSystem:
         dflat = d.ravel()
         s0 = inner(grid, affine, d)
         s1 = inner(grid, kd, d)
+        # The direction's point field, allocated at its first trial, and
+        # the alpha of its last trial.
+        point = last = None
 
-        def live() -> None:
-            if kd is None:
-                raise ValueError("a direction serves one hand-over; its K d is spent")
-
-        def slope() -> float:
+        def held_slope() -> float:
             # g' = <-B' d, d> - <K d, d> at the point of the held pass, with
             # d^2 never stored
-            live()
             work = self._scratch()
             np.multiply(curv, d, out=work)
             return curv_scale * scale * float(np.dot(work.ravel(), dflat)) - s1
 
+        def slope() -> float:
+            if kd is None:
+                raise ValueError(_SPENT)
+            if self._owner is not kd:
+                raise ValueError("g.slope needs its direction's last trial, with no pass since")
+            return held_slope()
+
         def g(alpha: float) -> float:
-            # The trial overwrites the point field and then the pass, which
-            # no longer serve a residual or an earlier trial.
-            live()
-            self._r = self._held = None
-            if self._point is None:
-                self._point = np.empty(grid.shape)
-            point = self._point
+            nonlocal point, last
+            if kd is None:
+                raise ValueError(_SPENT)
+            # The trial overwrites the point and then the pass, which no
+            # longer serve a residual or an earlier trial.
+            self._owner = None
+            if point is None:
+                point = np.empty(grid.shape)
             np.multiply(d, alpha, out=point)
             np.add(point, phi, out=point)
-            if not point.min() > 0.0:
-                raise NonPositiveFieldError("line trial point is not strictly positive")
+            check_positive(point, "line trial point")
             self._pass(point)
-            # kd is new with every direction, so a pass is never taken for
-            # another one's.
-            self._held, self._held_alpha = kd, alpha
+            self._owner, last = kd, alpha
             return -(scale * float(np.dot(bulk.ravel(), dflat)) + s0 + alpha * s1)
 
         def residual_at(alpha: float) -> tuple:
             nonlocal kd
-            live()
-            if not (self._held is kd and self._held_alpha == alpha):
+            if kd is None:
+                raise ValueError(_SPENT)
+            if not (self._owner is kd and last == alpha):
                 raise ValueError("residual_at needs its search's last trial, at that alpha")
             # The new affine part affine + alpha kd, formed in kd's array (the
             # product commutes, so the bits are those of alpha * kd); the
@@ -362,15 +359,15 @@ class StepSystem:
             np.multiply(kd, alpha, out=kd)
             kd += affine
             out = np.add(bulk, kd, out=self._work)
-            self._r, self._affine, self._held = out, kd, None
-            kd = None
-            point, self._point = self._point, None
-            self._work = None
+            self._owner, self._affine = out, kd
+            kd = self._work = None
             return point, out
 
         g.slope = slope
-        # The pass at phi is still held: it produced r, and no trial ran since.
-        g.seed_slope = slope()
+        # The pass at phi is still held: it produced r, which this search
+        # consumes.
+        g.seed_slope = held_slope()
+        self._owner = None
         return g, residual_at
 
 

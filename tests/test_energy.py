@@ -223,6 +223,28 @@ class TestDiscreteEnergy:
         assert discrete_energy(grid, phi, 0.1) == discrete_energy(grid, wide, 0.1)
         assert np.array_equal(mu_exact(grid, phi, 0.1), mu_exact(grid, wide, 0.1))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_splitting_oracles_computed_in_float64(self, dtype):
+        """The same fields through the splitting energies and potentials:
+        their reciprocal powers are taken in float64, so each result is that
+        of the field cast to float64 first (float16 overflowed to inf, and
+        float32 rounded)."""
+        grid = Grid(2, 32, 3.2)
+        phi = positive_field(grid, 48, 0.2, 0.4).astype(dtype)
+        wide = phi.astype(float)
+        history = positive_field(grid, 49, 0.2, 0.4)
+        params = PhysParams(eps=0.1)
+        assert splitting_first_order(grid, phi, 0.1) == splitting_first_order(grid, wide, 0.1)
+        assert splitting_stabilized(grid, phi, 0.1, 2.0) == splitting_stabilized(
+            grid, wide, 0.1, 2.0
+        )
+        for narrow_out, wide_out in (
+            (mu_first_order(grid, phi, phi, 0.1), mu_first_order(grid, wide, wide, 0.1)),
+            (mu_bdf2(grid, phi, history, history, params, 0.01),
+             mu_bdf2(grid, wide, history, history, params, 0.01)),
+        ):
+            assert np.array_equal(narrow_out, wide_out)
+
 
 class TestSplittings:
     def test_plain_split_reconstructs_energy(self):

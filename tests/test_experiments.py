@@ -19,6 +19,7 @@ from thinfilm import (
     ConfigError,
     ConvergenceTable,
     EnergyRecord,
+    FirstOrderScheme,
     Grid,
     InsufficientDataError,
     ManufacturedSolution,
@@ -29,7 +30,9 @@ from thinfilm import (
     SpectralSolver,
     UnfinishedError,
     fit_power_law,
+    grad_norm_2,
     lap,
+    norm_2,
     norm_inf,
     random_initial_data,
     run_coarsening,
@@ -282,6 +285,67 @@ class TestConvergenceSmokes:
         with pytest.raises(ConfigError, match="at least 3 rungs"):
             study(on_resolution=lambda *row: seen.append(row), **ladder)
         assert seen == []
+
+
+class TestConvergenceInThePapersNorms:
+    """The paper proves optimal rates in l-inf(0, T; H^-1) and
+    l2(0, T; H^1), beside the final l2 error that criteria 2 and 3 fit.
+    Each study takes the error e_k after every step under the manufactured
+    source (eps 0.5, T 0.25): its H^-1 norm is that of e_k - mean e_k, and
+    its H^1 seminorm is grad_norm_2(e_k).  All three slopes must lie in the
+    bands of the benchmark's convergence check."""
+
+    EPS, T = 0.5, 0.25
+
+    def slopes(self, make_scheme, start, rungs):
+        """(l-inf H^-1, l2 H^1, final l2) slopes against the labels of
+        ``rungs``, (label, n, steps) each; start(scheme, profile, dt) is
+        the state at t = 0."""
+        profile = ManufacturedSolution()
+        labels, norms = [], []
+        for label, n, steps in rungs:
+            grid = Grid(2, n, 1.0)
+            scheme = make_scheme(grid)
+            dt = self.T / steps
+            state = start(scheme, profile, dt)
+            worst_hm1 = sum_h1 = 0.0
+            for k in range(1, steps + 1):
+                source = profile.forcing(grid, self.EPS, k * dt)
+                state, _ = scheme.step(state, dt, forcing=source)
+                e = state.phi - profile.sample(grid, k * dt)
+                worst_hm1 = max(worst_hm1, scheme.solver.hminus1_norm(e - e.mean()))
+                sum_h1 += dt * grad_norm_2(grid, e) ** 2
+            labels.append(label)
+            norms.append((worst_hm1, math.sqrt(sum_h1), norm_2(grid, e)))
+        return [float(np.polyfit(np.log(labels), np.log(col), 1)[0]) for col in zip(*norms)]
+
+    def test_bdf2_second_order_in_every_norm(self):
+        """Joint refinement at dt = h/2 from cold_start, n = 16/24/32/48."""
+
+        def cold(scheme, profile, dt):
+            grid = scheme.grid
+            source = profile.forcing(grid, self.EPS, 0.0)
+            return scheme.cold_start(profile.sample(grid, 0.0), dt, forcing=source)
+
+        slopes = self.slopes(
+            lambda grid: Bdf2Scheme(grid, PhysParams(self.EPS)), cold,
+            [(n, n, n // 2) for n in (16, 24, 32, 48)],
+        )
+        print(f"BDF2 slopes (l-inf H^-1, l2 H^1, final l2): {slopes}")
+        assert all(-2.2 <= s <= -1.8 for s in slopes)
+
+    def test_first_order_first_order_in_every_norm(self):
+        """Temporal refinement on 32^2, nt = 25/50/100/200."""
+
+        def restart(scheme, profile, dt):
+            return restart_state(scheme.grid, profile.sample(scheme.grid, 0.0))
+
+        slopes = self.slopes(
+            lambda grid: FirstOrderScheme(grid, PhysParams(self.EPS)), restart,
+            [(nt, 32, nt) for nt in (25, 50, 100, 200)],
+        )
+        print(f"first-order slopes (l-inf H^-1, l2 H^1, final l2): {slopes}")
+        assert all(-1.1 <= s <= -0.9 for s in slopes)
 
 
 class TestRandomInitialData:

@@ -87,10 +87,9 @@ class TestStepPeakMemory:
         | owner       | arrays at the peak                                | both schemes |
         |-------------|---------------------------------------------------|--------------|
         | StepSystem  | pass scratch: work, bulk, curv                    | 3            |
-        | the search  | affine part at phi, K d                           | 2            |
+        | the search  | affine part at phi, K d, the trial point          | 3            |
         | psd_solve   | iterate phi, residual r (deflated in place, kept  | 4            |
         |             | as rp_prev), direction d, image s                 |              |
-        | line trial  | the trial point (the point field)                 | 1            |
         | total       |                                                   | 10           |
 
         Not held: history and constant, which the first residual forms and
@@ -100,7 +99,7 @@ class TestStepPeakMemory:
         the warm start, which psd_solve drops once it has copied it (before
         Python 3.11 the caller's frame keeps a call's arguments until it
         returns, so there it is held: one more); a spare point field, which
-        the system allocates only at the next trial; the previous search's
+        a direction allocates only at its first trial; the previous search's
         closures and p, which die before the next preconditioner solve; the
         copy r - mean r, since r is deflated in place.
         """
@@ -162,7 +161,9 @@ class TestOwnership:
         apart from: the iterate psd_solve returns, every point residual_at
         hands over (and its residual), the system's scratch fields (a
         residual is the field work of the passes before it, handed over),
-        the point of a later trial, and the caller's StepState fields."""
+        the point of a later trial, and the caller's StepState fields.
+        Trial points are the arguments of the system's pointwise passes, so
+        the check does not depend on who holds the point field."""
         grid = Grid(2, 16, 1.6)
         dt = 0.01
         scheme = scheme_cls(grid, PhysParams(eps=0.1))
@@ -173,19 +174,24 @@ class TestOwnership:
         # bulk and curv at every trial, bulk and curv at every hand-over,
         # where work itself goes over as the residual
         scratch = []
-        trials = []  # (number of hand-overs before it, point of a trial)
+        # (number of hand-overs before it, point of a pass): the first
+        # residual's iterate, then every trial's point
+        passes = []
         assemble = scheme.step_system_from
 
         def recorded_system(*args, **kwargs):
             system = assemble(*args, **kwargs)
-            directional = system.directional
+            directional, run_pass = system.directional, system._pass
+
+            def recorded_pass(x):
+                passes.append((len(handed), x))
+                run_pass(x)
 
             def recorded(phi, direction, r_phi):
                 g, residual_at = directional(phi, direction, r_phi)
 
                 def g_recorded(alpha):
                     out = g(alpha)
-                    trials.append((len(handed), system._point))
                     scratch.extend(
                         (len(handed), field)
                         for field in (system._work, system._bulk, system._curv)
@@ -202,7 +208,7 @@ class TestOwnership:
                 g_recorded.seed_slope = g.seed_slope
                 return g_recorded, residual_at_recorded
 
-            system.directional = recorded
+            system.directional, system._pass = recorded, recorded_pass
             return system
 
         monkeypatch.setattr(scheme, "step_system_from", recorded_system)
@@ -226,9 +232,9 @@ class TestOwnership:
             for later_point, later_residual in handed[i + 1:]:
                 assert apart(point, later_point) and apart(point, later_residual)
                 assert apart(residual, later_point)
-            for before, trial_point in trials:
+            for before, pass_point in passes:
                 if before > i:
-                    assert apart(point, trial_point)
+                    assert apart(point, pass_point)
         for other in caller + [field for _, field in scratch]:
             assert apart(returned, other)
         assert all(apart(returned, r) for _, r in handed)

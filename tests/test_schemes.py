@@ -468,6 +468,33 @@ class TestDirectionalFactory:
         naive = system.residual(phi1)
         assert norm_inf(got - naive) <= 1e-10 * max(1.0, norm_inf(naive))
 
+    @pytest.mark.parametrize("between", ["residual", "other direction"])
+    @pytest.mark.parametrize("which", ["fo", "bdf2"])
+    def test_slope_refuses_a_pass_not_its_last_trial(self, setup, which, between):
+        """g.slope() reads the held pass, so it answers only while that pass
+        is its direction's last trial.  After a later residual, or a trial
+        along a second direction, it refuses instead of returning the slope
+        at another point; a new trial of its own serves it again, with the
+        bits it gave before."""
+        grid = setup[0]
+        phi_old = positive_field(grid, 94)
+        phi = positive_field(grid, 95)
+        _, system = self.make_system(setup, which, phi_old, 0.08)
+        r, rp, d = self.gradient(system, phi)
+        alpha = 0.3 * barrier_alpha(phi, d, 0.99)
+        g, _ = system.directional(phi, (d, rp), r)
+        g(alpha)
+        before = g.slope()
+        if between == "residual":
+            system.residual(1.5 * phi)
+        else:
+            g_other, _ = system.directional(phi, (0.5 * d, 0.5 * rp), system.residual(phi))
+            g_other(alpha)
+        with pytest.raises(ValueError, match="last trial"):
+            g.slope()
+        g(alpha)
+        assert g.slope() == before
+
     @pytest.mark.parametrize("between", ["nothing", "other trial", "residual"])
     @pytest.mark.parametrize("which", ["fo", "bdf2"])
     def test_residual_at_reuses_only_the_last_trial(self, setup, which, between):
