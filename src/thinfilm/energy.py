@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_nonnegative_finite, check_positive, check_positive_finite
+from .errors import (InvalidCoefficientsError, check_nonnegative_finite, check_positive,
+                     check_positive_finite)
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -146,8 +147,12 @@ def modified_energy(
                + (4/3) a0 ||phi_new - phi_old||_2^2,
 
     on the grid of ``solver``, with ``energy`` = F(phi_new) as the caller
-    has already evaluated it, so eps enters only through ``energy``.
+    has already evaluated it, so eps enters only through ``energy``.  dt
+    must be positive and finite, and both fields must have the grid's shape.
     """
+    check_positive_finite("dt", dt, InvalidCoefficientsError)
+    solver.grid.validate_field(phi_new)
+    solver.grid.validate_field(phi_old)
     diff = np.subtract(phi_new, phi_old, dtype=float)
     # The increment is mean-free up to rounding on the scale of phi; finish
     # the cancellation so the H^-1 solve accepts near-stationary steps.
@@ -195,12 +200,15 @@ def mu_bdf2(
     params: PhysParams,
     dt: float,
 ) -> np.ndarray:
-    """Stabilized two-step potential.
+    """Stabilized two-step potential, in float64.
 
     -(8/3)(phi_new^-9 - phi_new^-3) + (8/3) a0 (phi_new - phi_check)
       - a_stab dt lap(phi_new - phi_old) - eps^2 lap(phi_new),
     where phi_check is the extrapolated history 2 phi^n - phi^{n-1}.
     """
+    phi_new, phi_check, phi_old = (
+        np.asarray(u, dtype=float) for u in (phi_new, phi_check, phi_old)
+    )
     check_positive(phi_new, "phi_new")
     inv3, inv9 = _recip_powers_3_9(phi_new)
     return (

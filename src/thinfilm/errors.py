@@ -68,11 +68,8 @@ class FormatError(ThinFilmError):
 
 
 class UnfinishedError(ThinFilmError):
-    """A long run hit its wall-clock budget.  Carries partial results."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
+    """A long run hit its wall-clock budget.  The run that raises it attaches
+    the completed steps' run as ``partial``."""
 
 
 def _is_real(value) -> bool:

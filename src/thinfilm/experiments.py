@@ -358,11 +358,10 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     step (and each rung's last step).  A snapshot request is served by the
     state (the initial one included) just before the first step that passes
     it by more than 1e-9, or by the final state; requests beyond the end of
-    the run are dropped.  Raises UnfinishedError carrying partial results
-    if the wall-clock budget runs out.  A step that fails (a ThinFilmError:
-    SolverDivergedError, BarrierCollapseError, PositivityLostError, ...)
-    propagates with its own class, the completed steps' run attached as
-    its ``partial``, as UnfinishedError carries it.
+    the run are dropped.  A run that stops early raises a ThinFilmError with
+    the completed steps' run as its ``partial``: UnfinishedError when the
+    wall-clock budget runs out, or a failed step's own error
+    (SolverDivergedError, BarrierCollapseError, PositivityLostError, ...).
     ``progress(steps, t, iters, line_evals)``, when given, is called every
     1000 steps with the CG iterations and line evaluations of those 1000
     steps.
@@ -370,10 +369,9 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     grid = Grid(2, config.n, config.length)
     scheme = Bdf2Scheme(grid, PhysParams(config.eps), psd_config=config.psd)
     phi0 = random_initial_data(grid, config.seed)
-    plan = _step_plan(config)
-    upcoming = next(plan, None)
+    first = next(_step_plan(config), None)
     # History is synthesized with the dt of the first step taken.
-    dt0 = config.schedule[0][1] if upcoming is None else upcoming[1]
+    dt0 = config.schedule[0][1] if first is None else first[1]
     try:
         state = scheme.cold_start(phi0, dt0)
     except PositivityLostError:
@@ -392,51 +390,45 @@ def run_coarsening(config: CoarseningConfig, progress=None) -> CoarseningRun:
     snapshots: list = []
     pending = sorted(config.snapshot_times, reverse=True)
 
-    def run_so_far() -> CoarseningRun:
-        return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
-
-    clock_start = time.monotonic()
-    steps = window_iters = window_evals = 0
-    while True:
-        horizon = state.t + 1e-9 if upcoming is None else upcoming[0] - 1e-9
-        while pending and pending[-1] < horizon:
+    def serve_snapshots(below: float) -> None:
+        while pending and pending[-1] < below:
             pending.pop()
             snapshots.append((state.t, state.phi.copy()))
-        if upcoming is None:
-            return run_so_far()
-        t, dt, restart, last_of_rung = upcoming
-        upcoming = next(plan, None)
-        if time.monotonic() - clock_start > config.wall_clock_budget:
-            raise UnfinishedError(
-                f"wall clock budget exceeded at t = {state.t:.6g}", run_so_far()
-            )
-        if restart:
-            state = restart_state(grid, state.phi, state.t)
-        try:
+
+    clock_start = time.monotonic()
+    window_iters = window_evals = 0
+    try:
+        for steps, (t, dt, restart, last_of_rung) in enumerate(_step_plan(config), 1):
+            serve_snapshots(t - 1e-9)
+            if time.monotonic() - clock_start > config.wall_clock_budget:
+                raise UnfinishedError(f"wall clock budget exceeded at t = {state.t:.6g}")
+            if restart:
+                state = restart_state(grid, state.phi, state.t)
             state, report = scheme.step(state, dt)
-        except ThinFilmError as exc:
-            exc.partial = run_so_far()
-            raise
-        state.t = t
-        steps += 1
-        window_iters += report.psd_iters
-        window_evals += report.line_evals
-        if (
-            t <= config.record_cutoff + 1e-12
-            or steps % config.record_every_late == 0
-            or last_of_rung
-        ):
-            records.append(
-                EnergyRecord(
-                    t=t,
-                    energy=report.energy,
-                    modified_energy=report.modified_energy,
-                    mass=float(state.phi.sum() / state.phi.size),
-                    min_phi=report.min_phi,
-                    psd_iters=report.psd_iters,
-                    residual=report.final_residual,
+            state.t = t
+            window_iters += report.psd_iters
+            window_evals += report.line_evals
+            if (
+                t <= config.record_cutoff + 1e-12
+                or steps % config.record_every_late == 0
+                or last_of_rung
+            ):
+                records.append(
+                    EnergyRecord(
+                        t=t,
+                        energy=report.energy,
+                        modified_energy=report.modified_energy,
+                        mass=float(state.phi.sum() / state.phi.size),
+                        min_phi=report.min_phi,
+                        psd_iters=report.psd_iters,
+                        residual=report.final_residual,
+                    )
                 )
-            )
-        if progress is not None and steps % 1000 == 0:
-            progress(steps, t, window_iters, window_evals)
-            window_iters = window_evals = 0
+            if progress is not None and steps % 1000 == 0:
+                progress(steps, t, window_iters, window_evals)
+                window_iters = window_evals = 0
+    except ThinFilmError as exc:
+        exc.partial = CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)
+        raise
+    serve_snapshots(state.t + 1e-9)
+    return CoarseningRun(grid, records, snapshots, state.phi.copy(), state.t)

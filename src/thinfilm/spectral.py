@@ -166,9 +166,9 @@ class SpectralSolver:
     ) -> tuple:
         """Solve (L + shift I) d = r with L = a0 (-lap)^{-1} + a1 I + a2 (-lap).
 
-        Requires a0 > 0, a1, a2 >= 0 and a1 + shift >= 0, so L and L + shift I
-        are positive definite on the mean-zero subspace; ``r`` must be
-        mean-zero within tolerance.  Returns the mean-zero solution d and
+        Requires finite a0 > 0, a1, a2 >= 0 and a1 + shift >= 0, so L and
+        L + shift I are positive definite on the mean-zero subspace; ``r``
+        must be mean-zero within tolerance.  Returns the mean-zero solution d and
         the squared norm norm2 = <L^{-1} r, r> of r in the metric of the
         unshifted L, read off the same forward transform.  With a ``limit``,
         d is None when sqrt(norm2) <= limit, and the inverse transform is
@@ -179,9 +179,10 @@ class SpectralSolver:
         1 / ((L + shift) sqrt(w / L)) is kept for the last shift and rebuilt
         from them when the shift changes, as every step's does.
         """
-        if not (a0 > 0.0 and a1 >= 0.0 and a2 >= 0.0 and a1 + shift >= 0.0):
+        if not (0.0 < a0 < math.inf and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf
+                and 0.0 <= a1 + shift < math.inf):
             raise InvalidCoefficientsError(
-                f"need a0 > 0, a1 >= 0, a2 >= 0, a1 + shift >= 0, "
+                f"need 0 < a0 < inf, 0 <= a1, a2 < inf, 0 <= a1 + shift < inf, "
                 f"got ({a0}, {a1}, {a2}) and shift {shift}"
             )
         self._check_mean(r)

@@ -6,8 +6,11 @@ power laws; the coarsening driver against hand-enumerated step ladders,
 snapshot alignment rules, and bitwise determinism.
 """
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -472,6 +475,31 @@ class TestCoarseningRun:
         assert partial.final_t == 0.0
         assert len(partial.records) == 1  # the t=0 record
         assert np.all(partial.final_phi > 0.0)
+
+    def test_budget_stop_in_mid_run_keeps_the_steps_taken(self, monkeypatch):
+        """A clock that ticks 1 s per reading runs out a 2.5 s budget at the
+        third step's check: the partial run is the run that ends at the
+        second step, its snapshot at 0.004 included."""
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            experiments, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        )
+        config = tiny_config(wall_clock_budget=2.5)
+        with pytest.raises(UnfinishedError) as excinfo:
+            run_coarsening(config)
+        partial = excinfo.value.partial
+        assert partial.final_t == pytest.approx(0.004)
+        monkeypatch.undo()
+        finished = run_coarsening(
+            dataclasses.replace(config, t_end=0.004, wall_clock_budget=math.inf)
+        )
+        assert partial.records == finished.records
+        assert [(t, phi.tobytes()) for t, phi in partial.snapshots] == [
+            (t, phi.tobytes()) for t, phi in finished.snapshots
+        ]
+        assert [t for t, _ in partial.snapshots] == pytest.approx([0.004])
+        assert partial.final_t == finished.final_t
+        assert np.array_equal(partial.final_phi, finished.final_phi)
 
     def test_schedule_clipped_to_t_end(self):
         run = run_coarsening(tiny_config(t_end=0.006, snapshot_times=()))

@@ -15,10 +15,12 @@ import pytest
 from oracles import dense_grad_matrices, dense_neg_lap_matrix, roll_grad_norm_2, roll_lap
 from thinfilm import (
     Grid,
+    SpectralSolver,
     discrete_energy,
     grad_norm_2,
     inner,
     lap,
+    modified_energy,
     mu_exact,
     norm_inf,
     norm_2,
@@ -126,12 +128,16 @@ class TestDifferenceOperators:
             grad_norm_2,
             lambda grid, u: mu_exact(grid, u, 0.1),
             lambda grid, u: discrete_energy(grid, u, 0.1),
+            lambda grid, u: modified_energy(
+                SpectralSolver(grid), u.reshape(grid.shape), u[:1, :8], 1.0, 0.01, 0.0
+            ),
         ],
-        ids=["lap", "grad_norm_2", "mu_exact", "discrete_energy"],
+        ids=["lap", "grad_norm_2", "mu_exact", "discrete_energy", "modified_energy"],
     )
     def test_field_of_another_grid_rejected(self, call):
         """A (4, 16) field has the 64 cells of an 8 x 8 grid but not its
-        shape, so its spacing is not the grid's."""
+        shape, so its spacing is not the grid's.  modified_energy gets an
+        old level of one row, which numpy would broadcast over the new one."""
         u = 1.0 + 0.1 * random_field(Grid(2, 8, 1.0), 5).reshape(4, 16)
         with pytest.raises(ValueError, match="shape"):
             call(Grid(2, 8, 1.0), u)

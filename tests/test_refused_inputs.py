@@ -23,6 +23,8 @@ from thinfilm import (
     InvalidCoefficientsError,
     PhysParams,
     SolverConfig,
+    SpectralSolver,
+    modified_energy,
     random_initial_data,
     restart_state,
     run_convergence_bdf2,
@@ -62,6 +64,9 @@ POSITIVE_FINITE = [
     ("FirstOrderScheme.step", first_order_step, "dt", InvalidCoefficientsError),
     ("Bdf2Scheme.step", bdf2_step, "dt", InvalidCoefficientsError),
     ("Bdf2Scheme.cold_start", bdf2_cold_start, "dt", InvalidCoefficientsError),
+    ("modified_energy.dt",
+     lambda v: modified_energy(SpectralSolver(GRID), PHI, PHI, 1.0, v, 0.0), "dt",
+     InvalidCoefficientsError),
     ("first_order_study.t_final", lambda v: first_order_study(t_final=v), "t_final",
      ConfigError),
     ("bdf2_study.t_final", lambda v: bdf2_study(t_final=v), "t_final", ConfigError),

@@ -238,7 +238,10 @@ class TestPreconditionerSolve:
         assert np.array_equal(d1, d2)
         assert abs(float(np.mean(d1))) <= 1e-14
 
-    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1.0), (-1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, -0.5)])
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 1.0, 1.0), (-1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (1.0, 0.0, -0.5),
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+    ])
     def test_rejects_indefinite_coefficients(self, coeffs):
         grid = Grid(1, 8, 1.0)
         solver = SpectralSolver(grid)
@@ -255,6 +258,15 @@ class TestPreconditionerSolve:
         solver.solve_preconditioner(r, 1.0, 0.5, 0.0, -0.5)
         with pytest.raises(InvalidCoefficientsError):
             solver.solve_preconditioner(r, 1.0, 0.5, 0.0, -0.6)
+
+    def test_rejects_an_infinite_shift(self):
+        """a1 + shift must be finite too: a shift of inf returned a zero
+        solution, as if every mode were damped away."""
+        grid = Grid(1, 8, 1.0)
+        solver = SpectralSolver(grid)
+        r = random_mean_zero(grid, 1)
+        with pytest.raises(InvalidCoefficientsError):
+            solver.solve_preconditioner(r, 1.0, 0.5, 0.0, math.inf)
 
 
 class TestFusedPoissonSolve:
