@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidCoefficientsError, check_nonnegative_finite, check_positive,
-                     check_positive_finite)
+from .errors import InvalidCoefficientsError, check_nonnegative_finite, check_positive_finite
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -71,7 +70,7 @@ class PhysParams:
 
 def _recip_powers_2_8(phi: np.ndarray):
     """(phi^-2, phi^-8) by repeated squaring, in two fresh fields."""
-    inv2 = np.divide(1.0, phi, dtype=float)
+    inv2 = np.divide(1.0, phi)
     np.square(inv2, out=inv2)
     inv8 = np.square(inv2)
     np.square(inv8, out=inv8)
@@ -80,15 +79,14 @@ def _recip_powers_2_8(phi: np.ndarray):
 
 def _recip_powers_3_9(phi: np.ndarray):
     """(phi^-3, phi^-9) by repeated multiplication."""
-    inv = np.divide(1.0, phi, dtype=float)
+    inv = np.divide(1.0, phi)
     inv3 = np.square(inv) * inv
     return inv3, np.square(inv3) * inv3
 
 
 def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
     """Total discrete free energy F(phi), computed in float64."""
-    phi = np.asarray(phi, dtype=float)
-    check_positive(phi)
+    phi = grid.height(phi, "phi")
     return _energy_with_lap(grid, phi, lap(grid, phi), eps)
 
 
@@ -112,7 +110,7 @@ def _energy_with_lap(grid: Grid, phi: np.ndarray, lap_phi: np.ndarray,
 
 def splitting_first_order(grid: Grid, phi: np.ndarray, eps: float):
     """Convex/concave halves (Fc, Fe) with F = Fc - Fe, plain splitting."""
-    check_positive(phi)
+    phi = grid.height(phi, "phi")
     inv2, inv8 = _recip_powers_2_8(phi)
     fc = (
         grid.cell_volume * float(inv8.sum()) / 3.0
@@ -128,7 +126,7 @@ def splitting_stabilized(grid: Grid, phi: np.ndarray, eps: float, a0: float):
     Fc = <U(phi) + (4/3) a0 phi^2, 1> + (eps^2/2)||grad phi||^2 and
     Fe = (4/3) a0 <phi^2, 1>, so again F = Fc - Fe.
     """
-    check_positive(phi)
+    phi = grid.height(phi, "phi")
     quad = (4.0 / 3.0) * a0 * inner(grid, phi, phi)
     return discrete_energy(grid, phi, eps) + quad, quad
 
@@ -151,15 +149,14 @@ def modified_energy(
     must be positive and finite, and both fields must have the grid's shape.
     """
     check_positive_finite("dt", dt, InvalidCoefficientsError)
-    solver.grid.validate_field(phi_new)
-    solver.grid.validate_field(phi_old)
-    diff = np.subtract(phi_new, phi_old, dtype=float)
+    grid = solver.grid
+    diff = np.subtract(grid.field(phi_new, "phi_new"), grid.field(phi_old, "phi_old"))
     # The increment is mean-free up to rounding on the scale of phi; finish
     # the cancellation so the H^-1 solve accepts near-stationary steps.
     return (
         energy
         + solver.hminus1_norm(diff - diff.sum() / diff.size) ** 2 / (4.0 * dt)
-        + (4.0 / 3.0) * a0 * norm_2(solver.grid, diff) ** 2
+        + (4.0 / 3.0) * a0 * norm_2(grid, diff) ** 2
     )
 
 
@@ -171,8 +168,7 @@ def _bulk_potential(phi: np.ndarray) -> np.ndarray:
 
 def mu_exact(grid: Grid, phi: np.ndarray, eps: float) -> np.ndarray:
     """Chemical potential -(8/3)(phi^-9 - phi^-3) - eps^2 lap(phi), in float64."""
-    phi = np.asarray(phi, dtype=float)
-    check_positive(phi)
+    phi = grid.height(phi, "phi")
     return _bulk_potential(phi) - eps**2 * lap(grid, phi)
 
 
@@ -183,8 +179,7 @@ def mu_first_order(
 
     -(8/3) phi_new^-9 + (8/3) phi_old^-3 - eps^2 lap(phi_new).
     """
-    check_positive(phi_new, "phi_new")
-    check_positive(phi_old, "phi_old")
+    phi_new, phi_old = grid.height(phi_new, "phi_new"), grid.height(phi_old, "phi_old")
     _, inv9 = _recip_powers_3_9(phi_new)
     inv3_old, _ = _recip_powers_3_9(phi_old)
     return (
@@ -206,10 +201,8 @@ def mu_bdf2(
       - a_stab dt lap(phi_new - phi_old) - eps^2 lap(phi_new),
     where phi_check is the extrapolated history 2 phi^n - phi^{n-1}.
     """
-    phi_new, phi_check, phi_old = (
-        np.asarray(u, dtype=float) for u in (phi_new, phi_check, phi_old)
-    )
-    check_positive(phi_new, "phi_new")
+    phi_new = grid.height(phi_new, "phi_new")
+    phi_check, phi_old = grid.field(phi_check, "phi_check"), grid.field(phi_old, "phi_old")
     inv3, inv9 = _recip_powers_3_9(phi_new)
     return (
         -(8.0 / 3.0) * (inv9 - inv3)

@@ -16,16 +16,18 @@ parts, -<u, lap u> = grad_norm_2(u)^2, and the schemes evaluate the
 energy through the left-hand side.  Inner products carry the uniform
 quadrature weight h^dim.
 
-Both stencils compute in float64 whatever the field's dtype, never
-through shifted copies of the field, and add (or subtract) the periodic
-neighbours in the order of the np.roll formulas (tests/oracles.py), so for
-a float64 field their bits are those formulas'.  An axis reaches its
-neighbours through slices (the interior shift plus the one wrapped layer),
-except the contiguous (x) axis of :func:`lap`, which the solver calls in
-every step: slicing it would cost numpy one inner loop per row, so lap
-takes it in one shifted add over the whole flattened field.  That add
-pairs each row's end cell with a cell of the neighbouring row, so the row
-ends are then redone from the row's own wrapped cell.
+Every field argument of the package is taken through :meth:`Grid.field`
+(or :meth:`Grid.height`, strictly positive); only :func:`inner`, the hot
+reduction, takes a plain float64 view.  Both stencils reach the
+neighbours never through shifted copies of the field, and add (or
+subtract) them in the order of the np.roll formulas (tests/oracles.py),
+so their bits are those formulas'.  An axis reaches its neighbours
+through slices (the interior shift plus the one wrapped layer), except the
+contiguous (x) axis of :func:`lap`, which the solver calls in every step:
+slicing it would cost numpy one inner loop per row, so lap takes it in one
+shifted add over the whole flattened field.  That add pairs each row's end
+cell with a cell of the neighbouring row, so the row ends are then redone
+from the row's own wrapped cell.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, check_count, check_positive_finite
+from .errors import ConfigError, check_count, check_positive, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,23 @@ class Grid:
         mats = np.meshgrid(*([line] * self.dim), indexing="ij")
         return tuple(mats[self.axis_of(d)] for d in range(self.dim))
 
-    def validate_field(self, u: np.ndarray) -> None:
+    def field(self, u, what: str = "field") -> np.ndarray:
+        """u as a C-contiguous float64 field of this grid, the caller's own
+        array when it is one already; ValueError, before any arithmetic, for
+        another shape or a dtype that is not an integer or real float
+        (complex, bool, object), with ``what`` naming u in the message."""
+        u = np.asarray(u)
         if u.shape != self.shape:
-            raise ValueError(f"field shape {u.shape} does not match grid {self.shape}")
+            raise ValueError(f"{what} shape {u.shape} does not match grid {self.shape}")
+        if u.dtype.kind not in "iuf":
+            raise ValueError(f"{what} dtype {u.dtype} is not an integer or real float")
+        return np.ascontiguousarray(u, dtype=float)
+
+    def height(self, u, what: str) -> np.ndarray:
+        """:meth:`field`, strictly positive (NonPositiveFieldError otherwise)."""
+        u = self.field(u, what)
+        check_positive(u, what)
+        return u
 
 
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -108,10 +124,10 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
     previous) row, so the end cells are saved before it and redone from the
     saved value and the row's own wrapped cell after it.
     """
-    grid.validate_field(u)
+    u = grid.field(u)
     h2 = grid.h * grid.h
     # order="C": the flat adds need out.reshape(-1) to be a view.
-    out = np.multiply(u, -2.0 * grid.dim, dtype=float, order="C")
+    out = np.multiply(u, -2.0 * grid.dim, order="C")
     for ax in range(u.ndim - 1):
         # Views with axis ax first: out[i] += u[i + 1], then
         # out[i] += u[i - 1], periodically.
@@ -148,6 +164,7 @@ def norm_inf(u: np.ndarray) -> float:
 
 
 def norm_2(grid: Grid, u: np.ndarray) -> float:
+    u = grid.field(u)
     return float(np.sqrt(inner(grid, u, u)))
 
 
@@ -156,15 +173,15 @@ def grad_norm_2(grid: Grid, u: np.ndarray) -> float:
     gradient, one pass per direction, each a slice subtraction squared in
     place in one scratch field.
     """
-    grid.validate_field(u)
+    u = grid.field(u)
     h = grid.h
     delta = np.empty(u.shape)
     acc = 0.0
     for d in range(grid.dim):
         ax = grid.axis_of(d)
         dv, v = delta.swapaxes(0, ax), u.swapaxes(0, ax)
-        np.subtract(v[1:], v[:-1], out=dv[:-1], dtype=float)
-        np.subtract(v[:1], v[-1:], out=dv[-1:], dtype=float)
+        np.subtract(v[1:], v[:-1], out=dv[:-1])
+        np.subtract(v[:1], v[-1:], out=dv[-1:])
         delta /= h
         np.square(delta, out=delta)
         acc += float(delta.sum())

@@ -2,9 +2,9 @@
 
 Snapshot format (little endian): magic ``TFGF``, u32 version, u32 dim,
 u32 n, f64 box length, f64 time, then n^dim float64 cell values in C order
-with the x index fastest.  A text sidecar ``<name>.meta`` repeats the
-header as key=value lines; timestamps live only in the sidecar so the
-binary artifact of a seeded run is byte-reproducible.
+with the x index fastest, taken through Grid.field.  A text sidecar
+``<name>.meta`` repeats the header as key=value lines.  No artifact holds a
+wall-clock stamp, so identical inputs give identical bytes.
 
 Text artifacts have one writer per format: ``write_csv`` (energy log,
 ``convergence.csv``) and ``write_key_values`` (``.meta``, ``fit.txt``; read
@@ -20,7 +20,6 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 
@@ -91,10 +90,10 @@ def write_key_values(path, pairs: dict) -> None:
 
 def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None:
     """Write one cell field plus its text sidecar atomically; ValueError,
-    before anything is written, for a field of the wrong shape or a time
-    that is not finite."""
+    before anything is written, for a field that Grid.field refuses or a
+    time that is not finite."""
     path = Path(path)
-    grid.validate_field(values)
+    values = grid.field(values, "snapshot")
     if not math.isfinite(t):
         raise ValueError(f"snapshot time must be finite, got {t!r}")
     header = _HEADER.pack(
@@ -105,7 +104,6 @@ def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None
     meta = dict(
         magic=SNAPSHOT_MAGIC.decode(), version=SNAPSHOT_VERSION, dim=grid.dim, n=grid.n,
         length=float(grid.length), time=float(t), cells=grid.num_cells,
-        created=datetime.now(timezone.utc).isoformat(),
     )
     write_key_values(path.with_name(path.name + ".meta"), meta)
 

@@ -61,7 +61,6 @@ from .errors import (
     BarrierCollapseError,
     SolverDivergedError,
     check_count,
-    check_positive,
     check_positive_finite,
 )
 from .grid import inner
@@ -300,13 +299,12 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
 
     Returns (phi, trace); raises SolverDivergedError carrying the last
     iterate (every step descends, so it is the best one) and the trace when
-    the budget runs out.
+    the budget runs out or a stop norm is not finite (an overflow).
     """
     grid = system.grid
-    phi = np.array(phi_init, dtype=float, copy=True)
+    phi = grid.height(phi_init, "initial iterate").copy()
     # The copy is the solve's iterate; the caller's array is not read again.
     del phi_init
-    check_positive(phi, "initial iterate")
     trace = PsdTrace()
 
     r = system.residual(phi)
@@ -327,6 +325,8 @@ def psd_solve(system, phi_init: np.ndarray, cfg: SolverConfig):
         trace.residual_norms.append(stop)
         if stop <= cfg.tol:
             return phi, trace
+        if not math.isfinite(stop):
+            raise SolverDivergedError(f"CG stop norm {stop} is not finite", phi, trace)
         if p is rp:
             raise ValueError("precondition must hand over an array of its own, not rp")
         # Pin the gradient to the fixed-mean tangent space exactly: the

@@ -30,9 +30,9 @@ forms history + dt (S - mean S), so the one inverse Laplacian of the
 step's first residual, (-lap)^{-1}(weight phi - history) / dt, lifts the
 source together with the time difference, at no transform of its own.
 
-restart_state (either scheme) and Bdf2Scheme.cold_start refuse start data
-that is not finite and strictly positive; cold_start and step share one
-rule for dt and one for the source (grid-shaped, finite, mean-zero).
+Every field argument goes through Grid.field, or Grid.height where it must
+be strictly positive; start data must be finite too, and cold_start and
+step share one rule for dt and one for the source (finite and mean-zero).
 """
 
 from __future__ import annotations
@@ -109,14 +109,13 @@ class StepReport:
     precond_a1: float
 
 
-def _start_mean(grid: Grid, phi0: np.ndarray) -> float:
-    """Mean beta0 of finite, strictly positive start data (a +inf makes it inf)."""
-    grid.validate_field(phi0)
-    check_positive(phi0, "start data")
+def _start_data(grid: Grid, phi0: np.ndarray) -> tuple:
+    """(phi0, beta0): start data through Grid.height, and its finite mean."""
+    phi0 = grid.height(phi0, "start data")
     beta0 = float(phi0.sum() / phi0.size)
     if not math.isfinite(beta0):
         raise NonPositiveFieldError(f"start data must be finite, mean = {beta0}")
-    return beta0
+    return phi0, beta0
 
 
 def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
@@ -125,11 +124,10 @@ def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
     Either scheme starts from it; a two-step step taken from it (as after a
     time-step-size change) degrades to first order locally without
     disturbing the energy decay.  Both levels are float64 copies of phi0,
-    whatever its dtype.
+    taken through Grid.height.
     """
-    phi0 = np.array(phi0, dtype=float)
-    beta0 = _start_mean(grid, phi0)
-    return StepState(phi0, phi0.copy(), t, beta0, 0)
+    phi0, beta0 = _start_data(grid, phi0)
+    return StepState(phi0.copy(), phi0.copy(), t, beta0, 0)
 
 
 # Kept only because perfbench/workloads.py calls this name; package code
@@ -389,12 +387,11 @@ class _SchemeBase:
     def _source(self, forcing: Optional[np.ndarray]) -> Optional[tuple]:
         """The checked source and its mean, (S, mean S), or None without a
         source; a nan mean or an infinite scale fails the check, so only a
-        finite source with a rounding-level mean passes.  S is the caller's
-        array when it is float64, and a float64 copy otherwise."""
+        finite source with a rounding-level mean passes.  S is taken through
+        Grid.field."""
         if forcing is None:
             return None
-        self.grid.validate_field(forcing)
-        forcing = np.asarray(forcing, dtype=float)
+        forcing = self.grid.field(forcing, "source")
         m = float(forcing.sum() / forcing.size)
         if not abs(m) <= _FORCING_MEAN_TOL * max(1.0, norm_inf(forcing)) < math.inf:
             raise NonZeroMeanError(
@@ -459,11 +456,10 @@ class _SchemeBase:
         history.  The increment is mean-free, so the conserved mean is
         untouched, and the solution of the convex step problem is the same.
         """
-        self.grid.validate_field(state.phi)
-        self.grid.validate_field(state.phi_prev)
-        delta = state.phi - state.phi_prev
-        theta = min(1.0, barrier_alpha(state.phi, delta, 0.5))
-        return state.phi + theta * delta
+        phi = self.grid.field(state.phi, "previous state")
+        delta = phi - self.grid.field(state.phi_prev, "second-previous state")
+        theta = min(1.0, barrier_alpha(phi, delta, 0.5))
+        return phi + theta * delta
 
 
 class FirstOrderScheme(_SchemeBase):
@@ -473,8 +469,7 @@ class FirstOrderScheme(_SchemeBase):
         self, phi_old: np.ndarray, dt: float, forcing: Optional[np.ndarray] = None
     ) -> StepSystem:
         check_positive_finite("dt", dt, InvalidCoefficientsError)
-        self.grid.validate_field(phi_old)
-        check_positive(phi_old, "previous state")
+        phi_old = self.grid.height(phi_old, "previous state")
         source = self._source(forcing)
 
         def constant() -> np.ndarray:
@@ -528,14 +523,12 @@ class Bdf2Scheme(_SchemeBase):
         it (a state's lap_phi), and is computed otherwise."""
         check_positive_finite("dt", dt, InvalidCoefficientsError)
         p = self.params
-        self.grid.validate_field(phi_old)
-        self.grid.validate_field(phi_older)
-        check_positive(phi_old, "previous state")
-        check_positive(phi_older, "second-previous state")
+        phi_old = self.grid.height(phi_old, "previous state")
+        phi_older = self.grid.height(phi_older, "second-previous state")
         if lap_old is None:
             lap_old = lap(self.grid, phi_old)
         else:
-            self.grid.validate_field(lap_old)
+            lap_old = self.grid.field(lap_old, "lap_old")
         linear = (8.0 / 3.0) * p.a0
         source = self._source(forcing)
 
@@ -564,8 +557,7 @@ class Bdf2Scheme(_SchemeBase):
         dt or fall back to restart_state.
         """
         check_positive_finite("dt", dt, InvalidCoefficientsError)
-        phi0 = np.asarray(phi0, dtype=float)
-        beta0 = _start_mean(self.grid, phi0)
+        phi0, beta0 = _start_data(self.grid, phi0)
         rate = lap(self.grid, _energy.mu_exact(self.grid, phi0, self.params.eps))
         if forcing is not None:
             forcing, m = self._source(forcing)

@@ -81,9 +81,9 @@ class SpectralSolver:
         self._l_key = self._shift = None
         self._big_l = self._root = self._ratio = None
 
-    def _check_mean(self, f: np.ndarray) -> float:
-        """Check the shape, finiteness and mean of a solver input; returns the
-        mean, summed in float64 whatever the dtype of f.  A nan entry makes
+    def _check_mean(self, f: np.ndarray) -> tuple:
+        """Check a solver input, taken through Grid.field, for finiteness
+        and a zero mean; returns (f, mean), f as float64.  A nan entry makes
         the mean nan, an infinite one the tolerance.
 
         The bound with |f[0]| in place of max|f| is settled first: it is the
@@ -92,18 +92,17 @@ class SpectralSolver:
         field whose full tolerance overflows, which the full test refuses,
         can pass it instead.
         """
-        self.grid.validate_field(f)
-        f = np.asarray(f, dtype=float)
+        f = self.grid.field(f)
         m = float(f.sum() / f.size)
         volume = self.grid.volume
         if abs(m) <= _MEAN_TOL * abs(float(f.flat[0])) * volume < math.inf:
-            return m
+            return f, m
         tol = _MEAN_TOL * norm_inf(f) * volume
         if not abs(m) <= tol < np.inf:
             raise NonZeroMeanError(
                 f"field not finite or its mean {m:.3e} above tolerance {tol:.3e}"
             )
-        return m
+        return f, m
 
     def _halve_unpaired(self, q: np.ndarray) -> None:
         """Halve a half-spectrum field in place at the last-axis modes 0 and,
@@ -133,7 +132,7 @@ class SpectralSolver:
 
         ``f`` must be mean-zero within tolerance (NonZeroMeanError otherwise).
         """
-        m = self._check_mean(f)
+        f, m = self._check_mean(f)
         fhat = self._forward(f - m)
         fhat /= self._eig_safe
         fhat.flat[0] = 0.0
@@ -141,7 +140,7 @@ class SpectralSolver:
 
     def hminus1_inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """H^-1 inner product <f, (-lap)^{-1} g> of two mean-zero fields."""
-        self._check_mean(f)
+        f, _ = self._check_mean(f)
         return inner(self.grid, f, self.inv_neg_lap(g))
 
     def hminus1_norm(self, f: np.ndarray) -> float:
@@ -150,7 +149,7 @@ class SpectralSolver:
         One forward transform: by Parseval the square is
         sum_k w_k |f_k|^2 / lambda_k over the half spectrum, mode 0 dropped.
         """
-        self._check_mean(f)
+        f, _ = self._check_mean(f)
         fhat = self._forward(f)
         q = np.square(fhat.real)
         q += np.square(fhat.imag)
@@ -185,7 +184,7 @@ class SpectralSolver:
                 f"need 0 < a0 < inf, 0 <= a1, a2 < inf, 0 <= a1 + shift < inf, "
                 f"got ({a0}, {a1}, {a2}) and shift {shift}"
             )
-        self._check_mean(r)
+        r, _ = self._check_mean(r)
         if self._l_key != (a0, a1, a2):
             # In place and without temporaries, into tables allocated by the
             # first solve: other allocation orders raised the peak memory of

@@ -4,17 +4,27 @@ The dense oracles (tests/oracles.py) build explicit matrices for the
 difference operators with nothing but integer index arithmetic, sharing no
 code with the library, and the quadrature oracle uses compensated
 summation.  Agreement tolerances are
-absolute on unit-scale random fields.
+absolute on unit-scale random fields.  One table takes every field
+argument of the package through the field rule of Grid.field and
+Grid.height: another shape or a complex, bool or object dtype is refused,
+and any other array-like gives the bits of its C-contiguous float64 copy.
 """
 
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import dense_grad_matrices, dense_neg_lap_matrix, roll_grad_norm_2, roll_lap
 from thinfilm import (
+    Bdf2Scheme,
+    FirstOrderScheme,
     Grid,
+    NonPositiveFieldError,
+    PhysParams,
     SpectralSolver,
     discrete_energy,
     grad_norm_2,
@@ -24,11 +34,127 @@ from thinfilm import (
     mu_exact,
     norm_inf,
     norm_2,
+    restart_state,
+    write_field_snapshot,
 )
+from thinfilm.energy import mu_bdf2, mu_first_order, splitting_first_order, splitting_stabilized
 
 
 def random_field(grid, seed):
     return np.random.default_rng(seed).standard_normal(grid.shape)
+
+
+# One table of every field argument of the package, on an 8 x 8 grid.  The
+# integer-valued bases survive every dtype of the tables: heights 2..4 for
+# the arguments that must be positive (and for plain fields), a
+# checkerboard whose rows sum to zero for those that must be mean-zero.
+GRID = Grid(2, 8, 1.0)
+PARAMS = PhysParams(0.1)
+_I, _J = np.indices(GRID.shape)
+BASES = {
+    "height": 2.0 + (_I + 2 * _J) % 3,
+    "mean-zero": (-1.0) ** (_I + _J) * (1 + _I % 4),
+}
+BASES["field"] = BASES["height"]
+H, Z = BASES["height"], BASES["mean-zero"]
+H_OTHER = H[::-1].copy()
+SMOOTH = 1.0 + 0.1 * np.cos(2.0 * np.pi * GRID.coordinates()[0])
+
+
+def snapshot_bytes(u):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.tfgf"
+        write_field_snapshot(path, GRID, u, 0.5)
+        return path.read_bytes(), (Path(tmp) / "field.tfgf.meta").read_bytes()
+
+
+def first_order_residual(*args, **kwargs):
+    return FirstOrderScheme(GRID, PARAMS).step_system_from(*args, **kwargs).residual(H)
+
+
+def bdf2_residual(*args, **kwargs):
+    return Bdf2Scheme(GRID, PARAMS).step_system_from(*args, **kwargs).residual(H)
+
+
+# (name, kind of base, call taking the field as its one varied argument)
+FIELD_ARGUMENTS = [
+    ("lap", "field", lambda u: lap(GRID, u)),
+    ("grad_norm_2", "field", lambda u: grad_norm_2(GRID, u)),
+    ("norm_2", "field", lambda u: norm_2(GRID, u)),
+    ("mu_exact", "height", lambda u: mu_exact(GRID, u, 0.1)),
+    ("discrete_energy", "height", lambda u: discrete_energy(GRID, u, 0.1)),
+    ("modified_energy", "field",
+     lambda u: modified_energy(SpectralSolver(GRID), u, H_OTHER, 1.0, 0.01, 0.0)),
+    ("modified_energy.phi_old", "field",
+     lambda u: modified_energy(SpectralSolver(GRID), H_OTHER, u, 1.0, 0.01, 0.0)),
+    ("restart_state", "height", lambda u: restart_state(GRID, u)),
+    ("cold_start", "height", lambda u: Bdf2Scheme(GRID, PARAMS).cold_start(u, 1e-3)),
+    ("FirstOrderScheme.step_system_from", "height", lambda u: first_order_residual(u, 1e-3)),
+    ("Bdf2Scheme.step_system_from.phi_old", "height",
+     lambda u: bdf2_residual(u, H_OTHER, 1e-3)),
+    ("Bdf2Scheme.step_system_from.phi_older", "height",
+     lambda u: bdf2_residual(H_OTHER, u, 1e-3)),
+    ("Bdf2Scheme.step_system_from.lap_old", "field",
+     lambda u: bdf2_residual(H_OTHER, H, 1e-3, lap_old=u)),
+    ("step.source", "mean-zero",
+     lambda u: FirstOrderScheme(GRID, PARAMS).step(restart_state(GRID, SMOOTH), 1e-3, u)),
+    ("inv_neg_lap", "mean-zero", lambda u: SpectralSolver(GRID).inv_neg_lap(u)),
+    ("hminus1_inner", "mean-zero", lambda u: SpectralSolver(GRID).hminus1_inner(u, Z)),
+    ("hminus1_inner.g", "mean-zero", lambda u: SpectralSolver(GRID).hminus1_inner(Z, u)),
+    ("hminus1_norm", "mean-zero", lambda u: SpectralSolver(GRID).hminus1_norm(u)),
+    ("solve_preconditioner", "mean-zero",
+     lambda u: SpectralSolver(GRID).solve_preconditioner(u, 1.0, 1.0, 1.0)),
+    ("write_field_snapshot", "field", snapshot_bytes),
+    ("mu_first_order.phi_new", "height", lambda u: mu_first_order(GRID, u, H_OTHER, 0.1)),
+    ("mu_first_order.phi_old", "height", lambda u: mu_first_order(GRID, H_OTHER, u, 0.1)),
+    ("mu_bdf2.phi_new", "height", lambda u: mu_bdf2(GRID, u, H, H_OTHER, PARAMS, 0.1)),
+    ("mu_bdf2.phi_check", "field", lambda u: mu_bdf2(GRID, H, u, H_OTHER, PARAMS, 0.1)),
+    ("mu_bdf2.phi_old", "field", lambda u: mu_bdf2(GRID, H, H_OTHER, u, PARAMS, 0.1)),
+    ("splitting_first_order", "height", lambda u: splitting_first_order(GRID, u, 0.1)),
+    ("splitting_stabilized", "height", lambda u: splitting_stabilized(GRID, u, 0.1, 1.0)),
+]
+ENTRY_IDS = [name for name, _, _ in FIELD_ARGUMENTS]
+
+# Each entry with a field of another shape: the (4, 16) reshape under the
+# entry's own name, then one row and a 0-d field.
+SHAPE_CASES = [
+    pytest.param(name, kind, call, u, id=name + suffix)
+    for name, kind, call in FIELD_ARGUMENTS
+    for suffix, u in (
+        ("", BASES[kind].reshape(4, 16)),
+        ("-one row", BASES[kind][:1]),
+        ("-0-d", np.array(BASES[kind][0, 0])),
+    )
+]
+
+
+def dtype_variant(base, variant):
+    """base as the named array-like: another dtype, a list, or a layout."""
+    if variant == "complex":
+        return base + 0.5j
+    if variant == "bool":
+        return base != 0.0
+    if variant in ("object", "int64", "float32"):
+        return base.astype(variant)
+    if variant == "list":
+        return base.tolist()
+    if variant == "fortran":
+        return np.asfortranarray(base)
+    wide = np.zeros(base.shape[:-1] + (2 * base.shape[-1],))
+    wide[..., 1::2] = base
+    return wide[..., 1::2]
+
+
+def result_values(result):
+    """A result as a flat list of float64 arrays and reprs of the rest."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [value for item in result for value in result_values(item)]
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64
+        return [(result.shape, result.tobytes(order="C"))]
+    return [repr(result)]
 
 
 class TestGridGeometry:
@@ -52,7 +178,7 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             Grid(2, 8, math.inf)
         with pytest.raises(ValueError):
-            Grid(2, 8, 1.0).validate_field(np.zeros((8, 4)))
+            Grid(2, 8, 1.0).field(np.zeros((8, 4)))
         # Counts must be integers; numpy integers count as such.
         with pytest.raises(ValueError, match="integer"):
             Grid(2, 16.0, 1.0)
@@ -121,26 +247,45 @@ class TestDifferenceOperators:
         assert norm_inf(lap(grid, u)) <= 1e-14 / grid.h**2
         assert grad_norm_2(grid, u) == 0.0
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lap,
-            grad_norm_2,
-            lambda grid, u: mu_exact(grid, u, 0.1),
-            lambda grid, u: discrete_energy(grid, u, 0.1),
-            lambda grid, u: modified_energy(
-                SpectralSolver(grid), u.reshape(grid.shape), u[:1, :8], 1.0, 0.01, 0.0
-            ),
-        ],
-        ids=["lap", "grad_norm_2", "mu_exact", "discrete_energy", "modified_energy"],
-    )
-    def test_field_of_another_grid_rejected(self, call):
+    @pytest.mark.parametrize("name, kind, call, u", SHAPE_CASES)
+    def test_field_of_another_grid_rejected(self, name, kind, call, u):
         """A (4, 16) field has the 64 cells of an 8 x 8 grid but not its
-        shape, so its spacing is not the grid's.  modified_energy gets an
-        old level of one row, which numpy would broadcast over the new one."""
-        u = 1.0 + 0.1 * random_field(Grid(2, 8, 1.0), 5).reshape(4, 16)
-        with pytest.raises(ValueError, match="shape"):
-            call(Grid(2, 8, 1.0), u)
+        shape, so its spacing is not the grid's; numpy would broadcast a
+        field of one row, or a 0-d one, over the grid."""
+        with pytest.raises(ValueError, match=r"shape \(.*\) does not match grid \(8, 8\)"):
+            call(u)
+
+    @pytest.mark.parametrize("variant", ["complex", "bool", "object"])
+    @pytest.mark.parametrize("name, kind, call", FIELD_ARGUMENTS, ids=ENTRY_IDS)
+    def test_field_of_another_kind_rejected(self, name, kind, call, variant):
+        """Complex, bool and object fields are refused, not cast."""
+        u = dtype_variant(BASES[kind], variant)
+        with pytest.raises(ValueError, match=f"dtype {u.dtype} is not an integer or real float"):
+            call(u)
+
+    @pytest.mark.parametrize("variant", ["list", "int64", "float32", "fortran", "strided"])
+    @pytest.mark.parametrize("name, kind, call", FIELD_ARGUMENTS, ids=ENTRY_IDS)
+    def test_field_taken_as_its_float64_copy(self, name, kind, call, variant):
+        """Any integer or real float array-like, in any layout, gives the
+        result of its C-contiguous float64 copy, to the bit."""
+        u = dtype_variant(BASES[kind], variant)
+        expected = call(np.ascontiguousarray(u, dtype=float))
+        assert result_values(call(u)) == result_values(expected)
+
+    def test_c_contiguous_float64_field_is_the_callers_array(self):
+        """No copy of a C-contiguous float64 field: the step's peak memory
+        counts on it.  Another layout or dtype gives a fresh C-contiguous
+        float64 array."""
+        u = BASES["height"].copy()
+        assert GRID.field(u) is u and GRID.height(u, "phi") is u
+        for other in (np.asfortranarray(u), u.astype(np.float32)):
+            wide = GRID.field(other)
+            assert wide.dtype == np.float64 and wide.flags.c_contiguous
+            assert not np.shares_memory(wide, other)
+
+    def test_height_refuses_a_non_positive_field(self):
+        with pytest.raises(NonPositiveFieldError, match="start data must be strictly positive"):
+            GRID.height(-BASES["height"], "start data")
 
     def test_lap_output_mean_zero(self):
         grid = Grid(2, 16, 1.0)

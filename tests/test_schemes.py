@@ -1190,6 +1190,21 @@ class TestStepBehavior:
         assert f"{err.trace.residual_norms[-1]:.3e}" in message
         assert "tail contraction" in message and "min phi" in message
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("scheme_cls", [FirstOrderScheme, Bdf2Scheme])
+    def test_overflowing_stop_norm_fails_the_step(self, scheme_cls, scale):
+        """Heights this large overflow the preconditioner's Parseval sum
+        without a warning; the step fails at that stop norm, with the solve's
+        payload, before a search starts from it."""
+        grid = Grid(2, 16, 1.0)
+        state = restart_state(grid, scale * random_initial_data(grid, 1))
+        with pytest.raises(SolverDivergedError, match="not finite") as excinfo:
+            scheme_cls(grid, PhysParams(0.1)).step(state, 1e-3)
+        err = excinfo.value
+        assert not math.isfinite(err.trace.residual_norms[-1])
+        assert err.trace.iterations == 0
+        assert np.array_equal(err.phi, state.phi)
+
     def test_mass_drift_raises_with_the_solve_payload(self, setup, monkeypatch):
         """A solve whose result moved the mean fails the step; the error
         carries that result and the solve's trace."""

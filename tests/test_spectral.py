@@ -484,7 +484,8 @@ class TestZeroModeHandling:
         monkeypatch.setattr(spectral_module, "norm_inf", counted_norm_inf)
         solver = SpectralSolver(grid)
         if passes:
-            assert solver._check_mean(f) == m
+            checked, mean = solver._check_mean(f)
+            assert checked is f and mean == m
         else:
             with pytest.raises(NonZeroMeanError) as excinfo:
                 solver._check_mean(f)
