@@ -34,8 +34,6 @@ from .errors import (
     UnfinishedError,
 )
 from .experiments import (
-    DEFAULT_SCHEDULE,
-    DEFAULT_SNAPSHOT_TIMES,
     CoarseningConfig,
     CoarseningRun,
     ConvergenceTable,
@@ -104,8 +102,6 @@ __all__ = [
     "CoarseningConfig",
     "CoarseningRun",
     "run_coarsening",
-    "DEFAULT_SCHEDULE",
-    "DEFAULT_SNAPSHOT_TIMES",
     "EnergyRecord",
     "format_float",
     "write_field_snapshot",

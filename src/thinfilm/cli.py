@@ -28,7 +28,6 @@ from pathlib import Path
 from .energy import PhysParams
 from .errors import ConfigError, ThinFilmError
 from .experiments import (
-    DEFAULT_SNAPSHOT_TIMES,
     CoarseningConfig,
     fit_power_law,
     random_initial_data,
@@ -229,7 +228,7 @@ _COMMANDS = {
         ("eps", float, 0.02, "interface width parameter"),
         ("seed", int, 0, "seed of the random initial data (repo default)"),
         ("t_end", float, 6000.0, "end time; the step-size ladder is truncated here"),
-        ("snapshots", _float_list, list(DEFAULT_SNAPSHOT_TIMES),
+        ("snapshots", _float_list, list(CoarseningConfig.snapshot_times),
          "comma-separated snapshot request times"),
         ("record_every", int, 10, "late-time energy record stride (repo default)"),
         ("record_cutoff", float, 100.0,

@@ -86,6 +86,7 @@ def _recip_powers_3_9(phi: np.ndarray):
 
 def discrete_energy(grid: Grid, phi: np.ndarray, eps: float) -> float:
     """Total discrete free energy F(phi), computed in float64."""
+    check_positive_finite("eps", eps)
     phi = grid.height(phi, "phi")
     return _energy_with_lap(grid, phi, lap(grid, phi), eps)
 
@@ -145,9 +146,11 @@ def modified_energy(
                + (4/3) a0 ||phi_new - phi_old||_2^2,
 
     on the grid of ``solver``, with ``energy`` = F(phi_new) as the caller
-    has already evaluated it, so eps enters only through ``energy``.  dt
-    must be positive and finite, and both fields must have the grid's shape.
+    has already evaluated it, so eps enters only through ``energy``.  a0
+    and dt must be positive and finite, and both fields must have the
+    grid's shape.
     """
+    check_positive_finite("a0", a0, InvalidCoefficientsError)
     check_positive_finite("dt", dt, InvalidCoefficientsError)
     grid = solver.grid
     diff = np.subtract(grid.field(phi_new, "phi_new"), grid.field(phi_old, "phi_old"))
@@ -168,6 +171,7 @@ def _bulk_potential(phi: np.ndarray) -> np.ndarray:
 
 def mu_exact(grid: Grid, phi: np.ndarray, eps: float) -> np.ndarray:
     """Chemical potential -(8/3)(phi^-9 - phi^-3) - eps^2 lap(phi), in float64."""
+    check_positive_finite("eps", eps)
     phi = grid.height(phi, "phi")
     return _bulk_potential(phi) - eps**2 * lap(grid, phi)
 

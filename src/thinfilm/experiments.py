@@ -266,12 +266,6 @@ def fit_power_law(times, values, t_min: float, t_max: float):
     return float(np.exp(intercept)), slope
 
 
-DEFAULT_SCHEDULE = ((100.0, 0.001), (500.0, 0.004), (2000.0, 0.008), (6000.0, 0.02))
-DEFAULT_SNAPSHOT_TIMES = (
-    6.0, 20.0, 40.0, 60.0, 100.0, 200.0, 300.0, 400.0, 500.0, 900.0, 2000.0, 6000.0,
-)
-
-
 @dataclass
 class CoarseningConfig:
     """Inputs of the coarsening study.
@@ -287,14 +281,20 @@ class CoarseningConfig:
     eps: float = 0.02
     seed: int = 0
     t_end: float = 6000.0
-    schedule: tuple = DEFAULT_SCHEDULE
-    snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
+    schedule: tuple = ((100.0, 0.001), (500.0, 0.004), (2000.0, 0.008), (6000.0, 0.02))
+    snapshot_times: tuple = (
+        6.0, 20.0, 40.0, 60.0, 100.0, 200.0, 300.0, 400.0, 500.0, 900.0, 2000.0, 6000.0,
+    )
     record_cutoff: float = 100.0
     record_every_late: int = 10
     psd: SolverConfig = field(default_factory=SolverConfig)
     wall_clock_budget: float = math.inf
 
     def __post_init__(self):
+        # The grid's, the parameters' and the seed's own rules, at construction.
+        Grid(2, self.n, self.length)
+        PhysParams(self.eps)
+        check_count("seed", self.seed, 0)
         prev_end, prev_dt = 0.0, 0.0
         for seg_end, dt in self.schedule:
             if not (seg_end > prev_end and dt > 0.0 and dt >= prev_dt):

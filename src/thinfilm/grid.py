@@ -17,8 +17,8 @@ energy through the left-hand side.  Inner products carry the uniform
 quadrature weight h^dim.
 
 Every field argument of the package is taken through :meth:`Grid.field`
-(or :meth:`Grid.height`, strictly positive); only :func:`inner`, the hot
-reduction, takes a plain float64 view.  Both stencils reach the
+(or :meth:`Grid.height`, strictly positive); :func:`norm_inf`, which needs
+no grid, takes the dtype half of that rule.  Both stencils reach the
 neighbours never through shifted copies of the field, and add (or
 subtract) them in the order of the np.roll formulas (tests/oracles.py),
 so their bits are those formulas'.  An axis reaches its neighbours
@@ -102,15 +102,20 @@ class Grid:
         u = np.asarray(u)
         if u.shape != self.shape:
             raise ValueError(f"{what} shape {u.shape} does not match grid {self.shape}")
-        if u.dtype.kind not in "iuf":
-            raise ValueError(f"{what} dtype {u.dtype} is not an integer or real float")
-        return np.ascontiguousarray(u, dtype=float)
+        return _real_float64(u, what)
 
     def height(self, u, what: str) -> np.ndarray:
         """:meth:`field`, strictly positive (NonPositiveFieldError otherwise)."""
         u = self.field(u, what)
         check_positive(u, what)
         return u
+
+
+def _real_float64(u: np.ndarray, what: str) -> np.ndarray:
+    """The dtype half of :meth:`Grid.field`'s rule, for an ndarray u."""
+    if u.dtype.kind not in "iuf":
+        raise ValueError(f"{what} dtype {u.dtype} is not an integer or real float")
+    return np.ascontiguousarray(u, dtype=float)
 
 
 def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -150,21 +155,21 @@ def lap(grid: Grid, u: np.ndarray) -> np.ndarray:
 def inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Cell inner product <u, v> = h^dim * sum(u v), in float64.
 
-    One dot of the flattened fields: no product temporary is formed (a
-    non-contiguous view is copied by ``ravel``, a field of another dtype
-    by the float64 conversion).
+    Both fields are taken through :meth:`Grid.field`, then one dot of the
+    flattened fields: no product temporary is formed.
     """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u, v = grid.field(u, "u"), grid.field(v, "v")
     return grid.cell_volume * float(np.dot(u.ravel(), v.ravel()))
 
 
 def norm_inf(u: np.ndarray) -> float:
-    """max |u|, taken as max(max u, -min u) without an abs temporary."""
+    """max |u| of a field of any shape, as max(max u, -min u) without an
+    abs temporary."""
+    u = _real_float64(np.asarray(u), "u")
     return float(max(u.max(), -u.min()))
 
 
 def norm_2(grid: Grid, u: np.ndarray) -> float:
-    u = grid.field(u)
     return float(np.sqrt(inner(grid, u, u)))
 
 

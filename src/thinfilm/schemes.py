@@ -52,6 +52,7 @@ from .errors import (
     NonZeroMeanError,
     PositivityLostError,
     SolverDivergedError,
+    check_nonnegative_finite,
     check_positive,
     check_positive_finite,
 )
@@ -124,8 +125,9 @@ def restart_state(grid: Grid, phi0: np.ndarray, t: float = 0.0) -> StepState:
     Either scheme starts from it; a two-step step taken from it (as after a
     time-step-size change) degrades to first order locally without
     disturbing the energy decay.  Both levels are float64 copies of phi0,
-    taken through Grid.height.
+    taken through Grid.height; t must be non-negative and finite.
     """
+    check_nonnegative_finite("t", t)
     phi0, beta0 = _start_data(grid, phi0)
     return StepState(phi0.copy(), phi0.copy(), t, beta0, 0)
 

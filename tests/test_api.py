@@ -23,8 +23,6 @@ PUBLIC_NAMES = [
     "CoarseningRun",
     "ConfigError",
     "ConvergenceTable",
-    "DEFAULT_SCHEDULE",
-    "DEFAULT_SNAPSHOT_TIMES",
     "EnergyRecord",
     "FirstOrderScheme",
     "FormatError",

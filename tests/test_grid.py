@@ -6,8 +6,9 @@ code with the library, and the quadrature oracle uses compensated
 summation.  Agreement tolerances are
 absolute on unit-scale random fields.  One table takes every field
 argument of the package through the field rule of Grid.field and
-Grid.height: another shape or a complex, bool or object dtype is refused,
-and any other array-like gives the bits of its C-contiguous float64 copy.
+Grid.height (norm_inf, which needs no grid, through its dtype half):
+another shape or a complex, bool or object dtype is refused, and any other
+array-like gives the bits of its C-contiguous float64 copy.
 """
 
 import dataclasses
@@ -112,17 +113,23 @@ FIELD_ARGUMENTS = [
     ("mu_bdf2.phi_old", "field", lambda u: mu_bdf2(GRID, H, H_OTHER, u, PARAMS, 0.1)),
     ("splitting_first_order", "height", lambda u: splitting_first_order(GRID, u, 0.1)),
     ("splitting_stabilized", "height", lambda u: splitting_stabilized(GRID, u, 0.1, 1.0)),
+    ("inner", "field", lambda u: inner(GRID, u, H_OTHER)),
+    ("inner.v", "field", lambda u: inner(GRID, H_OTHER, u)),
+    ("norm_inf", "field", norm_inf),
 ]
 ENTRY_IDS = [name for name, _, _ in FIELD_ARGUMENTS]
 
-# Each entry with a field of another shape: the (4, 16) reshape under the
-# entry's own name, then one row and a 0-d field.
+# Each entry but norm_inf (max |u| needs no grid) with a field of another
+# shape: the (4, 16) reshape under the entry's own name, then one row, an
+# extra axis and a 0-d field.
 SHAPE_CASES = [
     pytest.param(name, kind, call, u, id=name + suffix)
     for name, kind, call in FIELD_ARGUMENTS
+    if name != "norm_inf"
     for suffix, u in (
         ("", BASES[kind].reshape(4, 16)),
         ("-one row", BASES[kind][:1]),
+        ("-extra axis", BASES[kind][None]),
         ("-0-d", np.array(BASES[kind][0, 0])),
     )
 ]

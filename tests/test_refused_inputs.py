@@ -24,7 +24,9 @@ from thinfilm import (
     PhysParams,
     SolverConfig,
     SpectralSolver,
+    discrete_energy,
     modified_energy,
+    mu_exact,
     random_initial_data,
     restart_state,
     run_convergence_bdf2,
@@ -67,6 +69,13 @@ POSITIVE_FINITE = [
     ("modified_energy.dt",
      lambda v: modified_energy(SpectralSolver(GRID), PHI, PHI, 1.0, v, 0.0), "dt",
      InvalidCoefficientsError),
+    ("modified_energy.a0",
+     lambda v: modified_energy(SpectralSolver(GRID), PHI, PHI, v, 1e-3, 0.0), "a0",
+     InvalidCoefficientsError),
+    ("discrete_energy.eps", lambda v: discrete_energy(GRID, PHI, v), "eps", ConfigError),
+    ("mu_exact.eps", lambda v: mu_exact(GRID, PHI, v), "eps", ConfigError),
+    ("CoarseningConfig.length", lambda v: CoarseningConfig(length=v), "length", ConfigError),
+    ("CoarseningConfig.eps", lambda v: CoarseningConfig(eps=v), "eps", ConfigError),
     ("first_order_study.t_final", lambda v: first_order_study(t_final=v), "t_final",
      ConfigError),
     ("bdf2_study.t_final", lambda v: bdf2_study(t_final=v), "t_final", ConfigError),
@@ -77,6 +86,7 @@ POSITIVE_FINITE = [
 # (label, entry point taking the bad value, name in the message)
 NONNEGATIVE_FINITE = [
     ("PhysParams.a_stab", lambda v: PhysParams(0.1, a_stab=v), "a_stab"),
+    ("restart_state.t", lambda v: restart_state(GRID, PHI, v), "t"),
 ]
 
 # (label, entry point taking the bad value, name in the message, lowest count)
@@ -89,6 +99,8 @@ COUNTS = [
     ("random_initial_data.seed", lambda v: random_initial_data(GRID, v), "seed", 0),
     ("CoarseningConfig.record_every_late",
      lambda v: CoarseningConfig(record_every_late=v), "record_every_late", 1),
+    ("CoarseningConfig.n", lambda v: CoarseningConfig(n=v), "n", 2),
+    ("CoarseningConfig.seed", lambda v: CoarseningConfig(seed=v), "seed", 0),
 ]
 
 CASES = [
