@@ -7,21 +7,23 @@ Subcommands:
     coarsen     droplet coarsening run: energy log, snapshots, power-law fit
     step        advance a single implicit step (debugging aid)
 
-Options may also be supplied through ``--config FILE`` holding key=value
-lines.  A key is a flag without its dashes, spelled with underscores or
-dashes (``n_list`` or ``n-list``), and the same parser reads it as that
-flag, ahead of the explicit flags: flags beat file values, file values
-beat defaults.  Unknown names and prefixes of option names are refused in
-files and flags alike; so are a file key ``config`` and a key spelled both
-ways.  Exit codes: 0 success, 1 usage or config error (ConfigError, which
-the configs raise for values they reject), 2 runtime failure.  Any other
-exception is a defect and keeps its traceback.
+Every option that feeds a library call takes that call's default, and the
+runners build each call from the options that feed it.  Options may also
+be supplied through ``--config FILE`` holding key=value lines.  A key is a
+flag without its dashes, spelled with underscores or dashes (``n_list`` or
+``n-list``), and the same parser reads it as that flag, ahead of the
+explicit flags: flags beat file values, file values beat defaults.
+Unknown names and prefixes of option names are refused in files and flags
+alike; so are a file key ``config`` and a key spelled both ways.  Exit
+codes: 0 success, 1 usage or config error (ConfigError, which the configs
+raise for values they reject), 2 runtime failure.  Any other exception is
+a defect and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
 import sys
 from pathlib import Path
 
@@ -76,28 +78,26 @@ def _scheme(text: str):
     return text
 
 
-def _solver_config(v) -> SolverConfig:
-    return SolverConfig(tol=v.tol, max_iters=v.max_iters)
+def _call(v, name: str, **extra):
+    """Call ``name``, looked up in this module now, with extra and the parsed
+    options that feed it, under the parameter names they feed."""
+    fed = {
+        source[1]: getattr(v, option)
+        for option, _, source, _ in _COMMANDS[v.command][2]
+        if isinstance(source, tuple) and source[0].__name__ == name
+    }
+    return globals()[name](**fed, **extra)
 
 
 def _run_converge(v) -> int:
     """converge1/converge2: print each rung, write convergence.csv and fit.txt."""
-    if v.command == "converge1":
-        label, study = "nt", run_convergence_first_order
-        ladder = dict(n=v.n, nt_values=v.nt)
-    else:
-        label, study = "n", run_convergence_bdf2
-        ladder = dict(
-            n_values=v.n_list, dt_factor=v.dt_factor, a0=v.a0, a_stab=v.a_stab
-        )
-    table = study(
-        eps=v.eps,
-        t_final=v.tf,
-        psd_config=_solver_config(v),
+    label, study = {"converge1": ("nt", "run_convergence_first_order"),
+                    "converge2": ("n", "run_convergence_bdf2")}[v.command]
+    table = _call(
+        v, study, psd_config=_call(v, "SolverConfig"),
         on_resolution=lambda r, e2, ei: print(
             f"{label}={r} err_l2={e2:.6e} err_linf={ei:.6e}", flush=True
         ),
-        **ladder,
     )
     outdir = Path(v.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -133,18 +133,7 @@ def _write_coarsening(outdir: Path, run, t_end: float) -> None:
 
 
 def _run_coarsen(v) -> int:
-    config = CoarseningConfig(
-        n=v.n,
-        length=v.length,
-        eps=v.eps,
-        seed=v.seed,
-        t_end=v.t_end,
-        snapshot_times=tuple(v.snapshots),
-        record_cutoff=v.record_cutoff,
-        record_every_late=v.record_every,
-        psd=_solver_config(v),
-        wall_clock_budget=v.budget,
-    )
+    config = _call(v, "CoarseningConfig", psd=_call(v, "SolverConfig"))
     outdir = Path(v.outdir)
     try:
         run = run_coarsening(
@@ -160,9 +149,9 @@ def _run_coarsen(v) -> int:
         # exit 2 through main, naming the error's class.
         partial = getattr(exc, "partial", None)
         if partial is not None:
-            _write_coarsening(outdir, partial, v.t_end)
+            _write_coarsening(outdir, partial, config.t_end)
         raise
-    _write_coarsening(outdir, run, v.t_end)
+    _write_coarsening(outdir, run, config.t_end)
     print(f"finished at t={run.final_t:.6g} with {len(run.records)} records")
     return 0
 
@@ -175,7 +164,7 @@ def _run_step(v) -> int:
         phi0 = random_initial_data(grid, v.seed)
         t0 = 0.0
     kind = FirstOrderScheme if v.scheme == "fo" else Bdf2Scheme
-    scheme = kind(grid, PhysParams(v.eps), psd_config=_solver_config(v))
+    scheme = kind(grid, PhysParams(v.eps), psd_config=_call(v, "SolverConfig"))
     state, report = scheme.step(restart_state(grid, phi0, t0), v.dt)
     outdir = Path(v.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -193,47 +182,51 @@ def _run_step(v) -> int:
 
 
 _SOLVER_OPTS = (
-    ("tol", float, 1e-9, "CG residual tolerance"),
-    ("max_iters", int, 500, "CG iteration budget per step"),
+    ("tol", float, (SolverConfig, "tol"), "CG residual tolerance"),
+    ("max_iters", int, (SolverConfig, "max_iters"), "CG iteration budget per step"),
 )
 
-# command -> (help, runner, options); an option is (name, type, default,
-# help), its flag the name with dashes for underscores.
+# command -> (help, runner, options); an option is (name, type, source,
+# help), its flag the name with dashes for underscores.  Its source is the
+# (call, parameter) pair it feeds, or its default if it feeds no call.
+_FO, _BDF2, _CC = run_convergence_first_order, run_convergence_bdf2, CoarseningConfig
 _COMMANDS = {
     "converge1": ("temporal accuracy study of the one-step scheme", _run_converge, (
-        ("n", int, 128, "cells per direction (desk-scale default; "
-                        "the full-scale study uses 256)"),
-        ("nt", _int_list, [100, 200, 400, 800], "comma-separated step-count ladder"),
-        ("eps", float, 0.5, "interface width parameter"),
-        ("tf", float, 1.0, "final time"),
+        ("n", int, (_FO, "n"), "cells per direction (desk-scale default; "
+                               "the full-scale study uses 256)"),
+        ("nt", _int_list, (_FO, "nt_values"), "comma-separated step-count ladder"),
+        ("eps", float, (_FO, "eps"), "interface width parameter"),
+        ("tf", float, (_FO, "t_final"), "final time"),
         ("outdir", str, "converge1-out", "output directory"),
     ) + _SOLVER_OPTS),
     "converge2": ("space-time accuracy study of the two-step scheme (dt = factor * h)",
                   _run_converge, (
-        ("n_list", _int_list, [32, 48, 64, 96],
-         "comma-separated grid ladder (desk-scale default; "
-         "the full-scale study uses 48..192)"),
-        ("eps", float, 0.5, "interface width parameter"),
-        ("tf", float, 1.0, "final time"),
-        ("dt_factor", float, 0.5, "time step as a fraction of h"),
-        ("a0", float, None, "stabilization constant "
-                            "(default: sharp convexity constant)"),
-        ("a_stab", float, None, "second-difference coefficient (default: (4/9) a0^2)"),
+        ("n_list", _int_list, (_BDF2, "n_values"), "comma-separated grid ladder "
+         "(desk-scale default; the full-scale study uses 48..192)"),
+        ("eps", float, (_BDF2, "eps"), "interface width parameter"),
+        ("tf", float, (_BDF2, "t_final"), "final time"),
+        ("dt_factor", float, (_BDF2, "dt_factor"), "time step as a fraction of h"),
+        ("a0", float, (_BDF2, "a0"),
+         "stabilization constant (default: sharp convexity constant)"),
+        ("a_stab", float, (_BDF2, "a_stab"),
+         "second-difference coefficient (default: (4/9) a0^2)"),
         ("outdir", str, "converge2-out", "output directory"),
     ) + _SOLVER_OPTS),
     "coarsen": ("droplet coarsening run: energy log, snapshots, power-law fit",
                 _run_coarsen, (
-        ("n", int, 128, "cells per direction (desk-scale default)"),
-        ("length", float, 12.8, "periodic box side"),
-        ("eps", float, 0.02, "interface width parameter"),
-        ("seed", int, 0, "seed of the random initial data (repo default)"),
-        ("t_end", float, 6000.0, "end time; the step-size ladder is truncated here"),
-        ("snapshots", _float_list, list(CoarseningConfig.snapshot_times),
+        ("n", int, (_CC, "n"), "cells per direction (desk-scale default)"),
+        ("length", float, (_CC, "length"), "periodic box side"),
+        ("eps", float, (_CC, "eps"), "interface width parameter"),
+        ("seed", int, (_CC, "seed"), "seed of the random initial data (repo default)"),
+        ("t_end", float, (_CC, "t_end"),
+         "end time; the step-size ladder is truncated here"),
+        ("snapshots", _float_list, (_CC, "snapshot_times"),
          "comma-separated snapshot request times"),
-        ("record_every", int, 10, "late-time energy record stride (repo default)"),
-        ("record_cutoff", float, 100.0,
+        ("record_every", int, (_CC, "record_every_late"),
+         "late-time energy record stride (repo default)"),
+        ("record_cutoff", float, (_CC, "record_cutoff"),
          "record every step up to this time (repo default)"),
-        ("budget", float, math.inf, "wall-clock budget in seconds"),
+        ("budget", float, (_CC, "wall_clock_budget"), "wall-clock budget in seconds"),
         ("outdir", str, "coarsen-out", "output directory"),
     ) + _SOLVER_OPTS),
     "step": ("advance a single implicit step from a seed or snapshot", _run_step, (
@@ -257,7 +250,13 @@ def _build_parser():
         p = sub.add_parser(command, help=text, description=text, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE",
                        help="key=value file providing option defaults")
-        for name, parse, default, help_text in opts:
+        for name, parse, source, help_text in opts:
+            # A (call, parameter) source: the default in the call's signature
+            # (a config's constructor), a sequence as the list its parser makes.
+            default = source
+            if isinstance(source, tuple):
+                default = inspect.signature(source[0]).parameters[source[1]].default
+                default = list(default) if isinstance(default, tuple) else default
             # A help text that states its default itself (one computed at
             # run time) keeps it; every other gets the stored one.
             if "(default: " not in help_text:

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCoefficientsError, check_nonnegative_finite, check_positive_finite
+from .errors import (
+    InvalidCoefficientsError, check_nonnegative_finite, check_positive_finite, check_real,
+)
 from .grid import Grid, grad_norm_2, inner, lap, norm_2
 from .spectral import SpectralSolver
 
@@ -147,11 +149,12 @@ def modified_energy(
 
     on the grid of ``solver``, with ``energy`` = F(phi_new) as the caller
     has already evaluated it, so eps enters only through ``energy``.  a0
-    and dt must be positive and finite, and both fields must have the
-    grid's shape.
+    and dt must be positive and finite, energy a real that is not nan, and
+    both fields must have the grid's shape.
     """
     check_positive_finite("a0", a0, InvalidCoefficientsError)
     check_positive_finite("dt", dt, InvalidCoefficientsError)
+    check_real("energy", energy)
     grid = solver.grid
     diff = np.subtract(grid.field(phi_new, "phi_new"), grid.field(phi_old, "phi_old"))
     # The increment is mean-free up to rounding on the scale of phi; finish

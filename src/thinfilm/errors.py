@@ -3,7 +3,7 @@
 Every failure mode that callers are expected to handle gets its own class
 so that CLI and test code can match on type instead of message text.  The
 input rules live here too: check_positive_finite, check_nonnegative_finite,
-check_count, check_positive.
+check_real, check_count, check_positive.
 """
 
 import math
@@ -86,6 +86,13 @@ def check_nonnegative_finite(name: str, value) -> None:
     """Raise ConfigError unless value is a real (not a bool) in [0, inf); nan fails."""
     if not (_is_real(value) and 0.0 <= value < math.inf):
         raise ConfigError(f"{name} must be non-negative and finite, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf) -> None:
+    """Raise ConfigError unless value is a real (not a bool) in [low, inf];
+    +inf passes, nan fails."""
+    if not (_is_real(value) and value >= low):
+        raise ConfigError(f"{name} must be a real in [{low}, inf], got {value!r}")
 
 
 def check_count(name: str, value, low: int) -> None:

@@ -40,7 +40,9 @@ from .errors import (
     ThinFilmError,
     UnfinishedError,
     check_count,
+    check_nonnegative_finite,
     check_positive_finite,
+    check_real,
 )
 from .grid import Grid, lap, norm_2, norm_inf
 from .io import EnergyRecord
@@ -81,6 +83,7 @@ class ManufacturedSolution:
         return profile
 
     def sample(self, grid: Grid, t: float) -> np.ndarray:
+        check_nonnegative_finite("t", t)
         return _BASE + self._profile(grid) * math.cos(t)
 
     def forcing(self, grid: Grid, eps: float, t: float) -> np.ndarray:
@@ -94,6 +97,8 @@ class ManufacturedSolution:
 
         one Laplacian per call.
         """
+        check_positive_finite("eps", eps)
+        check_nonnegative_finite("t", t)
         profile = self._profile(grid)
         cos_t = math.cos(t)
         lam = (8.0 / (grid.h * grid.h)) * math.sin(math.pi * grid.h) ** 2
@@ -256,8 +261,11 @@ def fit_power_law(times, values, t_min: float, t_max: float):
     """Least-squares fit values ~ a * t^b over the window [t_min, t_max].
 
     Returns (a, b).  Requires at least three distinct times in the window,
-    and finite positive times and values there.
+    and finite positive times and values there; the window's bounds are
+    reals >= 0, +inf allowed.
     """
+    check_real("t_min", t_min, 0.0)
+    check_real("t_max", t_max, 0.0)
     t = np.asarray(times, dtype=float)
     sel = (t >= t_min) & (t <= t_max)
     slope, intercept = _loglog_fit(
@@ -295,27 +303,25 @@ class CoarseningConfig:
         Grid(2, self.n, self.length)
         PhysParams(self.eps)
         check_count("seed", self.seed, 0)
+        check_positive_finite("t_end", self.t_end)
         prev_end, prev_dt = 0.0, 0.0
         for seg_end, dt in self.schedule:
+            check_real("schedule", seg_end)
+            check_real("schedule", dt)
             if not (seg_end > prev_end and dt > 0.0 and dt >= prev_dt):
                 raise ConfigError(f"bad schedule rung ({seg_end}, {dt})")
             prev_end, prev_dt = seg_end, dt
         # Past the last rung's end the run would stop early, without a word.
-        if not (0.0 < self.t_end <= prev_end and self.t_end < math.inf):
+        if not self.t_end <= prev_end:
             raise ConfigError(f"t_end must lie in (0, {prev_end}], got {self.t_end}")
         check_count("record_every_late", self.record_every_late, 1)
-        # nan fails every comparison: the run would drop records or never
-        # run out of budget.
-        if math.isnan(self.record_cutoff):
-            raise ConfigError("record_cutoff must not be nan")
-        # A nan scrambles the sorted request list and loses other snapshots.
-        if any(math.isnan(t) for t in self.snapshot_times):
-            raise ConfigError(
-                f"snapshot_times must not hold nan, got {self.snapshot_times}"
-            )
-        budget = self.wall_clock_budget
-        if not budget >= 0.0:
-            raise ConfigError(f"wall_clock_budget must be >= 0, got {budget}")
+        # nan fails every comparison: the run would drop records, scramble
+        # the sorted snapshot requests and lose some, or never run out of
+        # budget.  +inf is a time the run never reaches.
+        check_real("record_cutoff", self.record_cutoff)
+        for t in self.snapshot_times:
+            check_real("snapshot_times", t)
+        check_real("wall_clock_budget", self.wall_clock_budget, 0.0)
 
 
 @dataclass

@@ -170,6 +170,8 @@ def norm_inf(u: np.ndarray) -> float:
 
 
 def norm_2(grid: Grid, u: np.ndarray) -> float:
+    """sqrt(<u, u>), u taken through :meth:`Grid.field` once, not once per factor."""
+    u = grid.field(u)
     return float(np.sqrt(inner(grid, u, u)))
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_nonnegative_finite
 from .grid import Grid
 
 SNAPSHOT_MAGIC = b"TFGF"
@@ -90,12 +90,12 @@ def write_key_values(path, pairs: dict) -> None:
 
 def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None:
     """Write one cell field plus its text sidecar atomically; ValueError,
-    before anything is written, for a field that Grid.field refuses or a
-    time that is not finite."""
+    before anything is written, for a field that Grid.field refuses, and
+    ConfigError (a ValueError) for a time that restart_state refuses, one
+    that is not a non-negative finite real."""
     path = Path(path)
     values = grid.field(values, "snapshot")
-    if not math.isfinite(t):
-        raise ValueError(f"snapshot time must be finite, got {t!r}")
+    check_nonnegative_finite("snapshot time", t)
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n, grid.length, float(t)
     )

@@ -93,19 +93,6 @@ class TestPhysParams:
         p = PhysParams(eps=0.1, a0=1.5)
         assert p.a_stab == pytest.approx(1.0, rel=1e-15)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhysParams(eps=0.0)
-        with pytest.raises(ValueError):
-            PhysParams(eps=-1.0)
-        with pytest.raises(ValueError):
-            PhysParams(eps=0.1, a0=-1.0)
-        with pytest.raises(ValueError):
-            PhysParams(eps=0.1, a_stab=-0.1)
-        for kwargs in ({"eps": math.inf}, {"a0": math.inf}, {"a_stab": math.inf}):
-            with pytest.raises(ValueError):
-                PhysParams(**{"eps": 0.1, **kwargs})
-
     def test_frozen(self):
         p = PhysParams(eps=0.1)
         with pytest.raises(dataclasses.FrozenInstanceError):

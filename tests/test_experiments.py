@@ -394,32 +394,16 @@ def tiny_config(**overrides):
 class TestCoarseningConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            tiny_config(t_end=0.0)
-        with pytest.raises(ValueError):
             tiny_config(schedule=((0.01, 0.004), (0.1, 0.002)))  # dt decreases
         with pytest.raises(ValueError):
             tiny_config(schedule=((0.01, 0.002), (0.005, 0.004)))  # end decreases
         with pytest.raises(ValueError):
             tiny_config(schedule=((0.01, -0.1),))
-        with pytest.raises(ValueError):
-            tiny_config(record_every_late=0)
-        with pytest.raises(ConfigError, match="record_cutoff"):
-            tiny_config(record_cutoff=math.nan)
-        for budget in (-1.0, math.nan):
-            with pytest.raises(ConfigError, match="wall_clock_budget"):
-                tiny_config(wall_clock_budget=budget)
-        assert tiny_config(wall_clock_budget=0.0).wall_clock_budget == 0.0
-        with pytest.raises(ConfigError, match="snapshot_times"):
-            tiny_config(snapshot_times=(0.004, math.nan, 0.008))
-        # a request beyond the end stays valid: it is dropped
-        assert math.inf in tiny_config(snapshot_times=(0.004, math.inf)).snapshot_times
 
     def test_t_end_lies_within_the_ladder(self):
-        """The ladder ends at 0.1: a later or non-finite t_end is refused
-        instead of ending the run early or never."""
-        for t_end in (0.2, math.inf, math.nan):
-            with pytest.raises(ConfigError, match="t_end"):
-                tiny_config(t_end=t_end)
+        """The ladder ends at 0.1: a later t_end is refused, not run short."""
+        with pytest.raises(ConfigError, match="t_end"):
+            tiny_config(t_end=0.2)
         assert tiny_config(t_end=0.1).t_end == 0.1
 
 

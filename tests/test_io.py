@@ -7,7 +7,6 @@ main() in process.
 """
 
 import dataclasses
-import inspect
 import math
 import os
 import re
@@ -503,46 +502,6 @@ class TestCliConfigMerge:
         assert main(["step", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and message in err
-
-
-class TestCliDefaults:
-    """Every default the CLI restates equals the library default it feeds."""
-
-    # CLI option -> library parameter, per command; outdir feeds no library
-    # call, and tol/max_iters feed SolverConfig.
-    FEEDS = {
-        "converge1": (run_convergence_first_order,
-                      dict(n="n", nt="nt_values", eps="eps", tf="t_final")),
-        "converge2": (run_convergence_bdf2,
-                      dict(n_list="n_values", eps="eps", tf="t_final",
-                           dt_factor="dt_factor", a0="a0", a_stab="a_stab")),
-        "coarsen": (CoarseningConfig,
-                    dict(n="n", length="length", eps="eps", seed="seed",
-                         t_end="t_end", snapshots="snapshot_times",
-                         record_every="record_every_late",
-                         record_cutoff="record_cutoff",
-                         budget="wall_clock_budget")),
-    }
-
-    @staticmethod
-    def plain(value):
-        return list(value) if isinstance(value, (list, tuple)) else value
-
-    @pytest.mark.parametrize("command", sorted(FEEDS))
-    def test_cli_defaults_equal_library_defaults(self, command):
-        target, feeds = self.FEEDS[command]
-        if dataclasses.is_dataclass(target):
-            library = {f.name: f.default for f in dataclasses.fields(target)}
-        else:
-            library = {name: p.default
-                       for name, p in inspect.signature(target).parameters.items()}
-        opts = vars(cli._build_parser().parse_args([command]))
-        assert opts.pop("command") == command and opts.pop("config") is None
-        assert set(opts) == set(feeds) | {"outdir", "tol", "max_iters"}
-        for option, parameter in feeds.items():
-            assert self.plain(opts[option]) == self.plain(library[parameter]), option
-        solver = SolverConfig()
-        assert (opts["tol"], opts["max_iters"]) == (solver.tol, solver.max_iters)
 
 
 class TestCliHelp:

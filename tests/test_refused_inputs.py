@@ -1,15 +1,17 @@
 """One table of refused inputs: every entry point x every bad value.
 
-The package checks each scalar input with one of three shared rules in
-``thinfilm.errors``: positive and finite, non-negative and finite (both
-for reals, never a bool), or an integer count (never a bool) at least a
-bound.  Each row names an entry point, the input it takes and the rule's
-name for it; every bad value must raise the typed error, with the message
-naming that input, so a refusal for some other reason does not count.  A
-study refuses a bad step count before its first step.
+The package checks each scalar input with one of four shared rules in
+``thinfilm.errors``: positive and finite, non-negative and finite, a real
+in [low, inf] (all three for reals, never a bool), or an integer count
+(never a bool, nor an integral float) at least a bound.  Each row names an
+entry point, the input it takes and the rule's name for it; every bad
+value must raise the typed error, with the message naming that input, so a
+refusal for some other reason does not count.  A study refuses a bad step
+count before its first step.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,20 +23,26 @@ from thinfilm import (
     FirstOrderScheme,
     Grid,
     InvalidCoefficientsError,
+    ManufacturedSolution,
     PhysParams,
     SolverConfig,
     SpectralSolver,
     discrete_energy,
+    fit_power_law,
     modified_energy,
     mu_exact,
     random_initial_data,
     restart_state,
     run_convergence_bdf2,
     run_convergence_first_order,
+    write_field_snapshot,
 )
 
 GRID = Grid(2, 8, 1.0)
 PHI = 1.0 + 0.1 * np.cos(2.0 * np.pi * GRID.coordinates()[0])
+# A refused time writes nothing; one let through fails on the missing folder.
+NOWHERE = Path(__file__).with_name("no-such-folder") / "field.tfgf"
+TIMES = np.geomspace(1.0, 100.0, 5)
 
 
 def first_order_step(dt):
@@ -76,6 +84,9 @@ POSITIVE_FINITE = [
     ("mu_exact.eps", lambda v: mu_exact(GRID, PHI, v), "eps", ConfigError),
     ("CoarseningConfig.length", lambda v: CoarseningConfig(length=v), "length", ConfigError),
     ("CoarseningConfig.eps", lambda v: CoarseningConfig(eps=v), "eps", ConfigError),
+    ("CoarseningConfig.t_end", lambda v: CoarseningConfig(t_end=v), "t_end", ConfigError),
+    ("ManufacturedSolution.forcing.eps",
+     lambda v: ManufacturedSolution().forcing(GRID, v, 0.0), "eps", ConfigError),
     ("first_order_study.t_final", lambda v: first_order_study(t_final=v), "t_final",
      ConfigError),
     ("bdf2_study.t_final", lambda v: bdf2_study(t_final=v), "t_final", ConfigError),
@@ -87,6 +98,37 @@ POSITIVE_FINITE = [
 NONNEGATIVE_FINITE = [
     ("PhysParams.a_stab", lambda v: PhysParams(0.1, a_stab=v), "a_stab"),
     ("restart_state.t", lambda v: restart_state(GRID, PHI, v), "t"),
+    ("ManufacturedSolution.sample.t",
+     lambda v: ManufacturedSolution().sample(GRID, v), "t"),
+    ("ManufacturedSolution.forcing.t",
+     lambda v: ManufacturedSolution().forcing(GRID, 0.5, v), "t"),
+    ("write_field_snapshot.t", lambda v: write_field_snapshot(NOWHERE, GRID, PHI, v),
+     "snapshot time"),
+]
+
+# (label, entry point taking the value, name in the message, low, values admitted)
+REALS = [
+    ("CoarseningConfig.schedule.end",
+     lambda v: CoarseningConfig(schedule=((100.0, 0.001), (v, 0.02))), "schedule",
+     -math.inf, (math.inf,)),
+    ("CoarseningConfig.schedule.dt",
+     lambda v: CoarseningConfig(schedule=((100.0, 0.001), (6000.0, v))), "schedule",
+     -math.inf, (math.inf,)),
+    ("CoarseningConfig.record_cutoff", lambda v: CoarseningConfig(record_cutoff=v),
+     "record_cutoff", -math.inf, (-math.inf, math.inf)),
+    ("CoarseningConfig.snapshot_times",
+     lambda v: CoarseningConfig(snapshot_times=(6.0, v)), "snapshot_times", -math.inf,
+     (-math.inf, math.inf)),
+    ("CoarseningConfig.wall_clock_budget",
+     lambda v: CoarseningConfig(wall_clock_budget=v), "wall_clock_budget", 0.0,
+     (0.0, math.inf)),
+    ("fit_power_law.t_min", lambda v: fit_power_law(TIMES, TIMES, v, 100.0), "t_min", 0.0,
+     (0.0,)),
+    ("fit_power_law.t_max", lambda v: fit_power_law(TIMES, TIMES, 1.0, v), "t_max", 0.0,
+     (math.inf,)),
+    ("modified_energy.energy",
+     lambda v: modified_energy(SpectralSolver(GRID), PHI, PHI, 1.0, 1e-3, v), "energy",
+     -math.inf, (-math.inf, math.inf)),
 ]
 
 # (label, entry point taking the bad value, name in the message, lowest count)
@@ -113,8 +155,15 @@ CASES = [
     for value in (-1.0, math.nan, math.inf, True, "1")
 ] + [
     pytest.param(call, name, ConfigError, value, id=f"{label}={value!r}")
+    for label, call, name, low, _ in REALS
+    for value in (math.nan, True, "1") + ((low - 1.0,) if low > -math.inf else ())
+] + [
+    # An integral float is no count either: low + 2 passes as an integer.
+    pytest.param(call, name, ConfigError, value, id=f"{label}={value!r}")
     for label, call, name, low in COUNTS
-    for value in (True, 2.5, low - 1)
+    for value in (True, 2.5, low - 1, float(low + 2))
+] + [
+    pytest.param(lambda v: Grid(v, 8, 1.0), "dim", ConfigError, 4, id="Grid.dim=4"),
 ]
 
 
@@ -124,12 +173,23 @@ def test_bad_input_is_refused(call, name, error, value):
         call(value)
 
 
-@pytest.mark.parametrize("real", [np.float32, np.float64])
-def test_numpy_floats_pass_the_positive_finite_rule(real):
-    assert Grid(2, 8, real(2.0)).length == 2.0
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{label}={value!r}")
+    for label, call, _, _, admitted in REALS
+    for value in admitted
+])
+def test_the_real_rule_admits_inf_and_its_finite_low(call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("real, integer", [(np.float32, np.int32), (np.float64, np.int64)])
+def test_numpy_scalars_pass_the_rules(real, integer):
+    assert Grid(integer(2), integer(8), real(2.0)).shape == (8, 8)
     assert PhysParams(real(0.1), a0=real(1.0)).a0 == 1.0
     assert PhysParams(real(0.1), a_stab=real(0.0)).a_stab == 0.0
-    assert SolverConfig(tol=real(0.5)).tol == 0.5
+    assert SolverConfig(tol=real(0.5), max_iters=integer(3)).max_iters == 3
+    CoarseningConfig(n=integer(8), seed=integer(1), record_every_late=integer(2),
+                     wall_clock_budget=real(5.0))
     bdf2_cold_start(real(1e-6))
 
 

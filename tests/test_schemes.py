@@ -622,15 +622,6 @@ class TestPreconditionerCoefficients:
         _, report = scheme.step(state, dt)
         assert report.precond_a1 == pytest.approx(median, rel=1e-12)
 
-    def test_nonpositive_dt_rejected(self, setup):
-        grid, _, fo, bdf2 = setup
-        ones = np.ones(grid.shape)
-        for bad in (0.0, -0.1, math.inf, math.nan):
-            with pytest.raises(InvalidCoefficientsError, match="dt"):
-                fo.step_system_from(ones, bad)
-            with pytest.raises(InvalidCoefficientsError, match="dt"):
-                bdf2.step_system_from(ones, ones, bad)
-
     def test_bdf2_rejects_weak_stabilization(self):
         grid = Grid(2, 8, 1.0)
         with pytest.raises(InvalidCoefficientsError):

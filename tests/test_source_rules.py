@@ -31,6 +31,10 @@ returns ``what (line n)`` for each breach, sorted.
   ``dtype=float``.  Every field argument goes through ``Grid.field`` or
   ``Grid.height``.  The log-log fits of ``experiments.py`` take 1-D series,
   not fields, and are exempt by name.
+- *One scalar rule*: outside ``errors.py``, no public function and no
+  ``__post_init__`` passes its own parameter, or a field of ``self``, to
+  ``math.isnan`` or ``math.isfinite``: ``errors.py``'s rules check scalar
+  arguments.  Private helpers and checks on locals are not flagged.
 """
 
 import ast
@@ -215,6 +219,28 @@ def field_rule_copies(tree):
     return sorted(found)
 
 
+def scalar_rule_copies(tree):
+    """``function(argument) (line n)`` for each public function or
+    ``__post_init__`` passing its own parameter, or a field of self, to
+    ``math.isnan`` or ``math.isfinite``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or (
+            node.name.startswith("_") and node.name != "__post_init__"
+        ):
+            continue
+        params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call) and call.args
+                    and ast.unparse(call.func) in ("math.isnan", "math.isfinite")):
+                continue
+            arg = call.args[0]
+            if (isinstance(arg, ast.Name) and arg.id in params - {"self", "cls"}
+                    or isinstance(arg, ast.Attribute) and ast.unparse(arg.value) == "self"):
+                found.append(f"{node.name}({ast.unparse(arg)}) (line {call.lineno})")
+    return sorted(found)
+
+
 # rule: (scan, files it reads, [(planted source, expected findings), ...])
 RULES = {
     "unused-import": (unused_imports, package_but("__init__.py") + TESTS, [(
@@ -308,6 +334,21 @@ RULES = {
         "    return np.asarray(phi, dtype=np.float32)\n",
         ["np.array(dtype=float) (line 6)", "np.asarray(dtype=float) (line 5)",
          "validate_field (line 4)"],
+    )]),
+    "scalar-rule": (scalar_rule_copies, package_but("errors.py"), [(
+        "import math\n"
+        "\n"
+        "class Config:\n"
+        "    def __post_init__(self):\n"
+        "        return math.isnan(self.cutoff) or any(math.isnan(t) for t in self.times)\n"
+        "\n"
+        "def write(path, t, *, strict=True):\n"
+        "    header = float(path)\n"
+        "    return math.isfinite(t) or math.isnan(strict) or math.isfinite(header.t)\n"
+        "\n"
+        "def _newton(alpha, slope):\n"
+        "    return math.isfinite(slope) and math.isnan(alpha)\n",
+        ["__post_init__(self.cutoff) (line 5)", "write(strict) (line 9)", "write(t) (line 9)"],
     )]),
 }
 
