@@ -15,7 +15,6 @@ through a temp file plus atomic rename.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -110,7 +109,8 @@ def write_field_snapshot(path, grid: Grid, values: np.ndarray, t: float) -> None
 
 def read_field_snapshot(path):
     """Read a snapshot; returns (grid, values, t).  FormatError on mismatch
-    or a time that is not finite."""
+    or a time that the writer refuses, one that is not non-negative and
+    finite."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -120,9 +120,8 @@ def read_field_snapshot(path):
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if not math.isfinite(t):
-        raise FormatError(f"{path}: time {t!r} is not finite")
     try:
+        check_nonnegative_finite("time", t)
         grid = Grid(dim, n, length)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid header fields: {exc}") from exc

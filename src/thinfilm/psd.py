@@ -43,11 +43,14 @@ remains a descent step.
 The CG loop does not need the root itself, only a step that keeps PR+
 convergent (Gilbert-Nocedal, SIAM J. Optim. 2, 1992): a search ends at the
 first trial with |g(alpha)| <= _WOLFE_TOL |g(0)|, a strong-Wolfe curvature
-condition with sigma = 1e-6.  Every search ends at its last trial, so a
-step system carries that trial's pointwise pass into the next residual,
-and that trial's point phi + alpha d into the next iterate: a direction's
-closures own the field its trials write their point into, and hand it
-over, as the new iterate, with the residual there.
+condition with sigma = 1e-4.  The step's solution is the unique minimizer
+of a strictly convex functional, so sigma moves only the path to it; 1e-4
+ends most searches at their first trial at about the same CG iteration count.
+Every search ends at its last trial, so a step system carries that trial's
+pointwise pass into the next residual, and that trial's point
+phi + alpha d into the next iterate: a direction's closures own the field
+its trials write their point into, and hand it over, as the new iterate,
+with the residual there.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ from .grid import inner
 # Fraction of the distance to the positivity barrier a step may consume.
 _ALPHA_SAFETY = 0.99
 # The line search's stop on |g| relative to |g(0)|: a strong-Wolfe
-# curvature condition with sigma = 1e-6.
-_WOLFE_TOL = 1e-6
+# curvature condition with sigma = 1e-4, well inside the sigma = 0.1 that
+# nonlinear CG admits (Nocedal-Wright 3.1).
+_WOLFE_TOL = 1e-4
 # Relative width at which a bracket counts as collapsed.
 _LINE_TOL = 1e-12
 # Factor by which the line search widens its trial step while g < 0.

@@ -140,10 +140,11 @@ class TestFieldSnapshots:
         with pytest.raises(FormatError, match="invalid header"):
             read_field_snapshot(bad_grid)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_time_refused(self, tmp_path, t):
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_time_the_writer_refuses_is_refused(self, tmp_path, t):
         """The reader raises FormatError on a header time that is not
-        finite; the writer refuses one with ValueError and writes nothing."""
+        non-negative and finite; the writer refuses one with ValueError and
+        writes nothing."""
         grid = Grid(2, 4, 1.0)
         path = tmp_path / "field.tfgf"
         path.write_bytes(
@@ -363,10 +364,11 @@ class TestCliStep:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_input_with_a_nan_time_is_runtime_error(self, tmp_path, capsys):
-        path = tmp_path / "nan.tfgf"
+    @pytest.mark.parametrize("t", [math.nan, -1.0])
+    def test_input_with_a_refused_time_is_runtime_error(self, tmp_path, capsys, t):
+        path = tmp_path / "bad.tfgf"
         path.write_bytes(
-            struct.pack("<4sIIIdd", b"TFGF", 1, 2, 8, 1.0, math.nan)
+            struct.pack("<4sIIIdd", b"TFGF", 1, 2, 8, 1.0, t)
             + np.ones(64).astype("<f8").tobytes()
         )
         code = main(["step", "--input", str(path), "--outdir", str(tmp_path / "out")])

@@ -259,8 +259,8 @@ class TestLineSearch:
         assert got == pytest.approx(root, abs=1e-10 * root)
 
     def test_noise_above_the_wolfe_bound_ends_at_the_downhill_end(self):
-        """g linear with root 0.57 plus noise of up to 1e-5 of |g(0)| that
-        keeps |g| above the _WOLFE_TOL |g(0)| stop everywhere: the bracket
+        """g linear with root 0.57 plus noise of up to 10 _WOLFE_TOL of |g(0)|
+        that keeps |g| above the _WOLFE_TOL |g(0)| stop everywhere: the bracket
         collapses onto the root and the search returns its downhill end,
         evaluated once more as its last trial, where g < 0, within the noise
         of the root."""
@@ -269,7 +269,7 @@ class TestLineSearch:
         calls = []
 
         def g(a):
-            noise = 1e-5 * root * rng.uniform(0.2, 1.0) * math.copysign(1.0, a - root)
+            noise = 10 * _WOLFE_TOL * root * rng.uniform(0.2, 1.0) * math.copysign(1.0, a - root)
             calls.append((a, a - root + noise))
             return calls[-1][1], 1.0 + 1e-3 * rng.standard_normal()
 
@@ -278,7 +278,7 @@ class TestLineSearch:
         assert got == calls[-1][0]
         assert got in [a for a, _ in calls[:-1]]
         assert calls[-1][1] < 0.0
-        assert 0.0 < root - got <= 1e-5 * root
+        assert 0.0 < root - got <= 10 * _WOLFE_TOL * root
 
     def test_cg_stop_returns_an_evaluated_trial(self):
         """The search ends at a point g evaluated, where
